@@ -19,13 +19,14 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from ._kernel import add as padd, is_zero as pis0, mul as pmul, neg as pneg
-from .cocycles import Cocycle2, enumerate_classes
+from ._kernel import is_zero as pis0, mul as pmul, neg as pneg
+from .cocycles import enumerate_classes
 from .comodule import ModCatDatum, build_A, check_simplicity, simple_modules
 from .cyclo import CycloNumber, context
 from .errors import NotExteriorDatum, ValidationError
 from .groups import Subgroup, enumerate_subgroups
 from .hopf import CheckReport, QlsDatum
+from .linalg import accumulate
 
 
 def coordinate_subspaces(datum: QlsDatum) -> list[dict]:
@@ -200,11 +201,17 @@ class ClassificationRow:
 
 
 class ClassificationReport:
-    """Rows in sweep order plus a totals line."""
+    """Rows in sweep order plus a totals line.
 
-    def __init__(self, rows: list[ClassificationRow], totals: dict):
+    ``data`` is the enumerated list the rows summarize, so callers can
+    dedupe it without enumerating again.
+    """
+
+    def __init__(self, rows: list[ClassificationRow], totals: dict,
+                 data: list[ModCatDatum]):
         self.rows = rows
         self.totals = totals
+        self.data = data
 
     def as_dict(self) -> dict:
         return {"rows": [r.as_dict() for r in self.rows],
@@ -284,16 +291,7 @@ def classification_report(datum: QlsDatum, scalar_sample=(0, 1),
             mods.block_data, mods.radical_dim))
     totals = {"rows": len(rows), "data": len(data),
               "free_parameters": free_total}
-    return ClassificationReport(rows, totals)
-
-
-def _accum(store: dict, key, pair) -> None:
-    cur = store.get(key)
-    cur = pair if cur is None else padd(cur, pair)
-    if pis0(cur):
-        store.pop(key, None)
-    else:
-        store[key] = cur
+    return ClassificationReport(rows, totals, data)
 
 
 def _mono_times_letter(S: tuple, a: int, contract, one) -> dict:
@@ -311,7 +309,7 @@ def _mono_times_letter(S: tuple, a: int, contract, one) -> dict:
     if not pis0(k):
         out[body] = k
     for T, c in _mono_times_letter(body, a, contract, one).items():
-        _accum(out, T + (last,), pneg(c))
+        accumulate(out, T + (last,), pneg(c))
     return out
 
 
@@ -321,7 +319,7 @@ def _mono_mul(S: tuple, T: tuple, contract, red, one) -> dict:
         nxt: dict = {}
         for U, c in terms.items():
             for V, c2 in _mono_times_letter(U, a, contract, one).items():
-                _accum(nxt, V, pmul(c, c2, red))
+                accumulate(nxt, V, pmul(c, c2, red))
         terms = nxt
     return terms
 
@@ -375,7 +373,7 @@ def exterior_clifford_check(datum: QlsDatum, mcd: ModCatDatum) -> CheckReport:
             out_e = (f * g).exps
             for U, c in _mono_mul(S, T, contract, red, one).items():
                 rU = tuple(1 if a in U else 0 for a in range(mcd.n_letters))
-                _accum(cell, A.index[(rU, out_e)], pmul(coef, c, red))
+                accumulate(cell, A.index[(rU, out_e)], pmul(coef, c, red))
             if cell:
                 mult[(i, j)] = cell
             if cell != A.mult.get((i, j), {}):

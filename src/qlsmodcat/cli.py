@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import serialize
-from .classify import classification_report, dedupe, enumerate_modcat_data
+from .classify import classification_report, dedupe
 from .comodule import build_A, regular_coaction
 from .deformation import build_bigalois, build_lifting, transport
 from .errors import (
@@ -154,12 +154,10 @@ def _finish_build(args, obj, command, suffix, options, build):
     return payload, out, cached
 
 
-def cmd_build_hopf(args) -> int:
-    obj = _read_json(args.input)
-    datum, _, _ = serialize.load_datum(obj)
-
+def _build_hopf_command(args, obj, command, suffix, kind, make) -> int:
+    """build-hopf and build-lifting: build, rebase, sweep, cache, write."""
     def build():
-        H = build_bosonization(datum)
+        H = make()
         if args.conductor:
             if args.conductor % H.L:
                 raise ValidationError(
@@ -172,11 +170,18 @@ def cmd_build_hopf(args) -> int:
         return serialize.hopf_dump(H)
 
     payload, out, cached = _finish_build(
-        args, obj, "build-hopf", "hopf", {"conductor": args.conductor}, build)
+        args, obj, command, suffix, {"conductor": args.conductor}, build)
     note = " (cache hit)" if cached else ""
-    print(f"bosonization: dim {payload['dim']}, conductor {payload['L']}"
+    print(f"{kind}: dim {payload['dim']}, conductor {payload['L']}"
           f"{note}; wrote {out}")
     return 0
+
+
+def cmd_build_hopf(args) -> int:
+    obj = _read_json(args.input)
+    datum, _, _ = serialize.load_datum(obj)
+    return _build_hopf_command(args, obj, "build-hopf", "hopf", "bosonization",
+                               lambda: build_bosonization(datum))
 
 
 def cmd_build_lifting(args) -> int:
@@ -184,27 +189,8 @@ def cmd_build_lifting(args) -> int:
     _, lifting, _ = serialize.load_datum(obj)
     if lifting is None:
         raise ValidationError("the input has no lifting section")
-
-    def build():
-        H = build_lifting(lifting)
-        if args.conductor:
-            if args.conductor % H.L:
-                raise ValidationError(
-                    f"conductor {args.conductor} is not a multiple of {H.L}")
-            H = H.rebased(args.conductor)
-        rep = H.verify()
-        if not rep.ok:
-            raise ConfluenceFailure(
-                f"built tables fail the axiom sweep: {rep.checks_failed()}")
-        return serialize.hopf_dump(H)
-
-    payload, out, cached = _finish_build(
-        args, obj, "build-lifting", "lifting",
-        {"conductor": args.conductor}, build)
-    note = " (cache hit)" if cached else ""
-    print(f"lifting: dim {payload['dim']}, conductor {payload['L']}"
-          f"{note}; wrote {out}")
-    return 0
+    return _build_hopf_command(args, obj, "build-lifting", "lifting", "lifting",
+                               lambda: build_lifting(lifting))
 
 
 def cmd_build_algebra(args) -> int:
@@ -234,8 +220,7 @@ def cmd_classify(args) -> int:
     report = classification_report(datum, sample,
                                    bound=args.max_group_order,
                                    seed=args.seed)
-    data = enumerate_modcat_data(datum, sample, bound=args.max_group_order)
-    reps = dedupe(data, strict=args.strict_cocycle)
+    reps = dedupe(report.data, strict=args.strict_cocycle)
     payload = {"report": report.as_dict(), "representatives": len(reps)}
     out = _out_path(args, "classify")
     _write_artifact(out, payload)

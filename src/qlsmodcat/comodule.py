@@ -11,13 +11,12 @@ degree-one generation checker.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 from math import lcm
 
 from . import linalg
-from ._kernel import add as padd, is_zero as pis0, mul as pmul, neg as pneg, sub as psub
+from ._kernel import add as padd, is_zero as pis0, mul as pmul, neg as pneg
 from .cocycles import Cocycle2
 from .cyclo import CycloNumber, context, zeta
 from .errors import (
@@ -33,10 +32,11 @@ from .hopf import (
     FiniteHopf,
     QlsDatum,
     build_bosonization,
+    extend_letters,
+    monomial_labels,
     pair_multiply,
-    rebase_vec,
-    vec_addmul,
 )
+from .linalg import accumulate, vec_addmul
 from .rewrite import NormalFormEngine
 
 
@@ -192,10 +192,6 @@ class ModCatDatum:
             raise ValidationError(f"invalid module-category datum: {rep!r}")
 
 
-def validate_modcat_datum(mcd: ModCatDatum) -> CheckReport:
-    return mcd.validate()
-
-
 class ComoduleRules(NormalFormEngine):
     """Rewriting rules for the subspace generators over the twisted group basis."""
 
@@ -269,27 +265,15 @@ class ComoduleAlgebra(FiniteAlgebra):
             right: dict = {}
             for (u, a), c in lam.items():
                 for (p, q), c2 in U.comult[u].items():
-                    key = (p, q, a)
-                    cur = left.get(key)
-                    cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                    if pis0(cur):
-                        left.pop(key, None)
-                    else:
-                        left[key] = cur
+                    accumulate(left, (p, q, a), pmul(c, c2, red))
                 for (u2, a2), c2 in self.coaction[a].items():
-                    key = (u, u2, a2)
-                    cur = right.get(key)
-                    cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                    if pis0(cur):
-                        right.pop(key, None)
-                    else:
-                        right[key] = cur
+                    accumulate(right, (u, u2, a2), pmul(c, c2, red))
             if left != right:
                 rep.fail("coaction-coassociative", self.labels[i])
 
             acc: dict = {}
             for (u, a), c in lam.items():
-                vec_addmul(acc, {a: linalg.pone(self.L)}, pmul(c, U.counit[u], red), red)
+                accumulate(acc, a, pmul(c, U.counit[u], red))
             if acc != self.basis(i):
                 rep.fail("coaction-counital", self.labels[i])
 
@@ -325,28 +309,13 @@ def _coaction_tables(mcd: ModCatDatum, alg: FiniteAlgebra, U: FiniteHopf):
               alg.index[(ea, ident.exps)])] = one
         lam_letter.append(vec2)
 
-    lam_pow = []
     u1a1 = {(U.index[(zero_v, ident.exps)], unit_a): one}
-    for a in range(m):
-        powers = [u1a1]
-        for _ in range(1, mcd.heights[a]):
-            powers.append(pair_multiply(U, alg, powers[-1], lam_letter[a]))
-        lam_pow.append(powers)
-
-    coaction = []
-    for r, fe in alg.labels:
-        t = u1a1
-        for a in range(m):
-            if r[a]:
-                t = pair_multiply(U, alg, t, lam_pow[a][r[a]])
-        gidx = U.index[(zero_v, fe)]
-        t = pair_multiply(U, alg, t,
-                          {(gidx, alg.index[(zero_w, fe)]): one})
-        coaction.append(t)
-    return coaction
+    return extend_letters(
+        U, alg, alg.labels, u1a1, lam_letter, mcd.heights,
+        lambda fe: {(U.index[(zero_v, fe)], alg.index[(zero_w, fe)]): one})
 
 
-def _assemble(mcd: ModCatDatum, mult: dict, labels, degree) -> ComoduleAlgebra:
+def _assemble(mcd: ModCatDatum, mult: dict, labels) -> ComoduleAlgebra:
     ident = mcd.datum.group.identity()
     zero_w = (0,) * mcd.n_letters
     unit = {labels.index((zero_w, ident.exps)): linalg.pone(mcd.L)}
@@ -354,7 +323,7 @@ def _assemble(mcd: ModCatDatum, mult: dict, labels, degree) -> ComoduleAlgebra:
     U = build_bosonization(mcd.datum).rebased(mcd.L)
     coaction = _coaction_tables(mcd, alg, U)
     A = ComoduleAlgebra(labels, mcd.L, mult, unit, U, coaction,
-                        degree=degree, mcd=mcd)
+                        degree=[sum(r) for r, _ in labels], mcd=mcd)
     rep = A.verify()
     if not rep.ok:
         raise ConfluenceFailure(
@@ -362,19 +331,10 @@ def _assemble(mcd: ModCatDatum, mult: dict, labels, degree) -> ComoduleAlgebra:
     return A
 
 
-def _modcat_labels(mcd: ModCatDatum):
-    rs = sorted(itertools.product(*[range(n) for n in mcd.heights]),
-                key=lambda r: (sum(r), r))
-    fs = sorted(mcd.F, key=lambda e: e.exps)
-    labels = [(r, f.exps) for r in rs for f in fs]
-    degree = [sum(r) for r, _ in labels]
-    return labels, degree
-
-
 def build_A(mcd: ModCatDatum) -> ComoduleAlgebra:
     """The comodule algebra generated by the subspace rows and the e_f."""
     mcd.require_valid()
-    labels, degree = _modcat_labels(mcd)
+    labels = monomial_labels(mcd.heights, mcd.F)
     idx = {lab: i for i, lab in enumerate(labels)}
     rules = ComoduleRules(mcd)
     group = mcd.datum.group
@@ -387,7 +347,7 @@ def build_A(mcd: ModCatDatum) -> ComoduleAlgebra:
             cell = {idx[(t, g.exps)]: c.raw() for (t, g), c in nf.items()}
             if cell:
                 mult[(i1, i2)] = cell
-    return _assemble(mcd, mult, labels, degree)
+    return _assemble(mcd, mult, labels)
 
 
 def build_K(mcd: ModCatDatum) -> ComoduleAlgebra:
@@ -397,7 +357,7 @@ def build_K(mcd: ModCatDatum) -> ComoduleAlgebra:
     this is an independent path used to cross-check build_A.
     """
     mcd.require_valid()
-    labels, degree = _modcat_labels(mcd)
+    labels = monomial_labels(mcd.heights, mcd.F)
     idx = {lab: i for i, lab in enumerate(labels)}
     m = mcd.n_letters
     heights = mcd.heights
@@ -425,7 +385,7 @@ def build_K(mcd: ModCatDatum) -> ComoduleAlgebra:
                         coef = coef * qexp[a][b] ** (r[a] * s[b])
             t = tuple(r[a] + s[a] for a in range(m))
             mult[(i1, i2)] = {idx[(t, (f * g).exps)]: coef.raw()}
-    return _assemble(mcd, mult, labels, degree)
+    return _assemble(mcd, mult, labels)
 
 
 def regular_coaction(H: FiniteHopf) -> ComoduleAlgebra:
@@ -535,13 +495,7 @@ def coinvariants(A: ComoduleAlgebra):
     for i in range(nA):
         row = {u * nA + a: c for (u, a), c in A.coaction[i].items()}
         for u0, c0 in U.unit.items():
-            key = u0 * nA + i
-            cur = row.get(key)
-            cur = pneg(c0) if cur is None else psub(cur, c0)
-            if pis0(cur):
-                row.pop(key, None)
-            else:
-                row[key] = cur
+            accumulate(row, u0 * nA + i, pneg(c0))
         rows.append(row)
     kern = linalg.left_kernel(rows, U.dim * nA, A.L)
     return linalg.span(kern, A.L)
@@ -575,17 +529,8 @@ def galois_map(A: ComoduleAlgebra) -> GaloisReport:
         for j in range(nA):
             flat: dict = {}
             for (u, a), c in lam.items():
-                cell = A.mult.get((a, j))
-                if not cell:
-                    continue
-                for k, c2 in cell.items():
-                    key = u * nA + k
-                    cur = flat.get(key)
-                    cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                    if pis0(cur):
-                        flat.pop(key, None)
-                    else:
-                        flat[key] = cur
+                for k, c2 in A.mult.get((a, j), {}).items():
+                    accumulate(flat, u * nA + k, pmul(c, c2, red))
             rows.append(flat)
     rank = linalg.rank(rows, A.L)
     return GaloisReport(rows, rank, nA * nA, U.dim * nA)
@@ -733,12 +678,7 @@ def _sub_rows(r1, r2):
     for a, b in zip(r1, r2):
         row = dict(a)
         for j, c in b.items():
-            cur = row.get(j)
-            cur = pneg(c) if cur is None else psub(cur, c)
-            if pis0(cur):
-                row.pop(j, None)
-            else:
-                row[j] = cur
+            accumulate(row, j, pneg(c))
         out.append(row)
     return out
 
@@ -891,12 +831,7 @@ def _center(B: FiniteAlgebra):
         for b in range(nB):
             diff = dict(B.mult.get((k, b), {}))
             for j, c in B.mult.get((b, k), {}).items():
-                cur = diff.get(j)
-                cur = pneg(c) if cur is None else psub(cur, c)
-                if pis0(cur):
-                    diff.pop(j, None)
-                else:
-                    diff[j] = cur
+                accumulate(diff, j, pneg(c))
             for j, c in diff.items():
                 row[b * nB + j] = c
         rows.append(row)
@@ -977,13 +912,18 @@ def _eval_poly(B: FiniteAlgebra, coeffs, y: dict, unit: dict) -> dict:
     return acc
 
 
-def _poly_factors(coeffs, L: int):
-    """Irreducible factors with multiplicity, each again highest first."""
+def _poly(coeffs, dom, gen_pows, L: int):
+    """The sympy polynomial in t with the given coefficients, highest first."""
     from sympy import Poly, symbols
 
+    return Poly([_to_dom(c, dom, gen_pows, L) for c in coeffs], symbols("t"),
+                domain=dom)
+
+
+def _poly_factors(coeffs, L: int):
+    """Irreducible factors with multiplicity, each again highest first."""
     dom, gen_pows = _field_domain(L)
-    t = symbols("t")
-    p = Poly([_to_dom(c, dom, gen_pows, L) for c in coeffs], t, domain=dom)
+    p = _poly(coeffs, dom, gen_pows, L)
     out = []
     for f, m in p.factor_list()[1]:
         fc = f.monic()
@@ -993,12 +933,9 @@ def _poly_factors(coeffs, L: int):
 
 def _cofactor_idempotent(coeffs, factor, L: int):
     """Coefficients of w with w = 1 mod factor and w = 0 mod cofactor."""
-    from sympy import Poly, symbols
-
     dom, gen_pows = _field_domain(L)
-    t = symbols("t")
-    p = Poly([_to_dom(c, dom, gen_pows, L) for c in coeffs], t, domain=dom)
-    f = Poly([_to_dom(c, dom, gen_pows, L) for c in factor], t, domain=dom)
+    p = _poly(coeffs, dom, gen_pows, L)
+    f = _poly(factor, dom, gen_pows, L)
     u = p.quo(f)
     s, v, h = f.gcdex(u)
     if not h.is_one:
@@ -1147,12 +1084,9 @@ def _module_dim(B: FiniteAlgebra, e: dict, block, rng, tries):
 
 
 def _poly_quo(coeffs, factor, L: int):
-    from sympy import Poly, symbols
-
     dom, gen_pows = _field_domain(L)
-    t = symbols("t")
-    p = Poly([_to_dom(c, dom, gen_pows, L) for c in coeffs], t, domain=dom)
-    f = Poly([_to_dom(c, dom, gen_pows, L) for c in factor], t, domain=dom)
+    p = _poly(coeffs, dom, gen_pows, L)
+    f = _poly(factor, dom, gen_pows, L)
     return [_from_dom(c, gen_pows, L) for c in p.quo(f).rep.to_list()]
 
 

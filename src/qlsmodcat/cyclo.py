@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple
 
 from qlsmodcat import _kernel as _K
@@ -260,7 +260,8 @@ class CycloNumber:
         for x in coeffs[:d]:
             den = lcm(den, x.denominator)
         out = CycloNumber(self.L, tuple(int(x * den) for x in coeffs[:d]), den)
-        assert (self * out).is_one()
+        if not (self * out).is_one():
+            raise ArithmeticError("computed inverse fails the product check")
         return out
 
     def order(self):

@@ -14,7 +14,7 @@ import itertools
 from math import lcm
 
 from . import linalg
-from ._kernel import add as padd, is_zero as pis0, mul as pmul, sub as psub
+from ._kernel import add as padd, is_zero as pis0, mul as pmul, neg as pneg
 from .cocycles import Cocycle2
 from .comodule import (
     ComoduleAlgebra,
@@ -22,13 +22,13 @@ from .comodule import (
     build_A,
     check_simplicity,
     coinvariants,
+    galois_map,
     simple_modules,
 )
-from .cyclo import CycloNumber, context, zeta
+from .cyclo import CycloNumber
 from .errors import (
     CocycleInvalid,
     ConfluenceFailure,
-    DimensionMismatch,
     IsoCheckFailed,
     NotClosed,
     ValidationError,
@@ -39,10 +39,12 @@ from .hopf import (
     FiniteAlgebra,
     FiniteHopf,
     QlsDatum,
+    complete_hopf,
+    extend_letters,
+    monomial_labels,
     pair_multiply,
-    tensor_multiply,
-    vec_addmul,
 )
+from .linalg import accumulate, vec_addmul
 from .rewrite import NormalFormEngine
 
 
@@ -97,10 +99,6 @@ class LiftingDatum:
             raise ValidationError(f"invalid lifting datum: {rep!r}")
 
 
-def validate_lifting_datum(ld: LiftingDatum) -> CheckReport:
-    return ld.validate()
-
-
 class LiftingRules(NormalFormEngine):
     """Rewriting rules for the lifted relations."""
 
@@ -137,19 +135,10 @@ def build_lifting(ld: LiftingDatum) -> FiniteHopf:
     """Hopf algebra tables for the lifting determined by (mu, lambda)."""
     ld.require_valid()
     d = ld.datum
-    group, theta, N = d.group, d.theta, d.N
-    L = ld.L
-    one = linalg.pone(L)
+    group = d.group
     rules = LiftingRules(ld)
-
-    rs = sorted(itertools.product(*[range(n) for n in N]),
-                key=lambda r: (sum(r), r))
-    gs = sorted(group, key=lambda e: e.exps)
-    labels = [(r, g.exps) for r in rs for g in gs]
+    labels = monomial_labels(d.N, group)
     idx = {lab: i for i, lab in enumerate(labels)}
-    degree = [sum(r) for r, _ in labels]
-    zero_r = (0,) * theta
-    ident = group.identity()
 
     mult: dict = {}
     for i1, (r, ge) in enumerate(labels):
@@ -160,50 +149,7 @@ def build_lifting(ld: LiftingDatum) -> FiniteHopf:
             cell = {idx[(t, g.exps)]: c.raw() for (t, g), c in nf.items()}
             if cell:
                 mult[(i1, i2)] = cell
-
-    unit = {idx[(zero_r, ident.exps)]: one}
-    alg = FiniteAlgebra(labels, L, mult, unit)
-
-    unit_idx = idx[(zero_r, ident.exps)]
-    dx = []
-    for i in range(theta):
-        ei = tuple(1 if a == i else 0 for a in range(theta))
-        dx.append({(idx[(ei, ident.exps)], unit_idx): one,
-                   (idx[(zero_r, d.g[i].exps)], idx[(ei, ident.exps)]): one})
-    dpow = []
-    for i in range(theta):
-        powers = [{(unit_idx, unit_idx): one}]
-        for _ in range(1, N[i]):
-            powers.append(tensor_multiply(alg, powers[-1], dx[i]))
-        dpow.append(powers)
-
-    comult = []
-    counit = []
-    for r, ge in labels:
-        t = {(unit_idx, unit_idx): one}
-        for i in range(theta):
-            if r[i]:
-                t = tensor_multiply(alg, t, dpow[i][r[i]])
-        gidx = idx[(zero_r, ge)]
-        t = tensor_multiply(alg, t, {(gidx, gidx): one})
-        comult.append(t)
-        counit.append(one if sum(r) == 0 else linalg.pzero(L))
-
-    sx = []
-    for i in range(theta):
-        ei = tuple(1 if a == i else 0 for a in range(theta))
-        coef = -(d.q[i].inv().rebase(L))
-        sx.append({idx[(ei, d.g[i].inv().exps)]: coef.raw()})
-    antipode = []
-    for r, ge in labels:
-        vec = alg.basis(idx[(zero_r, group.element(ge).inv().exps)])
-        for i in reversed(range(theta)):
-            for _ in range(r[i]):
-                vec = alg.multiply(vec, sx[i])
-        antipode.append(vec)
-
-    return FiniteHopf(labels, L, mult, unit, comult, counit, antipode,
-                      degree=degree, graded=False)
+    return complete_hopf(d, ld.L, labels, mult, graded=False)
 
 
 def _iterated_comult(H: FiniteHopf, i: int, legs: int) -> dict:
@@ -214,13 +160,7 @@ def _iterated_comult(H: FiniteHopf, i: int, legs: int) -> dict:
         nxt: dict = {}
         for key, c in cur.items():
             for (a, b), c2 in H.comult[key[-1]].items():
-                k2 = key[:-1] + (a, b)
-                acc = nxt.get(k2)
-                acc = pmul(c, c2, red) if acc is None else padd(acc, pmul(c, c2, red))
-                if pis0(acc):
-                    nxt.pop(k2, None)
-                else:
-                    nxt[k2] = acc
+                accumulate(nxt, key[:-1] + (a, b), pmul(c, c2, red))
         cur = nxt
     return cur
 
@@ -327,14 +267,8 @@ class HopfCocycle:
                                 s = self.table.get((p, q))
                                 if s is None:
                                     continue
-                                key = a * n + b
-                                cur = row.get(key)
-                                add = pmul(pmul(ca, cb, red), s, red)
-                                cur = add if cur is None else padd(cur, add)
-                                if pis0(cur):
-                                    row.pop(key, None)
-                                else:
-                                    row[key] = cur
+                                accumulate(row, a * n + b,
+                                           pmul(pmul(ca, cb, red), s, red))
                 rows.append(row)
         target = {}
         for a in range(n):
@@ -369,6 +303,11 @@ def group_sigma(H: FiniteHopf, psi: Cocycle2) -> HopfCocycle:
     basis and copies psi on it.
     """
     by_exps = {f.exps: f for f in psi.carrier}
+    M = lcm(H.L, *(v.L for v in psi.table.values()))
+    if M != H.L:
+        raise ValidationError(
+            f"cocycle values need conductor {M} but H has conductor {H.L}; "
+            f"rebase H to conductor {M} first")
     table = {}
     for i, (r, ge) in enumerate(H.labels):
         if sum(r):
@@ -385,7 +324,7 @@ def group_sigma(H: FiniteHopf, psi: Cocycle2) -> HopfCocycle:
 
 def deform_hopf(H: FiniteHopf, sigma: HopfCocycle) -> FiniteHopf:
     """Same coalgebra, multiplication and antipode twisted by sigma."""
-    if sigma.H is not H and not _same_hopf(sigma.H, H):
+    if sigma.H is not H and not sigma.H.same_tables(H):
         raise ValidationError("cocycle lives on a different Hopf algebra")
     red = H.ctx.reduction
     n = H.dim
@@ -432,6 +371,29 @@ def deform_hopf(H: FiniteHopf, sigma: HopfCocycle) -> FiniteHopf:
     return out
 
 
+def _twisted_product(sigma: HopfCocycle, coaction, alg: FiniteAlgebra) -> dict:
+    """Tables of a . b = sigma(a_(-1), b_(-1)) a_(0) b_(0), for a left
+    coaction on alg given as a list over its basis."""
+    red = alg.ctx.reduction
+    n = len(coaction)
+    mult: dict = {}
+    for i in range(n):
+        for j in range(n):
+            cell: dict = {}
+            for (u, a), c in coaction[i].items():
+                for (v, b), c2 in coaction[j].items():
+                    s = sigma.table.get((u, v))
+                    if s is None:
+                        continue
+                    m = alg.mult.get((a, b))
+                    if not m:
+                        continue
+                    vec_addmul(cell, m, pmul(pmul(c, c2, red), s, red), red)
+            if cell:
+                mult[(i, j)] = cell
+    return mult
+
+
 def deform_comodule_algebra(A: ComoduleAlgebra, sigma: HopfCocycle,
                             hopf: FiniteHopf = None) -> ComoduleAlgebra:
     """Twist the product to sigma(a, b) applied to the coaction legs.
@@ -440,25 +402,9 @@ def deform_comodule_algebra(A: ComoduleAlgebra, sigma: HopfCocycle,
     the deformed Hopf algebra, which is verified.
     """
     U = A.hopf
-    if sigma.H is not U and not _same_hopf(sigma.H, U):
+    if sigma.H is not U and not sigma.H.same_tables(U):
         raise ValidationError("cocycle does not live on the coacting Hopf algebra")
-    red = A.ctx.reduction
-    n = A.dim
-    mult: dict = {}
-    for i in range(n):
-        for j in range(n):
-            cell: dict = {}
-            for (u, a), c in A.coaction[i].items():
-                for (v, b), c2 in A.coaction[j].items():
-                    s = sigma.table.get((u, v))
-                    if s is None:
-                        continue
-                    m = A.mult.get((a, b))
-                    if not m:
-                        continue
-                    vec_addmul(cell, m, pmul(pmul(c, c2, red), s, red), red)
-            if cell:
-                mult[(i, j)] = cell
+    mult = _twisted_product(sigma, A.coaction, A)
     if hopf is None:
         hopf = deform_hopf(U, sigma)
     out = ComoduleAlgebra(A.labels, A.L, mult, dict(A.unit), hopf,
@@ -479,7 +425,7 @@ def coideal_twist(H: FiniteHopf, rows, sigma: HopfCocycle) -> ComoduleAlgebra:
     not).  The coaction is the restricted coproduct, still over H, and
     the result is verified as a left H-comodule algebra.
     """
-    if sigma.H is not H and not _same_hopf(sigma.H, H):
+    if sigma.H is not H and not sigma.H.same_tables(H):
         raise ValidationError("cocycle does not live on the ambient Hopf algebra")
     red = H.ctx.reduction
     sp = linalg.span(rows, H.L)
@@ -548,11 +494,14 @@ class BiGaloisRep:
         self.right_coaction = right_coaction
         self.counit_functional = counit_functional
 
-    def verify(self) -> CheckReport:
-        left = ComoduleAlgebra(self.algebra.labels, self.algebra.L,
+    def left_comodule(self) -> ComoduleAlgebra:
+        """The algebra with its left coaction alone."""
+        return ComoduleAlgebra(self.algebra.labels, self.algebra.L,
                                self.algebra.mult, dict(self.algebra.unit),
                                self.left_hopf, self.left_coaction)
-        rep = left.verify()
+
+    def verify(self) -> CheckReport:
+        rep = self.left_comodule().verify()
         rep.subject = "bigalois"
         H = self.right_hopf
         B = self.algebra
@@ -577,28 +526,10 @@ class BiGaloisRep:
             counit_side: dict = {}
             for (b, u), c in rho[i].items():
                 for (b2, u2), c2 in rho[b].items():
-                    key = (b2, u2, u)
-                    cur = left_side.get(key)
-                    cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                    if pis0(cur):
-                        left_side.pop(key, None)
-                    else:
-                        left_side[key] = cur
+                    accumulate(left_side, (b2, u2, u), pmul(c, c2, red))
                 for (u1, u2), c2 in H.comult[u].items():
-                    key = (b, u1, u2)
-                    cur = right_side.get(key)
-                    cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                    if pis0(cur):
-                        right_side.pop(key, None)
-                    else:
-                        right_side[key] = cur
-                cur = counit_side.get(b)
-                add = pmul(c, H.counit[u], red)
-                cur = add if cur is None else padd(cur, add)
-                if pis0(cur):
-                    counit_side.pop(b, None)
-                else:
-                    counit_side[b] = cur
+                    accumulate(right_side, (b, u1, u2), pmul(c, c2, red))
+                accumulate(counit_side, b, pmul(c, H.counit[u], red))
             if left_side != right_side:
                 rep.fail("right-coaction-coassociative", B.labels[i])
             if counit_side != {i: one}:
@@ -620,45 +551,16 @@ class BiGaloisRep:
             other: dict = {}
             for (u, b), c in lam[i].items():
                 for (b2, h), c2 in rho[b].items():
-                    key = (u, b2, h)
-                    cur = one_way.get(key)
-                    cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                    if pis0(cur):
-                        one_way.pop(key, None)
-                    else:
-                        one_way[key] = cur
+                    accumulate(one_way, (u, b2, h), pmul(c, c2, red))
             for (b, h), c in rho[i].items():
                 for (u, b2), c2 in lam[b].items():
-                    key = (u, b2, h)
-                    cur = other.get(key)
-                    cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                    if pis0(cur):
-                        other.pop(key, None)
-                    else:
-                        other[key] = cur
+                    accumulate(other, (u, b2, h), pmul(c, c2, red))
             if one_way != other:
                 rep.fail("coactions-commute", B.labels[i])
         return rep
 
     def left_galois_bijective(self) -> bool:
-        B, U = self.algebra, self.left_hopf
-        n = B.dim
-        red = B.ctx.reduction
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                flat: dict = {}
-                for (u, b), c in self.left_coaction[i].items():
-                    for k, c2 in B.mult.get((b, j), {}).items():
-                        key = u * n + k
-                        cur = flat.get(key)
-                        cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                        if pis0(cur):
-                            flat.pop(key, None)
-                        else:
-                            flat[key] = cur
-                rows.append(flat)
-        return linalg.rank(rows, B.L) == n * n == U.dim * n
+        return galois_map(self.left_comodule()).bijective
 
     def right_galois_bijective(self) -> bool:
         B, H = self.algebra, self.right_hopf
@@ -670,45 +572,16 @@ class BiGaloisRep:
                 flat: dict = {}
                 for (b, h), c in self.right_coaction[j].items():
                     for k, c2 in B.mult.get((i, b), {}).items():
-                        key = k * H.dim + h
-                        cur = flat.get(key)
-                        cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                        if pis0(cur):
-                            flat.pop(key, None)
-                        else:
-                            flat[key] = cur
+                        accumulate(flat, k * H.dim + h, pmul(c, c2, red))
                 rows.append(flat)
         return linalg.rank(rows, B.L) == n * n == n * H.dim
-
-
-def _same_hopf(H1: FiniteHopf, H2: FiniteHopf) -> bool:
-    return (H1.labels == H2.labels and H1.L == H2.L
-            and H1.mult == H2.mult and H1.unit == H2.unit
-            and H1.comult == H2.comult and H1.counit == H2.counit
-            and H1.antipode == H2.antipode)
 
 
 def sigma_bigalois(H: FiniteHopf, sigma: HopfCocycle) -> BiGaloisRep:
     """H with product twisted on the left legs only; coactions are the
     coproduct on both sides."""
-    red = H.ctx.reduction
-    n = H.dim
-    mult: dict = {}
-    for i in range(n):
-        for j in range(n):
-            cell: dict = {}
-            for (p, p2), c in H.comult[i].items():
-                for (q, q2), c2 in H.comult[j].items():
-                    s = sigma.table.get((p, q))
-                    if s is None:
-                        continue
-                    m = H.mult.get((p2, q2))
-                    if not m:
-                        continue
-                    vec_addmul(cell, m, pmul(pmul(c, c2, red), s, red), red)
-            if cell:
-                mult[(i, j)] = cell
-    algebra = FiniteAlgebra(H.labels, H.L, mult, dict(H.unit))
+    algebra = FiniteAlgebra(H.labels, H.L, _twisted_product(sigma, H.comult, H),
+                            dict(H.unit))
     lam = [dict(v) for v in H.comult]
     rho = [dict(v) for v in H.comult]
     rep = BiGaloisRep(algebra, deform_hopf(H, sigma), H, lam, rho,
@@ -762,23 +635,10 @@ def build_bigalois(ld: LiftingDatum) -> BiGaloisRep:
             (B.index[(ea_b, ident.exps)], H.index[(zero_r, ident.exps)]): one,
             (B.index[(zero_r, g.exps)], H.index[(ea_h, ident.exps)]): one,
         })
-    rho_pow = []
     start = {(B.index[(zero_r, ident.exps)], H.index[(zero_r, ident.exps)]): one}
-    for a in range(theta):
-        powers = [start]
-        for _ in range(1, mcd.heights[a]):
-            powers.append(pair_multiply(B, H, powers[-1], rho_letter[a]))
-        rho_pow.append(powers)
-    rho = []
-    for r, fe in B.labels:
-        t = start
-        for a in range(theta):
-            if r[a]:
-                t = pair_multiply(B, H, t, rho_pow[a][r[a]])
-        t = pair_multiply(
-            B, H, t,
-            {(B.index[(zero_r, fe)], H.index[(zero_r, fe)]): one})
-        rho.append(t)
+    rho = extend_letters(
+        B, H, B.labels, start, rho_letter, mcd.heights,
+        lambda fe: {(B.index[(zero_r, fe)], H.index[(zero_r, fe)]): one})
 
     cb = [one if sum(r) == 0 else linalg.pzero(B.L) for r, _ in B.labels]
     rep = BiGaloisRep(B, B.hopf, H, [dict(v) for v in B.coaction], rho, cb)
@@ -805,9 +665,10 @@ def cotensor(B: BiGaloisRep, A: ComoduleAlgebra) -> ComoduleAlgebra:
     the antipodes and the first leg multiplies opposite.  The result is
     a comodule algebra over the other side, of the same dimension as A.
     """
-    if _same_hopf(A.hopf, B.right_hopf):
-        return _cotensor_standard(B, A)
-    if _same_hopf(A.hopf, B.left_hopf):
+    if A.hopf.same_tables(B.right_hopf):
+        return _cotensor_core(B, A, B.right_coaction, B.algebra, B.left_hopf,
+                              lambda b: B.left_coaction[b])
+    if A.hopf.same_tables(B.left_hopf):
         return _cotensor_twisted(B, A)
     raise ValidationError("A is not a comodule over either side of B")
 
@@ -823,14 +684,24 @@ def _antipode_inverse(H: FiniteHopf):
     return out
 
 
-def _cotensor_core(B: BiGaloisRep, A: ComoduleAlgebra, match_rows, ncols,
-                   first_alg: FiniteAlgebra, out_hopf: FiniteHopf,
-                   coact_of):
-    nB = B.algebra.dim
+def _cotensor_core(B: BiGaloisRep, A: ComoduleAlgebra, rho,
+                   first_alg: FiniteAlgebra, out_hopf: FiniteHopf, coact_of):
+    """B cotensor A, given B's right coaction rho by the Hopf algebra
+    that coacts on A, the algebra multiplying the B legs and the other
+    side's coaction coact_of(b) with the coacting leg first."""
     nA = A.dim
+    nK = A.hopf.dim
     L = A.L
     red = A.ctx.reduction
-    kern = linalg.left_kernel(match_rows, ncols, L)
+    # the matching equation b_(0) (x) b_(1) (x) a = b (x) a_(-1) (x) a_(0)
+    rows = []
+    for b in range(len(rho)):
+        for a in range(nA):
+            row = {(b2 * nK + h) * nA + a: c for (b2, h), c in rho[b].items()}
+            for (h, a2), c in A.coaction[a].items():
+                accumulate(row, (b * nK + h) * nA + a2, pneg(c))
+            rows.append(row)
+    kern = linalg.left_kernel(rows, len(rho) * nK * nA, L)
     space = linalg.span([dict(v) for v in kern], L)
     if space.dim != nA:
         raise IsoCheckFailed(
@@ -843,14 +714,8 @@ def _cotensor_core(B: BiGaloisRep, A: ComoduleAlgebra, match_rows, ncols,
         out: dict = {}
         for k, c in flat.items():
             b, a = k // nA, k % nA
-            if pis0(cb[b]):
-                continue
-            cur = out.get(a)
-            cur = pmul(cb[b], c, red) if cur is None else padd(cur, pmul(cb[b], c, red))
-            if pis0(cur):
-                out.pop(a, None)
-            else:
-                out[a] = cur
+            if not pis0(cb[b]):
+                accumulate(out, a, pmul(cb[b], c, red))
         return out
 
     images = [collapse(t) for t in basis]
@@ -882,24 +747,11 @@ def _cotensor_core(B: BiGaloisRep, A: ComoduleAlgebra, match_rows, ncols,
         out: dict = {}
         for (b, a), c in _unflatten(reps[i], nA).items():
             for (u, rest), c2 in coact_of(b).items():
-                key = (u, rest, a)
-                cur = out.get(key)
-                cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                if pis0(cur):
-                    out.pop(key, None)
-                else:
-                    out[key] = cur
+                accumulate(out, (u, rest, a), pmul(c, c2, red))
         lam: dict = {}
         for (u, b2, a), c in out.items():
-            if pis0(cb[b2]):
-                continue
-            key = (u, a)
-            cur = lam.get(key)
-            cur = pmul(cb[b2], c, red) if cur is None else padd(cur, pmul(cb[b2], c, red))
-            if pis0(cur):
-                lam.pop(key, None)
-            else:
-                lam[key] = cur
+            if not pis0(cb[b2]):
+                accumulate(lam, (u, a), pmul(cb[b2], c, red))
         coaction.append(lam)
 
     T = ComoduleAlgebra(list(A.labels), L, mult, unit, out_hopf, coaction)
@@ -910,73 +762,18 @@ def _cotensor_core(B: BiGaloisRep, A: ComoduleAlgebra, match_rows, ncols,
     return T
 
 
-def _cotensor_standard(B: BiGaloisRep, A: ComoduleAlgebra) -> ComoduleAlgebra:
-    nB = B.algebra.dim
-    nA = A.dim
-    nH = B.right_hopf.dim
-    red = A.ctx.reduction
-    rows = []
-    for b in range(nB):
-        for a in range(nA):
-            row: dict = {}
-            for (b2, h), c in B.right_coaction[b].items():
-                row[(b2 * nH + h) * nA + a] = c
-            for (h, a2), c in A.coaction[a].items():
-                key = (b * nH + h) * nA + a2
-                cur = row.get(key)
-                cur = (linalg.pzero(A.L) if cur is None else cur)
-                cur = psub(cur, c)
-                if pis0(cur):
-                    row.pop(key, None)
-                else:
-                    row[key] = cur
-            rows.append(row)
-
-    def coact_of(b):
-        return {(u, b2): c for (u, b2), c in B.left_coaction[b].items()}
-
-    return _cotensor_core(B, A, rows, nB * nH * nA, B.algebra,
-                          B.left_hopf, coact_of)
-
-
 def _cotensor_twisted(B: BiGaloisRep, A: ComoduleAlgebra) -> ComoduleAlgebra:
     U = B.left_hopf
     H = B.right_hopf
-    nB = B.algebra.dim
-    nA = A.dim
-    nU = U.dim
     red = A.ctx.reduction
 
     rho2 = []
-    for b in range(nB):
+    for b in range(B.algebra.dim):
         out: dict = {}
         for (u, b2), c in B.left_coaction[b].items():
             for k, c2 in U.antipode[u].items():
-                key = (b2, k)
-                cur = out.get(key)
-                cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                if pis0(cur):
-                    out.pop(key, None)
-                else:
-                    out[key] = cur
+                accumulate(out, (b2, k), pmul(c, c2, red))
         rho2.append(out)
-
-    rows = []
-    for b in range(nB):
-        for a in range(nA):
-            row: dict = {}
-            for (b2, u), c in rho2[b].items():
-                row[(b2 * nU + u) * nA + a] = c
-            for (u, a2), c in A.coaction[a].items():
-                key = (b * nU + u) * nA + a2
-                cur = row.get(key)
-                cur = (linalg.pzero(A.L) if cur is None else cur)
-                cur = psub(cur, c)
-                if pis0(cur):
-                    row.pop(key, None)
-                else:
-                    row[key] = cur
-            rows.append(row)
 
     sinv = _antipode_inverse(H)
 
@@ -984,13 +781,7 @@ def _cotensor_twisted(B: BiGaloisRep, A: ComoduleAlgebra) -> ComoduleAlgebra:
         out: dict = {}
         for (b2, h), c in B.right_coaction[b].items():
             for k, c2 in sinv[h].items():
-                key = (k, b2)
-                cur = out.get(key)
-                cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                if pis0(cur):
-                    out.pop(key, None)
-                else:
-                    out[key] = cur
+                accumulate(out, (k, b2), pmul(c, c2, red))
         return out
 
     mult_op = {}
@@ -999,7 +790,7 @@ def _cotensor_twisted(B: BiGaloisRep, A: ComoduleAlgebra) -> ComoduleAlgebra:
     Bop = FiniteAlgebra(B.algebra.labels, B.algebra.L, mult_op,
                         dict(B.algebra.unit))
 
-    return _cotensor_core(B, A, rows, nB * nU * nA, Bop, H, coact_of)
+    return _cotensor_core(B, A, rho2, Bop, H, coact_of)
 
 
 def transport(B: BiGaloisRep, A: ComoduleAlgebra):

@@ -17,6 +17,7 @@ from ._kernel import add as padd, is_zero as pis0, mul as pmul
 from .cyclo import CycloNumber, context, zeta
 from .errors import DimensionMismatch, OutOfRange, ValidationError
 from .groups import AbelianGroup, Character, GroupElement
+from .linalg import accumulate, vec_addmul
 
 
 class CheckReport:
@@ -45,18 +46,6 @@ class CheckReport:
             return f"CheckReport({self.subject or 'ok'}: ok)"
         return "CheckReport(%s: failed %s)" % (
             self.subject or "?", ", ".join(self.checks_failed()))
-
-
-def vec_addmul(acc: dict, vec: dict, coef, red) -> None:
-    """acc += coef * vec in place, dropping entries that cancel."""
-    for k, v in vec.items():
-        term = pmul(coef, v, red)
-        cur = acc.get(k)
-        cur = term if cur is None else padd(cur, term)
-        if pis0(cur):
-            acc.pop(k, None)
-        else:
-            acc[k] = cur
 
 
 def rebase_vec(vec: dict, L: int, M: int) -> dict:
@@ -185,9 +174,29 @@ def pair_multiply(first: FiniteAlgebra, second: FiniteAlgebra,
     return out
 
 
-def tensor_multiply(alg: FiniteAlgebra, x: dict, y: dict) -> dict:
-    """Componentwise product of vectors over alg tensor alg."""
-    return pair_multiply(alg, alg, x, y)
+def extend_letters(first: FiniteAlgebra, second: FiniteAlgebra, labels,
+                   start: dict, letters, heights, group_image) -> list:
+    """Images of the basis labels (r, g) under an algebra map into
+    first tensor second, fixed by the images of the generators.
+
+    The image of (r, g) is start times letters[a] ** r[a] for a = 0, 1, ...
+    in turn, times group_image(g); ``start`` is the unit of the tensor
+    product and ``heights[a]`` bounds the exponents of letter a.
+    """
+    pows = []
+    for a, letter in enumerate(letters):
+        powers = [start]
+        for _ in range(1, heights[a]):
+            powers.append(pair_multiply(first, second, powers[-1], letter))
+        pows.append(powers)
+    out = []
+    for r, ge in labels:
+        t = start
+        for a, k in enumerate(r):
+            if k:
+                t = pair_multiply(first, second, t, pows[a][k])
+        out.append(pair_multiply(first, second, t, group_image(ge)))
+    return out
 
 
 class FiniteHopf(FiniteAlgebra):
@@ -284,29 +293,17 @@ class FiniteHopf(FiniteAlgebra):
             right: dict = {}
             for (j, k), c in di.items():
                 for (p, q), c2 in self.comult[j].items():
-                    key = (p, q, k)
-                    cur = left.get(key)
-                    cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                    if pis0(cur):
-                        left.pop(key, None)
-                    else:
-                        left[key] = cur
+                    accumulate(left, (p, q, k), pmul(c, c2, red))
                 for (p, q), c2 in self.comult[k].items():
-                    key = (j, p, q)
-                    cur = right.get(key)
-                    cur = pmul(c, c2, red) if cur is None else padd(cur, pmul(c, c2, red))
-                    if pis0(cur):
-                        right.pop(key, None)
-                    else:
-                        right[key] = cur
+                    accumulate(right, (j, p, q), pmul(c, c2, red))
             if left != right:
                 rep.fail("coassociativity", self.labels[i])
 
             lc: dict = {}
             rc: dict = {}
             for (j, k), c in di.items():
-                vec_addmul(lc, {k: one}, pmul(c, self.counit[j], red), red)
-                vec_addmul(rc, {j: one}, pmul(c, self.counit[k], red), red)
+                accumulate(lc, k, pmul(c, self.counit[j], red))
+                accumulate(rc, j, pmul(c, self.counit[k], red))
             if lc != basis[i] or rc != basis[i]:
                 rep.fail("counit-law", self.labels[i])
 
@@ -330,26 +327,11 @@ class FiniteHopf(FiniteAlgebra):
         for i in range(n):
             for j in range(n):
                 prod = self.mult.get((i, j), {})
-                if self.comultiply(prod) != tensor_multiply(self, self.comult[i], self.comult[j]):
+                if self.comultiply(prod) != pair_multiply(self, self, self.comult[i], self.comult[j]):
                     rep.fail("comult-multiplicative", (self.labels[i], self.labels[j]))
                 if self.counit_value(prod) != pmul(self.counit[i], self.counit[j], red):
                     rep.fail("counit-multiplicative", (self.labels[i], self.labels[j]))
         return rep
-
-
-def verify_hopf_axioms(H: FiniteHopf) -> CheckReport:
-    """Exhaustive check of all Hopf axioms on the basis of H."""
-    return H.verify()
-
-
-def multiply(H: FiniteAlgebra, a: dict, b: dict) -> dict:
-    """Bilinear extension of the multiplication table."""
-    return H.multiply(a, b)
-
-
-def coproduct(H: FiniteHopf, a: dict) -> dict:
-    """Linear extension of the comultiplication table."""
-    return H.comultiply(a)
 
 
 class QlsDatum:
@@ -421,11 +403,6 @@ class QlsDatum:
             raise ValidationError(f"invalid datum: {rep!r}")
 
 
-def validate_datum(d: QlsDatum) -> CheckReport:
-    """Report every violated datum condition, empty when valid."""
-    return d.validate()
-
-
 def gaussian_binomial(l: int, k: int, q: CycloNumber) -> CycloNumber:
     """Coefficient of x^(l-k) y^k in (x+y)^l subject to yx = q xy."""
     if l < 0 or k < 0 or k > l:
@@ -444,21 +421,66 @@ def gaussian_binomial(l: int, k: int, q: CycloNumber) -> CycloNumber:
     return row[k]
 
 
+def monomial_labels(heights, elements) -> list:
+    """Basis labels (r, g): exponent tuples r with r[a] < heights[a], by
+    total degree and then lexicographically, each with every element g."""
+    rs = sorted(itertools.product(*[range(n) for n in heights]),
+                key=lambda r: (sum(r), r))
+    gs = sorted(elements, key=lambda e: e.exps)
+    return [(r, g.exps) for r in rs for g in gs]
+
+
+def complete_hopf(d: QlsDatum, L: int, labels, mult: dict,
+                  graded: bool) -> FiniteHopf:
+    """Unit, coalgebra and antipode around a product on the monomial basis.
+
+    The bosonization and its liftings share them: the letter x_i is
+    (g_i, 1)-skew primitive, the group elements are group-like and
+    S(x_i) = -g_i^-1 x_i.
+    """
+    group, theta = d.group, d.theta
+    one = linalg.pone(L)
+    idx = {lab: i for i, lab in enumerate(labels)}
+    zero_r = (0,) * theta
+    ident = group.identity()
+    unit_idx = idx[(zero_r, ident.exps)]
+    unit = {unit_idx: one}
+    alg = FiniteAlgebra(labels, L, mult, unit)
+
+    dx = []
+    for i in range(theta):
+        ei = tuple(1 if a == i else 0 for a in range(theta))
+        dx.append({(idx[(ei, ident.exps)], unit_idx): one,
+                   (idx[(zero_r, d.g[i].exps)], idx[(ei, ident.exps)]): one})
+    comult = extend_letters(
+        alg, alg, labels, {(unit_idx, unit_idx): one}, dx, d.N,
+        lambda ge: {(idx[(zero_r, ge)], idx[(zero_r, ge)]): one})
+    counit = [one if sum(r) == 0 else linalg.pzero(L) for r, _ in labels]
+
+    sx = []
+    for i in range(theta):
+        ei = tuple(1 if a == i else 0 for a in range(theta))
+        coef = -(d.q[i].inv().rebase(L))
+        sx.append({idx[(ei, d.g[i].inv().exps)]: coef.raw()})
+    antipode = []
+    for r, ge in labels:
+        vec = alg.basis(idx[(zero_r, group.element(ge).inv().exps)])
+        for i in reversed(range(theta)):
+            for _ in range(r[i]):
+                vec = alg.multiply(vec, sx[i])
+        antipode.append(vec)
+
+    return FiniteHopf(labels, L, mult, unit, comult, counit, antipode,
+                      degree=[sum(r) for r, _ in labels], graded=graded)
+
+
 def build_bosonization(d: QlsDatum) -> FiniteHopf:
     """The graded Hopf algebra on monomials x^r times a group element."""
     d.require_valid()
     group, theta, N = d.group, d.theta, d.N
     L = group.exponent
-    one = linalg.pone(L)
-
-    rs = sorted(itertools.product(*[range(n) for n in N]),
-                key=lambda r: (sum(r), r))
-    gs = sorted(group, key=lambda e: e.exps)
-    labels = [(r, g.exps) for r in rs for g in gs]
+    labels = monomial_labels(N, group)
     idx = {lab: i for i, lab in enumerate(labels)}
-    degree = [sum(r) for r, _ in labels]
-    zero_r = (0,) * theta
-    ident = group.identity()
 
     qexp = [[d.chi[j].eval_exponent(d.g[k]) for j in range(theta)]
             for k in range(theta)]
@@ -483,50 +505,7 @@ def build_bosonization(d: QlsDatum) -> FiniteHopf:
             t = tuple(r[a] + s[a] for a in range(theta))
             gh = g * group.element(he)
             mult[(i1, i2)] = {idx[(t, gh.exps)]: zeta(L, e).raw()}
-
-    unit = {idx[(zero_r, ident.exps)]: one}
-    alg = FiniteAlgebra(labels, L, mult, unit)
-
-    unit_idx = idx[(zero_r, ident.exps)]
-    dx = []
-    for i in range(theta):
-        ei = tuple(1 if a == i else 0 for a in range(theta))
-        dx.append({(idx[(ei, ident.exps)], unit_idx): one,
-                   (idx[(zero_r, d.g[i].exps)], idx[(ei, ident.exps)]): one})
-    dpow = []
-    for i in range(theta):
-        powers = [{(unit_idx, unit_idx): one}]
-        for _ in range(1, N[i]):
-            powers.append(tensor_multiply(alg, powers[-1], dx[i]))
-        dpow.append(powers)
-
-    comult = []
-    counit = []
-    for r, ge in labels:
-        t = {(unit_idx, unit_idx): one}
-        for i in range(theta):
-            if r[i]:
-                t = tensor_multiply(alg, t, dpow[i][r[i]])
-        gidx = idx[(zero_r, ge)]
-        t = tensor_multiply(alg, t, {(gidx, gidx): one})
-        comult.append(t)
-        counit.append(one if sum(r) == 0 else linalg.pzero(L))
-
-    sx = []
-    for i in range(theta):
-        ei = tuple(1 if a == i else 0 for a in range(theta))
-        coef = -(d.q[i].inv())
-        sx.append({idx[(ei, d.g[i].inv().exps)]: coef.raw()})
-    antipode = []
-    for r, ge in labels:
-        vec = alg.basis(idx[(zero_r, group.element(ge).inv().exps)])
-        for i in reversed(range(theta)):
-            for _ in range(r[i]):
-                vec = alg.multiply(vec, sx[i])
-        antipode.append(vec)
-
-    return FiniteHopf(labels, L, mult, unit, comult, counit, antipode,
-                      degree=degree, graded=True)
+    return complete_hopf(d, L, labels, mult, graded=True)
 
 
 def group_hopf(group: AbelianGroup) -> FiniteHopf:

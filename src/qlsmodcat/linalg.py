@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from qlsmodcat import _kernel as _K
+from qlsmodcat._kernel import add as padd, is_zero as pis0, mul as pmul
 from qlsmodcat.cyclo import CycloNumber, context
 
 
@@ -45,26 +46,34 @@ def axpy_neg(out: dict, f, row: dict, red) -> None:
             out[c] = w
 
 
-def vec_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for c, v in b.items():
-        cur = out.get(c)
-        w = v if cur is None else _K.add(cur, v)
-        if _K.is_zero(w):
-            out.pop(c, None)
+def accumulate(store: dict, key, pair) -> None:
+    """store[key] += pair in place, dropping the entry when it cancels.
+
+    Sparse vectors never hold a zero entry, so two of them are equal
+    exactly when their dicts are; the axiom sweeps compare them that way.
+    """
+    cur = store.get(key)
+    cur = pair if cur is None else padd(cur, pair)
+    if pis0(cur):
+        store.pop(key, None)
+    else:
+        store[key] = cur
+
+
+def vec_addmul(acc: dict, vec: dict, coef, red) -> None:
+    """acc += coef * vec in place, dropping entries that cancel.
+
+    The body of ``accumulate`` is inlined: this loop runs inside every
+    product of the axiom sweeps.
+    """
+    for k, v in vec.items():
+        term = pmul(coef, v, red)
+        cur = acc.get(k)
+        cur = term if cur is None else padd(cur, term)
+        if pis0(cur):
+            acc.pop(k, None)
         else:
-            out[c] = w
-    return out
-
-
-def vec_scale(f, a: dict, L: int) -> dict:
-    red = context(L).reduction
-    out = {}
-    for c, v in a.items():
-        w = _K.mul(f, v, red)
-        if not _K.is_zero(w):
-            out[c] = w
-    return out
+            acc[k] = cur
 
 
 def combine(coeffs: dict, rows, L: int) -> dict:
@@ -72,16 +81,8 @@ def combine(coeffs: dict, rows, L: int) -> dict:
     red = context(L).reduction
     out: dict = {}
     for i, f in coeffs.items():
-        if _K.is_zero(f):
-            continue
-        for c, v in rows[i].items():
-            cur = out.get(c)
-            w = _K.mul(f, v, red)
-            w = w if cur is None else _K.add(cur, w)
-            if _K.is_zero(w):
-                out.pop(c, None)
-            else:
-                out[c] = w
+        if not pis0(f):
+            vec_addmul(out, rows[i], f, red)
     return out
 
 
@@ -149,19 +150,24 @@ def rank(vectors, L: int) -> int:
     return span(vectors, L).dim
 
 
-def left_kernel(rows, ncols: int, L: int) -> list[dict]:
-    """Basis of {c : sum_i c_i rows_i = 0}, as dicts over row indices.
-
-    Works by augmenting row i with an indicator in column ncols + i and
-    reading off echelon rows whose leading column is in the augmented
-    block.
-    """
+def _augmented(rows, ncols: int, L: int) -> Subspace:
+    """Echelon form of the rows, row i extended by 1 in column ncols + i."""
     one = pone(L)
     sp = Subspace(L)
     for i, r in enumerate(rows):
         aug = dict(r)
         aug[ncols + i] = one
         sp.insert(aug)
+    return sp
+
+
+def left_kernel(rows, ncols: int, L: int) -> list[dict]:
+    """Basis of {c : sum_i c_i rows_i = 0}, as dicts over row indices.
+
+    Reads off the echelon rows of the augmented rows whose leading column
+    is in the augmented block.
+    """
+    sp = _augmented(rows, ncols, L)
     out = []
     for piv, row in zip(sp.pivots, sp.rows):
         if piv >= ncols:
@@ -171,29 +177,7 @@ def left_kernel(rows, ncols: int, L: int) -> list[dict]:
 
 def solve(rows, target: dict, ncols: int, L: int):
     """Coefficients c with sum_i c_i rows_i == target, or None."""
-    one = pone(L)
-    sp = Subspace(L)
-    for i, r in enumerate(rows):
-        aug = dict(r)
-        aug[ncols + i] = one
-        sp.insert(aug)
-    res = sp.reduce(dict(target))
+    res = _augmented(rows, ncols, L).reduce(dict(target))
     if any(c < ncols for c in res):
         return None
     return {c - ncols: _K.neg(v) for c, v in res.items()}
-
-
-def preimage(map_rows, target_rows, ncols: int, L: int) -> list[dict]:
-    """Basis of {x : sum_i x_i map_rows_i lies in span(target_rows)}.
-
-    The result vectors are dicts over indices into map_rows.
-    """
-    n = len(map_rows)
-    stacked = list(map_rows) + list(target_rows)
-    out = []
-    sp = Subspace(L)
-    for ker in left_kernel(stacked, ncols, L):
-        head = {i: v for i, v in ker.items() if i < n}
-        if head and sp.insert(dict(head)):
-            out.append(head)
-    return out

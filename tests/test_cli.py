@@ -180,6 +180,27 @@ def test_classify_runs_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_classify_enumerates_the_data_once(tmp_path, capsys, monkeypatch):
+    import qlsmodcat.classify
+    import qlsmodcat.cli
+
+    calls = []
+    enumerate_modcat_data = qlsmodcat.classify.enumerate_modcat_data
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return enumerate_modcat_data(*args, **kwargs)
+
+    # patch every module that holds the function by name
+    for mod in (qlsmodcat.classify, qlsmodcat.cli):
+        if hasattr(mod, "enumerate_modcat_data"):
+            monkeypatch.setattr(mod, "enumerate_modcat_data", counting)
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    assert main(["classify", path]) == 0
+    assert "representatives: 6" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_transport_defaults_to_the_regular_algebra(tmp_path, capsys):
     path = write(tmp_path, z4_mu_obj())
     out_path = tmp_path / "moved.json"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qlsmodcat.cocycles import Cocycle2
+from qlsmodcat.cocycles import Cocycle2, enumerate_classes
 from qlsmodcat.comodule import (
     ModCatDatum,
     build_A,
@@ -79,6 +79,18 @@ def test_group_cocycle_table_and_inverse():
     j = H.index[((), (0, 1))]
     assert s.value(i, j) != s.value(j, i)
     assert s.value(i, j) == minus
+
+
+def test_group_sigma_names_the_conductor_it_needs():
+    # the nontrivial class on Z2 x Z2 takes the value i, at conductor 4,
+    # while the bosonization lives at conductor 2
+    d = z22_lambda_datum()
+    H = build_bosonization(d)
+    psi = enumerate_classes(Subgroup.full(d.group))[-1]
+    assert max(v.L for v in psi.table.values()) == 4
+    with pytest.raises(ValidationError, match="rebase H to conductor 4"):
+        group_sigma(H, psi)
+    assert group_sigma(H.rebased(4), psi).validate().ok
 
 
 def test_deform_hopf_of_cocommutative_is_unchanged():

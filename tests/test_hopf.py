@@ -9,12 +9,9 @@ from qlsmodcat.hopf import (
     FiniteHopf,
     QlsDatum,
     build_bosonization,
-    coproduct,
     gaussian_binomial,
     group_hopf,
-    multiply,
-    validate_datum,
-    verify_hopf_axioms,
+    pair_multiply,
 )
 
 from qls_fixtures import (
@@ -88,7 +85,7 @@ def test_q_binomial_out_of_range():
 def test_datum_valid_fixtures():
     for d in (sweedler_datum(), z4_datum(), clifford_z2_datum(),
               clifford_z22_datum(), z4_mu_datum(), z22_lambda_datum()):
-        assert validate_datum(d).ok
+        assert d.validate().ok
     d = sweedler_datum()
     assert d.N == [2]
     assert d.q[0] == zeta(2, 1)
@@ -98,7 +95,7 @@ def test_datum_valid_fixtures():
 def test_datum_self_pairing_one_rejected():
     G = AbelianGroup((2,))
     d = QlsDatum(G, [G.element((1,))], [Character(G, (0,))])
-    rep = validate_datum(d)
+    rep = d.validate()
     assert not rep.ok
     assert "self-pairing-one" in rep.checks_failed()
     with pytest.raises(ValidationError):
@@ -110,14 +107,14 @@ def test_datum_pairing_not_inverse_rejected():
     g = G.element((1,))
     d = QlsDatum(G, [g, g], [Character(G, (1,)), Character(G, (1,))])
     # chi1(g2) chi2(g1) = i * i = -1
-    assert "pairing-not-inverse" in validate_datum(d).checks_failed()
+    assert "pairing-not-inverse" in d.validate().checks_failed()
 
 
 def test_datum_height_rule_rejected():
     G = AbelianGroup((4,))
     g = G.element((1,))
     d = QlsDatum(G, [g, g], [Character(G, (1,)), Character(G, (3,))])
-    rep = validate_datum(d)
+    rep = d.validate()
     # the pairings multiply to one, but a two-dimensional component
     # needs both self-pairings equal to -1
     assert "pairing-not-inverse" not in rep.checks_failed()
@@ -142,7 +139,7 @@ def test_q_scalar_well_defined_and_ambiguous():
     G = AbelianGroup((2, 2))
     g = G.element((1, 0))
     d2 = QlsDatum(G, [g, g], [Character(G, (1, 0)), Character(G, (1, 1))])
-    assert validate_datum(d2).ok
+    assert d2.validate().ok
     with pytest.raises(ValidationError):
         d2.q_scalar(G.element((0, 1)), g)
 
@@ -173,7 +170,7 @@ def test_group_hopf_axioms():
     for orders in ((2,), (4,), (2, 2)):
         H = group_hopf(AbelianGroup(orders))
         assert H.dim == prod(orders)
-        rep = verify_hopf_axioms(H)
+        rep = H.verify()
         assert rep.ok, rep.failures[:3]
         assert H.filtration() == [H.dim]
 
@@ -182,7 +179,7 @@ def test_bosonization_axioms_all_fixtures():
     for d in (sweedler_datum(), z4_datum(), clifford_z2_datum(),
               clifford_z22_datum(), z4_mu_datum(), z22_lambda_datum()):
         H = build_bosonization(d)
-        rep = verify_hopf_axioms(H)
+        rep = H.verify()
         assert rep.ok, (d.group, rep.failures[:3])
 
 
@@ -193,13 +190,13 @@ def test_sweedler_tables_pinned():
     one = one_pair(2)
     x = H.basis(H.index[((1,), (0,))])
     g = H.basis(H.index[((0,), (1,))])
-    assert multiply(H, x, x) == {}
-    assert multiply(H, g, g) == H.unit
+    assert H.multiply(x, x) == {}
+    assert H.multiply(g, g) == H.unit
     # moving the group element past x picks up chi(g) = -1
-    gx = multiply(H, g, x)
+    gx = H.multiply(g, x)
     xg_idx = H.index[((1,), (1,))]
     assert gx == {xg_idx: zeta(2, 1).raw()}
-    assert coproduct(H, x) == {
+    assert H.comultiply(x) == {
         (H.index[((1,), (0,))], H.index[((0,), (0,))]): one,
         (H.index[((0,), (1,))], H.index[((1,), (0,))]): one,
     }
@@ -212,9 +209,8 @@ def test_sweedler_tables_pinned():
 def test_sweedler_coproduct_square_cancels():
     H = build_bosonization(sweedler_datum())
     x = H.basis(H.index[((1,), (0,))])
-    dx = coproduct(H, x)
-    from qlsmodcat.hopf import tensor_multiply
-    assert tensor_multiply(H, dx, dx) == {}
+    dx = H.comultiply(x)
+    assert pair_multiply(H, H, dx, dx) == {}
 
 
 def test_coproduct_matches_q_binomial_formula():
@@ -222,7 +218,7 @@ def test_coproduct_matches_q_binomial_formula():
     H = build_bosonization(d)
     q = d.q[0]
     for l in range(1, 4):
-        got = coproduct(H, H.basis(H.index[((l,), (0,))]))
+        got = H.comultiply(H.basis(H.index[((l,), (0,))]))
         want = {}
         for k in range(l + 1):
             coef = gaussian_binomial(l, k, q)
@@ -239,7 +235,7 @@ def test_clifford_coproduct_of_product():
     H = build_bosonization(d)
     one = one_pair(2)
     x12 = H.index[((1, 1), (0,))]
-    got = coproduct(H, H.basis(x12))
+    got = H.comultiply(H.basis(x12))
     assert got == {
         (x12, H.index[((0, 0), (0,))]): one,
         (H.index[((1, 0), (1,))], H.index[((0, 1), (0,))]): one,
@@ -253,9 +249,9 @@ def test_clifford_generators_anticommute():
     x1 = H.basis(H.index[((1, 0), (0,))])
     x2 = H.basis(H.index[((0, 1), (0,))])
     x12 = H.index[((1, 1), (0,))]
-    assert multiply(H, x1, x2) == {x12: one_pair(2)}
-    assert multiply(H, x2, x1) == {x12: zeta(2, 1).raw()}
-    assert multiply(H, x1, x1) == {}
+    assert H.multiply(x1, x2) == {x12: one_pair(2)}
+    assert H.multiply(x2, x1) == {x12: zeta(2, 1).raw()}
+    assert H.multiply(x1, x1) == {}
 
 
 def test_degree_sorted_prefix_filtration():
@@ -269,9 +265,9 @@ def test_dimension_mismatch_raised():
     H = build_bosonization(sweedler_datum())
     bad = {7: one_pair(2)}
     with pytest.raises(DimensionMismatch):
-        multiply(H, bad, H.unit)
+        H.multiply(bad, H.unit)
     with pytest.raises(DimensionMismatch):
-        coproduct(H, bad)
+        H.comultiply(bad)
     with pytest.raises(DimensionMismatch):
         H.basis(4)
 

@@ -26,7 +26,10 @@ def test_selected_backend_is_known():
 
 
 def test_env_override_forces_pure_lane():
-    env = dict(os.environ, QLSMODCAT_PURE="1")
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(kernel.__path__[0]))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, QLSMODCAT_PURE="1", PYTHONPATH=path)
     out = subprocess.run(
         [sys.executable, "-c", "import qlsmodcat._kernel as k; print(k.BACKEND)"],
         env=env,

@@ -3,9 +3,9 @@
 import pytest
 
 from qlsmodcat.cyclo import zeta
-from qlsmodcat.deformation import LiftingDatum, build_lifting, validate_lifting_datum
+from qlsmodcat.deformation import LiftingDatum, build_lifting
 from qlsmodcat.errors import ValidationError
-from qlsmodcat.hopf import build_bosonization, coproduct, multiply, verify_hopf_axioms
+from qlsmodcat.hopf import build_bosonization
 
 from qls_fixtures import (
     clifford_z22_datum,
@@ -34,29 +34,28 @@ def test_trivial_lifting_equals_bosonization():
 
 def test_root_scalar_conditions():
     # chi has order 2 = N and g^2 = g^2 != 1 in Z4, so mu is free
-    assert validate_lifting_datum(LiftingDatum(z4_mu_datum(), mu=[1])).ok
+    assert LiftingDatum(z4_mu_datum(), mu=[1]).validate().ok
     # over Z2 the square g^2 = 1 forces mu = 0
     bad = LiftingDatum(sweedler_datum(), mu=[1])
-    rep = validate_lifting_datum(bad)
+    rep = bad.validate()
     assert "root-scalar-forced-zero" in rep.checks_failed()
     with pytest.raises(ValidationError):
         build_lifting(bad)
     # chi^N != trivial also forces mu = 0: z4 datum with chi(g) = i has
     # chi^4 = trivial but g^4 = 1, so both guards trip separately
     from qls_fixtures import z4_datum
-    rep = validate_lifting_datum(LiftingDatum(z4_datum(), mu=[1]))
+    rep = LiftingDatum(z4_datum(), mu=[1]).validate()
     assert "root-scalar-forced-zero" in rep.checks_failed()
 
 
 def test_link_scalar_conditions():
-    assert validate_lifting_datum(
-        LiftingDatum(z22_lambda_datum(), lam={(0, 1): 1})).ok
+    assert LiftingDatum(z22_lambda_datum(), lam={(0, 1): 1}).validate().ok
     # both generators graded by the same involution: g1 g2 = 1
     from qls_fixtures import clifford_z2_datum
-    rep = validate_lifting_datum(LiftingDatum(clifford_z2_datum(), lam={(0, 1): 1}))
+    rep = LiftingDatum(clifford_z2_datum(), lam={(0, 1): 1}).validate()
     assert "link-scalar-forced-zero" in rep.checks_failed()
     # clifford over Z2 x Z2 has g1 g2 = (0, 0)? no: (1,0)(1,0) = (0,0), forced
-    rep = validate_lifting_datum(LiftingDatum(clifford_z22_datum(), lam={(0, 1): 1}))
+    rep = LiftingDatum(clifford_z22_datum(), lam={(0, 1): 1}).validate()
     assert "link-scalar-forced-zero" in rep.checks_failed()
     with pytest.raises(ValidationError):
         LiftingDatum(z22_lambda_datum(), lam={(1, 0): 1})
@@ -67,13 +66,13 @@ def test_mu_lifting_tables():
     H = build_lifting(ld)
     assert H.dim == 8
     a = H.basis(H.index[((1,), (0,))])
-    sq = multiply(H, a, a)
+    sq = H.multiply(a, a)
     # a^2 = 1 - g^2
     assert sq == {
         H.index[((0,), (0,))]: one_pair(4),
         H.index[((0,), (2,))]: zeta(4, 2).raw(),
     }
-    rep = verify_hopf_axioms(H)
+    rep = H.verify()
     assert rep.ok, rep.failures[:3]
 
 
@@ -83,16 +82,16 @@ def test_lambda_lifting_tables():
     assert H.dim == 16
     a1 = H.basis(H.index[((1, 0), (0, 0))])
     a2 = H.basis(H.index[((0, 1), (0, 0))])
-    a12 = multiply(H, a1, a2)
+    a12 = H.multiply(a1, a2)
     assert a12 == {H.index[((1, 1), (0, 0))]: one_pair(2)}
     # a2 a1 = -a1 a2 + (1 - g1 g2) after descending swap
-    a21 = multiply(H, a2, a1)
+    a21 = H.multiply(a2, a1)
     assert a21 == {
         H.index[((1, 1), (0, 0))]: zeta(2, 1).raw(),
         H.index[((0, 0), (0, 0))]: one_pair(2),
         H.index[((0, 0), (1, 1))]: zeta(2, 1).raw(),
     }
-    rep = verify_hopf_axioms(H)
+    rep = H.verify()
     assert rep.ok, rep.failures[:3]
 
 
@@ -117,7 +116,7 @@ def test_lifting_keeps_graded_coalgebra():
         theta = ld.datum.theta
         first = H.basis(H.index[((1,) + (0,) * (theta - 1), ld.datum.group.identity().exps)])
         last = H.basis(H.index[((0,) * (theta - 1) + (1,), ld.datum.group.identity().exps)])
-        prod = multiply(H, last, first)
+        prod = H.multiply(last, first)
         assert {H.degree[i] for i in prod} & {0}
 
 
