@@ -3,13 +3,15 @@
 Exit codes: 0 on success, 1 when the input fails validation, 2 when an
 axiom sweep fails on input that parsed cleanly.  Artifacts are written
 as canonical JSON next to the input file unless --out says otherwise;
-build results are cached under a content hash of the input, and cache
-hits are accepted only when their stored checksum still matches.
+build results are cached under a content hash of the input, the package
+version and the package's sources, and cache hits are accepted only when
+their stored checksum still matches.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -17,7 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import serialize
+from . import __version__, serialize
 from .classify import classification_report, dedupe
 from .comodule import build_A, regular_coaction
 from .deformation import build_bigalois, build_lifting, transport
@@ -83,9 +85,22 @@ def _checksum(payload) -> str:
     return hashlib.sha256(serialize.dumps_canonical(payload).encode()).hexdigest()
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of the package's .py sources, read once per process."""
+    root = Path(__file__).resolve().parent
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def _cache_key(command: str, obj, options: dict) -> str:
+    """Key of a build: a result of other code, or of another input, misses."""
     blob = serialize.dumps_canonical(
-        {"command": command, "input": obj, "options": options})
+        {"command": command, "input": obj, "options": options,
+         "version": __version__, "sources": _source_digest()})
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -103,12 +118,19 @@ def _cache_get(key: str):
 
 
 def _cache_put(key: str, payload) -> None:
+    """Write through a temporary file, so a reader never sees half an entry."""
+    path = _cache_dir() / f"{key}.json"
+    tmp = path.with_name(f".{key}.{os.getpid()}.tmp")
     try:
-        _cache_dir().mkdir(parents=True, exist_ok=True)
-        (_cache_dir() / f"{key}.json").write_text(serialize.dumps_canonical(
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(serialize.dumps_canonical(
             {"checksum": _checksum(payload), "payload": payload}))
+        os.replace(tmp, path)
     except OSError:
-        pass
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
 
 
 # --------------------------------------------------------------- commands

@@ -684,20 +684,36 @@ def _sub_rows(r1, r2):
 
 
 def _operator_span(A: ComoduleAlgebra):
+    """The operator algebra of A, spanned by the products R_a o S_u.
+
+    R_a is right multiplication by the basis element a and S_u the
+    coaction slice a |-> (u* (x) id) lambda(a), for u in the coaction's
+    support.  The algebra these generate is the span of the R_a o S_u
+    alone (Montgomery, Hopf Algebras and Their Actions on Rings, 1993,
+    4.1: the action of A # H*), because that span is closed:
+
+    * S_f o R_b = sum R_(S_(f_2)(b)) o S_(f_1), since lambda is
+      multiplicative (f(hk) = f_1(h) f_2(k));
+    * S_f o S_g = S_(f * g), by coassociativity, and sum eps(u) S_u is
+      the identity, by the counit;
+    * R_a o R_b = R_(b a), and R_1 is the identity.
+
+    So inserting the n * |support| products proves the dimension; it is
+    not sampling.  This needs A to pass ``ComoduleAlgebra.verify``, which
+    every builder and the cotensor check.  Without a coaction the span is
+    that of the R_a.  Returns the span and the generators R_a, S_u.
+    """
     nA = A.dim
+    full = nA * nA
     gens = _operator_generators(A)
+    rmults = gens[:nA]
+    slices = gens[nA:] or [[A.basis(i) for i in range(nA)]]
     sp = linalg.Subspace(A.L)
-    queue = []
-    ident = [A.basis(i) for i in range(nA)]
-    for rows in [ident] + gens:
-        if sp.insert(_flat_op(rows, nA)):
-            queue.append(rows)
-    while queue and sp.dim < nA * nA:
-        cur = queue.pop()
-        for g in gens:
-            prod = [linalg.combine(r, g, A.L) for r in cur]
-            if sp.insert(_flat_op(prod, nA)):
-                queue.append(prod)
+    for S in slices:
+        for R in rmults:
+            sp.insert(_flat_op([linalg.combine(r, R, A.L) for r in S], nA))
+            if sp.dim == full:
+                return sp, gens
     return sp, gens
 
 
@@ -853,6 +869,17 @@ def _field_domain(L: int):
     return dom, gen_pows
 
 
+_DOMAINS: dict = {}
+
+
+def _domain(L: int):
+    """``_field_domain(L)``, built once per conductor and process."""
+    out = _DOMAINS.get(L)
+    if out is None:
+        out = _DOMAINS[L] = _field_domain(L)
+    return out
+
+
 def _to_dom(x: CycloNumber, dom, gen_pows, L: int):
     from sympy import QQ
 
@@ -922,7 +949,7 @@ def _poly(coeffs, dom, gen_pows, L: int):
 
 def _poly_factors(coeffs, L: int):
     """Irreducible factors with multiplicity, each again highest first."""
-    dom, gen_pows = _field_domain(L)
+    dom, gen_pows = _domain(L)
     p = _poly(coeffs, dom, gen_pows, L)
     out = []
     for f, m in p.factor_list()[1]:
@@ -933,7 +960,7 @@ def _poly_factors(coeffs, L: int):
 
 def _cofactor_idempotent(coeffs, factor, L: int):
     """Coefficients of w with w = 1 mod factor and w = 0 mod cofactor."""
-    dom, gen_pows = _field_domain(L)
+    dom, gen_pows = _domain(L)
     p = _poly(coeffs, dom, gen_pows, L)
     f = _poly(factor, dom, gen_pows, L)
     u = p.quo(f)
@@ -944,14 +971,22 @@ def _cofactor_idempotent(coeffs, factor, L: int):
     return [_from_dom(c, gen_pows, L) for c in w.rep.to_list()]
 
 
-def _split_idempotent(B: FiniteAlgebra, e: dict, z: dict):
-    """Refine the idempotent e along the central element z, or return None."""
+def _split_idempotent(B: FiniteAlgebra, e: dict, z: dict, center_dim: int):
+    """Refine the central idempotent e along the central element z.
+
+    Returns the finer idempotents, or [e] when z proves e centrally
+    primitive, or None when z decides nothing.  The proof: the minimal
+    polynomial of z e is irreducible, without repeats, and of degree
+    dim Z(Be); then k[z e] is a field and all of Z(Be).
+    """
     x = B.multiply(z, e)
     coeffs = _min_poly(B, x, e)
     if len(coeffs) <= 2:
         return None
     factors = _poly_factors(coeffs, B.L)
     if len(factors) == 1:
+        if factors[0][1] == 1 and len(coeffs) - 1 == center_dim:
+            return [e]
         return None
     parts = []
     for fc, _ in factors:
@@ -960,23 +995,23 @@ def _split_idempotent(B: FiniteAlgebra, e: dict, z: dict):
     return parts
 
 
-def _corner_dims(B: FiniteAlgebra, e: dict, zrows):
-    block = linalg.Subspace(B.L)
-    for i in range(B.dim):
-        block.insert(B.multiply(B.basis(i), e))
+def _corner(B: FiniteAlgebra, e: dict, zrows):
+    """(e, dim Z(Be), whether that dimension already proves e primitive)."""
     zspan = linalg.Subspace(B.L)
     for zr in zrows:
         zspan.insert(B.multiply(dict(zr), e))
-    return block, zspan.dim
+    return e, zspan.dim, zspan.dim == 1
 
 
 def simple_modules(A: FiniteAlgebra, seed=0, tries=24) -> SimpleModulesReport:
     """Radical, central block decomposition and module dimensions.
 
     Works over the exact cyclotomic field at the algebra's conductor.
-    Blocks whose center stays bigger than the ground field, or whose
-    minimal left ideal resists certification, are reported unsplit with
-    advice instead of guessed.
+    The unit is split along the centre's basis, then along random central
+    mixes, until every corner is proven simple (its centre is a field) or
+    the tries run out.  Blocks whose center stays bigger than the ground
+    field, or whose minimal left ideal resists certification, are
+    reported unsplit with advice instead of guessed.
     """
     J = _trace_radical(A)
     B = _quotient_algebra(A, J) if J.dim else A
@@ -984,19 +1019,26 @@ def simple_modules(A: FiniteAlgebra, seed=0, tries=24) -> SimpleModulesReport:
     rng = random.Random(seed)
     red = B.ctx.reduction
 
-    ids = [dict(B.unit)]
+    def settled():
+        return all(primitive for _, _, primitive in ids)
+
+    ids = [_corner(B, dict(B.unit), Z.rows)]
     queue = [dict(z) for z in Z.rows]
     attempts = tries
     while True:
-        while queue:
+        while queue and not settled():
             z = queue.pop(0)
             nxt = []
-            for e in ids:
-                parts = _split_idempotent(B, e, z)
-                nxt.extend(parts if parts is not None else [e])
+            for e, center_dim, primitive in ids:
+                parts = None if primitive else _split_idempotent(B, e, z, center_dim)
+                if parts is None:
+                    nxt.append((e, center_dim, primitive))
+                elif len(parts) == 1:
+                    nxt.append((e, center_dim, True))
+                else:
+                    nxt.extend(_corner(B, p, Z.rows) for p in parts)
             ids = nxt
-        if attempts == 0 or all(
-                _corner_dims(B, e, Z.rows)[1] == 1 for e in ids):
+        if attempts == 0 or settled():
             break
         attempts -= 1
         mix: dict = {}
@@ -1009,8 +1051,10 @@ def simple_modules(A: FiniteAlgebra, seed=0, tries=24) -> SimpleModulesReport:
 
     advice = []
     blocks = []
-    for e in ids:
-        block, center_dim = _corner_dims(B, e, Z.rows)
+    for e, center_dim, _ in ids:
+        block = linalg.Subspace(B.L)
+        for i in range(B.dim):
+            block.insert(B.multiply(B.basis(i), e))
         entry = {"block_dim": block.dim, "center_dim": center_dim,
                  "split": False, "module_dim": None}
         if center_dim > 1:
@@ -1084,7 +1128,7 @@ def _module_dim(B: FiniteAlgebra, e: dict, block, rng, tries):
 
 
 def _poly_quo(coeffs, factor, L: int):
-    dom, gen_pows = _field_domain(L)
+    dom, gen_pows = _domain(L)
     p = _poly(coeffs, dom, gen_pows, L)
     f = _poly(factor, dom, gen_pows, L)
     return [_from_dom(c, gen_pows, L) for c in p.quo(f).rep.to_list()]

@@ -328,14 +328,13 @@ def deform_hopf(H: FiniteHopf, sigma: HopfCocycle) -> FiniteHopf:
         raise ValidationError("cocycle lives on a different Hopf algebra")
     red = H.ctx.reduction
     n = H.dim
+    triple = [_iterated_comult(H, i, 3) for i in range(n)]
     mult: dict = {}
     for i in range(n):
-        ti = _iterated_comult(H, i, 3)
         for j in range(n):
-            tj = _iterated_comult(H, j, 3)
             cell: dict = {}
-            for (i1, i2, i3), ci in ti.items():
-                for (j1, j2, j3), cj in tj.items():
+            for (i1, i2, i3), ci in triple[i].items():
+                for (j1, j2, j3), cj in triple[j].items():
                     s = sigma.table.get((i1, j1))
                     if s is None:
                         continue

@@ -98,18 +98,24 @@ class Subspace:
         self._red = context(L).reduction
         self.rows: list[dict] = []
         self.pivots: list[int] = []
+        self._row_of: dict[int, dict] = {}
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        """Residual of vec after eliminating every pivot column."""
+        """Residual of vec after eliminating every pivot column.
+
+        Each row is zero in every pivot column but its own, so subtracting
+        a row fills in no other pivot: only the pivots in vec's support
+        need eliminating, each by its coefficient in vec.  The cost follows
+        that support, not the dimension of the subspace.
+        """
         out = dict(vec)
-        for piv, row in zip(self.pivots, self.rows):
-            f = out.get(piv)
-            if f is not None:
-                axpy_neg(out, f, row, self._red)
+        row_of = self._row_of
+        for piv in vec.keys() & row_of.keys():
+            axpy_neg(out, vec[piv], row_of[piv], self._red)
         return out
 
     def insert(self, vec: dict) -> bool:
@@ -127,6 +133,7 @@ class Subspace:
         idx = bisect_left(self.pivots, piv)
         self.pivots.insert(idx, piv)
         self.rows.insert(idx, row)
+        self._row_of[piv] = row
         return True
 
     def contains(self, vec: dict) -> bool:

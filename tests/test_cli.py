@@ -125,6 +125,41 @@ def test_build_cache_round_trip(tmp_path, capsys):
     assert artifact.read_bytes() == blob
 
 
+def test_cache_misses_when_the_code_changes(tmp_path, capsys, monkeypatch):
+    import qlsmodcat.cli as cli
+
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+
+    def hit() -> bool:
+        assert main(["build-hopf", path]) == 0
+        return "cache hit" in capsys.readouterr().out
+
+    assert not hit()
+    assert hit()
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert not hit()
+    assert hit()
+    monkeypatch.setattr(cli, "__version__", "0.0.0+other")
+    assert not hit()
+    # entries are written through a temporary file that is renamed away
+    cache = tmp_path / "cache"
+    assert sorted(p.suffix for p in cache.iterdir()) == [".json"] * 3
+
+
+def test_source_digest_is_taken_only_by_cached_commands(tmp_path, capsys):
+    import qlsmodcat.cli as cli
+
+    cli._source_digest.cache_clear()
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    assert main(["validate", path]) == 0
+    assert cli._source_digest.cache_info().currsize == 0
+    assert main(["build-hopf", path]) == 0
+    assert main(["build-hopf", path]) == 0
+    info = cli._source_digest.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    capsys.readouterr()
+
+
 def test_build_algebra_and_verify(tmp_path, capsys):
     path = write(tmp_path, sweedler_modcat_obj())
     assert main(["build-algebra", path]) == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qlsmodcat import deformation
 from qlsmodcat.cocycles import Cocycle2, enumerate_classes
 from qlsmodcat.comodule import (
     ModCatDatum,
@@ -67,6 +68,24 @@ def test_trivial_cocycle_deformation_is_identity():
     assert H2.mult == H.mult
     assert H2.antipode == H.antipode
     assert H2.comult == H.comult
+
+
+def test_deform_hopf_takes_each_iterated_coproduct_once(monkeypatch):
+    # one triple coproduct per basis element for the product, one
+    # five-fold coproduct per basis element for the antipode
+    H = build_bosonization(z22_lambda_datum())
+    calls = []
+    orig = deformation._iterated_comult
+
+    def counted(H, i, legs):
+        calls.append((i, legs))
+        return orig(H, i, legs)
+
+    monkeypatch.setattr(deformation, "_iterated_comult", counted)
+    H2 = deform_hopf(H, trivial_sigma(H))
+    assert H2.mult == H.mult
+    assert H.dim == 16
+    assert sorted(calls) == sorted((i, legs) for i in range(16) for legs in (3, 5))
 
 
 def test_group_cocycle_table_and_inverse():

@@ -12,7 +12,9 @@ from qlsmodcat import _kernel as _K
 from qlsmodcat.cyclo import CycloNumber, context, zeta
 from qlsmodcat.hopf import FiniteAlgebra, pair_multiply
 from qlsmodcat.linalg import (
+    Subspace,
     accumulate,
+    axpy_neg,
     combine,
     left_kernel,
     pone,
@@ -213,3 +215,43 @@ def test_pair_multiply_matches_dense_sum(case):
                     terms.append(((m1, m2),
                                   cyc(c1) * cyc(c2) * cyc(d1) * cyc(d2)))
     assert out == _sparse(terms)
+
+
+# Subspace.reduce eliminates only the pivots in the vector's support; the
+# reference below eliminates every pivot in order, as a dense RREF would.
+def _all_pivot_reduce(sp: Subspace, vec: dict) -> dict:
+    out = dict(vec)
+    for piv, row in zip(sp.pivots, sp.rows):
+        f = out.get(piv)
+        if f is not None:
+            axpy_neg(out, f, row, context(L).reduction)
+    return out
+
+
+def _is_rref(sp: Subspace) -> bool:
+    one = pone(L)
+    if sp.pivots != sorted(set(sp.pivots)) or len(sp.rows) != len(sp.pivots):
+        return False
+    for piv, row in zip(sp.pivots, sp.rows):
+        if min(row) != piv or row[piv] != one or not _no_zero_entries(row):
+            return False
+        if any(piv in other for other in sp.rows if other is not row):
+            return False
+    return True
+
+
+sparse_vecs = st.lists(st.tuples(st.integers(0, 5), scalars), max_size=5).map(_sparse)
+
+
+@given(st.lists(sparse_vecs, max_size=6), st.lists(sparse_vecs, min_size=1, max_size=4))
+def test_support_reduce_matches_all_pivot_reduce(inserted, probes):
+    sp = Subspace(L)
+    for v in inserted:
+        assert sp.reduce(v) == _all_pivot_reduce(sp, v)
+        sp.insert(v)
+        assert _is_rref(sp)
+    for v in probes:
+        res = sp.reduce(v)
+        assert res == _all_pivot_reduce(sp, v)
+        assert _no_zero_entries(res)
+        assert not set(res) & set(sp.pivots)

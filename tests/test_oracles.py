@@ -1,0 +1,267 @@
+"""The cheap simplicity and block routes against the slow ones they replace.
+
+``check_simplicity`` spans the products R_a o S_u instead of closing the
+generators under composition, and ``simple_modules`` stops splitting a
+corner once its centre is proven a field.  The old routes stay here as
+oracles, and two operation counts guard the cost on the dim-24 Z6
+algebra of the pipeline benchmark.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from qlsmodcat import classify, comodule, linalg
+from qlsmodcat.classify import classification_report
+from qlsmodcat.cocycles import Cocycle2
+from qlsmodcat.comodule import (
+    ModCatDatum,
+    build_A,
+    check_simplicity,
+    regular_coaction,
+    simple_modules,
+    trivial_coaction,
+)
+from qlsmodcat.cyclo import CycloNumber
+from qlsmodcat.deformation import LiftingDatum, build_bigalois, cotensor
+from qlsmodcat.groups import AbelianGroup, Character, Subgroup
+from qlsmodcat.hopf import FiniteAlgebra, QlsDatum, build_bosonization, group_hopf
+from qlsmodcat.linalg import pone, vec_addmul
+
+from qls_fixtures import (
+    clifford_z2_datum,
+    clifford_z22_datum,
+    sweedler_datum,
+    z4_datum,
+    z4_mu_datum,
+    z22_lambda_datum,
+)
+from test_acceptance import full_mcd
+
+
+def closure_span(A):
+    """Close the identity and the generators under composition."""
+    nA = A.dim
+    gens = comodule._operator_generators(A)
+    sp = linalg.Subspace(A.L)
+    queue = []
+    for rows in [[A.basis(i) for i in range(nA)]] + gens:
+        if sp.insert(comodule._flat_op(rows, nA)):
+            queue.append(rows)
+    while queue and sp.dim < nA * nA:
+        cur = queue.pop()
+        for g in gens:
+            prod = [linalg.combine(r, g, A.L) for r in cur]
+            if sp.insert(comodule._flat_op(prod, nA)):
+                queue.append(prod)
+    return sp, gens
+
+
+def full_retry_blocks(A, seed=0, tries=24):
+    """Radical dim and sorted (block dim, centre dim) of every corner,
+    splitting along every central mix until each centre is the ground
+    field or all the tries are spent."""
+    J = comodule._trace_radical(A)
+    B = comodule._quotient_algebra(A, J) if J.dim else A
+    Z = comodule._center(B)
+    rng = random.Random(seed)
+    red = B.ctx.reduction
+
+    def center_dim(e):
+        return comodule._corner(B, e, Z.rows)[1]
+
+    ids = [dict(B.unit)]
+    queue = [dict(z) for z in Z.rows]
+    attempts = tries
+    while True:
+        while queue:
+            z = queue.pop(0)
+            nxt = []
+            for e in ids:
+                # no centre dimension is -1, so this never stops on a field
+                parts = comodule._split_idempotent(B, e, z, -1)
+                nxt.extend(parts if parts is not None else [e])
+            ids = nxt
+        if attempts == 0 or all(center_dim(e) == 1 for e in ids):
+            break
+        attempts -= 1
+        mix: dict = {}
+        for zr in Z.rows:
+            c = rng.randint(-3, 3)
+            if c:
+                vec_addmul(mix, dict(zr), CycloNumber.from_rational(c, B.L).raw(), red)
+        if mix:
+            queue.append(mix)
+    blocks = []
+    for e in ids:
+        block = linalg.span([B.multiply(B.basis(i), e) for i in range(B.dim)], B.L)
+        blocks.append((block.dim, center_dim(e)))
+    return J.dim, sorted(blocks)
+
+
+def report_blocks(rep):
+    return rep.radical_dim, sorted((b["block_dim"], b["center_dim"])
+                                   for b in rep.blocks)
+
+
+def _group_algebra(orders, psi_exps=None):
+    G = AbelianGroup(orders)
+    F = Subgroup.full(G)
+    psi = Cocycle2.from_exponents(F, psi_exps) if psi_exps else Cocycle2.trivial(F)
+    return build_A(ModCatDatum(QlsDatum(G, [], []), F, psi))
+
+
+def _small_fixtures():
+    """Every algebra of dim <= 16 that a simplicity verdict is taken on."""
+    d = sweedler_datum()
+    out = {
+        "kpsi_m2": _group_algebra((2, 2), {(0, 1): 1}),
+        "kpsi_plain": _group_algebra((2, 2)),
+        "trivial_coaction": trivial_coaction(group_hopf(AbelianGroup((2, 2)))),
+        "trivial_on_kz2": trivial_coaction(build_bosonization(d),
+                                           group_hopf(AbelianGroup((2,)))),
+        "group_algebra_z4": group_hopf(AbelianGroup((4,))),
+        "sweedler_trivial_F": build_A(ModCatDatum(
+            d, Subgroup.trivial(d.group), Cocycle2.trivial(Subgroup.trivial(d.group)),
+            w={(1,): [[1]]})),
+    }
+    for name, datum, xi, alpha in (
+            ("sweedler", sweedler_datum(), [1], None),
+            ("z4", z4_datum(), [1], None),
+            ("clifford_z2", clifford_z2_datum(), [1, 1], {(0, 1): 2}),
+            ("clifford_z22", clifford_z22_datum(), [1, 1], None),
+            ("z4_mu", z4_mu_datum(), [1], None),
+            ("z22_lambda", z22_lambda_datum(), [1, 1], None)):
+        out["full_" + name] = build_A(full_mcd(datum, xi=xi, alpha=alpha))
+    for name, _, B in CONNECTING:
+        A = regular_coaction(B.right_hopf)
+        out["regular_" + name] = A
+        out["transported_regular_" + name] = cotensor(B, A)
+    return out
+
+
+# the three liftings of acceptance criterion 8 and their connecting objects
+CONNECTING = [(name, ld, build_bigalois(ld)) for name, ld in (
+    ("trivial", LiftingDatum(sweedler_datum())),
+    ("z4_mu", LiftingDatum(z4_mu_datum(), mu=[1])),
+    ("z22_lambda", LiftingDatum(z22_lambda_datum(), lam={(0, 1): 1})))]
+SMALL = _small_fixtures()
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_operator_span_equals_the_closure(name, monkeypatch):
+    A = SMALL[name]
+    assert A.dim <= 16
+    span, _ = comodule._operator_span(A)
+    closed, _ = closure_span(A)
+    assert span.key() == closed.key()
+
+    fast = check_simplicity(A)
+    monkeypatch.setattr(comodule, "_operator_span", closure_span)
+    slow = check_simplicity(A)
+    assert (fast.verdict, fast.operator_dim) == (slow.verdict, slow.operator_dim)
+    assert fast.verdict != "undecided"
+    if fast.witness is not None:
+        assert fast.witness.key() == slow.witness.key()
+
+
+def test_oracle_fixtures_cover_both_verdicts():
+    verdicts = {name: check_simplicity(A).verdict for name, A in SMALL.items()}
+    assert verdicts["trivial_coaction"] == "reducible"
+    assert verdicts["full_z22_lambda"] == "split-simple"
+    assert set(verdicts.values()) == {"reducible", "split-simple"}
+
+
+def mixed_z6_pair():
+    """The dim-24 Z6, theta = 2 regular algebra of the benchmark's mixed
+    lifting (q = -1, root scalars 1 and 2, link scalar -2), and its image
+    under transport."""
+    G = AbelianGroup((6,))
+    g, chi = G.element((1,)), Character(G, (3,))
+    B = build_bigalois(LiftingDatum(QlsDatum(G, [g, g], [chi, chi]),
+                                    mu=[1, 2], lam={(0, 1): -2}))
+    A = regular_coaction(B.right_hopf)
+    return A, cotensor(B, A)
+
+
+MIXED = mixed_z6_pair()
+
+
+def _criterion_8_pairs():
+    for name, ld, B in CONNECTING:
+        for kind, A in (("regular", regular_coaction(B.right_hopf)),
+                        ("full", build_A(full_mcd(ld.datum)))):
+            yield f"{name}-{kind}", A
+            yield f"{name}-{kind}-transported", cotensor(B, A)
+    # the corners of centre dimension 2 here are where the two loops differ
+    yield "mixed_z6-regular", MIXED[0]
+    yield "mixed_z6-regular-transported", MIXED[1]
+    yield "rational_z3xz3", rational_z3xz3()
+
+
+def rational_z3xz3():
+    """The group algebra of Z3 x Z3 over Q: Q x Q(zeta3)^4.  Its generator
+    times the Q(zeta3)^4 idempotent has the irreducible minimal polynomial
+    t^2 + t + 1 of degree 2 < 8, so irreducibility alone proves no field."""
+    H = group_hopf(AbelianGroup((3, 3)))
+    one = pone(1)
+    mult = {k: {j: one for j in cell} for k, cell in H.mult.items()}
+    return FiniteAlgebra(H.labels, 1, mult, {i: one for i in H.unit})
+
+
+PAIRS = dict(_criterion_8_pairs())
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_simple_modules_matches_the_full_retry_loop(name):
+    A = PAIRS[name]
+    assert report_blocks(simple_modules(A)) == full_retry_blocks(A)
+
+
+@pytest.mark.parametrize("datum", [sweedler_datum, clifford_z2_datum, z4_mu_datum,
+                                   lambda: QlsDatum(AbelianGroup((2, 2)), [], [])])
+def test_classify_rows_match_the_full_retry_loop(datum, monkeypatch):
+    want = classification_report(datum()).as_dict()
+
+    def oracle(A, seed=0):
+        radical, blocks = full_retry_blocks(A, seed)
+        return comodule.SimpleModulesReport(
+            radical, [{"block_dim": b, "center_dim": c} for b, c in blocks], [])
+
+    monkeypatch.setattr(classify, "simple_modules", oracle)
+    assert classification_report(datum()).as_dict() == want
+
+
+# ----------------------------------------------------- operation counts
+
+def test_simplicity_inserts_at_most_one_product_per_pair(monkeypatch):
+    A = MIXED[0]
+    support = {u for lam in A.coaction for (u, _) in lam}
+    calls = []
+    insert = linalg.Subspace.insert
+
+    def counted(self, vec):
+        calls.append(1)
+        return insert(self, vec)
+
+    monkeypatch.setattr(linalg.Subspace, "insert", counted)
+    rep = check_simplicity(A)
+    assert (A.dim, rep.verdict) == (24, "split-simple")
+    assert len(calls) <= A.dim * len(support)
+
+
+def test_simple_modules_stops_on_proven_fields(monkeypatch):
+    calls = []
+    factors = comodule._poly_factors
+
+    def counted(coeffs, L):
+        calls.append(len(coeffs) - 1)
+        return factors(coeffs, L)
+
+    monkeypatch.setattr(comodule, "_poly_factors", counted)
+    A, T = MIXED
+    assert simple_modules(A).block_data == (1, 1, 8, 8)
+    assert simple_modules(T).block_data == (8, 8, 8)
+    assert len(calls) <= 10
