@@ -50,28 +50,11 @@ def coordinate_subspaces(datum: QlsDatum) -> list[dict]:
 
 def free_scalar_positions(mcd: ModCatDatum):
     """Positions of xi and alpha that the compatibility conditions leave
-    free; all others are forced to zero.
-
-    Both conditions only see the cocycle through its alternating form, so
-    the answer depends on the cohomology class alone.
-    """
-    free_xi = []
-    for a in range(mcd.n_letters):
-        hN = mcd.carriers[a] ** mcd.heights[a]
-        if hN not in mcd.F:
-            continue
-        if all(mcd.chiF[a][f] ** mcd.heights[a] == mcd.psi_norm.beta(f, hN)
-               for f in mcd.F):
-            free_xi.append(a)
-    free_alpha = []
-    for a in range(mcd.n_letters):
-        for b in range(a + 1, mcd.n_letters):
-            hh = mcd.carriers[a] * mcd.carriers[b]
-            if hh not in mcd.F:
-                continue
-            if all(mcd.chiF[a][f] * mcd.chiF[b][f] == mcd.psi_norm.beta(f, hh)
-                   for f in mcd.F):
-                free_alpha.append((a, b))
+    free (``ModCatDatum.scalar_free``); all others are forced to zero."""
+    m = mcd.n_letters
+    free_xi = [a for a in range(m) if mcd.scalar_free((a,) * mcd.heights[a])]
+    free_alpha = [(a, b) for a in range(m) for b in range(a + 1, m)
+                  if mcd.scalar_free((a, b))]
     return free_xi, free_alpha
 
 

@@ -1,11 +1,12 @@
 """Command-line front end for building, classifying and checking tables.
 
 Exit codes: 0 on success, 1 when the input fails validation, 2 when an
-axiom sweep fails on input that parsed cleanly.  Artifacts are written
-as canonical JSON next to the input file unless --out says otherwise;
-build results are cached under a content hash of the input, the package
-version and the package's sources, and cache hits are accepted only when
-their stored checksum still matches.
+axiom sweep fails on input that parsed cleanly or when the command line
+is malformed (each subcommand takes only its own flags).  Artifacts are
+written as canonical JSON next to the input file unless --out says
+otherwise; build results are cached under a content hash of the input,
+the package version and the package's sources, and cache hits are
+accepted only when their stored checksum still matches.
 """
 
 from __future__ import annotations
@@ -220,9 +221,6 @@ def cmd_build_algebra(args) -> int:
     _, _, mcd = serialize.load_datum(obj)
     if mcd is None:
         raise ValidationError("the input has no modcat section")
-    if args.conductor:
-        raise ValidationError(
-            "the conductor override applies to build-hopf and build-lifting")
 
     def build():
         return serialize.comodule_dump(build_A(mcd))
@@ -312,37 +310,49 @@ def cmd_verify(args) -> int:
 
 # ------------------------------------------------------------------ main
 
+FLAGS = {
+    "--out": dict(help="artifact path (default: next to input)"),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--sample": dict(default="0,1",
+                     help="comma-separated scalar sample for classify"),
+    "--max-group-order": dict(type=int, default=256, dest="max_group_order"),
+    "--conductor": dict(type=int, help="rebase built tables to this conductor"),
+    "--seed": dict(type=int, default=0),
+    "--no-cache": dict(action="store_true", dest="no_cache"),
+    "--strict-cocycle": dict(action="store_true", dest="strict_cocycle",
+                             help="dedupe by raw cocycle tables, not classes"),
+}
+BUILD_FLAGS = ("--out", "--conductor", "--no-cache")
+
+
 def _parser() -> argparse.ArgumentParser:
+    """One subparser per command, each taking only the flags it reads."""
     p = argparse.ArgumentParser(
         prog="qlsmodcat",
         description="exact module-category data over finite abelian groups")
     sub = p.add_subparsers(dest="command", required=True)
     commands = [
-        ("validate", cmd_validate, "check an input datum file"),
-        ("build-hopf", cmd_build_hopf, "build the graded Hopf algebra"),
-        ("build-lifting", cmd_build_lifting, "build the lifted Hopf algebra"),
-        ("build-algebra", cmd_build_algebra, "build the comodule algebra"),
-        ("classify", cmd_classify, "sweep and tabulate module-category data"),
+        ("validate", cmd_validate, "check an input datum file", ("--format",)),
+        ("build-hopf", cmd_build_hopf, "build the graded Hopf algebra",
+         BUILD_FLAGS),
+        ("build-lifting", cmd_build_lifting, "build the lifted Hopf algebra",
+         BUILD_FLAGS),
+        ("build-algebra", cmd_build_algebra, "build the comodule algebra",
+         ("--out", "--no-cache")),
+        ("classify", cmd_classify, "sweep and tabulate module-category data",
+         ("--out", "--format", "--sample", "--max-group-order", "--seed",
+          "--strict-cocycle")),
         ("transport", cmd_transport,
-         "move an algebra along the lifting's connecting object"),
-        ("verify", cmd_verify, "re-run the axiom sweep on a dumped artifact"),
+         "move an algebra along the lifting's connecting object",
+         ("--out", "--format")),
+        ("verify", cmd_verify, "re-run the axiom sweep on a dumped artifact",
+         ("--format",)),
     ]
-    for name, func, help_text in commands:
+    for name, func, help_text, flags in commands:
         q = sub.add_parser(name, help=help_text)
         q.add_argument("input", help="input JSON file")
-        q.add_argument("--out", help="artifact path (default: next to input)")
-        q.add_argument("--format", choices=("text", "json"), default="text")
-        q.add_argument("--sample", default="0,1",
-                       help="comma-separated scalar sample for classify")
-        q.add_argument("--max-group-order", type=int, default=256,
-                       dest="max_group_order")
-        q.add_argument("--conductor", type=int,
-                       help="rebase built tables to this conductor")
-        q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--no-cache", action="store_true", dest="no_cache")
-        q.add_argument("--strict-cocycle", action="store_true",
-                       dest="strict_cocycle",
-                       help="dedupe by raw cocycle tables, not classes")
+        for flag in flags:
+            q.add_argument(flag, **FLAGS[flag])
         q.set_defaults(func=func)
     return p
 

@@ -4,8 +4,8 @@ Every element carries its conductor L.  Binary operations on mismatched
 conductors rebase both sides into the compositum Q(zeta_lcm) first, so
 mixed expressions just work.  Instances are deliberately unhashable:
 equal values can live at different conductors, so hashing would need a
-minimal-conductor normal form that nothing here requires.  Use
-``to_json`` at a fixed conductor when a dictionary key is needed.
+minimal-conductor normal form that nothing here requires.  Use the
+``raw()`` pair at a fixed conductor when a dictionary key is needed.
 """
 
 from __future__ import annotations
@@ -235,9 +235,6 @@ class CycloNumber:
     def is_one(self) -> bool:
         return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
-    def is_rational(self) -> bool:
-        return not any(self.nums[1:])
-
     def as_fraction(self) -> Fraction:
         if any(self.nums[1:]):
             raise ValueError("not a rational number")
@@ -279,18 +276,6 @@ class CycloNumber:
     def to_complex(self) -> complex:
         w = cmath.exp(2j * cmath.pi / self.L)
         return sum(c * w**i for i, c in enumerate(self.nums)) / self.den
-
-    def to_json(self) -> dict:
-        return {"L": self.L, "c": [str(Fraction(n, self.den)) for n in self.nums]}
-
-    @classmethod
-    def from_json(cls, obj) -> "CycloNumber":
-        L = int(obj["L"])
-        fracs = [Fraction(s) for s in obj["c"]]
-        den = 1
-        for f in fracs:
-            den = lcm(den, f.denominator)
-        return cls(L, tuple(int(f * den) for f in fracs), den)
 
     def __repr__(self):
         if self.is_zero():

@@ -108,6 +108,23 @@ class NormalFormEngine:
                 exps[x] += 1
         return tuple(exps), tail
 
+    def product_table(self, labels) -> dict:
+        """Structure constants on the basis labels (exponents, group exps).
+
+        Cell (i, j) holds the normal form of label i's word followed by
+        label j's, as {index: pair}; zero cells are left out.
+        """
+        idx = {lab: i for i, lab in enumerate(labels)}
+        words = [self.word_of(r, self.group.element(ge)) for r, ge in labels]
+        mult: dict = {}
+        for i1, w1 in enumerate(words):
+            for i2, w2 in enumerate(words):
+                nf = self.normalize(w1 + w2)
+                cell = {idx[(t, g.exps)]: c.raw() for (t, g), c in nf.items()}
+                if cell:
+                    mult[(i1, i2)] = cell
+        return mult
+
     def word_of(self, exps, g):
         """Inverse of _pack, used to seed products of normal forms."""
         letters = []

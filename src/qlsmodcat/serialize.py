@@ -32,14 +32,13 @@ def dumps_canonical(obj) -> str:
 
 # ---------------------------------------------------------------- scalars
 
-def cyclo_to_json(c: CycloNumber) -> dict:
-    nums, den = c.raw()
-    return {"L": c.L, "c": [str(Fraction(n, den)) for n in nums]}
-
-
 def _pair_json(pair, L: int) -> dict:
     nums, den = pair
     return {"L": L, "c": [str(Fraction(n, den)) for n in nums]}
+
+
+def cyclo_to_json(c: CycloNumber) -> dict:
+    return _pair_json(c.raw(), c.L)
 
 
 def cyclo_from_json(obj) -> CycloNumber:
@@ -67,10 +66,6 @@ def _pair_from_json(obj, L: int):
 
 def group_to_json(G: AbelianGroup) -> dict:
     return {"orders": list(G.orders)}
-
-
-def element_to_json(el: GroupElement) -> dict:
-    return {"exps": list(el.exps)}
 
 
 def cocycle_to_json(psi: Cocycle2) -> dict:
@@ -218,6 +213,21 @@ def _core_tables(obj):
     return labels, L, mult, unit
 
 
+def _table_dump(table, L: int) -> list:
+    """Rows [i, j, k, c] of a list of {(j, k): pair} cells: a coproduct
+    or a coaction."""
+    return [[i, j, k, _pair_json(c, L)]
+            for i, cell in enumerate(table)
+            for (j, k), c in sorted(cell.items())]
+
+
+def _table_load(rows, n: int, L: int) -> list:
+    table = [dict() for _ in range(n)]
+    for i, j, k, v in rows:
+        table[i][(j, k)] = _pair_from_json(v, L)
+    return table
+
+
 def algebra_dump(alg: FiniteAlgebra) -> dict:
     return _algebra_core(alg)
 
@@ -228,9 +238,7 @@ def algebra_load(obj) -> FiniteAlgebra:
 
 def hopf_dump(H: FiniteHopf) -> dict:
     out = _algebra_core(H)
-    out["comult"] = [[i, j, k, _pair_json(c, H.L)]
-                     for i in range(H.dim)
-                     for (j, k), c in sorted(H.comult[i].items())]
+    out["comult"] = _table_dump(H.comult, H.L)
     out["counit"] = [_pair_json(H.counit[i], H.L) for i in range(H.dim)]
     out["antipode"] = [[i, k, _pair_json(c, H.L)]
                        for i in range(H.dim)
@@ -243,9 +251,7 @@ def hopf_dump(H: FiniteHopf) -> dict:
 def hopf_load(obj) -> FiniteHopf:
     labels, L, mult, unit = _core_tables(obj)
     n = len(labels)
-    comult = [dict() for _ in range(n)]
-    for i, j, k, v in obj["comult"]:
-        comult[i][(j, k)] = _pair_from_json(v, L)
+    comult = _table_load(obj["comult"], n, L)
     counit = [_pair_from_json(v, L) for v in obj["counit"]]
     antipode = [dict() for _ in range(n)]
     for i, k, v in obj["antipode"]:
@@ -256,9 +262,7 @@ def hopf_load(obj) -> FiniteHopf:
 
 def comodule_dump(A: ComoduleAlgebra) -> dict:
     out = _algebra_core(A)
-    out["coaction"] = [[i, u, j, _pair_json(c, A.L)]
-                       for i in range(A.dim)
-                       for (u, j), c in sorted(A.coaction[i].items())]
+    out["coaction"] = _table_dump(A.coaction, A.L)
     out["degree"] = list(A.degree) if A.degree is not None else None
     out["hopf"] = hopf_dump(A.hopf)
     return out
@@ -267,9 +271,7 @@ def comodule_dump(A: ComoduleAlgebra) -> dict:
 def comodule_load(obj) -> ComoduleAlgebra:
     labels, L, mult, unit = _core_tables(obj)
     hopf = hopf_load(obj["hopf"])
-    coaction = [dict() for _ in range(len(labels))]
-    for i, u, j, v in obj["coaction"]:
-        coaction[i][(u, j)] = _pair_from_json(v, L)
+    coaction = _table_load(obj["coaction"], len(labels), L)
     return ComoduleAlgebra(labels, L, mult, unit, hopf, coaction,
                            degree=obj.get("degree"))
 
@@ -280,12 +282,8 @@ def bigalois_dump(B: BiGaloisRep) -> dict:
         "algebra": _algebra_core(alg),
         "left_hopf": hopf_dump(B.left_hopf),
         "right_hopf": hopf_dump(B.right_hopf),
-        "left_coaction": [[i, u, j, _pair_json(c, alg.L)]
-                          for i in range(alg.dim)
-                          for (u, j), c in sorted(B.left_coaction[i].items())],
-        "right_coaction": [[i, j, h, _pair_json(c, alg.L)]
-                           for i in range(alg.dim)
-                           for (j, h), c in sorted(B.right_coaction[i].items())],
+        "left_coaction": _table_dump(B.left_coaction, alg.L),
+        "right_coaction": _table_dump(B.right_coaction, alg.L),
         "counit_functional": [_pair_json(c, alg.L)
                               for c in B.counit_functional],
     }
@@ -294,13 +292,8 @@ def bigalois_dump(B: BiGaloisRep) -> dict:
 
 def bigalois_load(obj) -> BiGaloisRep:
     alg = algebra_load(obj["algebra"])
-    n = alg.dim
-    left = [dict() for _ in range(n)]
-    for i, u, j, v in obj["left_coaction"]:
-        left[i][(u, j)] = _pair_from_json(v, alg.L)
-    right = [dict() for _ in range(n)]
-    for i, j, h, v in obj["right_coaction"]:
-        right[i][(j, h)] = _pair_from_json(v, alg.L)
+    left = _table_load(obj["left_coaction"], alg.dim, alg.L)
+    right = _table_load(obj["right_coaction"], alg.dim, alg.L)
     cb = [_pair_from_json(v, alg.L) for v in obj["counit_functional"]]
     return BiGaloisRep(alg, hopf_load(obj["left_hopf"]),
                        hopf_load(obj["right_hopf"]), left, right, cb)

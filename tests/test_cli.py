@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qlsmodcat.cli import main
+from qlsmodcat.cli import _parser, main
 from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.comodule import ModCatDatum
 from qlsmodcat.groups import Subgroup
@@ -171,8 +171,47 @@ def test_build_algebra_and_verify(tmp_path, capsys):
 
 def test_build_algebra_rejects_conductor_flag(tmp_path, capsys):
     path = write(tmp_path, sweedler_modcat_obj())
-    assert main(["build-algebra", path, "--conductor", "8"]) == 1
-    assert "build-hopf" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as e:
+        main(["build-algebra", path, "--conductor", "8"])
+    assert e.value.code == 2
+    assert "--conductor" in capsys.readouterr().err
+
+
+# the flags each subcommand reads; every other flag is a usage error
+OWN_FLAGS = {
+    "validate": {"--format"},
+    "build-hopf": {"--out", "--conductor", "--no-cache"},
+    "build-lifting": {"--out", "--conductor", "--no-cache"},
+    "build-algebra": {"--out", "--no-cache"},
+    "classify": {"--out", "--format", "--sample", "--max-group-order",
+                 "--seed", "--strict-cocycle"},
+    "transport": {"--out", "--format"},
+    "verify": {"--format"},
+}
+ALL_FLAGS = {"--out": "x.json", "--format": "json", "--sample": "0,1",
+             "--max-group-order": "8", "--conductor": "8", "--seed": "1",
+             "--no-cache": None, "--strict-cocycle": None}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, own in OWN_FLAGS.items()
+    for flag in ALL_FLAGS if flag not in own])
+def test_each_subcommand_rejects_flags_it_does_not_own(capsys, command, flag):
+    value = ALL_FLAGS[flag]
+    with pytest.raises(SystemExit) as e:
+        main([command, "in.json", flag] + ([value] if value is not None else []))
+    assert e.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_each_subcommand_parses_the_flags_it_owns():
+    parser = _parser()
+    for command, own in OWN_FLAGS.items():
+        for flag in own:
+            value = ALL_FLAGS[flag]
+            args = parser.parse_args(
+                [command, "in.json", flag] + ([value] if value is not None else []))
+            assert args.command == command
 
 
 def test_build_algebra_needs_a_modcat_section(tmp_path, capsys):

@@ -1,0 +1,311 @@
+"""The comodule-algebra axiom sweeps, one corrupted table cell at a time.
+
+H is a comodule algebra over itself through its coproduct, and a right
+coaction is a left one over the reversed coproduct, so the Hopf, the
+comodule-algebra and the biGalois checks share one sweep.  Each case
+below breaks one cell of a valid dim-4 Sweedler table and pins every
+failure the verifier reports, with the basis labels written as 1, g, x
+and xg.  ``ComoduleAlgebra.verify`` and ``BiGaloisRep.verify`` are pinned
+in order; ``FiniteHopf.verify`` is pinned as a multiset, because its
+per-element checks may run in any order.
+"""
+
+from collections import Counter
+
+import pytest
+
+from qlsmodcat.cocycles import Cocycle2
+from qlsmodcat.comodule import ComoduleAlgebra, ModCatDatum, build_A
+from qlsmodcat.cyclo import CycloNumber
+from qlsmodcat.deformation import BiGaloisRep, LiftingDatum, build_bigalois
+from qlsmodcat.groups import Subgroup
+from qlsmodcat.hopf import FiniteAlgebra, FiniteHopf, build_bosonization
+from qls_fixtures import sweedler_datum, z4_mu_datum
+
+NAMES = {((0,), (0,)): "1", ((0,), (1,)): "g",
+         ((1,), (0,)): "x", ((1,), (1,)): "xg"}
+
+
+def short(witness):
+    """The witness with every basis label replaced by its name."""
+    if witness in NAMES:
+        return NAMES[witness]
+    if isinstance(witness, tuple):
+        return tuple(short(w) for w in witness)
+    return witness
+
+
+def failures(rep):
+    return [(name, short(w)) for name, w in rep.failures]
+
+
+def scalar(n, L):
+    return CycloNumber.from_rational(n, L).raw()
+
+
+def hopf_case(check):
+    H = build_bosonization(sweedler_datum())
+    i = {name: H.index[lab] for lab, name in NAMES.items()}
+    mult = {k: dict(v) for k, v in H.mult.items()}
+    comult = [dict(v) for v in H.comult]
+    counit = list(H.counit)
+    antipode = [dict(v) for v in H.antipode]
+    if check == "comult-unital":
+        comult[i["1"]] = {(i["1"], i["1"]): scalar(2, H.L)}
+    elif check == "coassociativity":
+        comult[i["x"]][(i["g"], i["g"])] = scalar(1, H.L)
+    elif check == "counit-law":
+        counit[i["x"]] = scalar(1, H.L)
+    elif check == "comult-multiplicative":
+        del comult[i["xg"]][min(comult[i["xg"]])]
+    elif check == "counit-multiplicative":
+        mult[(i["x"], i["x"])] = {i["1"]: scalar(1, H.L)}
+    elif check == "antipode":
+        antipode[i["g"]] = {i["1"]: scalar(1, H.L)}
+    return FiniteHopf(H.labels, H.L, mult, dict(H.unit), comult, counit,
+                      antipode, degree=H.degree, graded=H.graded)
+
+
+def comodule_case(check):
+    d = sweedler_datum()
+    F = Subgroup.full(d.group)
+    A = build_A(ModCatDatum(d, F, Cocycle2.trivial(F), w={(1,): [[1]]},
+                            xi=[1]))
+    i = {name: A.index[lab] for lab, name in NAMES.items()}
+    u = {name: A.hopf.index[lab] for lab, name in NAMES.items()}
+    coaction = [dict(v) for v in A.coaction]
+    if check == "coaction-unital":
+        coaction[i["1"]] = {(u["1"], i["1"]): scalar(2, A.L)}
+    elif check == "coaction-coassociative":
+        coaction[i["x"]][(u["g"], i["g"])] = scalar(1, A.L)
+    elif check == "coaction-counital":
+        del coaction[i["x"]][(u["g"], i["x"])]
+    elif check == "coaction-multiplicative":
+        del coaction[i["xg"]][min(coaction[i["xg"]])]
+    return ComoduleAlgebra(A.labels, A.L, A.mult, dict(A.unit), A.hopf,
+                           coaction, degree=A.degree, mcd=A.mcd)
+
+
+def bigalois_case(check):
+    B = build_bigalois(LiftingDatum(sweedler_datum()))
+    alg, H = B.algebra, B.right_hopf
+    b = {name: alg.index[lab] for lab, name in NAMES.items()}
+    h = {name: H.index[lab] for lab, name in NAMES.items()}
+    rho = [dict(v) for v in B.right_coaction]
+    if check == "right-coaction-unital":
+        rho[b["1"]] = {(b["1"], h["1"]): scalar(2, alg.L)}
+    elif check == "right-coaction-coassociative":
+        rho[b["x"]][(b["g"], h["g"])] = scalar(1, alg.L)
+    elif check == "right-coaction-counital":
+        del rho[b["x"]][(b["x"], h["1"])]
+    elif check == "right-coaction-multiplicative":
+        del rho[b["xg"]][min(rho[b["xg"]])]
+    elif check == "coactions-commute":
+        rho[b["x"]][(b["1"], h["x"])] = scalar(1, alg.L)
+    return BiGaloisRep(alg, B.left_hopf, H, B.left_coaction, rho,
+                       B.counit_functional)
+
+
+# every failure each broken cell gives, with the labels named as in NAMES
+EXPECTED = {'comult-unital': [('comult-unital', '1'),
+                   ('counit-law', '1'),
+                   ('antipode', '1'),
+                   ('coassociativity', 'x'),
+                   ('coassociativity', 'xg'),
+                   ('comult-multiplicative', ('1', '1')),
+                   ('comult-multiplicative', ('1', 'g')),
+                   ('comult-multiplicative', ('1', 'x')),
+                   ('comult-multiplicative', ('1', 'xg')),
+                   ('comult-multiplicative', ('g', '1')),
+                   ('comult-multiplicative', ('g', 'g')),
+                   ('comult-multiplicative', ('x', '1')),
+                   ('comult-multiplicative', ('xg', '1'))],
+ 'coassociativity': [('coassociativity', 'x'),
+                     ('counit-law', 'x'),
+                     ('antipode', 'x'),
+                     ('coradical-degree', ('x', 'g', 'g')),
+                     ('comult-multiplicative', ('g', 'x')),
+                     ('comult-multiplicative', ('g', 'xg')),
+                     ('comult-multiplicative', ('x', 'g')),
+                     ('comult-multiplicative', ('x', 'x')),
+                     ('comult-multiplicative', ('x', 'xg')),
+                     ('comult-multiplicative', ('xg', 'g')),
+                     ('comult-multiplicative', ('xg', 'x'))],
+ 'counit-law': [('counit-law', 'x'),
+                ('antipode', 'x'),
+                ('counit-multiplicative', ('g', 'x')),
+                ('counit-multiplicative', ('g', 'xg')),
+                ('counit-multiplicative', ('x', 'g')),
+                ('counit-multiplicative', ('x', 'x')),
+                ('counit-multiplicative', ('xg', 'g'))],
+ 'comult-multiplicative': [('counit-law', 'xg'),
+                           ('antipode', 'xg'),
+                           ('comult-multiplicative', ('g', 'x')),
+                           ('comult-multiplicative', ('g', 'xg')),
+                           ('comult-multiplicative', ('x', 'g')),
+                           ('comult-multiplicative', ('x', 'xg')),
+                           ('comult-multiplicative', ('xg', 'g')),
+                           ('comult-multiplicative', ('xg', 'x'))],
+ 'counit-multiplicative': [('associativity', ('g', 'x', 'x')),
+                           ('associativity', ('g', 'xg', 'x')),
+                           ('associativity', ('x', 'g', 'xg')),
+                           ('associativity', ('x', 'x', 'g')),
+                           ('associativity', ('x', 'x', 'xg')),
+                           ('associativity', ('x', 'xg', 'g')),
+                           ('associativity', ('xg', 'g', 'x')),
+                           ('associativity', ('xg', 'x', 'x')),
+                           ('comult-multiplicative', ('x', 'x')),
+                           ('counit-multiplicative', ('x', 'x'))],
+ 'antipode': [('antipode', 'g'), ('antipode', 'x'), ('antipode', 'xg')],
+ 'coaction-unital': [('coaction-unital', '1'),
+                     ('coaction-coassociative', '1'),
+                     ('coaction-counital', '1'),
+                     ('coaction-coassociative', 'x'),
+                     ('coaction-multiplicative', ('1', '1')),
+                     ('coaction-multiplicative', ('1', 'g')),
+                     ('coaction-multiplicative', ('1', 'x')),
+                     ('coaction-multiplicative', ('1', 'xg')),
+                     ('coaction-multiplicative', ('g', '1')),
+                     ('coaction-multiplicative', ('g', 'g')),
+                     ('coaction-multiplicative', ('x', '1')),
+                     ('coaction-multiplicative', ('x', 'x')),
+                     ('coaction-multiplicative', ('xg', '1')),
+                     ('coaction-multiplicative', ('xg', 'xg'))],
+ 'coaction-coassociative': [('coaction-coassociative', 'x'),
+                            ('coaction-counital', 'x'),
+                            ('coaction-multiplicative', ('g', 'x')),
+                            ('coaction-multiplicative', ('g', 'xg')),
+                            ('coaction-multiplicative', ('x', 'g')),
+                            ('coaction-multiplicative', ('x', 'x')),
+                            ('coaction-multiplicative', ('x', 'xg')),
+                            ('coaction-multiplicative', ('xg', 'g')),
+                            ('coaction-multiplicative', ('xg', 'x'))],
+ 'coaction-counital': [('coaction-coassociative', 'x'),
+                       ('coaction-counital', 'x'),
+                       ('coaction-multiplicative', ('g', 'x')),
+                       ('coaction-multiplicative', ('g', 'xg')),
+                       ('coaction-multiplicative', ('x', 'g')),
+                       ('coaction-multiplicative', ('x', 'x')),
+                       ('coaction-multiplicative', ('x', 'xg')),
+                       ('coaction-multiplicative', ('xg', 'g')),
+                       ('coaction-multiplicative', ('xg', 'x'))],
+ 'coaction-multiplicative': [('coaction-coassociative', 'xg'),
+                             ('coaction-counital', 'xg'),
+                             ('coaction-multiplicative', ('g', 'x')),
+                             ('coaction-multiplicative', ('g', 'xg')),
+                             ('coaction-multiplicative', ('x', 'g')),
+                             ('coaction-multiplicative', ('x', 'xg')),
+                             ('coaction-multiplicative', ('xg', 'g')),
+                             ('coaction-multiplicative', ('xg', 'x')),
+                             ('coaction-multiplicative', ('xg', 'xg'))],
+ 'right-coaction-unital': [('right-coaction-unital', '1'),
+                           ('right-coaction-coassociative', '1'),
+                           ('right-coaction-counital', '1'),
+                           ('right-coaction-coassociative', 'xg'),
+                           ('right-coaction-multiplicative', ('1', '1')),
+                           ('right-coaction-multiplicative', ('1', 'g')),
+                           ('right-coaction-multiplicative', ('1', 'x')),
+                           ('right-coaction-multiplicative', ('1', 'xg')),
+                           ('right-coaction-multiplicative', ('g', '1')),
+                           ('right-coaction-multiplicative', ('g', 'g')),
+                           ('right-coaction-multiplicative', ('x', '1')),
+                           ('right-coaction-multiplicative', ('xg', '1')),
+                           ('coactions-commute', 'x')],
+ 'right-coaction-coassociative': [('right-coaction-coassociative', 'x'),
+                                  ('right-coaction-counital', 'x'),
+                                  ('right-coaction-multiplicative',
+                                   ('g', 'x')),
+                                  ('right-coaction-multiplicative',
+                                   ('g', 'xg')),
+                                  ('right-coaction-multiplicative',
+                                   ('x', 'g')),
+                                  ('right-coaction-multiplicative',
+                                   ('x', 'x')),
+                                  ('right-coaction-multiplicative',
+                                   ('x', 'xg')),
+                                  ('right-coaction-multiplicative',
+                                   ('xg', 'g')),
+                                  ('right-coaction-multiplicative',
+                                   ('xg', 'x'))],
+ 'right-coaction-counital': [('right-coaction-coassociative', 'x'),
+                             ('right-coaction-counital', 'x'),
+                             ('right-coaction-multiplicative', ('g', 'x')),
+                             ('right-coaction-multiplicative', ('g', 'xg')),
+                             ('right-coaction-multiplicative', ('x', 'g')),
+                             ('right-coaction-multiplicative', ('x', 'xg')),
+                             ('right-coaction-multiplicative', ('xg', 'g')),
+                             ('right-coaction-multiplicative', ('xg', 'x')),
+                             ('coactions-commute', 'x')],
+ 'right-coaction-multiplicative': [('right-coaction-multiplicative',
+                                    ('g', 'x')),
+                                   ('right-coaction-multiplicative',
+                                    ('g', 'xg')),
+                                   ('right-coaction-multiplicative',
+                                    ('x', 'g')),
+                                   ('right-coaction-multiplicative',
+                                    ('x', 'xg')),
+                                   ('right-coaction-multiplicative',
+                                    ('xg', 'g')),
+                                   ('right-coaction-multiplicative',
+                                    ('xg', 'x'))],
+ 'coactions-commute': [('right-coaction-coassociative', 'x'),
+                       ('right-coaction-multiplicative', ('g', 'x')),
+                       ('right-coaction-multiplicative', ('g', 'xg')),
+                       ('right-coaction-multiplicative', ('x', 'g')),
+                       ('right-coaction-multiplicative', ('x', 'x')),
+                       ('right-coaction-multiplicative', ('x', 'xg')),
+                       ('right-coaction-multiplicative', ('xg', 'g')),
+                       ('right-coaction-multiplicative', ('xg', 'x')),
+                       ('coactions-commute', 'x')]}
+
+
+HOPF_CHECKS = ["comult-unital", "coassociativity", "counit-law",
+               "comult-multiplicative", "counit-multiplicative", "antipode"]
+COMODULE_CHECKS = ["coaction-unital", "coaction-coassociative",
+                   "coaction-counital", "coaction-multiplicative"]
+BIGALOIS_CHECKS = ["right-coaction-unital", "right-coaction-coassociative",
+                   "right-coaction-counital", "right-coaction-multiplicative",
+                   "coactions-commute"]
+
+
+def test_fixtures_pass_every_sweep():
+    assert hopf_case(None).verify().ok
+    assert comodule_case(None).verify().ok
+    assert bigalois_case(None).verify().ok
+
+
+@pytest.mark.parametrize("check", HOPF_CHECKS)
+def test_hopf_sweep_on_one_broken_cell(check):
+    got = failures(hopf_case(check).verify())
+    assert check in [name for name, _ in got]
+    assert len(set(got)) == len(got)
+    assert Counter(got) == Counter(EXPECTED[check])
+
+
+@pytest.mark.parametrize("check", COMODULE_CHECKS)
+def test_comodule_sweep_on_one_broken_cell(check):
+    got = failures(comodule_case(check).verify())
+    assert check in [name for name, _ in got]
+    assert len(set(got)) == len(got)
+    assert got == EXPECTED[check]
+
+
+@pytest.mark.parametrize("check", BIGALOIS_CHECKS)
+def test_bigalois_sweep_on_one_broken_cell(check):
+    got = failures(bigalois_case(check).verify())
+    assert check in [name for name, _ in got]
+    assert len(set(got)) == len(got)
+    assert got == EXPECTED[check]
+
+
+def test_build_bigalois_sweeps_the_algebra_once(monkeypatch):
+    calls = []
+    plain = FiniteAlgebra.verify_algebra
+
+    def counted(self):
+        calls.append(self.dim)
+        return plain(self)
+
+    monkeypatch.setattr(FiniteAlgebra, "verify_algebra", counted)
+    build_bigalois(LiftingDatum(z4_mu_datum(), mu=[1]))
+    assert calls == [8]
