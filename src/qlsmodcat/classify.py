@@ -243,8 +243,7 @@ def _w_label(mcd: ModCatDatum):
 
 
 def classification_report(datum: QlsDatum, scalar_sample=(0, 1),
-                          extra_w=None, bound: int = 256,
-                          seed: int = 0) -> ClassificationReport:
+                          extra_w=None, bound: int = 256) -> ClassificationReport:
     """Group the sweep by (F, psi class, W) and report structure per cell.
 
     Simplicity and block data are computed on the last member of each
@@ -265,8 +264,8 @@ def classification_report(datum: QlsDatum, scalar_sample=(0, 1),
         free_total += free
         generic = members[-1]
         A = build_A(generic)
-        simp = check_simplicity(A, seed=seed)
-        mods = simple_modules(A, seed=seed)
+        simp = check_simplicity(A)
+        mods = simple_modules(A)
         label, general = _w_label(base)
         rows.append(ClassificationRow(
             _subgroup_label(base.F), base.psi_norm.class_tag(), label,

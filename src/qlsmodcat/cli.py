@@ -237,9 +237,7 @@ def cmd_classify(args) -> int:
     obj = _read_json(args.input)
     datum, _, _ = serialize.load_datum(obj)
     sample = _parse_sample(args.sample)
-    report = classification_report(datum, sample,
-                                   bound=args.max_group_order,
-                                   seed=args.seed)
+    report = classification_report(datum, sample, bound=args.max_group_order)
     reps = dedupe(report.data, strict=args.strict_cocycle)
     payload = {"report": report.as_dict(), "representatives": len(reps)}
     out = _out_path(args, "classify")
@@ -317,7 +315,6 @@ FLAGS = {
                      help="comma-separated scalar sample for classify"),
     "--max-group-order": dict(type=int, default=256, dest="max_group_order"),
     "--conductor": dict(type=int, help="rebase built tables to this conductor"),
-    "--seed": dict(type=int, default=0),
     "--no-cache": dict(action="store_true", dest="no_cache"),
     "--strict-cocycle": dict(action="store_true", dest="strict_cocycle",
                              help="dedupe by raw cocycle tables, not classes"),
@@ -340,7 +337,7 @@ def _parser() -> argparse.ArgumentParser:
         ("build-algebra", cmd_build_algebra, "build the comodule algebra",
          ("--out", "--no-cache")),
         ("classify", cmd_classify, "sweep and tabulate module-category data",
-         ("--out", "--format", "--sample", "--max-group-order", "--seed",
+         ("--out", "--format", "--sample", "--max-group-order",
           "--strict-cocycle")),
         ("transport", cmd_transport,
          "move an algebra along the lifting's connecting object",

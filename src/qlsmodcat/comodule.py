@@ -11,7 +11,7 @@ degree-one generation checker.
 
 from __future__ import annotations
 
-import random
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -672,12 +672,13 @@ def _operator_span(A: ComoduleAlgebra):
     return sp, gens
 
 
-def check_simplicity(A: ComoduleAlgebra, seed=0, tries=40) -> SimplicityReport:
+def check_simplicity(A: ComoduleAlgebra) -> SimplicityReport:
     """Span the right multiplications and coaction slices, then decide.
 
     A full operator span certifies that the only invariant subspaces are
-    trivial.  Otherwise kernels of sampled operators are closed up under
-    the generators in search of a proper invariant subspace.
+    trivial.  Otherwise the kernel of each difference of two generators
+    is closed up under the generators in search of a proper invariant
+    subspace.
     """
     nA = A.dim
     full = nA * nA
@@ -685,26 +686,8 @@ def check_simplicity(A: ComoduleAlgebra, seed=0, tries=40) -> SimplicityReport:
     if sp.dim == full:
         return SimplicityReport("split-simple", sp.dim, full)
 
-    rng = random.Random(seed)
-    red = A.ctx.reduction
-
-    def candidates():
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                yield _sub_rows(gens[i], gens[j])
-        for _ in range(tries):
-            rows = [dict() for _ in range(nA)]
-            for g in gens:
-                c = rng.randint(-2, 2)
-                if c == 0:
-                    continue
-                pair = CycloNumber.from_rational(c, A.L).raw()
-                for i in range(nA):
-                    vec_addmul(rows[i], g[i], pair, red)
-            yield rows
-
-    for M in candidates():
-        kern = linalg.left_kernel(M, nA, A.L)
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        kern = linalg.left_kernel(_sub_rows(gens[i], gens[j]), nA, A.L)
         if not 0 < len(kern) < nA:
             continue
         sub = linalg.span([dict(v) for v in kern], A.L)
@@ -913,11 +896,16 @@ def _poly_factors(coeffs, L: int):
     return out
 
 
-def _cofactor_idempotent(coeffs, factor, L: int):
-    """Coefficients of w with w = 1 mod factor and w = 0 mod cofactor."""
+def _cofactor_idempotent(coeffs, factor, mult: int, L: int):
+    """Coefficients of w with w = 1 mod factor^mult and w = 0 mod cofactor.
+
+    The minimal polynomial of a non-central element can repeat a factor,
+    so the factor is raised to its multiplicity to stay coprime to the
+    rest.
+    """
     dom, gen_pows = _domain(L)
     p = _poly(coeffs, dom, gen_pows, L)
-    f = _poly(factor, dom, gen_pows, L)
+    f = _poly(factor, dom, gen_pows, L) ** mult
     u = p.quo(f)
     s, v, h = f.gcdex(u)
     if not h.is_one:
@@ -927,11 +915,13 @@ def _cofactor_idempotent(coeffs, factor, L: int):
 
 
 def _split_idempotent(B: FiniteAlgebra, e: dict, z: dict, center_dim: int):
-    """Refine the central idempotent e along the central element z.
+    """Refine the idempotent e along an element z of the corner eBe.
 
-    Returns the finer idempotents, or [e] when z proves e centrally
-    primitive, or None when z decides nothing.  The proof: the minimal
-    polynomial of z e is irreducible, without repeats, and of degree
+    Returns the orthogonal idempotents, one per coprime factor of the
+    minimal polynomial of z e, which sum to e; or [e] when z proves e
+    centrally primitive; or None when z decides nothing.  They are
+    central when e and z are.  The proof of [e]: the minimal polynomial
+    of z e is irreducible, without repeats, and of degree center_dim =
     dim Z(Be); then k[z e] is a field and all of Z(Be).
     """
     x = B.multiply(z, e)
@@ -943,11 +933,8 @@ def _split_idempotent(B: FiniteAlgebra, e: dict, z: dict, center_dim: int):
         if factors[0][1] == 1 and len(coeffs) - 1 == center_dim:
             return [e]
         return None
-    parts = []
-    for fc, _ in factors:
-        w = _cofactor_idempotent(coeffs, fc, B.L)
-        parts.append(_eval_poly(B, w, x, e))
-    return parts
+    return [_eval_poly(B, _cofactor_idempotent(coeffs, fc, m, B.L), x, e)
+            for fc, m in factors]
 
 
 def _corner(B: FiniteAlgebra, e: dict, zrows):
@@ -958,58 +945,58 @@ def _corner(B: FiniteAlgebra, e: dict, zrows):
     return e, zspan.dim, zspan.dim == 1
 
 
-def simple_modules(A: FiniteAlgebra, seed=0, tries=24) -> SimpleModulesReport:
+def _central_mixes(B: FiniteAlgebra, zrows):
+    """The fixed central elements sum_i t^(i+1) z_i for t = 2, 3, ...
+
+    On a corner Be not yet proven primitive, a mix decides nothing only
+    where two embeddings of Z(Be) into an algebraic closure agree on it.
+    The z_i e span Z(Be), so each such agreement is a nonzero polynomial
+    in t: only finitely many t fail on each of the finitely many central
+    idempotents of B, and the sequence settles every corner.  This needs
+    B semisimple, so the algebra it came from must be associative, as
+    every builder and the cotensor verify.
+    """
+    red = B.ctx.reduction
+    for t in itertools.count(2):
+        mix: dict = {}
+        for i, zr in enumerate(zrows):
+            vec_addmul(mix, zr, CycloNumber.from_rational(t ** (i + 1), B.L).raw(),
+                       red)
+        yield mix
+
+
+def simple_modules(A: FiniteAlgebra) -> SimpleModulesReport:
     """Radical, central block decomposition and module dimensions.
 
     Works over the exact cyclotomic field at the algebra's conductor.
-    The unit is split along the centre's basis, then along random central
-    mixes, until every corner is proven simple (its centre is a field) or
-    the tries run out.  Blocks whose center stays bigger than the ground
-    field, or whose minimal left ideal resists certification, are
-    reported unsplit with advice instead of guessed.
+    The unit is split along the centre's basis, then along the fixed
+    central mixes of ``_central_mixes``, until every corner is proven
+    simple (its centre is a field).  Blocks whose center is bigger than
+    the ground field, or whose descent to a primitive idempotent stalls
+    (``_module_dim``), are reported unsplit with advice instead of guessed.
     """
     J = _trace_radical(A)
     B = _quotient_algebra(A, J) if J.dim else A
     Z = _center(B)
-    rng = random.Random(seed)
-    red = B.ctx.reduction
-
-    def settled():
-        return all(primitive for _, _, primitive in ids)
-
     ids = [_corner(B, dict(B.unit), Z.rows)]
-    queue = [dict(z) for z in Z.rows]
-    attempts = tries
-    while True:
-        while queue and not settled():
-            z = queue.pop(0)
-            nxt = []
-            for e, center_dim, primitive in ids:
-                parts = None if primitive else _split_idempotent(B, e, z, center_dim)
-                if parts is None:
-                    nxt.append((e, center_dim, primitive))
-                elif len(parts) == 1:
-                    nxt.append((e, center_dim, True))
-                else:
-                    nxt.extend(_corner(B, p, Z.rows) for p in parts)
-            ids = nxt
-        if attempts == 0 or settled():
+    for z in itertools.chain([dict(z) for z in Z.rows], _central_mixes(B, Z.rows)):
+        if all(primitive for _, _, primitive in ids):
             break
-        attempts -= 1
-        mix: dict = {}
-        for zr in Z.rows:
-            c = rng.randint(-3, 3)
-            if c:
-                vec_addmul(mix, dict(zr), CycloNumber.from_rational(c, B.L).raw(), red)
-        if mix:
-            queue.append(mix)
+        nxt = []
+        for e, center_dim, primitive in ids:
+            parts = None if primitive else _split_idempotent(B, e, z, center_dim)
+            if parts is None:
+                nxt.append((e, center_dim, primitive))
+            elif len(parts) == 1:
+                nxt.append((e, center_dim, True))
+            else:
+                nxt.extend(_corner(B, p, Z.rows) for p in parts)
+        ids = nxt
 
     advice = []
     blocks = []
     for e, center_dim, _ in ids:
-        block = linalg.Subspace(B.L)
-        for i in range(B.dim):
-            block.insert(B.multiply(B.basis(i), e))
+        block = linalg.span([B.multiply(B.basis(i), e) for i in range(B.dim)], B.L)
         entry = {"block_dim": block.dim, "center_dim": center_dim,
                  "split": False, "module_dim": None}
         if center_dim > 1:
@@ -1018,7 +1005,7 @@ def simple_modules(A: FiniteAlgebra, seed=0, tries=24) -> SimpleModulesReport:
                 f"{center_dim} over the ground field; enlarge the conductor")
             blocks.append(entry)
             continue
-        mdim = _module_dim(B, e, block, rng, tries)
+        mdim = _module_dim(B, e, block)
         if mdim is None:
             advice.append(
                 f"no minimal left ideal of a block of dimension {block.dim} "
@@ -1032,66 +1019,26 @@ def simple_modules(A: FiniteAlgebra, seed=0, tries=24) -> SimpleModulesReport:
     return SimpleModulesReport(J.dim, blocks, advice)
 
 
-def _ideal_span(B: FiniteAlgebra, block, z: dict):
-    out = linalg.Subspace(B.L)
-    for row in block.rows:
-        out.insert(B.multiply(dict(row), z))
-    return out
+def _module_dim(B: FiniteAlgebra, e: dict, block):
+    """Dimension of the simple module of the block Be, or None.
 
-
-def _module_dim(B: FiniteAlgebra, e: dict, block, rng, tries):
-    """Dimension of a certified minimal left ideal of the corner, or None."""
-    d = block.dim
-    root = _exact_sqrt(d)
-    if root is not None and root * root == d:
-        if d == 1:
-            return 1
-        want = root
-    else:
-        return None
-
-    def candidates():
-        for row in block.rows:
-            yield dict(row)
-        red = B.ctx.reduction
-        for _ in range(tries):
-            mix: dict = {}
-            for row in block.rows:
-                c = rng.randint(-2, 2)
-                if c:
-                    vec_addmul(mix, dict(row),
-                               CycloNumber.from_rational(c, B.L).raw(), red)
-            if mix:
-                yield mix
-
-    for y in candidates():
-        coeffs = _min_poly(B, y, e)
-        for fc, _ in _poly_factors(coeffs, B.L):
-            quo = _poly_quo(coeffs, fc, B.L)
-            zdiv = _eval_poly(B, quo, y, e)
-            if not zdiv:
-                continue
-            ideal = _ideal_span(B, block, zdiv)
-            if ideal.dim == want:
-                return want
-            if ideal.dim < d:
-                for row in list(ideal.rows)[:4]:
-                    refined = _ideal_span(B, block, dict(row))
-                    if refined.dim == want:
-                        return want
-    return None
-
-
-def _poly_quo(coeffs, factor, L: int):
-    dom, gen_pows = _domain(L)
-    p = _poly(coeffs, dom, gen_pows, L)
-    f = _poly(factor, dom, gen_pows, L)
-    return [_from_dom(c, gen_pows, L) for c in p.quo(f).rep.to_list()]
-
-
-def _exact_sqrt(n: int):
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    Descends from eps = e: split eps along the first basis element of the
+    corner eps B eps whose minimal polynomial has two coprime factors,
+    keep one part, and stop at dim eps B eps = 1.  Then End(B eps) is the
+    ground field, so B eps is simple and the block is split.  A corner of
+    dimension > 1 with no such basis element is not certified: a division
+    algebra has none, but so can an unlucky basis of a split corner.
+    """
+    eps = e
+    while True:
+        corner = linalg.span([B.multiply(B.multiply(eps, r), eps) for r in block.rows],
+                             B.L)
+        if corner.dim == 1:
+            return linalg.rank([B.multiply(r, eps) for r in block.rows], B.L)
+        for y in corner.rows:
+            parts = _split_idempotent(B, eps, y, 0)
+            if parts is not None:
+                eps = parts[0]
+                break
+        else:
+            return None

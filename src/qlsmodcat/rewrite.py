@@ -126,7 +126,7 @@ class NormalFormEngine:
         return mult
 
     def word_of(self, exps, g):
-        """Inverse of _pack, used to seed products of normal forms."""
+        """Inverse of _pack: the word a product of normal forms starts from."""
         letters = []
         for a, r in enumerate(exps):
             letters.extend([a] * r)

@@ -9,6 +9,7 @@ against the schema shipped with the package before anything is built.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from importlib import resources
@@ -95,21 +96,24 @@ def cocycle_from_json(carrier, obj) -> Cocycle2:
 
 # ----------------------------------------------------------- input datum
 
-_SCHEMA = None
-
-
+@functools.cache
 def input_schema() -> dict:
-    global _SCHEMA
-    if _SCHEMA is None:
-        path = resources.files("qlsmodcat") / "schema" / "datum.schema.json"
-        _SCHEMA = json.loads(path.read_text())
-    return _SCHEMA
+    path = resources.files("qlsmodcat") / "schema" / "datum.schema.json"
+    return json.loads(path.read_text())
+
+
+@functools.cache
+def _input_validator():
+    """The schema's validator, built once.  ``jsonschema.validate`` would
+    also check the schema against its metaschema on every call; the test
+    suite does that instead."""
+    schema = input_schema()
+    return jsonschema.validators.validator_for(schema)(schema)
 
 
 def validate_input(obj) -> None:
-    try:
-        jsonschema.validate(obj, input_schema())
-    except jsonschema.ValidationError as e:
+    e = jsonschema.exceptions.best_match(_input_validator().iter_errors(obj))
+    if e is not None:
         raise ValidationError(
             f"input does not match the schema at {e.json_path}: {e.message}")
 
@@ -203,13 +207,25 @@ def _algebra_core(alg: FiniteAlgebra) -> dict:
     }
 
 
+def _index(i, n: int) -> int:
+    """A table index of a loaded artifact, checked to lie in range(n):
+    Python's list indexing would wrap a negative one."""
+    if type(i) is not int or not 0 <= i < n:
+        raise ValidationError(f"table index {i!r} is outside 0..{n - 1}")
+    return i
+
+
 def _core_tables(obj):
     labels = [_label_from_json(lab) for lab in obj["labels"]]
+    n = len(labels)
+    if obj.get("dim", n) != n:
+        raise ValidationError(f"dim {obj['dim']!r} but {n} labels")
     L = obj["L"]
     mult: dict = {}
     for i, j, k, v in obj["mult"]:
-        mult.setdefault((i, j), {})[k] = _pair_from_json(v, L)
-    unit = {i: _pair_from_json(v, L) for i, v in obj["unit"]}
+        cell = mult.setdefault((_index(i, n), _index(j, n)), {})
+        cell[_index(k, n)] = _pair_from_json(v, L)
+    unit = {_index(i, n): _pair_from_json(v, L) for i, v in obj["unit"]}
     return labels, L, mult, unit
 
 
@@ -221,10 +237,12 @@ def _table_dump(table, L: int) -> list:
             for (j, k), c in sorted(cell.items())]
 
 
-def _table_load(rows, n: int, L: int) -> list:
+def _table_load(rows, n: int, L: int, legs) -> list:
+    """The n cells of a coproduct or coaction; legs bounds (j, k)."""
+    nj, nk = legs
     table = [dict() for _ in range(n)]
     for i, j, k, v in rows:
-        table[i][(j, k)] = _pair_from_json(v, L)
+        table[_index(i, n)][(_index(j, nj), _index(k, nk))] = _pair_from_json(v, L)
     return table
 
 
@@ -251,11 +269,11 @@ def hopf_dump(H: FiniteHopf) -> dict:
 def hopf_load(obj) -> FiniteHopf:
     labels, L, mult, unit = _core_tables(obj)
     n = len(labels)
-    comult = _table_load(obj["comult"], n, L)
+    comult = _table_load(obj["comult"], n, L, (n, n))
     counit = [_pair_from_json(v, L) for v in obj["counit"]]
     antipode = [dict() for _ in range(n)]
     for i, k, v in obj["antipode"]:
-        antipode[i][k] = _pair_from_json(v, L)
+        antipode[_index(i, n)][_index(k, n)] = _pair_from_json(v, L)
     return FiniteHopf(labels, L, mult, unit, comult, counit, antipode,
                       degree=obj.get("degree"), graded=obj.get("graded", False))
 
@@ -271,7 +289,8 @@ def comodule_dump(A: ComoduleAlgebra) -> dict:
 def comodule_load(obj) -> ComoduleAlgebra:
     labels, L, mult, unit = _core_tables(obj)
     hopf = hopf_load(obj["hopf"])
-    coaction = _table_load(obj["coaction"], len(labels), L)
+    n = len(labels)
+    coaction = _table_load(obj["coaction"], n, L, (hopf.dim, n))
     return ComoduleAlgebra(labels, L, mult, unit, hopf, coaction,
                            degree=obj.get("degree"))
 
@@ -292,11 +311,13 @@ def bigalois_dump(B: BiGaloisRep) -> dict:
 
 def bigalois_load(obj) -> BiGaloisRep:
     alg = algebra_load(obj["algebra"])
-    left = _table_load(obj["left_coaction"], alg.dim, alg.L)
-    right = _table_load(obj["right_coaction"], alg.dim, alg.L)
+    left_hopf = hopf_load(obj["left_hopf"])
+    right_hopf = hopf_load(obj["right_hopf"])
+    n = alg.dim
+    left = _table_load(obj["left_coaction"], n, alg.L, (left_hopf.dim, n))
+    right = _table_load(obj["right_coaction"], n, alg.L, (n, right_hopf.dim))
     cb = [_pair_from_json(v, alg.L) for v in obj["counit_functional"]]
-    return BiGaloisRep(alg, hopf_load(obj["left_hopf"]),
-                       hopf_load(obj["right_hopf"]), left, right, cb)
+    return BiGaloisRep(alg, left_hopf, right_hopf, left, right, cb)
 
 
 # ------------------------------------------------------------ reports

@@ -390,9 +390,9 @@ def test_criterion_9_classify_artifacts_are_byte_identical(tmp_path, monkeypatch
     src.write_text(dumps_canonical(datum_to_json(sweedler_datum())) + "\n")
     artifact = tmp_path / "datum.classify.json"
 
-    assert cli.main(["classify", str(src), "--seed", "0"]) == 0
+    assert cli.main(["classify", str(src)]) == 0
     first = artifact.read_bytes()
-    assert cli.main(["classify", str(src), "--seed", "0"]) == 0
+    assert cli.main(["classify", str(src)]) == 0
     ok = artifact.read_bytes() == first and json.loads(first)
 
     _line(9, bool(ok), "repeated classify runs emit identical bytes")

@@ -99,6 +99,22 @@ def test_verify_catches_a_corrupted_table(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_negative_table_index(tmp_path, capsys):
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    assert main(["build-hopf", path]) == 0
+    capsys.readouterr()
+    artifact = tmp_path / "datum.hopf.json"
+    obj = json.loads(artifact.read_text())
+    # list indexing would read -1 as 3 and report axiom failures (exit 2)
+    obj["comult"] = [[-1 if x == 3 else x for x in row[:3]] + row[3:]
+                     for row in obj["comult"]]
+    artifact.write_text(dumps_canonical(obj))
+    assert main(["verify", str(artifact)]) == 1
+    captured = capsys.readouterr()
+    assert "table index -1" in captured.err
+    assert "FAIL" not in captured.out
+
+
 def test_verify_redirects_datum_files(tmp_path, capsys):
     path = write(tmp_path, datum_to_json(sweedler_datum()))
     assert main(["verify", path]) == 1
@@ -177,14 +193,16 @@ def test_build_algebra_rejects_conductor_flag(tmp_path, capsys):
     assert "--conductor" in capsys.readouterr().err
 
 
-# the flags each subcommand reads; every other flag is a usage error
+# the flags each subcommand reads; every other flag is a usage error,
+# among them --seed, which no subcommand takes since classify's splits
+# became deterministic
 OWN_FLAGS = {
     "validate": {"--format"},
     "build-hopf": {"--out", "--conductor", "--no-cache"},
     "build-lifting": {"--out", "--conductor", "--no-cache"},
     "build-algebra": {"--out", "--no-cache"},
     "classify": {"--out", "--format", "--sample", "--max-group-order",
-                 "--seed", "--strict-cocycle"},
+                 "--strict-cocycle"},
     "transport": {"--out", "--format"},
     "verify": {"--format"},
 }

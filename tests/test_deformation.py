@@ -301,3 +301,18 @@ def test_coideal_twist_guards_closure_of_the_span():
     broken = HopfCocycle(U, table, check=False)
     with pytest.raises(NotClosed):
         coideal_twist(U, [U.basis(unit_i), U.basis(x0_i)], broken)
+
+
+@pytest.mark.parametrize("tag", [(0,), (1,)])
+def test_deforming_back_by_the_inverse_cocycle_gives_back_h(tag):
+    """(H^sigma)^(sigma^-1) = H (Doi 1993) for both cocycle classes on
+    Z2 x Z2, with sigma^-1 made from the pointwise inverse group cocycle
+    on H^sigma."""
+    d = z22_lambda_datum()
+    H = build_bosonization(d).rebased(4)
+    psi = {c.class_tag(): c for c in enumerate_classes(Subgroup.full(d.group))}[tag]
+    psi_inv = Cocycle2(psi.carrier, {k: v.inv() for k, v in psi.table.items()})
+    Hs = deform_hopf(H, group_sigma(H, psi))
+    assert Hs.verify().ok
+    assert Hs.same_tables(H) == (tag == (0,))
+    assert deform_hopf(Hs, group_sigma(Hs, psi_inv)).same_tables(H)

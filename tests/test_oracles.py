@@ -1,14 +1,16 @@
 """The cheap simplicity and block routes against the slow ones they replace.
 
 ``check_simplicity`` spans the products R_a o S_u instead of closing the
-generators under composition, and ``simple_modules`` stops splitting a
-corner once its centre is proven a field.  The old routes stay here as
-oracles, and two operation counts guard the cost on the dim-24 Z6
-algebra of the pipeline benchmark.
+generators under composition, ``simple_modules`` stops splitting a
+corner once its centre is proven a field, and module dimensions come
+from a descent through corners instead of a random search for a minimal
+left ideal.  The old routes stay here as oracles, and two operation
+counts guard the cost on the dim-24 Z6 algebra of the pipeline benchmark.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -225,8 +227,8 @@ def test_simple_modules_matches_the_full_retry_loop(name):
 def test_classify_rows_match_the_full_retry_loop(datum, monkeypatch):
     want = classification_report(datum()).as_dict()
 
-    def oracle(A, seed=0):
-        radical, blocks = full_retry_blocks(A, seed)
+    def oracle(A):
+        radical, blocks = full_retry_blocks(A)
         return comodule.SimpleModulesReport(
             radical, [{"block_dim": b, "center_dim": c} for b, c in blocks], [])
 
@@ -265,3 +267,109 @@ def test_simple_modules_stops_on_proven_fields(monkeypatch):
     assert simple_modules(A).block_data == (1, 1, 8, 8)
     assert simple_modules(T).block_data == (8, 8, 8)
     assert len(calls) <= 10
+
+
+# ------------------------------------------------------- module dimensions
+
+def ideal_span(B, block, z):
+    return linalg.span([B.multiply(row, z) for row in block.rows], B.L)
+
+
+def poly_quo(coeffs, factor, L):
+    dom, gen_pows = comodule._domain(L)
+    p = comodule._poly(coeffs, dom, gen_pows, L)
+    f = comodule._poly(factor, dom, gen_pows, L)
+    return [comodule._from_dom(c, gen_pows, L) for c in p.quo(f).rep.to_list()]
+
+
+def random_ideal_dim(B, e, block, rng, tries=24):
+    """The minimal left ideal search that the corner descent replaces.
+
+    Draws the block's basis and random mixes of it, evaluates the cofactor
+    of each irreducible factor of a draw's minimal polynomial at the draw
+    (a zero divisor), and returns sqrt(dim Be) once the left ideal of such
+    a zero divisor, or of a row of it, has that dimension; else None.
+    """
+    d = block.dim
+    want = math.isqrt(d)
+    if want * want != d:
+        return None
+    if d == 1:
+        return 1
+
+    def candidates():
+        yield from (dict(row) for row in block.rows)
+        red = B.ctx.reduction
+        for _ in range(tries):
+            mix: dict = {}
+            for row in block.rows:
+                c = rng.randint(-2, 2)
+                if c:
+                    vec_addmul(mix, row, CycloNumber.from_rational(c, B.L).raw(), red)
+            if mix:
+                yield mix
+
+    for y in candidates():
+        coeffs = comodule._min_poly(B, y, e)
+        for fc, _ in comodule._poly_factors(coeffs, B.L):
+            zdiv = comodule._eval_poly(B, poly_quo(coeffs, fc, B.L), y, e)
+            if not zdiv:
+                continue
+            ideal = ideal_span(B, block, zdiv)
+            if ideal.dim == want:
+                return want
+            if ideal.dim < d:
+                for row in list(ideal.rows)[:4]:
+                    if ideal_span(B, block, row).dim == want:
+                        return want
+    return None
+
+
+def module_dims_both_ways(A, monkeypatch):
+    """(descent, random search) module dims of every centre-1 block of A."""
+    descent = comodule._module_dim
+    out = []
+
+    def both(B, e, block):
+        got = descent(B, e, block)
+        out.append((block.dim, got, random_ideal_dim(B, e, block, random.Random(0))))
+        return got
+
+    monkeypatch.setattr(comodule, "_module_dim", both)
+    simple_modules(A)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_corner_descent_matches_the_random_ideal_search(name, monkeypatch):
+    for _, descent, search in module_dims_both_ways(PAIRS[name], monkeypatch):
+        assert descent is not None
+        if search is not None:
+            assert descent == search
+
+
+def test_the_ideal_search_oracle_certifies_matrix_blocks(monkeypatch):
+    dims = module_dims_both_ways(PAIRS["z22_lambda-regular"], monkeypatch)
+    assert sorted(dims) == [(1, 1, 1), (1, 1, 1), (4, 2, 2), (4, 2, 2)]
+
+
+def bench_cell(g):
+    """The dim-16 algebra of the classify row of Z2 x Z2, theta = 2, q = -1
+    with F = Z2 x Z2, the nontrivial cocycle class and W spanned by both
+    generators (``Z2x2 [1] {x1,x0}`` in the first presentation): M_4(Q(i))."""
+    G = AbelianGroup((2, 2))
+    datum = QlsDatum(G, [G.element(e) for e in g], [Character(G, (1, 1))] * 2)
+    members = [m for m in classify.enumerate_modcat_data(datum)
+               if (classify._subgroup_label(m.F), m.psi_norm.class_tag(),
+                   m.n_letters) == ("Z2x2", (1,), 2)]
+    assert len({classify._w_key(m) for m in members}) == 1
+    return build_A(members[-1])
+
+
+@pytest.mark.parametrize("g", [((1, 0), (0, 1)), ((0, 1), (1, 0))])
+def test_bench_matrix_block_over_q_i_is_split(g):
+    A = bench_cell(g)
+    rep = simple_modules(A)
+    assert (A.dim, A.L, rep.block_data) == (16, 4, (16,))
+    assert rep.all_split
+    assert rep.module_dims() == [4]

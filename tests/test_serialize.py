@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import jsonschema
 import pytest
 
 from qlsmodcat.classify import datum_key
@@ -26,6 +27,7 @@ from qlsmodcat.serialize import (
     dumps_canonical,
     hopf_dump,
     hopf_load,
+    input_schema,
     load_datum,
     report_to_json,
     validate_input,
@@ -149,23 +151,43 @@ def test_bigalois_round_trip():
     assert B2.right_galois_bijective()
 
 
+BAD_INPUTS = [
+    {"group": {"orders": [2]}, "g": [[1]]},
+    {"group": {"orders": []}, "g": [], "chi": []},
+    {"group": {"orders": [2]}, "g": [[1]], "chi": [[1]], "junk": 1},
+    {"group": {"orders": [2]}, "g": [[1]], "chi": [[1]],
+     "lifting": {"lambda": [[0, "1"]]}},
+    {"group": {"orders": [2]}, "g": [[1]], "chi": [[1]],
+     "modcat": {"F": {"gens": []}, "xi": ["1.5"]}},
+    {"group": {"orders": [2]}, "g": [[1]], "chi": [[1]],
+     "lifting": {"mu": [{"L": 0, "c": []}]}},
+]
+
+
 def test_schema_rejects_bad_inputs():
     good = {"group": {"orders": [2]}, "g": [[1]], "chi": [[1]]}
     validate_input(good)
 
-    bad = [
-        {"group": {"orders": [2]}, "g": [[1]]},
-        {"group": {"orders": []}, "g": [], "chi": []},
-        {"group": {"orders": [2]}, "g": [[1]], "chi": [[1]], "junk": 1},
-        {"group": {"orders": [2]}, "g": [[1]], "chi": [[1]],
-         "lifting": {"lambda": [[0, "1"]]}},
-        {"group": {"orders": [2]}, "g": [[1]], "chi": [[1]],
-         "modcat": {"F": {"gens": []}, "xi": ["1.5"]}},
-    ]
-    for obj in bad:
+    for obj in BAD_INPUTS:
         with pytest.raises(ValidationError) as err:
             validate_input(obj)
         assert "schema" in str(err.value)
+
+
+def test_input_schema_passes_its_metaschema():
+    schema = input_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("obj", BAD_INPUTS)
+def test_schema_errors_match_jsonschema_validate(obj):
+    """The validator built once reports the error jsonschema.validate picks."""
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(obj, input_schema())
+    with pytest.raises(ValidationError) as got:
+        validate_input(obj)
+    assert str(got.value) == (f"input does not match the schema at "
+                              f"{want.value.json_path}: {want.value.message}")
 
 
 def test_schema_failure_names_the_offending_path():
@@ -174,6 +196,54 @@ def test_schema_failure_names_the_offending_path():
     with pytest.raises(ValidationError) as err:
         validate_input(obj)
     assert "lifting" in str(err.value)
+
+
+def _sweedler_hopf_obj():
+    return json.loads(dumps_canonical(hopf_dump(build_bosonization(sweedler_datum()))))
+
+
+# (table, row position, bad index) on the dim-4 Sweedler algebra; list
+# indexing would wrap -1 round to the last basis element
+@pytest.mark.parametrize("table,pos,bad", [
+    ("mult", 0, -1), ("mult", 1, 4), ("mult", 2, -1), ("unit", 0, -1),
+    ("comult", 0, -1), ("comult", 1, 4), ("comult", 2, -1),
+    ("antipode", 0, 4), ("antipode", 1, -1)])
+def test_hopf_load_range_checks_every_table_index(table, pos, bad):
+    obj = _sweedler_hopf_obj()
+    obj[table][0][pos] = bad
+    with pytest.raises(ValidationError, match="table index"):
+        hopf_load(obj)
+
+
+def test_load_rejects_a_dim_that_disagrees_with_the_labels():
+    obj = _sweedler_hopf_obj()
+    obj["dim"] = 5
+    with pytest.raises(ValidationError, match="4 labels"):
+        hopf_load(obj)
+
+
+def test_coaction_indices_are_bounded_by_their_own_legs():
+    d = sweedler_datum()
+    triv = Subgroup.trivial(d.group)
+    A = build_A(ModCatDatum(d, triv, Cocycle2.trivial(triv), w={(1,): [[1]]}))
+    assert (A.dim, A.hopf.dim) == (2, 4)
+    obj = json.loads(dumps_canonical(comodule_dump(A)))
+    obj["coaction"][0][1] = 3  # a Hopf basis index, in range
+    comodule_load(obj)
+    for pos, bad in ((0, 2), (1, 4), (2, 2), (2, -1)):
+        broken = json.loads(dumps_canonical(comodule_dump(A)))
+        broken["coaction"][0][pos] = bad
+        with pytest.raises(ValidationError, match="table index"):
+            comodule_load(broken)
+
+
+def test_bigalois_load_range_checks_both_coactions():
+    B = build_bigalois(LiftingDatum(z4_mu_datum(), mu=[1]))
+    for side in ("left_coaction", "right_coaction"):
+        obj = json.loads(dumps_canonical(bigalois_dump(B)))
+        obj[side][0][1] = -1
+        with pytest.raises(ValidationError, match="table index"):
+            bigalois_load(obj)
 
 
 def test_report_to_json_renders_witnesses():
