@@ -855,7 +855,7 @@ def _min_poly(B: FiniteAlgebra, y: dict, unit: dict):
     while True:
         cur = B.multiply(cur, y)
         if sp.contains(cur):
-            sol = linalg.solve(pows, cur, B.dim, B.L) or {}
+            sol = linalg.solve(pows, [cur], B.dim, B.L)[0] or {}
             m = len(pows)
             coeffs = [CycloNumber.one(B.L)]
             for k in range(m - 1, -1, -1):

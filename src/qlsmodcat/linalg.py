@@ -182,9 +182,13 @@ def left_kernel(rows, ncols: int, L: int) -> list[dict]:
     return out
 
 
-def solve(rows, target: dict, ncols: int, L: int):
-    """Coefficients c with sum_i c_i rows_i == target, or None."""
-    res = _augmented(rows, ncols, L).reduce(dict(target))
-    if any(c < ncols for c in res):
-        return None
-    return {c - ncols: _K.neg(v) for c, v in res.items()}
+def solve(rows, targets, ncols: int, L: int) -> list:
+    """For each target, the coefficients c with sum_i c_i rows_i == target,
+    or None; every target is reduced against one elimination of the rows."""
+    sp = _augmented(rows, ncols, L)
+    out = []
+    for target in targets:
+        res = sp.reduce(target)
+        out.append(None if any(c < ncols for c in res)
+                   else {c - ncols: _K.neg(v) for c, v in res.items()})
+    return out

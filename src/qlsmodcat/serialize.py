@@ -42,13 +42,29 @@ def cyclo_to_json(c: CycloNumber) -> dict:
     return _pair_json(c.raw(), c.L)
 
 
+def _fraction(s) -> Fraction:
+    """A coefficient: an integer or a fraction literal with a nonzero
+    denominator."""
+    if type(s) in (int, str):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(
+        f"coefficient {s!r} is not a fraction with a nonzero denominator")
+
+
+def _conductor(L) -> int:
+    if type(L) is not int or L < 1:
+        raise ValidationError(f"conductor {L!r} is not a positive integer")
+    return L
+
+
 def cyclo_from_json(obj) -> CycloNumber:
-    if isinstance(obj, int):
-        return CycloNumber.from_rational(Fraction(obj), 1)
-    if isinstance(obj, str):
-        return CycloNumber.from_rational(Fraction(obj), 1)
-    L = obj["L"]
-    fracs = [Fraction(s) for s in obj["c"]]
+    if isinstance(obj, (int, str)):
+        return CycloNumber.from_rational(_fraction(obj), 1)
+    L = _conductor(obj["L"])
+    fracs = [_fraction(s) for s in obj["c"]]
     if len(fracs) != context(L).degree:
         raise ValidationError(
             f"scalar at conductor {L} needs {context(L).degree} coefficients")
@@ -215,17 +231,35 @@ def _index(i, n: int) -> int:
     return i
 
 
+def _rows(rows, width: int):
+    """The rows of a table, each checked to be a list of width entries."""
+    for row in rows:
+        if not isinstance(row, list) or len(row) != width:
+            raise ValidationError(f"table row {row!r} needs {width} entries")
+        yield row
+
+
+def _degree(obj, n: int):
+    """The optional degree list: one integer per basis element."""
+    deg = obj.get("degree")
+    if deg is not None and (not isinstance(deg, list) or len(deg) != n
+                            or any(type(d) is not int for d in deg)):
+        raise ValidationError(f"degree {deg!r} is not {n} integers")
+    return deg
+
+
 def _core_tables(obj):
-    labels = [_label_from_json(lab) for lab in obj["labels"]]
+    labels = [_label_from_json(lab) for lab in _rows(obj["labels"], 2)]
     n = len(labels)
     if obj.get("dim", n) != n:
         raise ValidationError(f"dim {obj['dim']!r} but {n} labels")
-    L = obj["L"]
+    L = _conductor(obj["L"])
     mult: dict = {}
-    for i, j, k, v in obj["mult"]:
+    for i, j, k, v in _rows(obj["mult"], 4):
         cell = mult.setdefault((_index(i, n), _index(j, n)), {})
         cell[_index(k, n)] = _pair_from_json(v, L)
-    unit = {_index(i, n): _pair_from_json(v, L) for i, v in obj["unit"]}
+    unit = {_index(i, n): _pair_from_json(v, L)
+            for i, v in _rows(obj["unit"], 2)}
     return labels, L, mult, unit
 
 
@@ -241,7 +275,7 @@ def _table_load(rows, n: int, L: int, legs) -> list:
     """The n cells of a coproduct or coaction; legs bounds (j, k)."""
     nj, nk = legs
     table = [dict() for _ in range(n)]
-    for i, j, k, v in rows:
+    for i, j, k, v in _rows(rows, 4):
         table[_index(i, n)][(_index(j, nj), _index(k, nk))] = _pair_from_json(v, L)
     return table
 
@@ -272,10 +306,10 @@ def hopf_load(obj) -> FiniteHopf:
     comult = _table_load(obj["comult"], n, L, (n, n))
     counit = [_pair_from_json(v, L) for v in obj["counit"]]
     antipode = [dict() for _ in range(n)]
-    for i, k, v in obj["antipode"]:
+    for i, k, v in _rows(obj["antipode"], 3):
         antipode[_index(i, n)][_index(k, n)] = _pair_from_json(v, L)
     return FiniteHopf(labels, L, mult, unit, comult, counit, antipode,
-                      degree=obj.get("degree"), graded=obj.get("graded", False))
+                      degree=_degree(obj, n), graded=obj.get("graded", False))
 
 
 def comodule_dump(A: ComoduleAlgebra) -> dict:
@@ -292,7 +326,7 @@ def comodule_load(obj) -> ComoduleAlgebra:
     n = len(labels)
     coaction = _table_load(obj["coaction"], n, L, (hopf.dim, n))
     return ComoduleAlgebra(labels, L, mult, unit, hopf, coaction,
-                           degree=obj.get("degree"))
+                           degree=_degree(obj, n))
 
 
 def bigalois_dump(B: BiGaloisRep) -> dict:

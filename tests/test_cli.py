@@ -13,7 +13,7 @@ from qlsmodcat.comodule import ModCatDatum
 from qlsmodcat.groups import Subgroup
 from qlsmodcat.serialize import datum_to_json, dumps_canonical
 
-from qls_fixtures import sweedler_datum, z4_mu_datum
+from qls_fixtures import sweedler_datum, z4_mu_datum, z22_lambda_datum
 
 
 @pytest.fixture(autouse=True)
@@ -113,6 +113,63 @@ def test_verify_rejects_a_negative_table_index(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "table index -1" in captured.err
     assert "FAIL" not in captured.out
+
+
+def _corrupt_coefficient(obj, text):
+    obj["mult"][0][3]["c"][0] = text
+
+
+def _set_degree(obj, deg):
+    obj["degree"] = deg
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda obj: _corrupt_coefficient(obj, "abc"),
+    lambda obj: _corrupt_coefficient(obj, "1/0"),
+    lambda obj: _corrupt_coefficient(obj, 0.5),
+    lambda obj: obj.update(L=0),
+    lambda obj: obj.update(L=-2),
+    lambda obj: obj.update(L=2.5),
+    lambda obj: obj.update(unit=[[0]]),
+    lambda obj: _set_degree(obj, [d / 2 for d in obj["degree"]]),
+], ids=["coefficient-abc", "zero-denominator", "coefficient-float",
+        "L-zero", "L-negative",
+        "L-fraction", "short-unit-row", "fractional-degree"])
+def test_verify_rejects_malformed_artifacts(tmp_path, capsys, corrupt):
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    assert main(["build-hopf", path]) == 0
+    capsys.readouterr()
+    artifact = tmp_path / "datum.hopf.json"
+    obj = json.loads(artifact.read_text())
+    corrupt(obj)
+    artifact.write_text(dumps_canonical(obj))
+    assert main(["verify", str(artifact)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert "FAIL" not in captured.out
+
+
+def zero_denominator_inputs():
+    """Inputs whose lifting.mu, lifting.lambda or modcat.xi holds 1/0."""
+    mu = z4_mu_obj()
+    mu["lifting"]["mu"] = ["1/0"]
+    lam = datum_to_json(z22_lambda_datum())
+    lam["lifting"] = {"mu": [], "lambda": [[0, 1, "1/0"]]}
+    xi = sweedler_modcat_obj()
+    xi["modcat"]["xi"] = ["1/0"]
+    return {"lifting.mu": mu, "lifting.lambda": lam, "modcat.xi": xi}
+
+
+@pytest.mark.parametrize("where", sorted(zero_denominator_inputs()))
+@pytest.mark.parametrize("command", ["build-lifting", "build-algebra",
+                                     "transport", "classify", "validate"])
+def test_zero_denominator_is_an_input_error(tmp_path, capsys, where, command):
+    path = write(tmp_path, zero_denominator_inputs()[where])
+    assert main([command, path]) == 1
+    err = capsys.readouterr().err
+    assert "nonzero denominator" in err
+    assert "Traceback" not in err
 
 
 def test_verify_redirects_datum_files(tmp_path, capsys):

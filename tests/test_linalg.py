@@ -87,7 +87,7 @@ def test_solve_reconstructs_target():
         rows = [_rand_vec(rng, m) for _ in range(n)]
         coeffs = {i: _rand_pair(rng) for i in range(n)}
         target = combine(coeffs, rows, L)
-        sol = solve(rows, target, m, L)
+        sol, = solve(rows, [target], m, L)
         assert sol is not None
         assert combine(sol, rows, L) == target
 
@@ -95,7 +95,7 @@ def test_solve_reconstructs_target():
 def test_solve_detects_unsolvable():
     one = pone(L)
     rows = [{0: one}, {1: one}]
-    assert solve(rows, {2: one}, 3, L) is None
+    assert solve(rows, [{2: one}, {1: one}], 3, L) == [None, {1: one}]
 
 
 def test_subspace_rref_is_canonical():
