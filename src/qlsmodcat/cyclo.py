@@ -35,6 +35,29 @@ def _polydiv_int(num: list[int], den: tuple[int, ...]) -> list[int]:
     return q
 
 
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorisation of n >= 1 by trial division."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def totient(L: int) -> int:
+    """Euler's phi(L), the degree of Q(zeta_L), from L's factorisation;
+    unlike ``context(L).degree`` it builds no table at conductor L."""
+    out = L
+    for p in factorize(L):
+        out = out // p * (p - 1)
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     """Integer coefficients of the L-th cyclotomic polynomial, constant first."""

@@ -12,7 +12,7 @@ from functools import reduce
 from itertools import product
 from math import gcd, lcm
 
-from qlsmodcat.cyclo import CycloNumber, zeta
+from qlsmodcat.cyclo import CycloNumber, factorize, zeta
 from qlsmodcat.errors import SizeBound, ValidationError
 
 
@@ -186,19 +186,6 @@ def characters(carrier):
         yield Character(carrier, exps)
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
     """Invariant factors of an abelian group from its element order counts.
 
@@ -211,7 +198,7 @@ def _invariant_factors(orders: list[int]) -> tuple[int, ...]:
         return ()
     exponent = reduce(lcm, orders, 1)
     per_prime: dict[int, list[int]] = {}
-    for p, a in _factorize(exponent).items():
+    for p, a in factorize(exponent).items():
         logs = []
         for k in range(a + 1):
             pk = p**k

@@ -20,7 +20,7 @@ import jsonschema
 from . import linalg
 from .cocycles import Cocycle2
 from .comodule import ComoduleAlgebra, ModCatDatum
-from .cyclo import CycloNumber, context
+from .cyclo import CycloNumber, totient
 from .deformation import BiGaloisRep, LiftingDatum
 from .errors import ValidationError
 from .groups import AbelianGroup, Character, GroupElement, Subgroup
@@ -60,14 +60,28 @@ def _conductor(L) -> int:
     return L
 
 
+def _check_degree(L: int, count: int) -> None:
+    """Require one coefficient per power of zeta_L below phi(L), checked
+    before any table at conductor L is built (those cost about L phi(L)).
+
+    Factoring L takes up to sqrt(L) trial divisions, so past 10^12 a
+    conductor is rejected unfactored when phi(L) >= sqrt(L / 2) already
+    rules the count out.
+    """
+    if L > max(2 * count * count, 10**12):
+        raise ValidationError(
+            f"scalar at conductor {L} needs more than {count} coefficients")
+    need = totient(L)
+    if count != need:
+        raise ValidationError(f"scalar at conductor {L} needs {need} coefficients")
+
+
 def cyclo_from_json(obj) -> CycloNumber:
     if isinstance(obj, (int, str)):
         return CycloNumber.from_rational(_fraction(obj), 1)
     L = _conductor(obj["L"])
     fracs = [_fraction(s) for s in obj["c"]]
-    if len(fracs) != context(L).degree:
-        raise ValidationError(
-            f"scalar at conductor {L} needs {context(L).degree} coefficients")
+    _check_degree(L, len(fracs))
     den = 1
     for f in fracs:
         den = lcm(den, f.denominator)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -170,6 +171,40 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys, where, command):
     err = capsys.readouterr().err
     assert "nonzero denominator" in err
     assert "Traceback" not in err
+
+
+# phi(10^6) = 400000: one coefficient is too few, and building the field
+# tables at that conductor to find out would not finish
+HUGE_CONDUCTOR = {"L": 1000000, "c": ["1"]}
+
+
+def run_timed(argv):
+    start = time.perf_counter()
+    code = main(argv)
+    return code, time.perf_counter() - start
+
+
+def test_huge_conductor_in_a_datum_is_an_input_error(tmp_path, capsys):
+    obj = z4_mu_obj()
+    obj["lifting"]["mu"] = [HUGE_CONDUCTOR]
+    code, seconds = run_timed(["validate", write(tmp_path, obj)])
+    assert code == 1 and seconds < 2
+    assert "needs 400000 coefficients" in capsys.readouterr().err
+
+
+def test_huge_conductor_in_an_artifact_is_an_input_error(tmp_path, capsys):
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    assert main(["build-hopf", path]) == 0
+    capsys.readouterr()
+    artifact = tmp_path / "datum.hopf.json"
+    obj = json.loads(artifact.read_text())
+    obj["counit"][0] = HUGE_CONDUCTOR
+    artifact.write_text(dumps_canonical(obj))
+    code, seconds = run_timed(["verify", str(artifact)])
+    assert code == 1 and seconds < 2
+    captured = capsys.readouterr()
+    assert "needs 400000 coefficients" in captured.err
+    assert "FAIL" not in captured.out
 
 
 def test_verify_redirects_datum_files(tmp_path, capsys):

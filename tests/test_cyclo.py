@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlsmodcat.cyclo import CycloNumber, context, cyclotomic_polynomial, zeta
+from qlsmodcat.cyclo import (CycloNumber, context, cyclotomic_polynomial,
+                             totient, zeta)
+from qlsmodcat.errors import ValidationError
 from qlsmodcat.serialize import cyclo_from_json, cyclo_to_json
 
 # Textbook tables, constant coefficient first.
@@ -45,6 +47,20 @@ def test_phi_vanishes_exactly_on_primitive_roots(L):
         if gcd(k, L) != 1:
             wk = cmath.exp(2j * cmath.pi * k / L)
             assert abs(sum(c * wk**i for i, c in enumerate(phi))) > 1e-6
+
+
+def test_totient_is_the_field_degree():
+    for L in range(1, 100):
+        assert totient(L) == context(L).degree
+
+
+def test_scalar_coefficient_count_is_checked_before_any_table():
+    with pytest.raises(ValidationError, match="needs 4 coefficients"):
+        cyclo_from_json({"L": 12, "c": ["1"]})
+    # a conductor no trial division should meet is ruled out by
+    # phi(L) >= sqrt(L / 2) alone
+    with pytest.raises(ValidationError, match="needs more than 1 coeff"):
+        cyclo_from_json({"L": 10**30, "c": ["1"]})
 
 
 def test_reduction_rows_match_polynomial():
