@@ -18,7 +18,7 @@ from math import lcm
 from . import linalg
 from ._kernel import add as padd, is_zero as pis0, mul as pmul, neg as pneg
 from .cocycles import Cocycle2
-from .cyclo import CycloNumber, context, zeta
+from .cyclo import CycloNumber, _poly_divmod, _poly_mul, _poly_xgcd
 from .errors import (
     ConfluenceFailure,
     HypothesisViolated,
@@ -793,56 +793,6 @@ def _center(B: FiniteAlgebra):
     return linalg.span(kern, B.L)
 
 
-def _field_domain(L: int):
-    from sympy import I, QQ, exp, pi
-
-    if context(L).degree == 1:
-        return QQ, None
-    z = exp(2 * pi * I / L)
-    dom = QQ.algebraic_field(z)
-    gen_pows = [dom.one]
-    gen = dom.from_sympy(z)
-    for _ in range(context(L).degree - 1):
-        gen_pows.append(gen_pows[-1] * gen)
-    return dom, gen_pows
-
-
-_DOMAINS: dict = {}
-
-
-def _domain(L: int):
-    """``_field_domain(L)``, built once per conductor and process."""
-    out = _DOMAINS.get(L)
-    if out is None:
-        out = _DOMAINS[L] = _field_domain(L)
-    return out
-
-
-def _to_dom(x: CycloNumber, dom, gen_pows, L: int):
-    from sympy import QQ
-
-    nums, den = x.raw()
-    if gen_pows is None:
-        return QQ(int(nums[0]), int(den))
-    val = dom.zero
-    for k, num in enumerate(nums):
-        if num:
-            val += dom.convert(QQ(int(num), int(den))) * gen_pows[k]
-    return val
-
-
-def _from_dom(val, gen_pows, L: int) -> CycloNumber:
-    if gen_pows is None:
-        return CycloNumber.from_rational(
-            Fraction(int(val.numerator), int(val.denominator)), L)
-    out = CycloNumber.zero(L)
-    for k, q in enumerate(reversed(val.to_list())):
-        if q:
-            out = out + CycloNumber.from_rational(
-                Fraction(int(q.numerator), int(q.denominator)), L) * zeta(L, k)
-    return out
-
-
 def _min_poly(B: FiniteAlgebra, y: dict, unit: dict):
     """Monic minimal polynomial of y over the corner with the given unit.
 
@@ -877,23 +827,15 @@ def _eval_poly(B: FiniteAlgebra, coeffs, y: dict, unit: dict) -> dict:
     return acc
 
 
-def _poly(coeffs, dom, gen_pows, L: int):
-    """The sympy polynomial in t with the given coefficients, highest first."""
-    from sympy import Poly, symbols
-
-    return Poly([_to_dom(c, dom, gen_pows, L) for c in coeffs], symbols("t"),
-                domain=dom)
-
-
 def _poly_factors(coeffs, L: int):
-    """Irreducible factors with multiplicity, each again highest first."""
-    dom, gen_pows = _domain(L)
-    p = _poly(coeffs, dom, gen_pows, L)
-    out = []
-    for f, m in p.factor_list()[1]:
-        fc = f.monic()
-        out.append(([_from_dom(c, gen_pows, L) for c in fc.rep.to_list()], m))
-    return out
+    """Irreducible factors with multiplicity, each again highest first.
+
+    ``polyfactor`` is imported on first use, so that commands which never
+    factor do not pay for loading it at start-up.
+    """
+    from . import polyfactor
+
+    return [(h[::-1], m) for h, m in polyfactor.factor(coeffs[::-1], L)]
 
 
 def _cofactor_idempotent(coeffs, factor, mult: int, L: int):
@@ -903,15 +845,19 @@ def _cofactor_idempotent(coeffs, factor, mult: int, L: int):
     so the factor is raised to its multiplicity to stay coprime to the
     rest.
     """
-    dom, gen_pows = _domain(L)
-    p = _poly(coeffs, dom, gen_pows, L)
-    f = _poly(factor, dom, gen_pows, L) ** mult
-    u = p.quo(f)
-    s, v, h = f.gcdex(u)
-    if not h.is_one:
+    from . import polyfactor
+
+    p = coeffs[::-1]
+    f = [CycloNumber.one(L)]
+    for _ in range(mult):
+        f = _poly_mul(f, factor[::-1])
+    u = polyfactor.exquo(p, f)
+    h, v = _poly_xgcd(u, f)
+    if len(h) != 1:
         raise ArithmeticError("factor is not coprime to its cofactor")
-    w = (v * u) % p
-    return [_from_dom(c, gen_pows, L) for c in w.rep.to_list()]
+    inv = 1 / h[0]
+    w = _poly_divmod(_poly_mul([c * inv for c in v], u), p)[1]
+    return polyfactor.as_cyclo(w, L)[::-1]
 
 
 def _split_idempotent(B: FiniteAlgebra, e: dict, z: dict, center_dim: int):

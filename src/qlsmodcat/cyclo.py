@@ -267,6 +267,8 @@ class CycloNumber:
         """Multiplicative inverse via the extended Euclidean algorithm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if not any(self.nums[1:]):
+            return CycloNumber.from_rational(Fraction(self.den, self.nums[0]), self.L)
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.L)]
         a = [Fraction(n, self.den) for n in self.nums]
         g, s = _poly_xgcd(a, phi)
@@ -356,9 +358,10 @@ def _poly_divmod(num, den):
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     dd = len(den) - 1
+    inv = Fraction(1) / den[dd]
     q = [Fraction(0)] * max(0, len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i] / den[dd]
+        c = num[i] * inv
         if c:
             q[i - dd] = c
             num[i] = Fraction(0)

@@ -76,21 +76,28 @@ def _check_degree(L: int, count: int) -> None:
         raise ValidationError(f"scalar at conductor {L} needs {need} coefficients")
 
 
-def cyclo_from_json(obj) -> CycloNumber:
+def cyclo_from_json(obj, L: int | None = None) -> CycloNumber:
+    """A scalar; with L, one of the tables of an artifact at conductor L,
+    which every dump writes at L.  A scalar written at another conductor
+    is rejected once its coefficients are counted, before any table at
+    either conductor is built."""
     if isinstance(obj, (int, str)):
-        return CycloNumber.from_rational(_fraction(obj), 1)
-    L = _conductor(obj["L"])
+        return CycloNumber.from_rational(_fraction(obj), L or 1)
+    M = _conductor(obj["L"])
     fracs = [_fraction(s) for s in obj["c"]]
-    _check_degree(L, len(fracs))
+    _check_degree(M, len(fracs))
+    if L is not None and M != L:
+        raise ValidationError(
+            f"scalar at conductor {M} in an artifact at conductor {L}")
     den = 1
     for f in fracs:
         den = lcm(den, f.denominator)
     nums = tuple(int(f * den) for f in fracs)
-    return linalg.to_cyclo((nums, den), L)
+    return linalg.to_cyclo((nums, den), M)
 
 
 def _pair_from_json(obj, L: int):
-    return cyclo_from_json(obj).rebase(L).raw()
+    return cyclo_from_json(obj, L).raw()
 
 
 # ------------------------------------------------------- groups, cocycles

@@ -14,7 +14,7 @@ from qlsmodcat.comodule import ModCatDatum
 from qlsmodcat.groups import Subgroup
 from qlsmodcat.serialize import datum_to_json, dumps_canonical
 
-from qls_fixtures import sweedler_datum, z4_mu_datum, z22_lambda_datum
+from qls_fixtures import sweedler_datum, z4_datum, z4_mu_datum, z22_lambda_datum
 
 
 @pytest.fixture(autouse=True)
@@ -205,6 +205,37 @@ def test_huge_conductor_in_an_artifact_is_an_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "needs 400000 coefficients" in captured.err
     assert "FAIL" not in captured.out
+
+
+def z4_hopf_artifact(tmp_path, capsys):
+    """The dim-16 Z4 bosonization at conductor 4, as build-hopf writes it."""
+    path = write(tmp_path, datum_to_json(z4_datum()))
+    assert main(["build-hopf", path]) == 0
+    capsys.readouterr()
+    artifact = tmp_path / "datum.hopf.json"
+    obj = json.loads(artifact.read_text())
+    assert (obj["L"], obj["dim"]) == (4, 16)
+    return artifact, obj
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda obj: obj["unit"][0].__setitem__(1, {"L": 3, "c": ["1", "0"]}),
+    lambda obj: obj.update(L=4000),
+], ids=["unit-at-L3", "top-level-L4000"])
+def test_verify_rejects_scalars_at_a_foreign_conductor(tmp_path, capsys, corrupt):
+    """Every dump writes its scalars at the artifact's conductor, so one
+    written elsewhere is an input error: conductor 3 does not embed in 4,
+    and a top-level conductor raised to 4000 must not rebase every
+    scalar into Q(zeta_4000) and answer ok."""
+    artifact, obj = z4_hopf_artifact(tmp_path, capsys)
+    corrupt(obj)
+    artifact.write_text(dumps_canonical(obj))
+    code, seconds = run_timed(["verify", str(artifact)])
+    assert code == 1 and seconds < 2
+    captured = capsys.readouterr()
+    assert "in an artifact at conductor" in captured.err
+    assert "Traceback" not in captured.err
+    assert "ok" not in captured.out
 
 
 def test_verify_redirects_datum_files(tmp_path, capsys):

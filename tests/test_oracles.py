@@ -10,7 +10,8 @@ instead of a loop over the cocycle identity, the deformed product is two
 twists instead of a sum over triple coproducts, and the right Galois map
 is decided on the inverse connecting object.  Associativity and the
 multiplicativity of coactions and the counit are proven from a
-generating set instead of on every basis triple and pair.  The old
+generating set instead of on every basis triple and pair.  Polynomials
+over Q(zeta_L) are factored in house instead of by sympy.  The old
 routes stay here as oracles, and two operation counts guard the cost
 on the dim-24 Z6 algebra of the pipeline benchmark.
 """
@@ -18,11 +19,15 @@ on the dim-24 Z6 algebra of the pipeline benchmark.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlsmodcat import _kernel as kernel, classify, comodule, deformation, hopf, linalg
 from qlsmodcat._kernel import add as padd, is_zero as pis0, mul as pmul
@@ -36,7 +41,7 @@ from qlsmodcat.comodule import (
     simple_modules,
     trivial_coaction,
 )
-from qlsmodcat.cyclo import CycloNumber
+from qlsmodcat.cyclo import CycloNumber, context, zeta
 from qlsmodcat.deformation import (
     BiGaloisRep,
     HopfCocycle,
@@ -297,6 +302,122 @@ def test_simple_modules_stops_on_proven_fields(monkeypatch):
     assert len(calls) <= 10
 
 
+# ------------------------------------------------ factoring over Q(zeta_L)
+
+@functools.lru_cache(maxsize=None)
+def sympy_domain(L):
+    """sympy's Q(zeta_L) and the powers of its generator; QQ and None at
+    degree 1."""
+    from sympy import I, QQ, exp, pi
+
+    if context(L).degree == 1:
+        return QQ, None
+    z = exp(2 * pi * I / L)
+    dom = QQ.algebraic_field(z)
+    gen_pows = [dom.one]
+    gen = dom.from_sympy(z)
+    for _ in range(context(L).degree - 1):
+        gen_pows.append(gen_pows[-1] * gen)
+    return dom, gen_pows
+
+
+def sympy_poly(coeffs, L):
+    """The sympy polynomial in t with the given coefficients, highest first."""
+    from sympy import QQ, Poly, symbols
+
+    dom, gen_pows = sympy_domain(L)
+
+    def to_dom(x):
+        nums, den = x.raw()
+        if gen_pows is None:
+            return QQ(int(nums[0]), int(den))
+        val = dom.zero
+        for k, num in enumerate(nums):
+            if num:
+                val += dom.convert(QQ(int(num), int(den))) * gen_pows[k]
+        return val
+
+    return Poly([to_dom(c) for c in coeffs], symbols("t"), domain=dom)
+
+
+def from_sympy_poly(p, L):
+    """The coefficients of a sympy polynomial, highest first, as CycloNumbers."""
+    _, gen_pows = sympy_domain(L)
+    out = []
+    for val in p.rep.to_list():
+        if gen_pows is None:
+            out.append(CycloNumber.from_rational(
+                Fraction(int(val.numerator), int(val.denominator)), L))
+            continue
+        c = CycloNumber.zero(L)
+        for k, q in enumerate(reversed(val.to_list())):
+            if q:
+                c = c + CycloNumber.from_rational(
+                    Fraction(int(q.numerator), int(q.denominator)), L) * zeta(L, k)
+        out.append(c)
+    return out
+
+
+def sympy_factors(coeffs, L):
+    """sympy's ``factor_list``, each factor made monic, highest first."""
+    return [(from_sympy_poly(f.monic(), L), m)
+            for f, m in sympy_poly(coeffs, L).factor_list()[1]]
+
+
+def sympy_cofactor_idempotent(coeffs, factor, mult, L):
+    p = sympy_poly(coeffs, L)
+    f = sympy_poly(factor, L) ** mult
+    u = p.quo(f)
+    _, v, h = f.gcdex(u)
+    assert h.is_one
+    return from_sympy_poly((v * u) % p, L)
+
+
+def poly_product(factors, L):
+    """prod h**m, highest first."""
+    out = [CycloNumber.one(L)]
+    for h, m in factors:
+        for _ in range(m):
+            nxt = [CycloNumber.zero(L)] * (len(out) + len(h) - 1)
+            for i, x in enumerate(out):
+                for j, y in enumerate(h):
+                    nxt[i + j] = nxt[i + j] + x * y
+            out = nxt
+    return out
+
+
+def small_cyclo(L):
+    deg = context(L).degree
+    return st.builds(lambda nums, den: CycloNumber(L, nums, den),
+                     st.lists(st.integers(-2, 2), min_size=deg, max_size=deg),
+                     st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def factored_polys(draw):
+    """(L, [(monic factor, multiplicity)]) with up to three factors of
+    degree up to 3, over one of the conductors the package meets."""
+    L = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]))
+    parts = draw(st.lists(st.tuples(st.lists(small_cyclo(L), min_size=1, max_size=3),
+                                    st.integers(1, 2)), min_size=1, max_size=3))
+    return L, [([CycloNumber.one(L)] + h, m) for h, m in parts]
+
+
+@settings(max_examples=40, deadline=None)
+@given(factored_polys())
+def test_factors_match_sympy(case):
+    """The in-house factors are sympy's, in sympy's order, and multiply back
+    to f; every cofactor idempotent is sympy's ``gcdex`` one."""
+    L, parts = case
+    f = poly_product(parts, L)
+    ours = comodule._poly_factors(f, L)
+    assert ours == sympy_factors(f, L)
+    assert poly_product(ours, L) == f
+    for h, m in ours:
+        assert (comodule._cofactor_idempotent(f, h, m, L)
+                == sympy_cofactor_idempotent(f, h, m, L))
+
+
 # ------------------------------------------------------- module dimensions
 
 def ideal_span(B, block, z):
@@ -304,10 +425,8 @@ def ideal_span(B, block, z):
 
 
 def poly_quo(coeffs, factor, L):
-    dom, gen_pows = comodule._domain(L)
-    p = comodule._poly(coeffs, dom, gen_pows, L)
-    f = comodule._poly(factor, dom, gen_pows, L)
-    return [comodule._from_dom(c, gen_pows, L) for c in p.quo(f).rep.to_list()]
+    p, f = sympy_poly(coeffs, L), sympy_poly(factor, L)
+    return from_sympy_poly(p.quo(f), L)
 
 
 def random_ideal_dim(B, e, block, rng, tries=24):

@@ -6,13 +6,16 @@ sha256 with the digest recorded in ``pipebench/reference.json``, which
 is only read here.  The root slot moves the regular algebra of the
 lifting, so the cotensor matches it directly; the link slot moves a
 comodule algebra over the graded side, so it goes through the inverse
-connecting object.
+connecting object.  A fresh interpreter runs one ``transport`` and one
+``classify`` to check that no command imports sympy.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,3 +61,38 @@ def test_transport_artifact_matches_the_reference(name, tmp_path, capsys,
     assert len(calls) == INVERSES[name]
     want = REFERENCE[workloads.input_key(slot.command, slot.options, obj)]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]
+
+
+CLI_RUN = """
+import hashlib, json, sys
+from qlsmodcat.cli import main
+digests = []
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0
+    out = argv[argv.index("--out") + 1]
+    with open(out, "rb") as fh:
+        digests.append(hashlib.sha256(fh.read()).hexdigest())
+print(json.dumps({"sympy": "sympy" in sys.modules, "digests": digests}))
+"""
+
+
+def test_transport_and_classify_never_import_sympy(tmp_path):
+    slots = [SLOTS["root-z4-regular"],
+             next(s for s in workloads.classify_slots() if s.name == "z3")]
+    argvs, want = [], []
+    for slot in slots:
+        obj = slot.variants[0]
+        src = tmp_path / f"{slot.name}.json"
+        src.write_text(dumps_canonical(obj) + "\n")
+        argvs.append([slot.command, str(src), *slot.options,
+                      "--out", str(tmp_path / f"{slot.name}.out.json")])
+        want.append(REFERENCE[workloads.input_key(slot.command, slot.options,
+                                                  obj)]["sha256"])
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src_dir),
+               QLSMODCAT_CACHE_DIR=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, "-c", CLI_RUN, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got == {"sympy": False, "digests": want}
