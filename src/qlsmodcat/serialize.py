@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 from math import lcm
-
-import jsonschema
 
 from . import linalg
 from .cocycles import Cocycle2
@@ -139,20 +138,87 @@ def input_schema() -> dict:
     return json.loads(path.read_text())
 
 
-@functools.cache
-def _input_validator():
-    """The schema's validator, built once.  ``jsonschema.validate`` would
-    also check the schema against its metaschema on every call; the test
-    suite does that instead."""
-    schema = input_schema()
-    return jsonschema.validators.validator_for(schema)(schema)
+def _is_type(x, name: str) -> bool:
+    """JSON type membership; a JSON integer is an int, so 1.0 and True
+    are not integers."""
+    if name == "integer":
+        return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, {"object": dict, "array": list, "string": str}[name])
+
+
+def _schema_error(schema: dict, x, path: str):
+    """The first place where x breaks schema, as (JSON path, message), or
+    None.  Reads only the keywords datum.schema.json uses: type, required,
+    properties, additionalProperties: false, items, prefixItems,
+    minItems, maxItems, minimum, pattern, oneOf and local $ref."""
+    if "$ref" in schema:
+        target = input_schema()
+        for part in schema["$ref"].removeprefix("#/").split("/"):
+            target = target[part]
+        err = _schema_error(target, x, path)
+        if err is not None:
+            return err
+    if "type" in schema and not _is_type(x, schema["type"]):
+        return path, f"{x!r} is not of type {schema['type']!r}"
+    if "oneOf" in schema:
+        valid = sum(_schema_error(s, x, path) is None for s in schema["oneOf"])
+        if valid != 1:
+            how = "any" if valid == 0 else "more than one"
+            return path, f"{x!r} is not valid under {how} of the given schemas"
+    if isinstance(x, dict):
+        for key in schema.get("required", ()):
+            if key not in x:
+                return path, f"{key!r} is a required property"
+        props = schema.get("properties", {})
+        for key, value in x.items():
+            if key in props:
+                err = _schema_error(props[key], value, f"{path}.{key}")
+                if err is not None:
+                    return err
+            elif schema.get("additionalProperties") is False:
+                return path, f"{key!r} is not an allowed property"
+    if isinstance(x, list):
+        if not schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x)):
+            return path, f"{x!r} has the wrong length"
+        prefix = schema.get("prefixItems", [])
+        for i, value in enumerate(x):
+            sub = prefix[i] if i < len(prefix) else schema.get("items")
+            if sub is not None:
+                err = _schema_error(sub, value, f"{path}[{i}]")
+                if err is not None:
+                    return err
+    if ("minimum" in schema and isinstance(x, (int, float))
+            and not isinstance(x, bool) and x < schema["minimum"]):
+        return path, f"{x!r} is less than the minimum of {schema['minimum']!r}"
+    if ("pattern" in schema and isinstance(x, str)
+            and not re.search(schema["pattern"], x)):
+        return path, f"{x!r} does not match {schema['pattern']!r}"
+    return None
 
 
 def validate_input(obj) -> None:
-    e = jsonschema.exceptions.best_match(_input_validator().iter_errors(obj))
-    if e is not None:
-        raise ValidationError(
-            f"input does not match the schema at {e.json_path}: {e.message}")
+    """Check an input datum against the package's schema.
+
+    The walk above decides; an accepted input never imports jsonschema.
+    A rejected one is worded by jsonschema's best_match, so messages stay
+    those of the reference validator; only where jsonschema accepts (a
+    float such as 1.0 in an integer slot, which it counts as an integer)
+    is the walk's own message raised.
+    """
+    err = _schema_error(input_schema(), obj, "$")
+    if err is None:
+        return
+    import jsonschema
+
+    path, message = err
+    schema = input_schema()
+    # the validator itself, not jsonschema.validate, which would also check
+    # the schema against its metaschema (the test suite does that)
+    best = jsonschema.exceptions.best_match(
+        jsonschema.validators.validator_for(schema)(schema).iter_errors(obj))
+    if best is not None:
+        path, message = best.json_path, best.message
+    raise ValidationError(f"input does not match the schema at {path}: {message}")
 
 
 def datum_to_json(datum: QlsDatum, lifting: LiftingDatum = None,
@@ -275,6 +341,12 @@ def _core_tables(obj):
     if obj.get("dim", n) != n:
         raise ValidationError(f"dim {obj['dim']!r} but {n} labels")
     L = _conductor(obj["L"])
+    # each scalar read at L checks L against its coefficient count before
+    # anything at conductor L is built; with no scalar nothing would
+    if not any(obj.get(key) for key in
+               ("mult", "unit", "comult", "counit", "antipode", "coaction")):
+        raise ValidationError(
+            f"artifact at conductor {L} holds no scalar to check it against")
     mult: dict = {}
     for i, j, k, v in _rows(obj["mult"], 4):
         cell = mult.setdefault((_index(i, n), _index(j, n)), {})

@@ -43,3 +43,23 @@ def z22_lambda_datum():
     G = AbelianGroup((2, 2))
     chi = Character(G, (1, 1))
     return QlsDatum(G, [G.element((1, 0)), G.element((0, 1))], [chi, chi])
+
+
+def float_integer_inputs():
+    """Inputs with a float where the schema asks for an integer, keyed by
+    the JSON path of the float and paired with the command they broke:
+    jsonschema counts 1.0 as an integer, so validation used to let them
+    through to a TypeError, or to a silent success for the orders."""
+    sweedler = {"group": {"orders": [2]}, "g": [[1]], "chi": [[1]]}
+    z4_mu = {"group": {"orders": [4]}, "g": [[1]], "chi": [[2]]}
+    z22 = {"group": {"orders": [2, 2]}, "g": [[1, 0], [0, 1]],
+           "chi": [[1, 1], [1, 1]]}
+    return {
+        "$.g[0][0]": ("build-hopf", dict(sweedler, g=[[1.0]])),
+        "$.group.orders[0]": ("build-hopf",
+                              dict(sweedler, group={"orders": [2.0]})),
+        "$.lifting.mu[0]": ("build-lifting",
+                            dict(z4_mu, lifting={"mu": [1.0]})),
+        "$.lifting.lambda[0][1]": (
+            "build-lifting", dict(z22, lifting={"lambda": [[0, 1.0, "1"]]})),
+    }

@@ -14,7 +14,13 @@ from qlsmodcat.comodule import ModCatDatum
 from qlsmodcat.groups import Subgroup
 from qlsmodcat.serialize import datum_to_json, dumps_canonical
 
-from qls_fixtures import sweedler_datum, z4_datum, z4_mu_datum, z22_lambda_datum
+from qls_fixtures import (
+    float_integer_inputs,
+    sweedler_datum,
+    z4_datum,
+    z4_mu_datum,
+    z22_lambda_datum,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -205,6 +211,50 @@ def test_huge_conductor_in_an_artifact_is_an_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "needs 400000 coefficients" in captured.err
     assert "FAIL" not in captured.out
+
+
+def sweedler_hopf_artifact(tmp_path, capsys):
+    """The dim-4 Sweedler bosonization at conductor 2, as build-hopf
+    writes it."""
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    assert main(["build-hopf", path]) == 0
+    capsys.readouterr()
+    artifact = tmp_path / "datum.hopf.json"
+    return artifact, json.loads(artifact.read_text())
+
+
+def test_artifact_without_scalars_is_an_input_error(tmp_path, capsys):
+    """No scalar is left to check the conductor against, and building the
+    tables at conductor 10^6 would not finish."""
+    artifact, obj = sweedler_hopf_artifact(tmp_path, capsys)
+    for table in ("mult", "unit", "comult", "counit", "antipode"):
+        obj[table] = []
+    obj["L"] = 1000000
+    artifact.write_text(dumps_canonical(obj))
+    code, seconds = run_timed(["verify", str(artifact)])
+    assert code == 1 and seconds < 2
+    captured = capsys.readouterr()
+    assert "holds no scalar" in captured.err
+    assert "FAIL" not in captured.out
+
+
+def test_artifact_with_an_empty_unit_still_fails_its_sweep(tmp_path, capsys):
+    artifact, obj = sweedler_hopf_artifact(tmp_path, capsys)
+    assert obj["L"] == 2
+    obj["unit"] = []
+    artifact.write_text(dumps_canonical(obj))
+    assert main(["verify", str(artifact)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL hopf unit-left" in out and "FAIL hopf unit-right" in out
+
+
+@pytest.mark.parametrize("where", sorted(float_integer_inputs()))
+def test_float_in_an_integer_slot_is_a_schema_error(tmp_path, capsys, where):
+    command, obj = float_integer_inputs()[where]
+    assert main([command, write(tmp_path, obj)]) == 1
+    err = capsys.readouterr().err
+    assert f"schema at {where}:" in err
+    assert "Traceback" not in err
 
 
 def z4_hopf_artifact(tmp_path, capsys):

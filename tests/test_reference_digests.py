@@ -6,8 +6,8 @@ sha256 with the digest recorded in ``pipebench/reference.json``, which
 is only read here.  The root slot moves the regular algebra of the
 lifting, so the cotensor matches it directly; the link slot moves a
 comodule algebra over the graded side, so it goes through the inverse
-connecting object.  A fresh interpreter runs one ``transport`` and one
-``classify`` to check that no command imports sympy.
+connecting object.  A fresh interpreter runs a command of each kind on
+valid inputs to check that none imports sympy or jsonschema.
 """
 
 from __future__ import annotations
@@ -69,30 +69,42 @@ from qlsmodcat.cli import main
 digests = []
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0
-    out = argv[argv.index("--out") + 1]
-    with open(out, "rb") as fh:
-        digests.append(hashlib.sha256(fh.read()).hexdigest())
-print(json.dumps({"sympy": "sympy" in sys.modules, "digests": digests}))
+    if "--out" in argv:
+        with open(argv[argv.index("--out") + 1], "rb") as fh:
+            digests.append(hashlib.sha256(fh.read()).hexdigest())
+print(json.dumps({"imported": sorted({"jsonschema", "sympy"} & set(sys.modules)),
+                  "digests": digests}))
 """
 
 
-def test_transport_and_classify_never_import_sympy(tmp_path):
-    slots = [SLOTS["root-z4-regular"],
+def test_accepted_commands_never_import_sympy_or_jsonschema(tmp_path):
+    """validate, build-hopf (a miss, then a cache hit), verify, transport
+    and classify on valid inputs, in one fresh interpreter: jsonschema
+    only words rejections and sympy is a test oracle."""
+    hopf = next(s for s in workloads.tables_slots() if s.name == "hopf-z4")
+    slots = [hopf, SLOTS["root-z4-regular"],
              next(s for s in workloads.classify_slots() if s.name == "z3")]
     argvs, want = [], []
     for slot in slots:
         obj = slot.variants[0]
         src = tmp_path / f"{slot.name}.json"
         src.write_text(dumps_canonical(obj) + "\n")
-        argvs.append([slot.command, str(src), *slot.options,
-                      "--out", str(tmp_path / f"{slot.name}.out.json")])
-        want.append(REFERENCE[workloads.input_key(slot.command, slot.options,
-                                                  obj)]["sha256"])
+        out = str(tmp_path / f"{slot.name}.out.json")
+        argv = [slot.command, str(src), *slot.options, "--out", out]
+        digest = REFERENCE[workloads.input_key(slot.command, slot.options,
+                                               obj)]["sha256"]
+        if slot is hopf:
+            argvs += [["validate", str(src)], argv, argv, ["verify", out]]
+            want += [digest, digest]
+        else:
+            argvs.append(argv)
+            want.append(digest)
     src_dir = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src_dir),
                QLSMODCAT_CACHE_DIR=str(tmp_path / "cache"))
     proc = subprocess.run([sys.executable, "-c", CLI_RUN, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert "(cache hit)" in proc.stdout
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got == {"sympy": False, "digests": want}
+    assert got == {"imported": [], "digests": want}

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlsmodcat.classify import datum_key
 from qlsmodcat.cocycles import Cocycle2
@@ -34,11 +39,17 @@ from qlsmodcat.serialize import (
 )
 
 from qls_fixtures import (
+    clifford_z2_datum,
     clifford_z22_datum,
+    float_integer_inputs,
     sweedler_datum,
+    z4_datum,
     z4_mu_datum,
     z22_lambda_datum,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "pipebench"))
+import workloads  # noqa: E402
 
 
 def rt(c: CycloNumber) -> CycloNumber:
@@ -188,6 +199,177 @@ def test_schema_errors_match_jsonschema_validate(obj):
         validate_input(obj)
     assert str(got.value) == (f"input does not match the schema at "
                               f"{want.value.json_path}: {want.value.message}")
+
+
+def _schema_bases() -> list:
+    """Valid inputs to mutate: the fixture data, with and without lifting
+    and modcat sections, and every input variant of the benchmark."""
+    d = clifford_z22_datum()
+    F = Subgroup.full(d.group)
+    mcd = ModCatDatum(d, F, Cocycle2.from_exponents(F, {(0, 1): 1}),
+                      w={(1, 0): [[1, 0], [0, 1]]},
+                      xi=[Fraction(1, 3), 1], alpha={(0, 1): zeta(4, 1)})
+    bases = [datum_to_json(f()) for f in (sweedler_datum, z4_datum,
+                                          clifford_z2_datum, z4_mu_datum)]
+    bases.append(datum_to_json(d, mcd=mcd))
+    bases.append(datum_to_json(z22_lambda_datum(), lifting=LiftingDatum(
+        z22_lambda_datum(), lam={(0, 1): Fraction(2, 3)})))
+    for slots in workloads.WORKLOADS.values():
+        for slot in slots():
+            bases.extend(slot.variants)
+    return bases
+
+
+SCHEMA_BASES = _schema_bases()
+# values that swap a node's JSON type or scalar form; no float is
+# integral, since jsonschema counts 1.0 as an integer and the checker
+# does not
+SWAPS = [0, -1, 3, True, None, 1.5, "x", "1", "-2/3", [], [1], {}, {"c": []},
+         {"L": 1, "c": ["1"]}, {"L": 4, "c": ["1", "0"]}, {"L": 0, "c": []},
+         {"L": 2.5, "c": ["1"]}, {"L": 1, "c": ["1"], "d": 1}]
+BAD_FRACTIONS = ["1/", "/2", "1.5", "a", "1//2", "--1", "1/2/3", "", " 1",
+                 "1\n", "1/-2"]
+
+
+def _nodes(obj, path=()):
+    """The path of every node of obj, the root first."""
+    yield path
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _put(obj, path, value) -> None:
+    _at(obj, path[:-1])[path[-1]] = value
+
+
+def _mutate(obj, kind: str, draw) -> None:
+    """Apply one mutation of the given kind to obj in place, where obj has
+    a node it applies to."""
+    paths = list(_nodes(obj))
+
+    def pick(test):
+        found = [p for p in paths[1:] if test(_at(obj, p))]
+        return draw(st.sampled_from(found)) if found else None
+
+    if kind == "swap":
+        value = copy.deepcopy(draw(st.sampled_from(SWAPS)))
+        _put(obj, pick(lambda v: True), value)
+    elif kind == "bad-fraction":
+        path = pick(lambda v: isinstance(v, (str, int)))
+        if path:
+            _put(obj, path, draw(st.sampled_from(BAD_FRACTIONS)))
+    elif kind == "resize-list":
+        path = pick(lambda v: isinstance(v, list) and v)
+        if path and draw(st.booleans()):
+            _at(obj, path).pop()
+        elif path:
+            _at(obj, path).append(copy.deepcopy(_at(obj, path)[-1]))
+    elif kind in ("empty-orders", "L-zero"):
+        key, value = ("orders", []) if kind == "empty-orders" else ("L", 0)
+        path = pick(lambda v: isinstance(v, dict) and key in v)
+        if path:
+            _at(obj, path)[key] = value
+    else:
+        path = pick(lambda v: isinstance(v, dict) and v)
+        node = obj if path is None or draw(st.booleans()) else _at(obj, path)
+        if kind == "add-key":
+            node[draw(st.sampled_from(["junk", "c", "L", "mu", "F"]))] = 1
+        elif node:
+            del node[draw(st.sampled_from(sorted(node)))]
+
+
+MUTATIONS = ["drop-key", "add-key", "swap", "empty-orders", "L-zero",
+             "bad-fraction", "resize-list"]
+
+
+@st.composite
+def mutated_inputs(draw):
+    obj = copy.deepcopy(draw(st.sampled_from(SCHEMA_BASES)))
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1,
+                              max_size=2)):
+        _mutate(obj, kind, draw)
+    return obj
+
+
+# what jsonschema.validate raises, without checking the schema against
+# its metaschema on every call (test_input_schema_passes_its_metaschema
+# does that)
+REFERENCE = jsonschema.validators.validator_for(input_schema())(input_schema())
+
+
+def _assert_checker_agrees(obj) -> None:
+    """validate_input accepts exactly what jsonschema accepts and words
+    every rejection as jsonschema's best match."""
+    want = jsonschema.exceptions.best_match(REFERENCE.iter_errors(obj))
+    if want is None:
+        validate_input(obj)
+        return
+    with pytest.raises(ValidationError) as got:
+        validate_input(obj)
+    assert str(got.value) == (f"input does not match the schema at "
+                              f"{want.json_path}: {want.message}")
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_inputs())
+def test_schema_checker_agrees_with_jsonschema(obj):
+    _assert_checker_agrees(obj)
+
+
+@pytest.mark.parametrize("text", BAD_FRACTIONS)
+def test_schema_checker_agrees_on_fraction_strings(text):
+    """Both read the pattern with re.search, whose $ also matches before
+    a final newline."""
+    for scalar in (text, {"L": 1, "c": [text]}):
+        _assert_checker_agrees({"group": {"orders": [2]}, "g": [[1]],
+                                "chi": [[1]], "lifting": {"mu": [scalar]}})
+
+
+@pytest.mark.parametrize("where", sorted(float_integer_inputs()))
+def test_schema_checker_rejects_floats_jsonschema_counts_as_integers(where):
+    _, obj = float_integer_inputs()[where]
+    jsonschema.validate(obj, input_schema())
+    with pytest.raises(ValidationError) as err:
+        validate_input(obj)
+    assert str(err.value).startswith(
+        f"input does not match the schema at {where}: ")
+
+
+# the keywords the in-house checker reads, and annotations it may ignore
+CHECKED = {"type", "required", "properties", "additionalProperties",
+           "items", "prefixItems", "minItems", "maxItems", "minimum",
+           "pattern", "oneOf", "$ref"}
+IGNORED = {"$schema", "title", "$defs"}
+
+
+def test_schema_uses_only_keywords_the_checker_reads():
+    """A later schema edit with a keyword the checker skips would let
+    inputs through that jsonschema rejects; fail on it here instead."""
+    def walk(schema, where):
+        assert set(schema) <= CHECKED | IGNORED, (where, set(schema) - CHECKED
+                                                  - IGNORED)
+        assert schema.get("additionalProperties", False) is False, where
+        assert schema.get("$ref", "#/").startswith("#/"), where
+        assert schema.get("type", "integer") in (
+            "object", "array", "string", "integer"), where
+        subs = [*schema.get("properties", {}).items(),
+                *schema.get("$defs", {}).items(),
+                *enumerate(schema.get("prefixItems", [])),
+                *enumerate(schema.get("oneOf", []))]
+        if "items" in schema:
+            subs.append(("items", schema["items"]))
+        for key, sub in subs:
+            walk(sub, f"{where}/{key}")
+
+    walk(input_schema(), "#")
 
 
 def test_schema_failure_names_the_offending_path():
