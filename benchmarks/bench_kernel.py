@@ -2,7 +2,10 @@
 
 Runs the two hot loops (products with reduction, fused eliminate steps)
 on identical pseudo-random inputs and reports the wall times and ratio.
-Both lanes must agree exactly on every result; the script asserts that.
+Each loop runs on two operand mixes: random pairs, and the mix a CLI
+``transport`` multiplies, where about 95% of the operands are 1 or -1
+(structure constants are products of roots of unity).  Both lanes must
+agree exactly on every result; the script asserts that.
 """
 
 from __future__ import annotations
@@ -26,6 +29,18 @@ def random_pairs(rng, degree, count):
         nums = tuple(rng.randint(-9, 9) for _ in range(degree))
         out.append(pure.norm_pair(nums, rng.randint(1, 7)))
     return out
+
+
+# measured share of 1 and -1 operands of _kernel.mul on the dim-24 mixed
+# transport of the pipebench inputs
+UNIT_SHARE = 0.95
+
+
+def unit_heavy_pairs(rng, degree, count):
+    """Random pairs, each replaced by 1 or -1 with probability UNIT_SHARE."""
+    units = pure.units(degree)
+    return [rng.choice(units) if rng.random() < UNIT_SHARE else p
+            for p in random_pairs(rng, degree, count)]
 
 
 def mul_chain(kernel, pairs, red, reps):
@@ -52,20 +67,26 @@ def eliminate_sweep(kernel, pairs, red, reps):
 def run(conductor, count, reps, seed):
     ctx = context(conductor)
     rng = random.Random(seed)
-    pairs = random_pairs(rng, ctx.degree, count)
+    mixes = (("random", random_pairs(rng, ctx.degree, count)),
+             (f"{UNIT_SHARE:.0%} +-1",
+              unit_heavy_pairs(rng, ctx.degree, count)))
     print(f"conductor {conductor} (degree {ctx.degree}), "
           f"{count} values x {reps} reps")
-    for name, loop in (("mul chain", mul_chain),
-                       ("eliminate sweep", eliminate_sweep)):
-        t_pure, r_pure = loop(pure, pairs, ctx.reduction, reps)
-        if _speedups is None:
-            print(f"  {name:16s} pure {t_pure:8.4f}s   compiled lane missing")
-            continue
-        t_fast, r_fast = loop(_speedups, pairs, ctx.reduction, reps)
-        assert r_pure == r_fast, f"{name} disagrees at conductor {conductor}"
-        ratio = t_pure / t_fast if t_fast > 0 else float("inf")
-        print(f"  {name:16s} pure {t_pure:8.4f}s   "
-              f"cython {t_fast:8.4f}s   {ratio:5.1f}x")
+    for mix, pairs in mixes:
+        for name, loop in (("mul chain", mul_chain),
+                           ("eliminate sweep", eliminate_sweep)):
+            label = f"{name}, {mix}"
+            t_pure, r_pure = loop(pure, pairs, ctx.reduction, reps)
+            if _speedups is None:
+                print(f"  {label:27s} pure {t_pure:8.4f}s   "
+                      "compiled lane missing")
+                continue
+            t_fast, r_fast = loop(_speedups, pairs, ctx.reduction, reps)
+            assert r_pure == r_fast, \
+                f"{label} disagrees at conductor {conductor}"
+            ratio = t_pure / t_fast if t_fast > 0 else float("inf")
+            print(f"  {label:27s} pure {t_pure:8.4f}s   "
+                  f"cython {t_fast:8.4f}s   {ratio:5.1f}x")
 
 
 def main(argv=None):

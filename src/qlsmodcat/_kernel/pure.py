@@ -5,6 +5,13 @@ power-basis coordinates, ``den`` a positive integer, normalized so the gcd
 of all coordinates together with ``den`` is 1.  Products are reduced with
 precomputed rows: ``red[j]`` is the fully reduced coordinate vector of the
 basis power ``d + j`` where ``d = len(nums)``.
+
+Every pair that enters or leaves the kernel is canonical (``norm_pair``
+output), so a number has exactly one pair.  ``mul`` relies on this: a
+factor whose pair is that of 1 or -1 returns the other factor or its
+negation as it stands, which is the pair the full product would
+normalize to.  Structure constants here are products of roots of unity,
+so most products in a table are by one of these two.
 """
 
 from __future__ import annotations
@@ -84,10 +91,37 @@ def rat_mul(p, q, a):
     return norm_pair(tuple(p * c for c in nums), den * q)
 
 
+# _UNITS[d] holds the canonical pairs of 1 and of -1 in degree d >= 1
+_UNITS: list = [None]
+
+
+def units(d):
+    """The canonical pairs of 1 and of -1 in degree d.
+
+    A pair is 1 or -1 exactly when it equals one of these, since every
+    pair is canonical.
+    """
+    while len(_UNITS) <= d:
+        k = len(_UNITS)
+        one = (1,) + (0,) * (k - 1)
+        _UNITS.append(((one, 1), ((-1,) + one[1:], 1)))
+    return _UNITS[d]
+
+
 def mul(a, b, red):
     an, ad = a
     bn, bd = b
     d = len(an)
+    if ad == 1 or bd == 1:
+        one, minus_one = _UNITS[d] if d < len(_UNITS) else units(d)
+        if a == one:
+            return b
+        if a == minus_one:
+            return neg(b)
+        if b == one:
+            return a
+        if b == minus_one:
+            return neg(a)
     prod = [0] * (2 * d - 1)
     for i in range(d):
         x = an[i]

@@ -25,7 +25,7 @@ from .comodule import ModCatDatum, build_A, check_simplicity, simple_modules
 from .cyclo import CycloNumber, context
 from .errors import NotExteriorDatum, ValidationError
 from .groups import Subgroup, enumerate_subgroups
-from .hopf import CheckReport, QlsDatum
+from .hopf import CheckReport, QlsDatum, build_bosonization
 from .linalg import accumulate
 
 
@@ -255,6 +255,8 @@ def classification_report(datum: QlsDatum, scalar_sample=(0, 1),
     for mcd in data:
         key = (mcd.F.key(), mcd.psi_norm.class_tag(), _w_key(mcd))
         cells.setdefault(key, []).append(mcd)
+    # every row's algebra is a comodule algebra over this one Hopf algebra
+    U = build_bosonization(datum)
     rows = []
     free_total = 0
     for members in cells.values():
@@ -263,7 +265,7 @@ def classification_report(datum: QlsDatum, scalar_sample=(0, 1),
         free = len(free_xi) + len(free_al)
         free_total += free
         generic = members[-1]
-        A = build_A(generic)
+        A = build_A(generic, U)
         simp = check_simplicity(A)
         mods = simple_modules(A)
         label, general = _w_label(base)

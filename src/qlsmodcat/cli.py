@@ -138,11 +138,15 @@ def _cache_put(key: str, payload) -> None:
 
 def cmd_validate(args) -> int:
     obj = _read_json(args.input)
-    datum, lifting, mcd = serialize.load_datum(obj)
+    datum, lifting, _ = serialize.load_datum(obj, modcat=False)
     reports = [datum.validate()]
     if lifting is not None:
         reports.append(lifting.validate())
-    if mcd is not None:
+    # a modcat section is only defined over a valid datum: over an invalid
+    # one the datum's failures are the report, as for the bare datum
+    mcd = None
+    if "modcat" in obj and reports[0].ok:
+        mcd = serialize.load_modcat(datum, obj["modcat"])
         reports.append(mcd.validate())
     ok = all(r.ok for r in reports)
     if args.format == "json":

@@ -282,12 +282,15 @@ def _coaction_tables(mcd: ModCatDatum, alg: FiniteAlgebra, U: FiniteHopf):
         lambda fe: {(U.index[(zero_v, fe)], alg.index[(zero_w, fe)]): one})
 
 
-def _assemble(mcd: ModCatDatum, mult: dict, labels) -> ComoduleAlgebra:
+def _assemble(mcd: ModCatDatum, mult: dict, labels,
+              U: FiniteHopf | None = None) -> ComoduleAlgebra:
     ident = mcd.datum.group.identity()
     zero_w = (0,) * mcd.n_letters
     unit = {labels.index((zero_w, ident.exps)): linalg.pone(mcd.L)}
     alg = FiniteAlgebra(labels, mcd.L, mult, unit)
-    U = build_bosonization(mcd.datum).rebased(mcd.L)
+    if U is None:
+        U = build_bosonization(mcd.datum)
+    U = U.rebased(mcd.L)
     coaction = _coaction_tables(mcd, alg, U)
     A = ComoduleAlgebra(labels, mcd.L, mult, unit, U, coaction,
                         degree=[sum(r) for r, _ in labels], mcd=mcd)
@@ -298,14 +301,18 @@ def _assemble(mcd: ModCatDatum, mult: dict, labels) -> ComoduleAlgebra:
     return A
 
 
-def build_A(mcd: ModCatDatum) -> ComoduleAlgebra:
-    """The comodule algebra generated by the subspace rows and the e_f."""
+def build_A(mcd: ModCatDatum, U: FiniteHopf | None = None) -> ComoduleAlgebra:
+    """The comodule algebra generated by the subspace rows and the e_f.
+
+    ``U`` is the bosonization of ``mcd.datum`` at any conductor dividing
+    ``mcd.L``; it is built when not given.
+    """
     mcd.require_valid()
     labels = monomial_labels(mcd.heights, mcd.F)
-    return _assemble(mcd, ComoduleRules(mcd).product_table(labels), labels)
+    return _assemble(mcd, ComoduleRules(mcd).product_table(labels), labels, U)
 
 
-def build_K(mcd: ModCatDatum) -> ComoduleAlgebra:
+def build_K(mcd: ModCatDatum, U: FiniteHopf | None = None) -> ComoduleAlgebra:
     """The graded model: same generators with all xi and alpha set to zero.
 
     Tables come from a closed form rather than the rewriting engine, so
@@ -340,7 +347,7 @@ def build_K(mcd: ModCatDatum) -> ComoduleAlgebra:
                         coef = coef * qexp[a][b] ** (r[a] * s[b])
             t = tuple(r[a] + s[a] for a in range(m))
             mult[(i1, i2)] = {idx[(t, (f * g).exps)]: coef.raw()}
-    return _assemble(mcd, mult, labels)
+    return _assemble(mcd, mult, labels, U)
 
 
 def regular_coaction(H: FiniteHopf) -> ComoduleAlgebra:
@@ -435,7 +442,7 @@ def associated_graded(A: ComoduleAlgebra) -> FiniteAlgebra:
             mult[(i, j)] = kept
     gr = FiniteAlgebra(A.labels, A.L, mult, dict(A.unit))
     if A.mcd is not None:
-        K = build_K(A.mcd)
+        K = build_K(A.mcd, A.hopf)
         if not (gr.labels == K.labels and gr.mult == K.mult
                 and gr.unit == K.unit):
             raise IsoCheckFailed("graded tables differ from the graded model")

@@ -268,7 +268,11 @@ class CycloNumber:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if not any(self.nums[1:]):
-            return CycloNumber.from_rational(Fraction(self.den, self.nums[0]), self.L)
+            # n/den is in lowest terms, so den/n needs only its sign moved
+            n = self.nums[0]
+            sign = 1 if n > 0 else -1
+            return CycloNumber._make(
+                self.L, ((sign * self.den,) + self.nums[1:], sign * n))
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.L)]
         a = [Fraction(n, self.den) for n in self.nums]
         g, s = _poly_xgcd(a, phi)

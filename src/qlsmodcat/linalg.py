@@ -9,9 +9,11 @@ at the same conductor L.  Scalars enter and leave as kernel pairs; use
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 
 from qlsmodcat import _kernel as _K
 from qlsmodcat._kernel import add as padd, is_zero as pis0, mul as pmul
+from qlsmodcat._kernel.pure import units
 from qlsmodcat.cyclo import CycloNumber, context
 
 
@@ -20,7 +22,7 @@ def pzero(L: int):
 
 
 def pone(L: int):
-    return (1,) + (0,) * (context(L).degree - 1), 1
+    return units(context(L).degree)[0]
 
 
 def to_cyclo(pair, L: int) -> CycloNumber:
@@ -32,6 +34,9 @@ def from_cyclo(x: CycloNumber, L: int):
 
 
 def inv_pair(pair, L: int):
+    """Inverse of a nonzero pair; 1 and -1 are their own inverses."""
+    if pair in units(len(pair[0])):
+        return pair
     return CycloNumber._make(L, pair).inv().raw()
 
 
@@ -89,16 +94,20 @@ def combine(coeffs: dict, rows, L: int) -> dict:
 class Subspace:
     """A subspace maintained in reduced row echelon form.
 
-    Insertion keeps all rows fully reduced, so ``basis`` is the canonical
-    RREF of the subspace and ``key()`` is a canonical identifier.
+    Insertion keeps all rows fully reduced, so ``rows`` is the canonical
+    RREF of the subspace and ``key()`` is a canonical identifier.  The
+    holder index maps each column to the pivots of the rows with a nonzero
+    entry there, so a new pivot clears only the rows that hold its column.
     """
 
     def __init__(self, L: int):
         self.L = L
         self._red = context(L).reduction
+        self._one = pone(L)
         self.rows: list[dict] = []
         self.pivots: list[int] = []
         self._row_of: dict[int, dict] = {}
+        self._holders: defaultdict[int, set[int]] = defaultdict(set)
 
     @property
     def dim(self) -> int:
@@ -124,12 +133,28 @@ class Subspace:
         if not res:
             return False
         piv = min(res)
-        inv = inv_pair(res[piv], self.L)
-        row = {c: _K.mul(inv, v, self._red) for c, v in res.items()}
-        for r in self.rows:
-            g = r.get(piv)
-            if g is not None:
-                axpy_neg(r, g, row, self._red)
+        red = self._red
+        lead = res[piv]
+        if lead == self._one:
+            row = res
+        else:
+            inv = inv_pair(lead, self.L)
+            row = {c: _K.mul(inv, v, red) for c, v in res.items()}
+        holders = self._holders
+        # piv is no pivot yet, so its holders are the rows to clear; a
+        # cleared row changes only in the columns of the new row
+        cols = row.keys() - {piv}
+        for p in holders.pop(piv, ()):
+            r = self._row_of[p]
+            before = r.keys() & cols
+            axpy_neg(r, r[piv], row, red)
+            after = r.keys() & cols
+            for c in after - before:
+                holders[c].add(p)
+            for c in before - after:
+                holders[c].discard(p)
+        for c in row:
+            holders[c].add(piv)
         idx = bisect_left(self.pivots, piv)
         self.pivots.insert(idx, piv)
         self.rows.insert(idx, row)

@@ -251,8 +251,12 @@ def datum_to_json(datum: QlsDatum, lifting: LiftingDatum = None,
     return out
 
 
-def load_datum(obj):
-    """Parse one input object into (datum, lifting, modcat datum)."""
+def load_datum(obj, modcat: bool = True):
+    """Parse one input object into (datum, lifting, modcat datum).
+
+    The whole object is checked against the schema; with ``modcat`` false
+    the modcat section is not parsed and the third entry is None.
+    """
     validate_input(obj)
     G = AbelianGroup(tuple(obj["group"]["orders"]))
     g = [G.element(tuple(e)) for e in obj["g"]]
@@ -266,20 +270,23 @@ def load_datum(obj):
                for i, j, v in sec.get("lambda", [])}
         lifting = LiftingDatum(datum, mu=mu or None, lam=lam or None)
     mcd = None
-    if "modcat" in obj:
-        sec = obj["modcat"]
-        F = Subgroup.generated(G, [G.element(tuple(e))
-                                   for e in sec["F"]["gens"]])
-        psi = cocycle_from_json(F, sec.get("psi", {}))
-        w = {tuple(entry["component"]):
-             [[cyclo_from_json(v) for v in row] for row in entry["rows"]]
-             for entry in sec.get("w", [])}
-        xi = [cyclo_from_json(v) for v in sec.get("xi", [])]
-        alpha = {(a, b): cyclo_from_json(v)
-                 for a, b, v in sec.get("alpha", [])}
-        mcd = ModCatDatum(datum, F, psi, w=w or None, xi=xi or None,
-                          alpha=alpha or None)
+    if modcat and "modcat" in obj:
+        mcd = load_modcat(datum, obj["modcat"])
     return datum, lifting, mcd
+
+
+def load_modcat(datum: QlsDatum, sec) -> ModCatDatum:
+    """The modcat section of a schema-checked input, over a valid datum."""
+    G = datum.group
+    F = Subgroup.generated(G, [G.element(tuple(e)) for e in sec["F"]["gens"]])
+    psi = cocycle_from_json(F, sec.get("psi", {}))
+    w = {tuple(entry["component"]):
+         [[cyclo_from_json(v) for v in row] for row in entry["rows"]]
+         for entry in sec.get("w", [])}
+    xi = [cyclo_from_json(v) for v in sec.get("xi", [])]
+    alpha = {(a, b): cyclo_from_json(v) for a, b, v in sec.get("alpha", [])}
+    return ModCatDatum(datum, F, psi, w=w or None, xi=xi or None,
+                       alpha=alpha or None)
 
 
 # ------------------------------------------------------- structure dumps

@@ -69,6 +69,23 @@ def test_validate_json_format(tmp_path, capsys):
     assert out["N"] == [2]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_validate_reports_an_invalid_datum_under_a_modcat_section(
+        tmp_path, capsys, fmt):
+    """A modcat section over a datum with q_00 = 1 reports the datum's
+    failures exactly as the bare datum does, with exit code 1."""
+    bare = {"group": {"orders": [2]}, "g": [[1]], "chi": [[0]]}
+    outs = []
+    for obj in (bare, dict(bare, modcat={"F": {"gens": []}})):
+        path = write(tmp_path, obj)
+        assert main(["validate", path, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(captured.out)
+    assert outs[1] == outs[0]
+    assert "self-pairing-one" in outs[0]
+
+
 def test_malformed_json_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ nope")

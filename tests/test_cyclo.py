@@ -139,6 +139,13 @@ def test_inverse_is_two_sided(a):
         assert (a.inv() * a).is_one()
 
 
+@pytest.mark.parametrize("L", [1, 3, 4, 8, 12])
+@given(st.integers(-30, 30).filter(bool), st.integers(1, 30))
+def test_rational_inverse_is_the_canonical_reciprocal(L, n, d):
+    a = CycloNumber.from_rational(Fraction(n, d), L)
+    assert a.inv().raw() == CycloNumber.from_rational(Fraction(d, n), L).raw()
+
+
 def test_rebase_round_trip():
     a = zeta(3) - 2
     b = a.rebase(12)

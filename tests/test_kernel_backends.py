@@ -87,6 +87,68 @@ def test_lanes_agree_on_random_operations(speedups):
         assert pure.is_zero(a) == speedups.is_zero(a)
 
 
+# Structure constants are products of roots of unity, so most operands the
+# CLI multiplies are 1 or -1; pure.mul returns the other factor for those
+# without running the product.  The pool below reaches that path on every
+# conductor, next to roots of unity, rationals and random pairs.
+POOL_CONDUCTORS = (1, 3, 4, 8, 12)
+
+
+def _operand_pool(L, rng):
+    ctx = context(L)
+    d = ctx.degree
+    pool = [((0,) * d, 1)]
+    for nums in ctx.zeta_pows:
+        pool.append((nums, 1))
+        pool.append(pure.neg((nums, 1)))
+    for p, q in ((1, 2), (-3, 4), (5, 1), (-1, 7)):
+        pool.append(pure.norm_pair((p,) + (0,) * (d - 1), q))
+    for _ in range(8):
+        pool.append(pure.norm_pair(
+            tuple(rng.randint(-50, 50) for _ in range(d)), rng.randint(1, 20)))
+    return pool
+
+
+def _generic_mul(a, b, red):
+    """The product loop and normalization, with no shortcut for 1 or -1."""
+    an, ad = a
+    bn, bd = b
+    d = len(an)
+    prod = [0] * (2 * d - 1)
+    for i in range(d):
+        for j in range(d):
+            prod[i + j] += an[i] * bn[j]
+    for j in range(2 * d - 2, d - 1, -1):
+        for k in range(d):
+            prod[k] += prod[j] * red[j - d][k]
+    return pure.norm_pair(tuple(prod[:d]), ad * bd)
+
+
+@pytest.mark.parametrize("L", POOL_CONDUCTORS)
+def test_pure_products_match_the_generic_product(L):
+    red = context(L).reduction
+    rng = random.Random(L)
+    pool = _operand_pool(L, rng)
+    for a in pool:
+        for b in pool:
+            assert pure.mul(a, b, red) == _generic_mul(a, b, red)
+            f = rng.choice(pool)
+            assert pure.submul(a, f, b, red) == pure.sub(
+                a, _generic_mul(f, b, red))
+
+
+@pytest.mark.parametrize("L", POOL_CONDUCTORS)
+def test_lanes_agree_on_unit_and_root_operands(speedups, L):
+    red = context(L).reduction
+    rng = random.Random(L)
+    pool = _operand_pool(L, rng)
+    for a in pool:
+        for b in pool:
+            assert pure.mul(a, b, red) == speedups.mul(a, b, red)
+            f = rng.choice(pool)
+            assert pure.submul(a, f, b, red) == speedups.submul(a, f, b, red)
+
+
 @pytest.mark.parametrize("lane", ["pure", "cython"])
 def test_norm_pair_canonical_form(lane, request):
     backend = pure if lane == "pure" else request.getfixturevalue("speedups")

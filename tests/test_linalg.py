@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlsmodcat import _kernel as _K
+from qlsmodcat import _kernel as _K, linalg
+from qlsmodcat.comodule import regular_coaction
 from qlsmodcat.cyclo import CycloNumber, context, zeta
-from qlsmodcat.hopf import FiniteAlgebra, pair_multiply
+from qlsmodcat.deformation import LiftingDatum, build_bigalois, transport
+from qlsmodcat.groups import AbelianGroup, Character
+from qlsmodcat.hopf import FiniteAlgebra, QlsDatum, pair_multiply
 from qlsmodcat.linalg import (
     Subspace,
     accumulate,
@@ -255,3 +259,124 @@ def test_support_reduce_matches_all_pivot_reduce(inserted, probes):
         assert res == _all_pivot_reduce(sp, v)
         assert _no_zero_entries(res)
         assert not set(res) & set(sp.pivots)
+
+
+# Subspace.insert clears the new pivot column only in the rows its holder
+# index names; the reference below clears it in every row, as a dense
+# RREF would, and normalizes through CycloNumber.inv.
+def _full_scan_key(vectors) -> tuple:
+    red = context(L).reduction
+    rows: list = []
+    pivots: list = []
+    for vec in vectors:
+        res = dict(vec)
+        for piv, row in zip(pivots, rows):
+            f = res.get(piv)
+            if f is not None:
+                axpy_neg(res, f, row, red)
+        if not res:
+            continue
+        piv = min(res)
+        inv = CycloNumber._make(L, res[piv]).inv().raw()
+        row = {c: _K.mul(inv, v, red) for c, v in res.items()}
+        for r in rows:
+            g = r.get(piv)
+            if g is not None:
+                axpy_neg(r, g, row, red)
+        idx = bisect_left(pivots, piv)
+        pivots.insert(idx, piv)
+        rows.insert(idx, row)
+    return tuple(tuple((c,) + row[c] for c in sorted(row)) for row in rows)
+
+
+def _holders_from_rows(sp: Subspace) -> dict:
+    out: dict = {}
+    for piv, row in zip(sp.pivots, sp.rows):
+        for c in row:
+            out.setdefault(c, set()).add(piv)
+    return out
+
+
+@given(st.lists(sparse_vecs, max_size=8).flatmap(
+    lambda vs: st.tuples(st.just(vs), st.permutations(vs))))
+def test_insert_matches_full_scan_insert_in_any_order(case):
+    vecs, shuffled = case
+    reference = _full_scan_key(vecs)
+    for order in (vecs, shuffled):
+        sp = Subspace(L)
+        for v in order:
+            sp.insert(v)
+            assert _is_rref(sp)
+            assert sp._holders == _holders_from_rows(sp)
+        assert sp.key() == reference
+
+
+class _UnwalkableRows(list):
+    """Rows that insert may extend but not walk or index."""
+
+    def __iter__(self):
+        raise AssertionError("insert walked every row")
+
+    def __getitem__(self, i):
+        raise AssertionError("insert indexed the rows")
+
+
+class _CountingRowOf(dict):
+    """Pivot -> row map that counts the rows read through it."""
+
+    reads = 0
+
+    def __getitem__(self, piv):
+        self.reads += 1
+        return super().__getitem__(piv)
+
+
+def test_insert_touches_only_the_holders_of_the_new_pivot(monkeypatch):
+    """Transport of the regular algebra of the dim-24 Z6 lifting (theta = 2,
+    q = -1, mu = (1, 2), lambda_01 = -2): every insert reads no row but
+    those its residual and the holders of its new pivot column name, and
+    clears at most those holders."""
+    G = AbelianGroup((6,))
+    datum = QlsDatum(G, [G.element((1,))] * 2, [Character(G, (3,))] * 2)
+    B = build_bigalois(LiftingDatum(datum, mu=[1, 2], lam={(0, 1): -2}))
+    A = regular_coaction(B.right_hopf)
+    assert A.dim == 24
+
+    rows_used: list = []
+    plain_axpy = linalg.axpy_neg
+
+    def counting_axpy(out, f, row, red):
+        rows_used.append(row)
+        plain_axpy(out, f, row, red)
+
+    plain_insert = Subspace.insert
+    counts = []
+
+    def guarded_insert(self, vec):
+        res = self.reduce(vec)
+        piv = min(res) if res else None
+        held = sum(piv in r for r in self.rows)
+        support = len(vec.keys() & self._row_of.keys())
+        del rows_used[:]
+        self.rows = _UnwalkableRows(self.rows)
+        self._row_of = _CountingRowOf(self._row_of)
+        try:
+            grew = plain_insert(self, vec)
+        finally:
+            reads = self._row_of.reads
+            self.rows = list.copy(self.rows)
+            self._row_of = dict(self._row_of)
+        assert grew == (piv is not None)
+        assert reads <= support + held
+        assert len(rows_used) <= support + held
+        if grew:
+            new_row = self.rows[self.pivots.index(piv)]
+            clears = sum(r is new_row for r in rows_used)
+            assert clears <= held
+            counts.append((clears, held))
+        return grew
+
+    monkeypatch.setattr(linalg, "axpy_neg", counting_axpy)
+    monkeypatch.setattr(Subspace, "insert", guarded_insert)
+    transport(B, A)
+    assert counts and any(held for _, held in counts)
