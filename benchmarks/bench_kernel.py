@@ -1,4 +1,5 @@
-"""Time the compiled arithmetic kernel against the pure-Python fallback.
+"""Time the compiled arithmetic kernel against the pure-Python fallback,
+and ``CycloNumber.inv`` against the extended Euclidean algorithm.
 
 Runs the two hot loops (products with reduction, fused eliminate steps)
 on identical pseudo-random inputs and reports the wall times and ratio.
@@ -6,16 +7,23 @@ Each loop runs on two operand mixes: random pairs, and the mix a CLI
 ``transport`` multiplies, where about 95% of the operands are 1 or -1
 (structure constants are products of roots of unity).  Both lanes must
 agree exactly on every result; the script asserts that.
+
+The inverse is timed on +-zeta**k, the pivots of a transport over a
+cyclic group, and on generic elements, against the Euclidean inverse
+over Q it replaced; the two must agree exactly.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+from fractions import Fraction
+from math import lcm
 from time import perf_counter
 
 from qlsmodcat._kernel import pure
-from qlsmodcat.cyclo import context
+from qlsmodcat.cyclo import (CycloNumber, _poly_trim, _poly_xgcd, context,
+                             cyclotomic_polynomial, zeta)
 
 try:
     from qlsmodcat._kernel import _speedups
@@ -89,6 +97,51 @@ def run(conductor, count, reps, seed):
                   f"cython {t_fast:8.4f}s   {ratio:5.1f}x")
 
 
+# conductors of the bench inputs (4, 8, 12) and one odd prime power (9);
+# the Euclidean inverse is slow, so it runs few repetitions
+INVERSE_CONDUCTORS = (4, 8, 9, 12)
+INVERSE_REPS = 5
+
+
+def euclid_inverse(x):
+    """The inverse by the extended Euclidean algorithm against Phi_L over
+    Q: s x + t Phi_L = g, a nonzero constant, so x**-1 = s / g."""
+    phi = [Fraction(c) for c in cyclotomic_polynomial(x.L)]
+    g, s = _poly_xgcd([Fraction(n, x.den) for n in x.nums], phi)
+    g = _poly_trim(g)
+    coeffs = [c / g[0] for c in s]
+    coeffs += [Fraction(0)] * (context(x.L).degree - len(coeffs))
+    den = lcm(*(c.denominator for c in coeffs))
+    return CycloNumber(x.L, [int(c * den) for c in coeffs], den)
+
+
+def time_inverses(inverse, xs, reps):
+    """Seconds per call, and the inverses as pairs."""
+    t0 = perf_counter()
+    for _ in range(reps):
+        out = [inverse(x).raw() for x in xs]
+    return (perf_counter() - t0) / (reps * len(xs)), out
+
+
+def run_inverses(conductor, count, reps, seed):
+    rng = random.Random(seed)
+    d = context(conductor).degree
+    roots = [s * zeta(conductor, k) for k in range(conductor) for s in (1, -1)]
+    generic = []
+    while len(generic) < count:
+        x = CycloNumber(conductor, [rng.randint(-9, 9) for _ in range(d)],
+                        rng.randint(1, 7))
+        if any(x.nums[1:]):
+            generic.append(x)
+    print(f"inverses at conductor {conductor} (degree {d}), x {reps} reps")
+    for mix, xs in (("+-zeta^k", roots), ("generic", generic)):
+        t_old, want = time_inverses(euclid_inverse, xs, reps)
+        t_new, got = time_inverses(CycloNumber.inv, xs, reps)
+        assert got == want, f"inverses disagree at conductor {conductor}"
+        print(f"  {mix:27s} euclid {t_old * 1e6:8.1f}us   "
+              f"inv {t_new * 1e6:8.1f}us   {t_old / t_new:5.1f}x")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--conductors", default="4,12,60",
@@ -101,6 +154,8 @@ def main(argv=None):
         print("compiled kernel not importable; timing the fallback only")
     for tok in args.conductors.split(","):
         run(int(tok), args.count, args.reps, args.seed)
+    for conductor in INVERSE_CONDUCTORS:
+        run_inverses(conductor, args.count, INVERSE_REPS, args.seed)
 
 
 if __name__ == "__main__":

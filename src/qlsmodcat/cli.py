@@ -62,8 +62,8 @@ def _out_path(args, suffix: str) -> Path:
     return src.with_name(f"{stem}.{suffix}.json")
 
 
-def _write_artifact(path: Path, obj) -> None:
-    path.write_text(serialize.dumps_canonical(obj) + "\n")
+def _write_artifact(path: Path, text: str) -> None:
+    path.write_text(text + "\n")
 
 
 def _parse_sample(text: str):
@@ -82,8 +82,8 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "qlsmodcat"
 
 
-def _checksum(payload) -> str:
-    return hashlib.sha256(serialize.dumps_canonical(payload).encode()).hexdigest()
+def _checksum(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @functools.cache
@@ -106,6 +106,8 @@ def _cache_key(command: str, obj, options: dict) -> str:
 
 
 def _cache_get(key: str):
+    """(payload, its canonical text) of a stored entry whose checksum
+    matches that text, or None."""
     path = _cache_dir() / f"{key}.json"
     try:
         stored = json.loads(path.read_text())
@@ -113,19 +115,26 @@ def _cache_get(key: str):
         return None
     if not isinstance(stored, dict) or "payload" not in stored:
         return None
-    if stored.get("checksum") != _checksum(stored["payload"]):
+    text = serialize.dumps_canonical(stored["payload"])
+    if stored.get("checksum") != _checksum(text):
         return None
-    return stored["payload"]
+    return stored["payload"], text
 
 
-def _cache_put(key: str, payload) -> None:
-    """Write through a temporary file, so a reader never sees half an entry."""
+def _cache_put(key: str, text: str) -> None:
+    """Store the canonical text of a payload.
+
+    The entry is dumps_canonical({"checksum": ..., "payload": payload}),
+    spelled out around the text so the payload is not dumped again.  It
+    is written through a temporary file, so a reader never sees half an
+    entry.
+    """
     path = _cache_dir() / f"{key}.json"
     tmp = path.with_name(f".{key}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(serialize.dumps_canonical(
-            {"checksum": _checksum(payload), "payload": payload}))
+        tmp.write_text(
+            f'{{"checksum":"{_checksum(text)}","payload":{text}}}')
         os.replace(tmp, path)
     except OSError:
         try:
@@ -170,15 +179,17 @@ def cmd_validate(args) -> int:
 def _finish_build(args, obj, command, suffix, options, build):
     """Shared cache/verify/write plumbing for the three build commands."""
     key = _cache_key(command, obj, options)
-    payload = None if args.no_cache else _cache_get(key)
-    cached = payload is not None
-    if payload is None:
+    hit = None if args.no_cache else _cache_get(key)
+    if hit is not None:
+        payload, text = hit
+    else:
         payload = build()
+        text = serialize.dumps_canonical(payload)
         if not args.no_cache:
-            _cache_put(key, payload)
+            _cache_put(key, text)
     out = _out_path(args, suffix)
-    _write_artifact(out, payload)
-    return payload, out, cached
+    _write_artifact(out, text)
+    return payload, out, hit is not None
 
 
 def _build_hopf_command(args, obj, command, suffix, kind, make) -> int:
@@ -245,9 +256,10 @@ def cmd_classify(args) -> int:
     reps = dedupe(report.data, strict=args.strict_cocycle)
     payload = {"report": report.as_dict(), "representatives": len(reps)}
     out = _out_path(args, "classify")
-    _write_artifact(out, payload)
+    text = serialize.dumps_canonical(payload)
+    _write_artifact(out, text)
     if args.format == "json":
-        print(serialize.dumps_canonical(payload))
+        print(text)
     else:
         print(report.to_text())
         print(f"representatives: {len(reps)}")
@@ -266,9 +278,10 @@ def cmd_transport(args) -> int:
     payload = {"algebra": serialize.comodule_dump(T),
                "report": serialize.report_to_json(rep)}
     out = _out_path(args, "transport")
-    _write_artifact(out, payload)
+    text = serialize.dumps_canonical(payload)
+    _write_artifact(out, text)
     if args.format == "json":
-        print(serialize.dumps_canonical(payload))
+        print(text)
     else:
         print(f"transported algebra: dim {T.dim}")
         if rep.ok:

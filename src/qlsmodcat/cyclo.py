@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from qlsmodcat import _kernel as _K
@@ -264,28 +264,40 @@ class CycloNumber:
         return Fraction(self.nums[0], self.den)
 
     def inv(self) -> "CycloNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse, with no gcd over Q.
+
+        A rational number inverts in Q, and +-zeta**k inverts to
+        +-zeta**(L - k), read from the table of powers of zeta.  Any
+        other x has x**-1 = P / N(x), where P is the product of the
+        conjugates sigma_a(x) over the a != 1 prime to L and the norm
+        N(x) = x P is rational.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if not any(self.nums[1:]):
+        L, nums, den = self.L, self.nums, self.den
+        if not any(nums[1:]):
             # n/den is in lowest terms, so den/n needs only its sign moved
-            n = self.nums[0]
+            n = nums[0]
             sign = 1 if n > 0 else -1
-            return CycloNumber._make(
-                self.L, ((sign * self.den,) + self.nums[1:], sign * n))
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.L)]
-        a = [Fraction(n, self.den) for n in self.nums]
-        g, s = _poly_xgcd(a, phi)
-        g = _poly_trim(g)
-        if len(g) != 1:
-            raise ArithmeticError("gcd with the minimal polynomial is not constant")
-        d = context(self.L).degree
-        coeffs = [x / g[0] for x in s]
-        coeffs += [Fraction(0)] * (d - len(coeffs))
-        den = 1
-        for x in coeffs[:d]:
-            den = lcm(den, x.denominator)
-        out = CycloNumber(self.L, tuple(int(x * den) for x in coeffs[:d]), den)
+            return CycloNumber._make(L, ((sign * den,) + nums[1:], sign * n))
+        if den == 1:
+            logs = _zeta_logs(L)
+            k = logs.get(nums)
+            if k is not None:
+                return zeta(L, -k)
+            k = logs.get(tuple(-c for c in nums))
+            if k is not None:
+                return -zeta(L, -k)
+        ctx = context(L)
+        pair = self.raw()
+        prod = None
+        for a in _galois_group(L)[1:]:
+            s = _conjugate_pair(pair, a, ctx)
+            prod = s if prod is None else _K.mul(prod, s, ctx.reduction)
+        norm = _K.mul(pair, prod, ctx.reduction)
+        if any(norm[0][1:]):
+            raise ArithmeticError("the norm is not rational")
+        out = CycloNumber._make(L, _K.rat_mul(norm[1], norm[0][0], prod))
         if not (self * out).is_one():
             raise ArithmeticError("computed inverse fails the product check")
         return out
@@ -330,6 +342,36 @@ class CycloNumber:
 def zeta(L: int, k: int = 1) -> CycloNumber:
     """The root of unity zeta_L**k."""
     return CycloNumber._make(L, (context(L).zeta_pows[k % L], 1))
+
+
+@lru_cache(maxsize=None)
+def _zeta_logs(L: int) -> dict:
+    """{coordinates of zeta_L**k: k} for k in range(L)."""
+    return {row: k for k, row in enumerate(context(L).zeta_pows)}
+
+
+@lru_cache(maxsize=None)
+def _galois_group(L: int) -> tuple[int, ...]:
+    """The a in range(1, L + 1) prime to L: sigma_a is zeta -> zeta**a."""
+    return tuple(a for a in range(1, L + 1) if gcd(a, L) == 1)
+
+
+def _conjugate_pair(pair, a: int, ctx: FieldContext):
+    """sigma_a of a pair at conductor ctx.L, read from the table of powers
+    of zeta."""
+    nums, den = pair
+    acc = [0] * ctx.degree
+    for k, num in enumerate(nums):
+        if num:
+            for j, r in enumerate(ctx.zeta_pows[a * k % ctx.L]):
+                acc[j] += num * r
+    return _K.norm_pair(tuple(acc), den)
+
+
+def conjugate(c: CycloNumber, a: int) -> CycloNumber:
+    """sigma_a(c): the automorphism zeta -> zeta**a of Q(zeta_L), for a
+    prime to L."""
+    return CycloNumber._make(c.L, _conjugate_pair(c.raw(), a, context(c.L)))
 
 
 def _poly_trim(p):

@@ -129,15 +129,30 @@ class FiniteAlgebra:
 
     def _associators(self, firsts):
         """The basis triples (i, j, k) with i in ``firsts`` and
-        (e_i e_j) e_k != e_i (e_j e_k), in order."""
+        (e_i e_j) e_k != e_i (e_j e_k), in order.
+
+        Both sides are read straight from the table: with
+        e_i e_j = sum_m c_m e_m and e_j e_k = sum_m d_m e_m,
+        (e_i e_j) e_k = sum_m c_m mult[m, k] and
+        e_i (e_j e_k) = sum_m d_m mult[i, m].
+        """
         n = self.dim
-        basis = [self.basis(i) for i in range(n)]
+        mult = self.mult
+        red = self.ctx.reduction
         for i in firsts:
             for j in range(n):
-                ij = self.mult.get((i, j), {})
+                ij = mult.get((i, j), {})
                 for k in range(n):
-                    left = self.multiply(ij, basis[k])
-                    right = self.multiply(basis[i], self.mult.get((j, k), {}))
+                    left: dict = {}
+                    for m, c in ij.items():
+                        cell = mult.get((m, k))
+                        if cell:
+                            vec_addmul(left, cell, c, red)
+                    right: dict = {}
+                    for m, d in mult.get((j, k), {}).items():
+                        cell = mult.get((i, m))
+                        if cell:
+                            vec_addmul(right, cell, d, red)
                     if left != right:
                         yield i, j, k
 

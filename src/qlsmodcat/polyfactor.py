@@ -20,8 +20,8 @@ from fractions import Fraction
 from itertools import combinations, count
 from math import gcd, isqrt, lcm
 
-from .cyclo import (CycloNumber, _poly_divmod, _poly_mul, _poly_sub, _poly_trim,
-                    context, zeta)
+from .cyclo import (CycloNumber, _galois_group, _poly_divmod, _poly_mul,
+                    _poly_sub, _poly_trim, conjugate, context, zeta)
 
 
 # ------------------------------------------------------------ K[x] and Q[x]
@@ -75,18 +75,6 @@ def squarefree_parts(f) -> list:
             out.append((g, i))
 
 
-def conjugate(c: CycloNumber, a: int) -> CycloNumber:
-    """sigma_a(c): the automorphism zeta -> zeta**a of Q(zeta_L), read from
-    the table of powers of zeta."""
-    ctx = context(c.L)
-    acc = [0] * ctx.degree
-    for k, num in enumerate(c.nums):
-        if num:
-            for j, r in enumerate(ctx.zeta_pows[a * k % c.L]):
-                acc[j] += num * r
-    return CycloNumber(c.L, acc, c.den)
-
-
 def shift(g, c) -> list:
     """g(x + c), by Horner's rule."""
     out: list = []
@@ -102,9 +90,8 @@ def norm(g, L: int) -> list:
     """prod_a sigma_a(g) over a in (Z/L)^*: a polynomial over Q.
     ``as_fraction`` raises if a coefficient is not rational."""
     out = [Fraction(1)]
-    for a in range(1, L + 1):
-        if gcd(a, L) == 1:
-            out = _poly_mul(out, [conjugate(c, a) for c in g])
+    for a in _galois_group(L):
+        out = _poly_mul(out, [conjugate(c, a) for c in g])
     return [c.as_fraction() for c in as_cyclo(out, L)]
 
 
@@ -126,7 +113,7 @@ def _factor_squarefree(g, L: int) -> list:
     if len(g) <= 2:
         return [g]
     z = zeta(L)
-    others = [a for a in range(2, L) if gcd(a, L) == 1]
+    others = _galois_group(L)[1:]
     for s in _shifts():
         gs = shift(g, z * s)
         if all(len(gcd_monic(gs, [conjugate(c, a) for c in gs])) == 1 for a in others):

@@ -32,9 +32,19 @@ def dumps_canonical(obj) -> str:
 
 # ---------------------------------------------------------------- scalars
 
-def _pair_json(pair, L: int) -> dict:
+# Structure constants are products of roots of unity, so a table holds
+# few distinct scalars: the caches below print and parse each one once.
+_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _coefficient_strings(pair) -> tuple[str, ...]:
     nums, den = pair
-    return {"L": L, "c": [str(Fraction(n, den)) for n in nums]}
+    return tuple(str(Fraction(n, den)) for n in nums)
+
+
+def _pair_json(pair, L: int) -> dict:
+    return {"L": L, "c": list(_coefficient_strings(pair))}
 
 
 def cyclo_to_json(c: CycloNumber) -> dict:
@@ -95,7 +105,25 @@ def cyclo_from_json(obj, L: int | None = None) -> CycloNumber:
     return linalg.to_cyclo((nums, den), M)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _read_pair(L: int, coefficients: tuple):
+    return cyclo_from_json({"L": L, "c": list(coefficients)}, L).raw()
+
+
 def _pair_from_json(obj, L: int):
+    """A table scalar at conductor L as a pair.
+
+    A scalar {"L": L, "c": [...]} whose coefficients are JSON integers or
+    strings is parsed once per distinct (L, coefficients).  The exact
+    type tests come before the cache: True and 1.0 compare equal to 1 in
+    Python, so a key taken from them would hit the entry of a valid 1.
+    Anything else goes straight to the parser, which rejects it or
+    reads it.
+    """
+    if type(obj) is dict and type(obj.get("L")) is int and obj["L"] == L:
+        c = obj.get("c")
+        if type(c) is list and all(type(s) in (int, str) for s in c):
+            return _read_pair(L, tuple(c))
     return cyclo_from_json(obj, L).raw()
 
 
@@ -342,11 +370,20 @@ def _degree(obj, n: int):
     return deg
 
 
+def _graded(obj) -> bool:
+    """The optional graded flag: true or false."""
+    graded = obj.get("graded", False)
+    if type(graded) is not bool:
+        raise ValidationError(f"graded {graded!r} is not true or false")
+    return graded
+
+
 def _core_tables(obj):
     labels = [_label_from_json(lab) for lab in _rows(obj["labels"], 2)]
     n = len(labels)
-    if obj.get("dim", n) != n:
-        raise ValidationError(f"dim {obj['dim']!r} but {n} labels")
+    dim = obj.get("dim", n)
+    if type(dim) is not int or dim != n:
+        raise ValidationError(f"dim {dim!r} but {n} labels")
     L = _conductor(obj["L"])
     # each scalar read at L checks L against its coefficient count before
     # anything at conductor L is built; with no scalar nothing would
@@ -409,7 +446,7 @@ def hopf_load(obj) -> FiniteHopf:
     for i, k, v in _rows(obj["antipode"], 3):
         antipode[_index(i, n)][_index(k, n)] = _pair_from_json(v, L)
     return FiniteHopf(labels, L, mult, unit, comult, counit, antipode,
-                      degree=_degree(obj, n), graded=obj.get("graded", False))
+                      degree=_degree(obj, n), graded=_graded(obj))
 
 
 def comodule_dump(A: ComoduleAlgebra) -> dict:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -156,9 +157,15 @@ def _set_degree(obj, deg):
     lambda obj: obj.update(L=2.5),
     lambda obj: obj.update(unit=[[0]]),
     lambda obj: _set_degree(obj, [d / 2 for d in obj["degree"]]),
+    lambda obj: obj.update(dim=4.0),
+    lambda obj: obj.update(graded="no"),
+    lambda obj: obj.update(graded=0),
+    lambda obj: obj.update(graded=[]),
+    lambda obj: obj.update(graded=None),
 ], ids=["coefficient-abc", "zero-denominator", "coefficient-float",
         "L-zero", "L-negative",
-        "L-fraction", "short-unit-row", "fractional-degree"])
+        "L-fraction", "short-unit-row", "fractional-degree", "dim-float",
+        "graded-string", "graded-zero", "graded-list", "graded-null"])
 def test_verify_rejects_malformed_artifacts(tmp_path, capsys, corrupt):
     path = write(tmp_path, datum_to_json(sweedler_datum()))
     assert main(["build-hopf", path]) == 0
@@ -305,6 +312,45 @@ def test_verify_rejects_scalars_at_a_foreign_conductor(tmp_path, capsys, corrupt
     assert "ok" not in captured.out
 
 
+def _scalars_of_one(obj) -> list:
+    """The scalars {"L": 4, "c": ["1", "0"]} of the Z4 artifact's mult
+    table, in table order."""
+    return [row[3] for row in obj["mult"] if row[3]["c"] == ["1", "0"]]
+
+
+@pytest.mark.parametrize("twin", [[True, 0], [1.0, 0]],
+                         ids=["true", "float"])
+def test_a_scalar_read_once_does_not_admit_its_twin(tmp_path, capsys, twin):
+    """The first 1 of the table is written [1, 0], a valid scalar, and the
+    last one [true, 0] or [1.0, 0], which Python compares equal to it:
+    the last must still be rejected."""
+    artifact, obj = z4_hopf_artifact(tmp_path, capsys)
+    ones = _scalars_of_one(obj)
+    assert len(ones) > 2
+    ones[0]["c"] = [1, 0]
+    ones[-1]["c"] = twin
+    artifact.write_text(dumps_canonical(obj))
+    assert main(["verify", str(artifact)]) == 1
+    captured = capsys.readouterr()
+    assert "is not a fraction" in captured.err
+    assert "ok" not in captured.out
+
+
+def test_a_repeated_scalar_at_a_foreign_conductor_is_rejected(tmp_path, capsys):
+    """The 1 of the table read at conductor 4, then twice written with the
+    same coefficients at conductor 6: the first foreign one is an input
+    error, with nothing taken from the 1 already read."""
+    artifact, obj = z4_hopf_artifact(tmp_path, capsys)
+    ones = _scalars_of_one(obj)
+    for scalar in ones[-2:]:
+        scalar["L"] = 6
+    artifact.write_text(dumps_canonical(obj))
+    assert main(["verify", str(artifact)]) == 1
+    captured = capsys.readouterr()
+    assert "scalar at conductor 6 in an artifact at conductor 4" in captured.err
+    assert "ok" not in captured.out
+
+
 def test_verify_redirects_datum_files(tmp_path, capsys):
     path = write(tmp_path, datum_to_json(sweedler_datum()))
     assert main(["verify", path]) == 1
@@ -328,6 +374,34 @@ def test_build_cache_round_trip(tmp_path, capsys):
     assert main(["build-hopf", path, "--no-cache"]) == 0
     third = capsys.readouterr().out
     assert "cache hit" not in third
+    assert artifact.read_bytes() == blob
+
+
+def test_cache_entry_is_the_canonical_wrapper_and_checked(tmp_path, capsys):
+    """An entry holds exactly dumps_canonical({"checksum", "payload"}), the
+    checksum hashes the payload's canonical text, and a payload edited
+    under its old checksum is a miss that the rebuild overwrites."""
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    artifact = tmp_path / "datum.hopf.json"
+    assert main(["build-hopf", path]) == 0
+    blob = artifact.read_bytes()
+    (entry,) = (tmp_path / "cache").iterdir()
+    text = entry.read_text()
+    stored = json.loads(text)
+    assert sorted(stored) == ["checksum", "payload"]
+    assert text == dumps_canonical(stored)
+    payload_text = dumps_canonical(stored["payload"])
+    assert stored["checksum"] == hashlib.sha256(payload_text.encode()).hexdigest()
+    assert blob == (payload_text + "\n").encode()
+
+    stored["payload"]["counit"][0]["c"] = ["-1"]
+    entry.write_text(dumps_canonical(stored))
+    assert main(["build-hopf", path]) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    assert artifact.read_bytes() == blob
+    assert entry.read_text() == text
+    assert main(["build-hopf", path]) == 0
+    assert "cache hit" in capsys.readouterr().out
     assert artifact.read_bytes() == blob
 
 

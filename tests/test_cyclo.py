@@ -5,13 +5,14 @@ from __future__ import annotations
 import cmath
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlsmodcat.cyclo import (CycloNumber, context, cyclotomic_polynomial,
-                             totient, zeta)
+from qlsmodcat.cyclo import (CycloNumber, _poly_trim, _poly_xgcd, context,
+                             cyclotomic_polynomial, totient, zeta)
 from qlsmodcat.errors import ValidationError
 from qlsmodcat.serialize import cyclo_from_json, cyclo_to_json
 
@@ -137,6 +138,53 @@ def test_inverse_is_two_sided(a):
     if not a.is_zero():
         assert (a * a.inv()).is_one()
         assert (a.inv() * a).is_one()
+
+
+def euclid_inverse(x: CycloNumber) -> CycloNumber:
+    """The inverse by the extended Euclidean algorithm against Phi_L over
+    Q: s x + t Phi_L = g, a nonzero constant, so x**-1 = s / g."""
+    phi = [Fraction(c) for c in cyclotomic_polynomial(x.L)]
+    g, s = _poly_xgcd([Fraction(n, x.den) for n in x.nums], phi)
+    g = _poly_trim(g)
+    assert len(g) == 1
+    coeffs = [c / g[0] for c in s]
+    coeffs += [Fraction(0)] * (context(x.L).degree - len(coeffs))
+    den = lcm(*(c.denominator for c in coeffs))
+    return CycloNumber(x.L, [int(c * den) for c in coeffs], den)
+
+
+@pytest.mark.parametrize("L", [3, 4, 5, 8, 9, 12])
+def test_inverse_matches_the_euclidean_oracle(L):
+    """Generic elements go through the product of conjugates over the
+    norm, +-zeta**k through the table of powers, rationals through Q."""
+    rng = random.Random(L)
+    d = context(L).degree
+    xs = [zeta(L, k) for k in range(L)] + [-zeta(L, k) for k in range(L)]
+    xs += [CycloNumber.from_rational(Fraction(-3, 7), L)]
+    while len(xs) < 2 * L + 60:
+        x = CycloNumber(L, [rng.randint(-40, 40) for _ in range(d)],
+                        rng.randint(1, 9))
+        if x:
+            xs.append(x)
+    for x in xs:
+        assert x.inv().raw() == euclid_inverse(x).raw()
+
+
+def test_inverse_of_a_root_of_unity_is_its_conjugate_power():
+    for L in (3, 5, 8, 9, 12):
+        for k in range(L):
+            assert zeta(L, k).inv().raw() == zeta(L, L - k).raw()
+            assert (-zeta(L, k)).inv().raw() == (-zeta(L, L - k)).raw()
+
+
+def test_inverse_rejects_a_norm_that_is_not_rational(monkeypatch):
+    import qlsmodcat.cyclo as cyclo
+
+    # with sigma_3 taken for the identity, the "norm" of 1 + 2i is
+    # (1 + 2i)**2 = -3 + 4i
+    monkeypatch.setattr(cyclo, "_conjugate_pair", lambda pair, a, ctx: pair)
+    with pytest.raises(ArithmeticError, match="not rational"):
+        (1 + 2 * zeta(4)).inv()
 
 
 @pytest.mark.parametrize("L", [1, 3, 4, 8, 12])

@@ -8,7 +8,7 @@ from __future__ import annotations
 import pytest
 
 from qlsmodcat import polyfactor
-from qlsmodcat.cyclo import CycloNumber, zeta
+from qlsmodcat.cyclo import CycloNumber, conjugate, zeta
 
 
 def c(L, *nums):
@@ -82,9 +82,9 @@ def test_conjugation_is_the_automorphism_zeta_to_zeta_a():
     for L in (3, 5, 8, 12):
         for a in (1, L - 1):
             for k in range(L):
-                assert polyfactor.conjugate(zeta(L, k), a) == zeta(L, a * k)
+                assert conjugate(zeta(L, k), a) == zeta(L, a * k)
     x, y = c(12, 1, 2, 0, -1), c(12, 0, -1, 3, 1)
     for a in (5, 7, 11):
-        sx, sy = polyfactor.conjugate(x, a), polyfactor.conjugate(y, a)
-        assert polyfactor.conjugate(x * y, a) == sx * sy
-        assert polyfactor.conjugate(x + y, a) == sx + sy
+        sx, sy = conjugate(x, a), conjugate(y, a)
+        assert conjugate(x * y, a) == sx * sy
+        assert conjugate(x + y, a) == sx + sy

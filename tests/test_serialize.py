@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 
 from qlsmodcat.classify import datum_key
 from qlsmodcat.cocycles import Cocycle2
-from qlsmodcat.comodule import ModCatDatum, build_A
+from qlsmodcat.comodule import ModCatDatum, build_A, regular_coaction
 from qlsmodcat.cyclo import CycloNumber, zeta
-from qlsmodcat.deformation import LiftingDatum, build_bigalois
+from qlsmodcat.deformation import (LiftingDatum, build_bigalois, build_lifting,
+                                   transport)
 from qlsmodcat.errors import ValidationError
 from qlsmodcat.groups import Subgroup
 from qlsmodcat.hopf import CheckReport, build_bosonization
 from qlsmodcat.serialize import (
+    _pair_from_json,
     bigalois_dump,
     bigalois_load,
     comodule_dump,
@@ -402,6 +404,48 @@ def test_load_rejects_a_dim_that_disagrees_with_the_labels():
     obj["dim"] = 5
     with pytest.raises(ValidationError, match="4 labels"):
         hopf_load(obj)
+
+
+@pytest.mark.parametrize("L,good,bad", [
+    (4, {"L": 4, "c": [1, 0]}, {"L": 4, "c": [True, 0]}),
+    (4, {"L": 4, "c": [1, 0]}, {"L": 4, "c": [1.0, 0]}),
+    (4, {"L": 4, "c": ["1", "0"]}, {"L": 6, "c": ["1", "0"]}),
+    (1, {"L": 1, "c": [1]}, {"L": True, "c": [1]}),
+    (1, {"L": 1, "c": [1]}, {"L": 1.0, "c": [1]}),
+], ids=["coefficient-true", "coefficient-float", "foreign-conductor",
+        "conductor-true", "conductor-float"])
+def test_a_cached_scalar_does_not_stand_in_for_an_equal_json_value(
+        L, good, bad):
+    """True and 1.0 equal 1 in Python, and a scalar at conductor 6 has the
+    coefficients of one at 4: the read cache keys on exact types and on
+    the artifact's conductor, so each bad twin still reaches the parser,
+    however often the good one was read."""
+    for _ in range(2):
+        assert _pair_from_json(good, L) == ((1,) + (0,) * (len(good["c"]) - 1), 1)
+        with pytest.raises(ValidationError):
+            _pair_from_json(bad, L)
+
+
+def test_load_then_dump_gives_the_same_bytes():
+    """Every artifact kind reads back to the bytes it was written as, also
+    on a second pass, when every scalar is in the caches."""
+    d = sweedler_datum()
+    F = Subgroup.full(d.group)
+    mcd = ModCatDatum(d, F, Cocycle2.trivial(F), w={(1,): [[1]]}, xi=[1])
+    lifting = LiftingDatum(z4_mu_datum(), mu=[1])
+    B = build_bigalois(lifting)
+    T, _ = transport(B, regular_coaction(B.right_hopf))
+    cases = {
+        "hopf": (hopf_dump(build_bosonization(z4_datum())), hopf_load, hopf_dump),
+        "lifting": (hopf_dump(build_lifting(lifting)), hopf_load, hopf_dump),
+        "comodule": (comodule_dump(build_A(mcd)), comodule_load, comodule_dump),
+        "bigalois": (bigalois_dump(B), bigalois_load, bigalois_dump),
+        "transport": (comodule_dump(T), comodule_load, comodule_dump),
+    }
+    for name, (payload, load, dump) in cases.items():
+        text = dumps_canonical(payload)
+        for _ in range(2):
+            assert dumps_canonical(dump(load(json.loads(text)))) == text, name
 
 
 def test_coaction_indices_are_bounded_by_their_own_legs():

@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from qlsmodcat import hopf
 from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.comodule import ComoduleAlgebra, ModCatDatum, build_A
 from qlsmodcat.cyclo import CycloNumber
@@ -314,8 +315,12 @@ def test_build_bigalois_sweeps_the_algebra_once(monkeypatch):
 
 def test_hopf_sweep_multiplies_on_generators_only(monkeypatch):
     """The dim-64 Z8 bosonization with q = zeta_8 is proven from S = {g, x}:
-    about |S| n^2 products instead of the n^3 of every basis triple
-    (524,992 multiplies when every triple and pair was swept)."""
+    about |S| n^2 products instead of the n^3 of every basis triple.
+
+    The associativity sweep reads both sides of a triple off the table,
+    one ``vec_addmul`` per nonzero term, and so does every other product
+    of the sweep: the whole verify makes 9,721 calls, and an
+    associativity sweep over every first factor alone makes 122,880."""
     G = AbelianGroup((8,))
     H = build_bosonization(QlsDatum(G, [G.element((1,))],
                                     [Character(G, (1,))]))
@@ -323,12 +328,12 @@ def test_hopf_sweep_multiplies_on_generators_only(monkeypatch):
     assert [H.labels[s] for s in H.generators()] == [((0,), (1,)),
                                                      ((1,), (0,))]
     calls = []
-    plain = FiniteAlgebra.multiply
+    plain = hopf.vec_addmul
 
-    def counted(self, a, b):
+    def counted(acc, vec, coef, red):
         calls.append(1)
-        return plain(self, a, b)
+        return plain(acc, vec, coef, red)
 
-    monkeypatch.setattr(FiniteAlgebra, "multiply", counted)
+    monkeypatch.setattr(hopf, "vec_addmul", counted)
     assert H.verify().ok
     assert len(calls) <= 20000
