@@ -94,7 +94,7 @@ def run(conductor, count, reps, seed):
                 f"{label} disagrees at conductor {conductor}"
             ratio = t_pure / t_fast if t_fast > 0 else float("inf")
             print(f"  {label:27s} pure {t_pure:8.4f}s   "
-                  f"cython {t_fast:8.4f}s   {ratio:5.1f}x")
+                  f"c {t_fast:8.4f}s   {ratio:5.1f}x")
 
 
 # conductors of the bench inputs (4, 8, 12) and one odd prime power (9);

@@ -325,7 +325,12 @@ def _label_json(lab) -> list:
 
 
 def _label_from_json(lab) -> tuple:
+    """A basis label: the group element and the letter exponents, each a
+    list of integers (an integral float would compare equal as a key)."""
     r, exps = lab
+    for part in (r, exps):
+        if not isinstance(part, list) or any(type(e) is not int for e in part):
+            raise ValidationError(f"labels entry {lab!r} is not two lists of integers")
     return (tuple(r), tuple(exps))
 
 
@@ -368,6 +373,17 @@ def _degree(obj, n: int):
                             or any(type(d) is not int for d in deg)):
         raise ValidationError(f"degree {deg!r} is not {n} integers")
     return deg
+
+
+def _per_basis(obj, key: str, n: int) -> list:
+    """The list under key: exactly one entry per basis element."""
+    entries = obj[key]
+    if not isinstance(entries, list):
+        raise ValidationError(f"{key} {entries!r} is not a list")
+    if len(entries) != n:
+        raise ValidationError(
+            f"{key} has {len(entries)} entries for {n} basis elements")
+    return entries
 
 
 def _graded(obj) -> bool:
@@ -441,7 +457,7 @@ def hopf_load(obj) -> FiniteHopf:
     labels, L, mult, unit = _core_tables(obj)
     n = len(labels)
     comult = _table_load(obj["comult"], n, L, (n, n))
-    counit = [_pair_from_json(v, L) for v in obj["counit"]]
+    counit = [_pair_from_json(v, L) for v in _per_basis(obj, "counit", n)]
     antipode = [dict() for _ in range(n)]
     for i, k, v in _rows(obj["antipode"], 3):
         antipode[_index(i, n)][_index(k, n)] = _pair_from_json(v, L)
@@ -487,7 +503,8 @@ def bigalois_load(obj) -> BiGaloisRep:
     n = alg.dim
     left = _table_load(obj["left_coaction"], n, alg.L, (left_hopf.dim, n))
     right = _table_load(obj["right_coaction"], n, alg.L, (n, right_hopf.dim))
-    cb = [_pair_from_json(v, alg.L) for v in obj["counit_functional"]]
+    cb = [_pair_from_json(v, alg.L)
+          for v in _per_basis(obj, "counit_functional", n)]
     return BiGaloisRep(alg, left_hopf, right_hopf, left, right, cb)
 
 

@@ -181,6 +181,60 @@ def test_verify_rejects_malformed_artifacts(tmp_path, capsys, corrupt):
     assert "FAIL" not in captured.out
 
 
+def _built(tmp_path, capsys, command, obj, artifact):
+    assert main([command, write(tmp_path, obj)]) == 0
+    capsys.readouterr()
+    return tmp_path / artifact
+
+
+def _verify_rejects(capsys, artifact, obj, field):
+    artifact.write_text(dumps_canonical(obj))
+    assert main(["verify", str(artifact)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {field}")
+    assert "Traceback" not in captured.err
+    assert "FAIL" not in captured.out
+
+
+def test_verify_rejects_an_extra_counit_entry(tmp_path, capsys):
+    # the extra scalar used to be ignored, and the artifact verified ok
+    artifact = _built(tmp_path, capsys, "build-hopf",
+                      datum_to_json(sweedler_datum()), "datum.hopf.json")
+    obj = json.loads(artifact.read_text())
+    obj["counit"].append(obj["counit"][0])
+    _verify_rejects(capsys, artifact, obj, "counit has 5 entries for 4")
+
+
+def test_verify_rejects_a_missing_counit_entry(tmp_path, capsys):
+    # this used to exit 1 through an IndexError
+    artifact = _built(tmp_path, capsys, "build-hopf",
+                      datum_to_json(sweedler_datum()), "datum.hopf.json")
+    obj = json.loads(artifact.read_text())
+    obj["counit"].pop()
+    _verify_rejects(capsys, artifact, obj, "counit has 3 entries for 4")
+
+
+def _float_labels(obj):
+    obj["labels"] = [[[float(e) for e in r], exps] for r, exps in obj["labels"]]
+
+
+def test_verify_rejects_float_labels_in_a_hopf_artifact(tmp_path, capsys):
+    # [[0.0], [0]] used to load as the label ((0,), (0,)) and verify ok
+    artifact = _built(tmp_path, capsys, "build-hopf",
+                      datum_to_json(sweedler_datum()), "datum.hopf.json")
+    obj = json.loads(artifact.read_text())
+    _float_labels(obj)
+    _verify_rejects(capsys, artifact, obj, "labels entry [[0.0], [0]]")
+
+
+def test_verify_rejects_float_labels_in_a_comodule_artifact(tmp_path, capsys):
+    artifact = _built(tmp_path, capsys, "build-algebra",
+                      sweedler_modcat_obj(), "datum.algebra.json")
+    obj = json.loads(artifact.read_text())
+    obj["labels"][1][1] = [1.0]
+    _verify_rejects(capsys, artifact, obj, "labels entry")
+
+
 def zero_denominator_inputs():
     """Inputs whose lifting.mu, lifting.lambda or modcat.xi holds 1/0."""
     mu = z4_mu_obj()
