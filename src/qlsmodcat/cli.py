@@ -13,17 +13,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, serialize
-from .classify import classification_report, dedupe
-from .comodule import build_A, regular_coaction
-from .deformation import build_bigalois, build_lifting, transport
+from . import __version__, _lazy, serialize
 from .errors import (
     CocycleInvalid,
     ConfluenceFailure,
@@ -37,6 +33,11 @@ from .errors import (
     ValidationError,
 )
 from .hopf import build_bosonization
+
+# compiled on first use, so each command compiles only the layers it runs
+classify = _lazy("classify")
+comodule = _lazy("comodule")
+deformation = _lazy("deformation")
 
 INPUT_ERRORS = (ValidationError, SizeBound, NotExteriorDatum, OutOfRange,
                 DimensionMismatch, HypothesisViolated, CocycleInvalid)
@@ -83,12 +84,16 @@ def _cache_dir() -> Path:
 
 
 def _checksum(text: str) -> str:
+    import hashlib  # on the cache path only
+
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 @functools.cache
 def _source_digest() -> str:
     """sha256 of the package's .py sources, read once per process."""
+    import hashlib
+
     root = Path(__file__).resolve().parent
     h = hashlib.sha256()
     for path in sorted(root.rglob("*.py")):
@@ -102,7 +107,7 @@ def _cache_key(command: str, obj, options: dict) -> str:
     blob = serialize.dumps_canonical(
         {"command": command, "input": obj, "options": options,
          "version": __version__, "sources": _source_digest()})
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _checksum(blob)
 
 
 def _cache_get(key: str):
@@ -228,7 +233,7 @@ def cmd_build_lifting(args) -> int:
     if lifting is None:
         raise ValidationError("the input has no lifting section")
     return _build_hopf_command(args, obj, "build-lifting", "lifting", "lifting",
-                               lambda: build_lifting(lifting))
+                               lambda: deformation.build_lifting(lifting))
 
 
 def cmd_build_algebra(args) -> int:
@@ -238,7 +243,7 @@ def cmd_build_algebra(args) -> int:
         raise ValidationError("the input has no modcat section")
 
     def build():
-        return serialize.comodule_dump(build_A(mcd))
+        return serialize.comodule_dump(comodule.build_A(mcd))
 
     payload, out, cached = _finish_build(
         args, obj, "build-algebra", "algebra", {}, build)
@@ -252,8 +257,9 @@ def cmd_classify(args) -> int:
     obj = _read_json(args.input)
     datum, _, _ = serialize.load_datum(obj)
     sample = _parse_sample(args.sample)
-    report = classification_report(datum, sample, bound=args.max_group_order)
-    reps = dedupe(report.data, strict=args.strict_cocycle)
+    report = classify.classification_report(datum, sample,
+                                            bound=args.max_group_order)
+    reps = classify.dedupe(report.data, strict=args.strict_cocycle)
     payload = {"report": report.as_dict(), "representatives": len(reps)}
     out = _out_path(args, "classify")
     text = serialize.dumps_canonical(payload)
@@ -272,9 +278,10 @@ def cmd_transport(args) -> int:
     _, lifting, mcd = serialize.load_datum(obj)
     if lifting is None:
         raise ValidationError("the input has no lifting section")
-    B = build_bigalois(lifting)
-    A = build_A(mcd) if mcd is not None else regular_coaction(B.right_hopf)
-    T, rep = transport(B, A)
+    B = deformation.build_bigalois(lifting)
+    A = (comodule.build_A(mcd) if mcd is not None
+         else comodule.regular_coaction(B.right_hopf))
+    T, rep = deformation.transport(B, A)
     payload = {"algebra": serialize.comodule_dump(T),
                "report": serialize.report_to_json(rep)}
     out = _out_path(args, "transport")

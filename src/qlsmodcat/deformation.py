@@ -14,18 +14,8 @@ import functools
 import itertools
 from math import lcm
 
-from . import linalg
+from . import _lazy, linalg
 from ._kernel import add as padd, is_zero as pis0, mul as pmul, neg as pneg
-from .cocycles import Cocycle2
-from .comodule import (
-    ComoduleAlgebra,
-    ModCatDatum,
-    build_A,
-    check_simplicity,
-    coinvariants,
-    galois_map,
-    simple_modules,
-)
 from .cyclo import CycloNumber
 from .errors import (
     CocycleInvalid,
@@ -49,6 +39,10 @@ from .hopf import (
 )
 from .linalg import accumulate, vec_addmul
 from .rewrite import NormalFormEngine
+
+# compiled on first use: build-lifting runs neither
+cocycles = _lazy("cocycles")
+comodule = _lazy("comodule")
 
 
 class LiftingDatum:
@@ -248,7 +242,7 @@ def trivial_sigma(H: FiniteHopf) -> HopfCocycle:
     return HopfCocycle(H, _counit_pairs(H), check=False)
 
 
-def group_sigma(H: FiniteHopf, psi: Cocycle2) -> HopfCocycle:
+def group_sigma(H: FiniteHopf, psi: cocycles.Cocycle2) -> HopfCocycle:
     """The cocycle supported on the group part of a bosonization-shaped H.
 
     psi must live on the full group; sigma vanishes off the group-like
@@ -339,8 +333,9 @@ def _twisted_product(table: dict, coaction, alg: FiniteAlgebra) -> dict:
     return mult
 
 
-def deform_comodule_algebra(A: ComoduleAlgebra, sigma: HopfCocycle,
-                            hopf: FiniteHopf = None) -> ComoduleAlgebra:
+def deform_comodule_algebra(A: comodule.ComoduleAlgebra, sigma: HopfCocycle,
+                            hopf: FiniteHopf = None
+                            ) -> comodule.ComoduleAlgebra:
     """Twist the product to sigma(a, b) applied to the coaction legs.
 
     The coaction map is unchanged; the result is a comodule algebra over
@@ -352,8 +347,9 @@ def deform_comodule_algebra(A: ComoduleAlgebra, sigma: HopfCocycle,
     mult = _twisted_product(sigma.table, A.coaction, A)
     if hopf is None:
         hopf = deform_hopf(U, sigma)
-    out = ComoduleAlgebra(A.labels, A.L, mult, dict(A.unit), hopf,
-                          [dict(v) for v in A.coaction], degree=A.degree)
+    out = comodule.ComoduleAlgebra(A.labels, A.L, mult, dict(A.unit), hopf,
+                                   [dict(v) for v in A.coaction],
+                                   degree=A.degree)
     rep = out.verify()
     if not rep.ok:
         raise CocycleInvalid(
@@ -361,7 +357,8 @@ def deform_comodule_algebra(A: ComoduleAlgebra, sigma: HopfCocycle,
     return out
 
 
-def coideal_twist(H: FiniteHopf, rows, sigma: HopfCocycle) -> ComoduleAlgebra:
+def coideal_twist(H: FiniteHopf, rows,
+                  sigma: HopfCocycle) -> comodule.ComoduleAlgebra:
     """Twist a coideal subalgebra of H by sigma on the trailing legs.
 
     ``rows`` spans the subalgebra inside H.  The twisted product pays
@@ -403,7 +400,7 @@ def coideal_twist(H: FiniteHopf, rows, sigma: HopfCocycle) -> ComoduleAlgebra:
         if coords:
             mult[key] = coords
     labels = [("k", piv) for piv in sp.pivots]
-    out = ComoduleAlgebra(labels, H.L, mult, unit, H, coaction)
+    out = comodule.ComoduleAlgebra(labels, H.L, mult, unit, H, coaction)
     rep = out.verify()
     if not rep.ok:
         raise CocycleInvalid(
@@ -428,11 +425,12 @@ class BiGaloisRep:
         self.right_coaction = right_coaction
         self.counit_functional = counit_functional
 
-    def left_comodule(self) -> ComoduleAlgebra:
+    def left_comodule(self) -> comodule.ComoduleAlgebra:
         """The algebra with its left coaction alone."""
-        return ComoduleAlgebra(self.algebra.labels, self.algebra.L,
-                               self.algebra.mult, dict(self.algebra.unit),
-                               self.left_hopf, self.left_coaction)
+        alg = self.algebra
+        return comodule.ComoduleAlgebra(alg.labels, alg.L, alg.mult,
+                                        dict(alg.unit), self.left_hopf,
+                                        self.left_coaction)
 
     def verify(self) -> CheckReport:
         rep = self.left_comodule().verify()
@@ -464,7 +462,7 @@ class BiGaloisRep:
         return rep
 
     def left_galois_bijective(self) -> bool:
-        return galois_map(self.left_comodule()).bijective
+        return comodule.galois_map(self.left_comodule()).bijective
 
     def right_galois_bijective(self) -> bool:
         """The right Galois map x (x) y -> x y_(0) (x) y_(1) is the left
@@ -549,8 +547,9 @@ def build_bigalois(ld: LiftingDatum) -> BiGaloisRep:
             alpha[(a, b)] = -lam_ij
         else:
             alpha[(b, a)] = d.chi[i](d.g[j]) * lam_ij
-    mcd = ModCatDatum(d, F, Cocycle2.trivial(F), w=w, xi=xi, alpha=alpha)
-    B = build_A(mcd)
+    mcd = comodule.ModCatDatum(d, F, cocycles.Cocycle2.trivial(F), w=w, xi=xi,
+                               alpha=alpha)
+    B = comodule.build_A(mcd)
     H = build_lifting(ld).rebased(B.L)
 
     ident = d.group.identity()
@@ -588,7 +587,8 @@ def _unflatten(flat: dict, nA: int) -> dict:
     return {(k // nA, k % nA): c for k, c in flat.items()}
 
 
-def cotensor(B: BiGaloisRep, A: ComoduleAlgebra) -> ComoduleAlgebra:
+def cotensor(B: BiGaloisRep,
+             A: comodule.ComoduleAlgebra) -> comodule.ComoduleAlgebra:
     """Solutions of the matching equation in B tensor A, as an algebra.
 
     When A is coacted by B's right Hopf algebra the matching is direct;
@@ -603,7 +603,8 @@ def cotensor(B: BiGaloisRep, A: ComoduleAlgebra) -> ComoduleAlgebra:
     raise ValidationError("A is not a comodule over either side of B")
 
 
-def _cotensor_core(B: BiGaloisRep, A: ComoduleAlgebra) -> ComoduleAlgebra:
+def _cotensor_core(B: BiGaloisRep,
+                   A: comodule.ComoduleAlgebra) -> comodule.ComoduleAlgebra:
     """B cotensor A, for A coacted by B's right Hopf algebra; the result
     is coacted by B's left one."""
     nA = A.dim
@@ -667,8 +668,8 @@ def _cotensor_core(B: BiGaloisRep, A: ComoduleAlgebra) -> ComoduleAlgebra:
                     accumulate(lam, (u, a), pmul(cb[b2], pmul(c, c2, red), red))
         coaction.append(lam)
 
-    T = ComoduleAlgebra(list(A.labels), L, mult, dict(A.unit), B.left_hopf,
-                        coaction)
+    T = comodule.ComoduleAlgebra(list(A.labels), L, mult, dict(A.unit),
+                                 B.left_hopf, coaction)
     rep = T.verify()
     if not rep.ok:
         raise IsoCheckFailed(
@@ -676,7 +677,7 @@ def _cotensor_core(B: BiGaloisRep, A: ComoduleAlgebra) -> ComoduleAlgebra:
     return T
 
 
-def transport(B: BiGaloisRep, A: ComoduleAlgebra):
+def transport(B: BiGaloisRep, A: comodule.ComoduleAlgebra):
     """Move A along B and report which invariants survive.
 
     Returns the transported algebra and a report. Dimension, simplicity
@@ -689,16 +690,16 @@ def transport(B: BiGaloisRep, A: ComoduleAlgebra):
     rep = CheckReport("transport")
     if T.dim != A.dim:
         rep.fail("dimension-preserved", (A.dim, T.dim))
-    sv = check_simplicity(A).verdict
-    dv = check_simplicity(T).verdict
+    sv = comodule.check_simplicity(A).verdict
+    dv = comodule.check_simplicity(T).verdict
     if sv != dv:
         rep.fail("simplicity-verdict-preserved", (sv, dv))
-    sco = coinvariants(A).dim
-    dco = coinvariants(T).dim
+    sco = comodule.coinvariants(A).dim
+    dco = comodule.coinvariants(T).dim
     if sco != dco:
         rep.fail("coinvariants-preserved", (sco, dco))
-    src = simple_modules(A)
-    dst = simple_modules(T)
+    src = comodule.simple_modules(A)
+    dst = comodule.simple_modules(T)
     if src.radical_dim != dst.radical_dim:
         rep.fail("radical-dimension-preserved",
                  (src.radical_dim, dst.radical_dim))

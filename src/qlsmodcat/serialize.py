@@ -16,14 +16,16 @@ from fractions import Fraction
 from importlib import resources
 from math import lcm
 
-from . import linalg
-from .cocycles import Cocycle2
-from .comodule import ComoduleAlgebra, ModCatDatum
+from . import _lazy, linalg
 from .cyclo import CycloNumber, totient
-from .deformation import BiGaloisRep, LiftingDatum
 from .errors import ValidationError
 from .groups import AbelianGroup, Character, GroupElement, Subgroup
 from .hopf import CheckReport, FiniteAlgebra, FiniteHopf, QlsDatum
+
+# compiled on first use: a Hopf artifact or a bare datum needs none of them
+cocycles = _lazy("cocycles")
+comodule = _lazy("comodule")
+deformation = _lazy("deformation")
 
 
 def dumps_canonical(obj) -> str:
@@ -133,7 +135,7 @@ def group_to_json(G: AbelianGroup) -> dict:
     return {"orders": list(G.orders)}
 
 
-def cocycle_to_json(psi: Cocycle2) -> dict:
+def cocycle_to_json(psi: cocycles.Cocycle2) -> dict:
     table = [[list(a.exps), list(b.exps), cyclo_to_json(v)]
              for (a, b), v in sorted(psi.table.items(),
                                      key=lambda kv: (kv[0][0].exps,
@@ -141,10 +143,10 @@ def cocycle_to_json(psi: Cocycle2) -> dict:
     return {"table": table, "classTag": list(psi.class_tag())}
 
 
-def cocycle_from_json(carrier, obj) -> Cocycle2:
+def cocycle_from_json(carrier, obj) -> cocycles.Cocycle2:
     if "exponents" in obj:
         c = {(i, j): v for i, j, v in obj["exponents"]}
-        return Cocycle2.from_exponents(carrier, c)
+        return cocycles.Cocycle2.from_exponents(carrier, c)
     if "table" in obj:
         group = carrier.group
         table = {}
@@ -154,8 +156,8 @@ def cocycle_from_json(carrier, obj) -> Cocycle2:
             if a not in carrier or b not in carrier:
                 raise ValidationError("cocycle table entry leaves the carrier")
             table[(a, b)] = cyclo_from_json(v)
-        return Cocycle2(carrier, table)
-    return Cocycle2.trivial(carrier)
+        return cocycles.Cocycle2(carrier, table)
+    return cocycles.Cocycle2.trivial(carrier)
 
 
 # ----------------------------------------------------------- input datum
@@ -249,8 +251,8 @@ def validate_input(obj) -> None:
     raise ValidationError(f"input does not match the schema at {path}: {message}")
 
 
-def datum_to_json(datum: QlsDatum, lifting: LiftingDatum = None,
-                  mcd: ModCatDatum = None) -> dict:
+def datum_to_json(datum: QlsDatum, lifting: deformation.LiftingDatum = None,
+                  mcd: comodule.ModCatDatum = None) -> dict:
     out = {
         "group": group_to_json(datum.group),
         "g": [list(el.exps) for el in datum.g],
@@ -296,14 +298,15 @@ def load_datum(obj, modcat: bool = True):
         mu = [cyclo_from_json(v) for v in sec.get("mu", [])]
         lam = {(i, j): cyclo_from_json(v)
                for i, j, v in sec.get("lambda", [])}
-        lifting = LiftingDatum(datum, mu=mu or None, lam=lam or None)
+        lifting = deformation.LiftingDatum(datum, mu=mu or None,
+                                           lam=lam or None)
     mcd = None
     if modcat and "modcat" in obj:
         mcd = load_modcat(datum, obj["modcat"])
     return datum, lifting, mcd
 
 
-def load_modcat(datum: QlsDatum, sec) -> ModCatDatum:
+def load_modcat(datum: QlsDatum, sec) -> comodule.ModCatDatum:
     """The modcat section of a schema-checked input, over a valid datum."""
     G = datum.group
     F = Subgroup.generated(G, [G.element(tuple(e)) for e in sec["F"]["gens"]])
@@ -313,8 +316,8 @@ def load_modcat(datum: QlsDatum, sec) -> ModCatDatum:
          for entry in sec.get("w", [])}
     xi = [cyclo_from_json(v) for v in sec.get("xi", [])]
     alpha = {(a, b): cyclo_from_json(v) for a, b, v in sec.get("alpha", [])}
-    return ModCatDatum(datum, F, psi, w=w or None, xi=xi or None,
-                       alpha=alpha or None)
+    return comodule.ModCatDatum(datum, F, psi, w=w or None, xi=xi or None,
+                                alpha=alpha or None)
 
 
 # ------------------------------------------------------- structure dumps
@@ -366,6 +369,14 @@ def _rows(rows, width: int):
         yield row
 
 
+def _put(store: dict, key, value, table: str, cell: list) -> None:
+    """store[key] = value, for a cell the table has not listed before: a
+    repeated cell would otherwise let its last row win unseen."""
+    if key in store:
+        raise ValidationError(f"{table} lists the cell {cell} twice")
+    store[key] = value
+
+
 def _degree(obj, n: int):
     """The optional degree list: one integer per basis element."""
     deg = obj.get("degree")
@@ -409,10 +420,11 @@ def _core_tables(obj):
             f"artifact at conductor {L} holds no scalar to check it against")
     mult: dict = {}
     for i, j, k, v in _rows(obj["mult"], 4):
-        cell = mult.setdefault((_index(i, n), _index(j, n)), {})
-        cell[_index(k, n)] = _pair_from_json(v, L)
-    unit = {_index(i, n): _pair_from_json(v, L)
-            for i, v in _rows(obj["unit"], 2)}
+        _put(mult.setdefault((_index(i, n), _index(j, n)), {}), _index(k, n),
+             _pair_from_json(v, L), "mult", [i, j, k])
+    unit: dict = {}
+    for i, v in _rows(obj["unit"], 2):
+        _put(unit, _index(i, n), _pair_from_json(v, L), "unit", [i])
     return labels, L, mult, unit
 
 
@@ -424,12 +436,14 @@ def _table_dump(table, L: int) -> list:
             for (j, k), c in sorted(cell.items())]
 
 
-def _table_load(rows, n: int, L: int, legs) -> list:
-    """The n cells of a coproduct or coaction; legs bounds (j, k)."""
+def _table_load(obj, key: str, n: int, L: int, legs) -> list:
+    """The n cells of the coproduct or coaction under key; legs bounds
+    (j, k)."""
     nj, nk = legs
     table = [dict() for _ in range(n)]
-    for i, j, k, v in _rows(rows, 4):
-        table[_index(i, n)][(_index(j, nj), _index(k, nk))] = _pair_from_json(v, L)
+    for i, j, k, v in _rows(obj[key], 4):
+        _put(table[_index(i, n)], (_index(j, nj), _index(k, nk)),
+             _pair_from_json(v, L), key, [i, j, k])
     return table
 
 
@@ -456,16 +470,17 @@ def hopf_dump(H: FiniteHopf) -> dict:
 def hopf_load(obj) -> FiniteHopf:
     labels, L, mult, unit = _core_tables(obj)
     n = len(labels)
-    comult = _table_load(obj["comult"], n, L, (n, n))
+    comult = _table_load(obj, "comult", n, L, (n, n))
     counit = [_pair_from_json(v, L) for v in _per_basis(obj, "counit", n)]
     antipode = [dict() for _ in range(n)]
     for i, k, v in _rows(obj["antipode"], 3):
-        antipode[_index(i, n)][_index(k, n)] = _pair_from_json(v, L)
+        _put(antipode[_index(i, n)], _index(k, n), _pair_from_json(v, L),
+             "antipode", [i, k])
     return FiniteHopf(labels, L, mult, unit, comult, counit, antipode,
                       degree=_degree(obj, n), graded=_graded(obj))
 
 
-def comodule_dump(A: ComoduleAlgebra) -> dict:
+def comodule_dump(A: comodule.ComoduleAlgebra) -> dict:
     out = _algebra_core(A)
     out["coaction"] = _table_dump(A.coaction, A.L)
     out["degree"] = list(A.degree) if A.degree is not None else None
@@ -473,16 +488,16 @@ def comodule_dump(A: ComoduleAlgebra) -> dict:
     return out
 
 
-def comodule_load(obj) -> ComoduleAlgebra:
+def comodule_load(obj) -> comodule.ComoduleAlgebra:
     labels, L, mult, unit = _core_tables(obj)
     hopf = hopf_load(obj["hopf"])
     n = len(labels)
-    coaction = _table_load(obj["coaction"], n, L, (hopf.dim, n))
-    return ComoduleAlgebra(labels, L, mult, unit, hopf, coaction,
-                           degree=_degree(obj, n))
+    coaction = _table_load(obj, "coaction", n, L, (hopf.dim, n))
+    return comodule.ComoduleAlgebra(labels, L, mult, unit, hopf, coaction,
+                                    degree=_degree(obj, n))
 
 
-def bigalois_dump(B: BiGaloisRep) -> dict:
+def bigalois_dump(B: deformation.BiGaloisRep) -> dict:
     alg = B.algebra
     out = {
         "algebra": _algebra_core(alg),
@@ -496,16 +511,17 @@ def bigalois_dump(B: BiGaloisRep) -> dict:
     return out
 
 
-def bigalois_load(obj) -> BiGaloisRep:
+def bigalois_load(obj) -> deformation.BiGaloisRep:
     alg = algebra_load(obj["algebra"])
     left_hopf = hopf_load(obj["left_hopf"])
     right_hopf = hopf_load(obj["right_hopf"])
     n = alg.dim
-    left = _table_load(obj["left_coaction"], n, alg.L, (left_hopf.dim, n))
-    right = _table_load(obj["right_coaction"], n, alg.L, (n, right_hopf.dim))
+    left = _table_load(obj, "left_coaction", n, alg.L, (left_hopf.dim, n))
+    right = _table_load(obj, "right_coaction", n, alg.L, (n, right_hopf.dim))
     cb = [_pair_from_json(v, alg.L)
           for v in _per_basis(obj, "counit_functional", n)]
-    return BiGaloisRep(alg, left_hopf, right_hopf, left, right, cb)
+    return deformation.BiGaloisRep(alg, left_hopf, right_hopf, left, right,
+                                   cb)
 
 
 # ------------------------------------------------------------ reports

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -12,8 +15,9 @@ import pytest
 from qlsmodcat.cli import _parser, main
 from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.comodule import ModCatDatum
+from qlsmodcat.deformation import LiftingDatum, build_bigalois
 from qlsmodcat.groups import Subgroup
-from qlsmodcat.serialize import datum_to_json, dumps_canonical
+from qlsmodcat.serialize import bigalois_dump, datum_to_json, dumps_canonical
 
 from qls_fixtures import (
     float_integer_inputs,
@@ -233,6 +237,41 @@ def test_verify_rejects_float_labels_in_a_comodule_artifact(tmp_path, capsys):
     obj = json.loads(artifact.read_text())
     obj["labels"][1][1] = [1.0]
     _verify_rejects(capsys, artifact, obj, "labels entry")
+
+
+def _bigalois_artifact(tmp_path):
+    B = build_bigalois(LiftingDatum(z4_mu_datum(), mu=[1]))
+    artifact = tmp_path / "bigalois.json"
+    artifact.write_text(dumps_canonical(bigalois_dump(B)))
+    return artifact
+
+
+REPEATABLE_TABLES = {
+    "mult": "hopf", "unit": "hopf", "comult": "hopf", "antipode": "hopf",
+    "coaction": "algebra", "left_coaction": "bigalois",
+    "right_coaction": "bigalois",
+}
+
+
+@pytest.mark.parametrize("table", sorted(REPEATABLE_TABLES))
+def test_verify_rejects_a_repeated_table_cell(tmp_path, capsys, table):
+    # the last row of a repeated cell used to win, and the artifact
+    # verified ok
+    kind = REPEATABLE_TABLES[table]
+    if kind == "hopf":
+        artifact = _built(tmp_path, capsys, "build-hopf",
+                          datum_to_json(sweedler_datum()), "datum.hopf.json")
+    elif kind == "algebra":
+        artifact = _built(tmp_path, capsys, "build-algebra",
+                          sweedler_modcat_obj(), "datum.algebra.json")
+    else:
+        artifact = _bigalois_artifact(tmp_path)
+    obj = json.loads(artifact.read_text())
+    row = json.loads(json.dumps(obj[table][0]))
+    row[-1]["c"][0] = "7"
+    obj[table].insert(0, row)
+    _verify_rejects(capsys, artifact, obj,
+                    f"{table} lists the cell {row[:-1]} twice")
 
 
 def zero_denominator_inputs():
@@ -492,6 +531,84 @@ def test_source_digest_is_taken_only_by_cached_commands(tmp_path, capsys):
     info = cli._source_digest.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     capsys.readouterr()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "pipebench"))
+import run as pipebench_run  # noqa: E402
+import tracer  # noqa: E402
+
+UNLOADED = """
+import importlib.util, json, sys
+{code}
+print(json.dumps(sorted(
+    name for name, m in sys.modules.items()
+    if name.startswith("qlsmodcat.") and type(m) is importlib.util._LazyModule)))
+"""
+HEAVY = ["qlsmodcat.classify", "qlsmodcat.cocycles", "qlsmodcat.comodule",
+         "qlsmodcat.deformation"]
+
+
+def _fresh_python(tmp_path, argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               QLSMODCAT_CACHE_DIR=str(tmp_path / "cache"))
+    proc = subprocess.run([sys.executable, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_each_command_compiles_only_the_layers_it_runs(tmp_path):
+    """The layer modules still unloaded when a command ends, each command
+    in a fresh interpreter as the CLI runs it."""
+    hopf_in = write(tmp_path, datum_to_json(sweedler_datum()))
+    lifting_in = write(tmp_path, z4_mu_obj(), "lifting.json")
+    algebra_in = write(tmp_path, sweedler_modcat_obj(), "algebra.json")
+    hopf_out = str(tmp_path / "out.hopf.json")
+    cases = [
+        ("probe", pipebench_run.PROBE, HEAVY),
+        ("build-hopf", ["build-hopf", hopf_in, "--out", hopf_out], HEAVY),
+        ("cache hit", ["build-hopf", hopf_in, "--out", hopf_out], HEAVY),
+        ("verify", ["verify", hopf_out], HEAVY),
+        ("build-lifting", ["build-lifting", lifting_in],
+         ["qlsmodcat.classify", "qlsmodcat.cocycles", "qlsmodcat.comodule"]),
+        ("build-algebra", ["build-algebra", algebra_in],
+         ["qlsmodcat.classify", "qlsmodcat.deformation"]),
+        ("classify", ["classify", hopf_in], ["qlsmodcat.deformation"]),
+    ]
+    for name, command, want in cases:
+        if isinstance(command, list):
+            code = ("from qlsmodcat.cli import main\n"
+                    f"assert main({command!r}) == 0")
+        else:
+            code = command
+        proc = _fresh_python(tmp_path, ["-c", UNLOADED.format(code=code)])
+        if name == "cache hit":
+            assert "(cache hit)" in proc.stdout
+        got = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert got == want, name
+
+
+def test_the_tracer_wraps_the_lazily_compiled_layers(tmp_path):
+    """pipebench/tracer.py rebinds functions in the modules loaded when
+    it starts: a layer compiled later must still be traced."""
+    cases = [
+        (["build-lifting", write(tmp_path, z4_mu_obj(), "lifting.json")],
+         "deformation:build_lifting"),
+        (["build-algebra", write(tmp_path, sweedler_modcat_obj(),
+                                 "algebra.json")],
+         "comodule:build_A"),
+        (["classify", write(tmp_path, datum_to_json(sweedler_datum()))],
+         "classify:enumerate_modcat_data"),
+    ]
+    for argv, span in cases:
+        spans = tmp_path / "spans.jsonl"
+        _fresh_python(tmp_path, [str(ROOT / "pipebench" / "tracer.py"),
+                                 str(spans), "--", *argv])
+        layers = tracer.aggregate(str(spans))
+        assert layers.calls.get(span), (argv[0], span)
+        assert layers.missing == ["linalg:preimage", "comodule:_poly_quo",
+                                  "comodule:_field_domain"]
 
 
 def test_build_algebra_and_verify(tmp_path, capsys):

@@ -162,7 +162,7 @@ def test_lanes_agree_on_unit_and_root_operands(speedups, L):
             assert pure.submul(a, f, b, red) == speedups.submul(a, f, b, red)
 
 
-@pytest.mark.parametrize("lane", ["pure", "cython"])
+@pytest.mark.parametrize("lane", ["pure", "c"])
 def test_norm_pair_canonical_form(lane, request):
     backend = pure if lane == "pure" else request.getfixturevalue("speedups")
     assert backend.norm_pair((2, 4), 6) == ((1, 2), 3)
