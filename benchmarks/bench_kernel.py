@@ -11,6 +11,10 @@ agree exactly on every result; the script asserts that.
 The inverse is timed on +-zeta**k, the pivots of a transport over a
 cyclic group, and on generic elements, against the Euclidean inverse
 over Q it replaced; the two must agree exactly.
+
+Factoring is timed on the minimal polynomials a CLI ``classify`` factors:
+``polyfactor.factor`` against a hit of ``comodule``'s per-process memo,
+which must give the same factors.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from fractions import Fraction
 from math import lcm
 from time import perf_counter
 
+from qlsmodcat import comodule, polyfactor
 from qlsmodcat._kernel import pure
 from qlsmodcat.cyclo import (CycloNumber, _poly_trim, _poly_xgcd, context,
                              cyclotomic_polynomial, zeta)
@@ -142,6 +147,40 @@ def run_inverses(conductor, count, reps, seed):
               f"inv {t_new * 1e6:8.1f}us   {t_old / t_new:5.1f}x")
 
 
+# the minimal polynomials the pipebench classify inputs factor, lowest
+# degree first, with their conductors
+FACTOR_CASES = (
+    ("x^2 - 1", 2, [-1, 0, 1]), ("x^2 - 1", 4, [-1, 0, 1]),
+    ("x^2 - 4", 2, [-4, 0, 1]), ("x^2 - 4", 4, [-4, 0, 1]),
+    ("x^2 + 4", 4, [4, 0, 1]),
+    ("x^6 - 2x^4 + 2x^2 - 1", 6, [-1, 0, 2, 0, -2, 0, 1]),
+)
+FACTOR_REPS = 20
+
+
+def time_calls(fn, reps):
+    """Seconds per call, and the last result."""
+    t0 = perf_counter()
+    for _ in range(reps):
+        out = fn()
+    return (perf_counter() - t0) / reps, out
+
+
+def run_factoring(reps):
+    print(f"factoring the classify polynomials, x {reps} reps")
+    for name, L, f in FACTOR_CASES:
+        f = polyfactor.as_cyclo(f, L)
+        want = polyfactor.factor(f, L)  # warm-up
+        t_cold, _ = time_calls(lambda: polyfactor.factor(f, L), reps)
+        top_first = f[::-1]
+        comodule._factors_memo.cache_clear()
+        comodule._poly_factors(top_first, L)
+        t_hit, hit = time_calls(lambda: comodule._poly_factors(top_first, L), reps)
+        assert [(h[::-1], m) for h, m in hit] == want, f"{name} memo disagrees"
+        print(f"  {name:22s} L={L:<2d} factor {t_cold * 1e3:7.3f}ms   "
+              f"memo hit {t_hit * 1e6:6.1f}us ({t_cold / t_hit:5.0f}x)")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--conductors", default="4,12,60",
@@ -156,6 +195,7 @@ def main(argv=None):
         run(int(tok), args.count, args.reps, args.seed)
     for conductor in INVERSE_CONDUCTORS:
         run_inverses(conductor, args.count, INVERSE_REPS, args.seed)
+    run_factoring(FACTOR_REPS)
 
 
 if __name__ == "__main__":

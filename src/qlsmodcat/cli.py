@@ -68,10 +68,22 @@ def _write_artifact(path: Path, text: str) -> None:
 
 
 def _parse_sample(text: str):
+    """The distinct scalars of a comma-separated sample, in order.  An
+    empty sample would drop every cell with a free scalar, and a repeated
+    one would enumerate the same datum twice, so both are input errors."""
     try:
-        return [Fraction(tok) for tok in text.split(",") if tok.strip()]
+        sample = [Fraction(tok) for tok in text.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"cannot parse the scalar sample {text!r}")
+    if not sample:
+        raise ValidationError(f"the scalar sample {text!r} is empty")
+    seen = set()
+    for value in sample:
+        if value in seen:
+            raise ValidationError(
+                f"the scalar sample {text!r} repeats the value {value}")
+        seen.add(value)
+    return sample
 
 
 # ------------------------------------------------------------------ cache
@@ -183,14 +195,14 @@ def cmd_validate(args) -> int:
 
 def _finish_build(args, obj, command, suffix, options, build):
     """Shared cache/verify/write plumbing for the three build commands."""
-    key = _cache_key(command, obj, options)
-    hit = None if args.no_cache else _cache_get(key)
+    key = None if args.no_cache else _cache_key(command, obj, options)
+    hit = None if key is None else _cache_get(key)
     if hit is not None:
         payload, text = hit
     else:
         payload = build()
         text = serialize.dumps_canonical(payload)
-        if not args.no_cache:
+        if key is not None:
             _cache_put(key, text)
     out = _out_path(args, suffix)
     _write_artifact(out, text)
@@ -332,13 +344,25 @@ def cmd_verify(args) -> int:
 
 # ------------------------------------------------------------------ main
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 FLAGS = {
     "--out": dict(help="artifact path (default: next to input)"),
     "--format": dict(choices=("text", "json"), default="text"),
     "--sample": dict(default="0,1",
                      help="comma-separated scalar sample for classify"),
     "--max-group-order": dict(type=int, default=256, dest="max_group_order"),
-    "--conductor": dict(type=int, help="rebase built tables to this conductor"),
+    "--conductor": dict(type=_positive_int,
+                        help="rebase built tables to this conductor"),
     "--no-cache": dict(action="store_true", dest="no_cache"),
     "--strict-cocycle": dict(action="store_true", dest="strict_cocycle",
                              help="dedupe by raw cocycle tables, not classes"),

@@ -11,6 +11,7 @@ degree-one generation checker.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import lcm
@@ -834,15 +835,37 @@ def _eval_poly(B: FiniteAlgebra, coeffs, y: dict, unit: dict) -> dict:
     return acc
 
 
+# A classify factors a few dozen distinct minimal polynomials, most of
+# them many times over; the memos below factor and split each one once.
+_MEMO_SIZE = 1024
+
+
+def _poly_key(coeffs) -> tuple:
+    """A polynomial's coefficients as exact (conductor, pair) keys."""
+    return tuple((c.L, c.raw()) for c in coeffs)
+
+
+def _from_key(key) -> list:
+    return [CycloNumber._make(L, pair) for L, pair in key]
+
+
 def _poly_factors(coeffs, L: int):
     """Irreducible factors with multiplicity, each again highest first.
 
-    ``polyfactor`` is imported on first use, so that commands which never
-    factor do not pay for loading it at start-up.
+    Factored once per distinct (L, coefficients) in a process; every call
+    gets fresh lists.
     """
+    return [(_from_key(h), m) for h, m in _factors_memo(L, _poly_key(coeffs))]
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _factors_memo(L: int, key: tuple) -> tuple:
+    # imported on first use, so that commands which never factor do not
+    # pay for loading it at start-up
     from . import polyfactor
 
-    return [(h[::-1], m) for h, m in polyfactor.factor(coeffs[::-1], L)]
+    return tuple((_poly_key(h[::-1]), m)
+                 for h, m in polyfactor.factor(_from_key(key)[::-1], L))
 
 
 def _cofactor_idempotent(coeffs, factor, mult: int, L: int):
@@ -850,21 +873,28 @@ def _cofactor_idempotent(coeffs, factor, mult: int, L: int):
 
     The minimal polynomial of a non-central element can repeat a factor,
     so the factor is raised to its multiplicity to stay coprime to the
-    rest.
+    rest.  Computed once per distinct argument in a process, like
+    ``_poly_factors``.
     """
+    return _from_key(_cofactor_memo(_poly_key(coeffs), _poly_key(factor),
+                                    mult, L))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _cofactor_memo(coeffs: tuple, factor: tuple, mult: int, L: int) -> tuple:
     from . import polyfactor
 
-    p = coeffs[::-1]
+    p, g = _from_key(coeffs)[::-1], _from_key(factor)[::-1]
     f = [CycloNumber.one(L)]
     for _ in range(mult):
-        f = _poly_mul(f, factor[::-1])
+        f = _poly_mul(f, g)
     u = polyfactor.exquo(p, f)
     h, v = _poly_xgcd(u, f)
     if len(h) != 1:
         raise ArithmeticError("factor is not coprime to its cofactor")
     inv = 1 / h[0]
     w = _poly_divmod(_poly_mul([c * inv for c in v], u), p)[1]
-    return polyfactor.as_cyclo(w, L)[::-1]
+    return _poly_key(polyfactor.as_cyclo(w, L)[::-1])
 
 
 def _split_idempotent(B: FiniteAlgebra, e: dict, z: dict, center_dim: int):

@@ -533,6 +533,17 @@ def test_source_digest_is_taken_only_by_cached_commands(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_an_uncached_build_takes_no_source_digest(tmp_path, capsys):
+    import qlsmodcat.cli as cli
+
+    cli._source_digest.cache_clear()
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    assert main(["build-hopf", path, "--no-cache"]) == 0
+    assert cli._source_digest.cache_info().misses == 0
+    assert not (tmp_path / "cache").exists()
+    capsys.readouterr()
+
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "pipebench"))
 import run as pipebench_run  # noqa: E402
@@ -684,6 +695,35 @@ def test_build_lifting_with_conductor_override(tmp_path, capsys):
     capsys.readouterr()
     assert main(["build-lifting", path, "--conductor", "3"]) == 1
     assert "multiple" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build-hopf", "build-lifting"])
+@pytest.mark.parametrize("conductor", ["-4", "0"])
+def test_a_non_positive_conductor_is_a_usage_error(tmp_path, capsys,
+                                                   command, conductor):
+    """-4 used to exit through a traceback, and 0 was ignored."""
+    path = write(tmp_path, z4_mu_obj())
+    with pytest.raises(SystemExit) as e:
+        main([command, path, "--conductor", conductor, "--no-cache"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "--conductor" in err and "positive integer" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["datum.json"]
+
+
+@pytest.mark.parametrize("sample,message", [
+    (",", "is empty"), ("", "is empty"),
+    ("0,1,1", "repeats the value 1"), ("0,1,0", "repeats the value 0"),
+    ("0,1,2/2", "repeats the value 1")])
+def test_classify_rejects_an_empty_or_repeated_sample(tmp_path, capsys,
+                                                      sample, message):
+    """An empty sample dropped every cell with a free scalar, and a
+    repeated value enumerated the same datum once per repeat."""
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    assert main(["classify", path, "--sample", sample]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not (tmp_path / "datum.classify.json").exists()
 
 
 def test_classify_sweedler(tmp_path, capsys):

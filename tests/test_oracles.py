@@ -29,7 +29,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlsmodcat import _kernel as kernel, classify, comodule, deformation, hopf, linalg
+from qlsmodcat import (_kernel as kernel, classify, comodule, deformation, hopf, linalg,
+                       polyfactor)
 from qlsmodcat._kernel import add as padd, is_zero as pis0, mul as pmul
 from qlsmodcat.classify import classification_report
 from qlsmodcat.cocycles import Cocycle2, enumerate_classes
@@ -416,6 +417,27 @@ def test_factors_match_sympy(case):
     for h, m in ours:
         assert (comodule._cofactor_idempotent(f, h, m, L)
                 == sympy_cofactor_idempotent(f, h, m, L))
+
+
+# the minimal polynomials bench classify factors (x^2 - 1 and x^2 - 4 at
+# L = 2 and 4, x^2 + 4 at 4, the sextic at 6), then rational polynomials
+# that split further over Q(zeta_L), with repeats; highest degree first
+RATIONAL_CASES = [
+    (2, [1, 0, -1]), (4, [1, 0, -1]), (2, [1, 0, -4]), (4, [1, 0, -4]),
+    (4, [1, 0, 4]), (6, [1, 0, -2, 0, 2, 0, -1]),
+    (8, [1, 0, -10, 0, 1]), (12, [1, 0, -10, 0, 1]),
+    (3, [1, 2, 3, 2, 1]), (5, [1, -1, -1, -1, -1, -2]),
+    (8, [1, 0, -1, 0, -2]), (1, [1, 0, -5, 0, 6]),
+]
+
+
+@pytest.mark.parametrize("L,coeffs", RATIONAL_CASES)
+def test_rational_polynomials_factor_as_sympy(L, coeffs):
+    """Rational polynomials: the factors are sympy's ``factor_list`` over
+    Q(zeta_L), in its order."""
+    f = [CycloNumber.from_rational(c, L) for c in coeffs]
+    ours = [(h[::-1], m) for h, m in polyfactor.factor(f[::-1], L)]
+    assert ours == sympy_factors(f, L)
 
 
 # ------------------------------------------------------- module dimensions

@@ -1,14 +1,29 @@
 """Fixed factorisations over Q(zeta_L) that force every branch of
 ``polyfactor``: Trager's shift, Yun's decomposition, Berlekamp's split,
 Hensel lifting and Zassenhaus recombination.  Polynomials are written
-lowest degree first, as the module takes them."""
+lowest degree first, as the module takes them; ``comodule``'s memos take
+them highest first."""
 
 from __future__ import annotations
 
-import pytest
+from fractions import Fraction
 
-from qlsmodcat import polyfactor
-from qlsmodcat.cyclo import CycloNumber, conjugate, zeta
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qlsmodcat import comodule, polyfactor
+from qlsmodcat.cyclo import CycloNumber, conjugate, context, zeta
+
+
+@pytest.fixture
+def fresh_memo():
+    """Empty factor memos, so that a call through ``comodule`` factors
+    again whatever an earlier test left in them."""
+    comodule._factors_memo.cache_clear()
+    comodule._cofactor_memo.cache_clear()
+    yield
+    comodule._factors_memo.cache_clear()
+    comodule._cofactor_memo.cache_clear()
 
 
 def c(L, *nums):
@@ -56,9 +71,10 @@ def test_repeated_factors_go_through_yun():
         == [([1, 0, 1], 2)]
 
 
-def test_a_rational_g_over_q_i_forces_a_shift(monkeypatch):
+def test_a_rational_g_over_q_i_forces_a_shift(monkeypatch, fresh_memo):
     """The norm of a g over Q is g^phi(L), never squarefree, so Trager's
-    method must shift: s = 0 is rejected and s = 1 taken."""
+    method must shift: s = 0 is rejected and s = 1 taken, also through
+    ``comodule``'s memo."""
     shifts = []
     shift = polyfactor.shift
 
@@ -70,12 +86,77 @@ def test_a_rational_g_over_q_i_forces_a_shift(monkeypatch):
     assert len(polyfactor.factor([2, 0, 1], 4)) == 1
     assert [s == 0 for s in shifts[:2]] == [True, False]
     assert shifts[1] == zeta(4)
+    shifts.clear()
+    assert len(comodule._poly_factors(polyfactor.as_cyclo([1, 0, 2], 4), 4)) == 1
+    assert [s == 0 for s in shifts[:2]] == [True, False]
 
 
-def test_factor_checks_the_product(monkeypatch):
+def test_factor_checks_the_product(monkeypatch, fresh_memo):
     monkeypatch.setattr(polyfactor, "_factor_squarefree", lambda g, L: [g[:1] + g[2:]])
     with pytest.raises(ArithmeticError, match="multiply back"):
         polyfactor.factor([1, 1, 1], 3)
+    with pytest.raises(ArithmeticError, match="multiply back"):
+        comodule._poly_factors(polyfactor.as_cyclo([1, 1, 1], 3), 3)
+
+
+@st.composite
+def mixed_products(draw):
+    """(L, f): a product, lowest degree first, of up to three monic
+    factors, some of them repeated.  A factor is a polynomial over Q of
+    degree 1 or 2, one of degree 1 or 2 with coefficients anywhere in
+    Q(zeta_L), or the norm prod_a (x - sigma_a(c)) over Q of a linear
+    factor, which splits over Q(zeta_L) though not, in general, over Q."""
+    L = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 12]))
+    deg = context(L).degree
+    rational = st.builds(lambda n, d: CycloNumber.from_rational(Fraction(n, d), L),
+                         st.integers(-4, 4), st.sampled_from([1, 1, 2]))
+    general = st.builds(lambda nums, d: CycloNumber(L, nums, d),
+                        st.lists(st.integers(-2, 2), min_size=deg, max_size=deg),
+                        st.sampled_from([1, 1, 2]))
+    f = [CycloNumber.one(L)]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["rational", "general", "norm"]))
+        if kind == "norm":
+            h = polyfactor.norm([-draw(general), CycloNumber.one(L)], L)
+        else:
+            coeffs = rational if kind == "rational" else general
+            h = draw(st.lists(coeffs, min_size=1, max_size=2)) + [CycloNumber.one(L)]
+        for _ in range(draw(st.integers(1, 2))):
+            f = polyfactor.as_cyclo(polyfactor._poly_mul(f, h), L)
+    return L, f
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_products())
+def test_the_memo_answers_as_factor(case):
+    """``comodule._poly_factors`` through its memo, left filled from
+    earlier examples, gives ``factor``'s answer, highest degree first:
+    a key tells apart polynomials whose coordinates agree at another
+    conductor."""
+    L, f = case
+    want = [(h[::-1], m) for h, m in polyfactor.factor(f, L)]
+    assert comodule._poly_factors(f[::-1], L) == want
+    assert comodule._poly_factors(f[::-1], L) == want
+
+
+def test_a_caller_cannot_poison_the_memo(fresh_memo):
+    """Each call gets fresh lists, so editing one changes no later hit."""
+    L = 4
+    f = polyfactor.as_cyclo([1, 0, -1], L)  # x^2 - 1, highest first
+    want = comodule._poly_factors(f, L)
+    got = comodule._poly_factors(f, L)
+    got[0][0][0] = zeta(L)
+    got[1][0].append(zeta(L))
+    got.pop()
+    assert comodule._poly_factors(f, L) == want
+    assert comodule._factors_memo.cache_info().hits == 2
+    h, m = want[0]
+    w = comodule._cofactor_idempotent(f, h, m, L)
+    edited = comodule._cofactor_idempotent(f, h, m, L)
+    edited[0] = zeta(L)
+    edited.pop()
+    assert comodule._cofactor_idempotent(f, h, m, L) == w
+    assert comodule._cofactor_memo.cache_info().hits == 2
 
 
 def test_conjugation_is_the_automorphism_zeta_to_zeta_a():
