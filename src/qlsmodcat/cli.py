@@ -28,7 +28,6 @@ from .errors import (
     IsoCheckFailed,
     NotClosed,
     NotExteriorDatum,
-    OutOfRange,
     SizeBound,
     ValidationError,
 )
@@ -39,8 +38,8 @@ classify = _lazy("classify")
 comodule = _lazy("comodule")
 deformation = _lazy("deformation")
 
-INPUT_ERRORS = (ValidationError, SizeBound, NotExteriorDatum, OutOfRange,
-                DimensionMismatch, HypothesisViolated, CocycleInvalid)
+INPUT_ERRORS = (ValidationError, SizeBound, NotExteriorDatum, DimensionMismatch,
+                HypothesisViolated, CocycleInvalid)
 INTERNAL_ERRORS = (ConfluenceFailure, IsoCheckFailed, NotClosed)
 
 
@@ -271,7 +270,7 @@ def cmd_classify(args) -> int:
     sample = _parse_sample(args.sample)
     report = classify.classification_report(datum, sample,
                                             bound=args.max_group_order)
-    reps = classify.dedupe(report.data, strict=args.strict_cocycle)
+    reps = classify.dedupe(report.data)
     payload = {"report": report.as_dict(), "representatives": len(reps)}
     out = _out_path(args, "classify")
     text = serialize.dumps_canonical(payload)
@@ -364,8 +363,6 @@ FLAGS = {
     "--conductor": dict(type=_positive_int,
                         help="rebase built tables to this conductor"),
     "--no-cache": dict(action="store_true", dest="no_cache"),
-    "--strict-cocycle": dict(action="store_true", dest="strict_cocycle",
-                             help="dedupe by raw cocycle tables, not classes"),
 }
 BUILD_FLAGS = ("--out", "--conductor", "--no-cache")
 
@@ -385,8 +382,7 @@ def _parser() -> argparse.ArgumentParser:
         ("build-algebra", cmd_build_algebra, "build the comodule algebra",
          ("--out", "--no-cache")),
         ("classify", cmd_classify, "sweep and tabulate module-category data",
-         ("--out", "--format", "--sample", "--max-group-order",
-          "--strict-cocycle")),
+         ("--out", "--format", "--sample", "--max-group-order")),
         ("transport", cmd_transport,
          "move an algebra along the lifting's connecting object",
          ("--out", "--format")),

@@ -134,19 +134,6 @@ class Cocycle2:
         """The alternating bicharacter psi(a, b) / psi(b, a)."""
         return self.table[(a, b)] * self.table[(b, a)].inv()
 
-    def beta_character(self, g) -> "Character":
-        """h -> beta(h, g) as a character of the carrier."""
-        from qlsmodcat.groups import Character
-
-        factors = self.carrier.char_orders
-        exps = []
-        for t, m in zip(_gens(self.carrier), factors):
-            k = dlog_root(self.beta(t, g), m)
-            if k is None:
-                raise ArithmeticError("beta value has wrong order on a generator")
-            exps.append(k)
-        return Character(self.carrier, tuple(exps))
-
     def class_tag(self) -> tuple:
         """Canonical label of the cohomology class: beta exponents on
         generator pairs."""
@@ -176,15 +163,6 @@ def _gens(carrier):
         carrier.element(tuple(int(i == j) for j in range(len(orders))))
         for i in range(len(orders))
     )
-
-
-def class_count(carrier) -> int:
-    """Number of cohomology classes of 2-cocycles."""
-    factors = carrier.char_orders
-    out = 1
-    for i, j in combinations(range(len(factors)), 2):
-        out *= gcd(factors[i], factors[j])
-    return out
 
 
 def enumerate_classes(carrier) -> list[Cocycle2]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from . import linalg
 from ._kernel import add as padd, is_zero as pis0, mul as pmul, neg as pneg
@@ -602,10 +602,6 @@ class SimplicityReport:
         self.witness = witness
         self.hint = hint
 
-    @property
-    def split_simple(self) -> bool:
-        return self.verdict == "split-simple"
-
     def __repr__(self):
         return (f"SimplicityReport({self.verdict}, "
                 f"operators {self.operator_dim}/{self.full_dim})")
@@ -715,29 +711,41 @@ def check_simplicity(A: ComoduleAlgebra) -> SimplicityReport:
 
 
 class SimpleModulesReport:
-    """Radical dimension and matrix block data of an algebra's semisimple part."""
+    """Radical dimension and central blocks of an algebra's semisimple part.
 
-    def __init__(self, radical_dim, blocks, advice):
+    Each block is a dict with its dimension b over the ground field K and
+    the dimension d of its centre, which is a field of degree d over K.
+    """
+
+    def __init__(self, radical_dim, blocks):
         self.radical_dim = radical_dim
         self.blocks = blocks
-        self.advice = advice
-
-    @property
-    def all_split(self) -> bool:
-        return all(b["split"] for b in self.blocks)
 
     @property
     def block_data(self):
         return tuple(sorted(b["block_dim"] for b in self.blocks))
 
     def module_dims(self):
-        if not self.all_split:
-            raise ValidationError("module dimensions need every block split")
-        return sorted(b["module_dim"] for b in self.blocks)
+        """Dimensions of the simple modules over an algebraic closure of K.
+
+        In characteristic 0 the radical commutes with extending scalars,
+        and a block's centre, a field of degree d, is separable; so over
+        the closure the block becomes d matrix blocks M_n with n^2 = b / d.
+        """
+        dims = []
+        for b in self.blocks:
+            n2, rem = divmod(b["block_dim"], b["center_dim"])
+            n = isqrt(n2)
+            if rem or n * n != n2:
+                raise ArithmeticError(
+                    f"a block of dimension {b['block_dim']} with centre of "
+                    f"dimension {b['center_dim']} is not central simple")
+            dims += [n] * b["center_dim"]
+        return sorted(dims)
 
     def __repr__(self):
         return (f"SimpleModulesReport(radical={self.radical_dim}, "
-                f"blocks={self.blocks}, advice={self.advice})")
+                f"blocks={self.blocks})")
 
 
 def _trace_radical(B: FiniteAlgebra):
@@ -949,14 +957,13 @@ def _central_mixes(B: FiniteAlgebra, zrows):
 
 
 def simple_modules(A: FiniteAlgebra) -> SimpleModulesReport:
-    """Radical, central block decomposition and module dimensions.
+    """Radical and central block decomposition.
 
     Works over the exact cyclotomic field at the algebra's conductor.
     The unit is split along the centre's basis, then along the fixed
     central mixes of ``_central_mixes``, until every corner is proven
-    simple (its centre is a field).  Blocks whose center is bigger than
-    the ground field, or whose descent to a primitive idempotent stalls
-    (``_module_dim``), are reported unsplit with advice instead of guessed.
+    simple (its centre is a field).  ``SimpleModulesReport.module_dims``
+    reads the simple modules over an algebraic closure off these blocks.
     """
     J = _trace_radical(A)
     B = _quotient_algebra(A, J) if J.dim else A
@@ -976,52 +983,9 @@ def simple_modules(A: FiniteAlgebra) -> SimpleModulesReport:
                 nxt.extend(_corner(B, p, Z.rows) for p in parts)
         ids = nxt
 
-    advice = []
-    blocks = []
-    for e, center_dim, _ in ids:
-        block = linalg.span([B.multiply(B.basis(i), e) for i in range(B.dim)], B.L)
-        entry = {"block_dim": block.dim, "center_dim": center_dim,
-                 "split": False, "module_dim": None}
-        if center_dim > 1:
-            advice.append(
-                f"a block of dimension {block.dim} has center of dimension "
-                f"{center_dim} over the ground field; enlarge the conductor")
-            blocks.append(entry)
-            continue
-        mdim = _module_dim(B, e, block)
-        if mdim is None:
-            advice.append(
-                f"no minimal left ideal of a block of dimension {block.dim} "
-                f"was certified; it may be a matrix algebra over a division "
-                f"algebra, enlarge the conductor")
-        else:
-            entry["split"] = True
-            entry["module_dim"] = mdim
-        blocks.append(entry)
-    blocks.sort(key=lambda b: (b["block_dim"], b["module_dim"] or 0))
-    return SimpleModulesReport(J.dim, blocks, advice)
-
-
-def _module_dim(B: FiniteAlgebra, e: dict, block):
-    """Dimension of the simple module of the block Be, or None.
-
-    Descends from eps = e: split eps along the first basis element of the
-    corner eps B eps whose minimal polynomial has two coprime factors,
-    keep one part, and stop at dim eps B eps = 1.  Then End(B eps) is the
-    ground field, so B eps is simple and the block is split.  A corner of
-    dimension > 1 with no such basis element is not certified: a division
-    algebra has none, but so can an unlucky basis of a split corner.
-    """
-    eps = e
-    while True:
-        corner = linalg.span([B.multiply(B.multiply(eps, r), eps) for r in block.rows],
-                             B.L)
-        if corner.dim == 1:
-            return linalg.rank([B.multiply(r, eps) for r in block.rows], B.L)
-        for y in corner.rows:
-            parts = _split_idempotent(B, eps, y, 0)
-            if parts is not None:
-                eps = parts[0]
-                break
-        else:
-            return None
+    blocks = [{"block_dim": linalg.rank([B.multiply(B.basis(i), e)
+                                         for i in range(B.dim)], B.L),
+               "center_dim": center_dim}
+              for e, center_dim, _ in ids]
+    blocks.sort(key=lambda b: (b["block_dim"], b["center_dim"]))
+    return SimpleModulesReport(J.dim, blocks)

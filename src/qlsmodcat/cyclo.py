@@ -10,7 +10,6 @@ minimal-conductor normal form that nothing here requires.  Use the
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -313,10 +312,6 @@ class CycloNumber:
                 return n
             p = p * self
         return None
-
-    def to_complex(self) -> complex:
-        w = cmath.exp(2j * cmath.pi / self.L)
-        return sum(c * w**i for i, c in enumerate(self.nums)) / self.den
 
     def __repr__(self):
         if self.is_zero():

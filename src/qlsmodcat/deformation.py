@@ -238,10 +238,6 @@ def _counit_pairs(H: FiniteHopf) -> dict:
     return out
 
 
-def trivial_sigma(H: FiniteHopf) -> HopfCocycle:
-    return HopfCocycle(H, _counit_pairs(H), check=False)
-
-
 def group_sigma(H: FiniteHopf, psi: cocycles.Cocycle2) -> HopfCocycle:
     """The cocycle supported on the group part of a bosonization-shaped H.
 

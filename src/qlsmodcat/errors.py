@@ -43,10 +43,6 @@ class SizeBound(QlsError):
     """An enumeration would exceed the configured size bound."""
 
 
-class OutOfRange(QlsError):
-    """A numeric argument lies outside its documented range."""
-
-
 class DimensionMismatch(QlsError):
     """A vector or table does not match the dimension it is used against."""
 

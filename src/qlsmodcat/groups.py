@@ -133,11 +133,6 @@ class Character:
     def __call__(self, el) -> CycloNumber:
         return zeta(self.carrier.exponent, self.eval_exponent(el))
 
-    def value_order(self, el) -> int:
-        """Multiplicative order of the value at el."""
-        N = self.carrier.exponent
-        return N // gcd(N, self.eval_exponent(el))
-
     def is_trivial(self) -> bool:
         return not any(self.exps)
 
@@ -167,23 +162,6 @@ class Character:
     def __repr__(self):
         return f"chi{self.exps}"
 
-    def restrict(self, sub: "Subgroup") -> "Character":
-        """Restriction to a subgroup, in that subgroup's own coordinates."""
-        N = self.carrier.exponent
-        exps = []
-        for t, m in zip(sub.gens, sub.factors):
-            a = self.eval_exponent(t)
-            # chi(t) has order dividing m, so a*m/N is integral
-            if (a * m) % N:
-                raise ArithmeticError("restricted value order does not divide factor")
-            exps.append((a * m // N) % m)
-        return Character(sub, tuple(exps))
-
-
-def characters(carrier):
-    """All characters of the carrier, in lexicographic exponent order."""
-    for exps in product(*[range(n) for n in carrier.char_orders]):
-        yield Character(carrier, exps)
 
 
 def _invariant_factors(orders: list[int]) -> tuple[int, ...]:

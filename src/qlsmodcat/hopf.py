@@ -15,7 +15,7 @@ import itertools
 from . import linalg
 from ._kernel import add as padd, is_zero as pis0, mul as pmul
 from .cyclo import CycloNumber, context, zeta
-from .errors import DimensionMismatch, OutOfRange, ValidationError
+from .errors import DimensionMismatch, ValidationError
 from .groups import AbelianGroup, Character, GroupElement
 from .linalg import accumulate, vec_addmul
 
@@ -110,12 +110,6 @@ class FiniteAlgebra:
                 if not cell:
                     continue
                 vec_addmul(out, cell, pmul(ca, cb, red), red)
-        return out
-
-    def power(self, a: dict, k: int) -> dict:
-        out = dict(self.unit)
-        for _ in range(k):
-            out = self.multiply(out, a)
         return out
 
     def _unit_failures(self):
@@ -390,13 +384,6 @@ class FiniteHopf(FiniteAlgebra):
                    for i in range(self.dim - 1)):
                 raise ValidationError("basis labels are not sorted by degree")
 
-    def filtration(self) -> list[int]:
-        """Prefix dimensions of the degree filtration, one per degree."""
-        if self.degree is None:
-            return [self.dim]
-        top = self.degree[-1] if self.degree else 0
-        return [sum(1 for d in self.degree if d <= n) for n in range(top + 1)]
-
     def comultiply(self, a: dict) -> dict:
         red = self.ctx.reduction
         out: dict = {}
@@ -412,13 +399,6 @@ class FiniteHopf(FiniteAlgebra):
         for i, c in a.items():
             acc = padd(acc, pmul(c, self.counit[i], red))
         return acc
-
-    def antipode_vec(self, a: dict) -> dict:
-        red = self.ctx.reduction
-        out: dict = {}
-        for i, c in a.items():
-            vec_addmul(out, self.antipode[i], c, red)
-        return out
 
     def same_tables(self, other) -> bool:
         return (isinstance(other, FiniteHopf)
@@ -535,12 +515,6 @@ class QlsDatum:
                 raise ValidationError("component-wise commutation scalar is ambiguous")
         return vals[0]
 
-    def q_matrix(self) -> dict:
-        """All pairwise commutation scalars between nonzero components."""
-        support = sorted(self.isotypic(), key=lambda e: e.exps)
-        return {(h.exps, g.exps): self.q_scalar(h, g)
-                for h in support for g in support}
-
     def validate(self) -> CheckReport:
         rep = CheckReport("datum")
         for i, qi in enumerate(self.q):
@@ -562,24 +536,6 @@ class QlsDatum:
         rep = self.validate()
         if not rep.ok:
             raise ValidationError(f"invalid datum: {rep!r}")
-
-
-def gaussian_binomial(l: int, k: int, q: CycloNumber) -> CycloNumber:
-    """Coefficient of x^(l-k) y^k in (x+y)^l subject to yx = q xy."""
-    if l < 0 or k < 0 or k > l:
-        raise OutOfRange(f"(l, k) = ({l}, {k})")
-    row = [CycloNumber.one(q.L)]
-    for m in range(1, l + 1):
-        nxt = [row[0]]
-        qpow = CycloNumber.one(q.L)
-        for j in range(1, m + 1):
-            qpow = qpow * q
-            entry = row[j - 1]
-            if j < m:
-                entry = entry + qpow * row[j]
-            nxt.append(entry)
-        row = nxt
-    return row[k]
 
 
 def monomial_labels(heights, elements) -> list:

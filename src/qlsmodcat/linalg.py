@@ -2,8 +2,8 @@
 
 Vectors are dicts mapping integer column indices to kernel pairs; absent
 columns are zero.  Every object taking part in one computation must live
-at the same conductor L.  Scalars enter and leave as kernel pairs; use
-``to_cyclo``/``from_cyclo`` at the boundary.
+at the same conductor L.  Scalars enter and leave as kernel pairs;
+``to_cyclo`` turns one back into a ``CycloNumber``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ def pone(L: int):
 
 def to_cyclo(pair, L: int) -> CycloNumber:
     return CycloNumber._make(L, pair)
-
-
-def from_cyclo(x: CycloNumber, L: int):
-    return x.rebase(L).raw()
 
 
 def inv_pair(pair, L: int):

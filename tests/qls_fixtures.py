@@ -1,7 +1,13 @@
 """Small shared data used across the test modules."""
 
+from qlsmodcat import deformation
 from qlsmodcat.groups import AbelianGroup, Character
 from qlsmodcat.hopf import QlsDatum
+
+
+def trivial_sigma(H):
+    """The trivial cocycle eps(a) eps(b) on H."""
+    return deformation.HopfCocycle(H, deformation._counit_pairs(H), check=False)
 
 
 def sweedler_datum():

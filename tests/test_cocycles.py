@@ -9,7 +9,7 @@ import pytest
 
 from qlsmodcat.cyclo import CycloNumber, zeta
 from qlsmodcat.groups import AbelianGroup, Subgroup
-from qlsmodcat.cocycles import Cocycle2, class_count, enumerate_classes
+from qlsmodcat.cocycles import Cocycle2, enumerate_classes
 
 CARRIERS = [
     Subgroup.full(AbelianGroup(())),
@@ -28,7 +28,6 @@ def _ids(c):
 @pytest.mark.parametrize("carrier", CARRIERS, ids=_ids)
 def test_class_enumeration(carrier):
     classes = enumerate_classes(carrier)
-    assert len(classes) == class_count(carrier)
     tags = {psi.class_tag() for psi in classes}
     assert len(tags) == len(classes)
     for psi in classes:
@@ -42,7 +41,7 @@ def test_class_enumeration(carrier):
 def test_expected_class_counts():
     counts = {(): 1, (2,): 1, (4,): 1, (2, 2): 2, (2, 4): 2, (4, 4): 4}
     for carrier in CARRIERS:
-        assert class_count(carrier) == counts[carrier.factors]
+        assert len(enumerate_classes(carrier)) == counts[carrier.factors]
 
 
 @pytest.mark.parametrize("carrier", CARRIERS[3:], ids=_ids)
@@ -54,10 +53,6 @@ def test_beta_is_an_alternating_bicharacter(carrier):
             for b in carrier:
                 for c in carrier:
                     assert psi.beta(a * b, c) == psi.beta(a, c) * psi.beta(b, c)
-        for g in carrier:
-            chi = psi.beta_character(g)
-            for h in carrier:
-                assert chi(h) == psi.beta(h, g)
 
 
 def test_brute_force_alternating_bicharacters_klein():

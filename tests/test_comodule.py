@@ -351,11 +351,11 @@ def test_generation_reports_missing_top_degree():
 
 def test_simplicity_verdicts():
     simple = check_simplicity(build_A(kpsi_m2()))
-    assert simple.split_simple
+    assert simple.verdict == "split-simple"
     assert simple.operator_dim == 16
 
     regular = check_simplicity(build_A(kpsi_plain()))
-    assert regular.split_simple
+    assert regular.verdict == "split-simple"
 
     control = check_simplicity(trivial_coaction(group_hopf(AbelianGroup((2, 2)))))
     assert control.verdict == "reducible"
@@ -368,7 +368,6 @@ def test_simplicity_verdicts():
 def test_simple_modules_of_group_algebras():
     rep = simple_modules(group_hopf(AbelianGroup((4,))))
     assert rep.radical_dim == 0
-    assert rep.all_split
     assert rep.block_data == (1, 1, 1, 1)
     assert rep.module_dims() == [1, 1, 1, 1]
 
@@ -392,9 +391,34 @@ def test_simple_modules_of_mu_lifting():
     H = build_lifting(LiftingDatum(z4_mu_datum(), mu=[1]))
     rep = simple_modules(H)
     assert rep.radical_dim == 2
-    assert rep.all_split
     assert rep.block_data == (1, 1, 4)
     assert rep.module_dims() == [1, 1, 2]
+
+
+def test_module_dims_of_the_hamilton_quaternions():
+    # y0^2 = y1^2 = -1 and y0 y1 = -y1 y0 over Q: a division algebra of
+    # dim 4 with centre Q, which is M_2 over the algebraic closure
+    d = clifford_z2_datum()
+    F = Subgroup.trivial(d.group)
+    A = build_A(ModCatDatum(d, F, Cocycle2.trivial(F),
+                            w={(1,): [[1, 0], [0, 1]]}, xi=[-1, -1]))
+    rep = simple_modules(A)
+    assert (A.L, rep.radical_dim) == (2, 0)
+    assert rep.blocks == [{"block_dim": 4, "center_dim": 1}]
+    assert rep.module_dims() == [2]
+
+
+def test_module_dims_of_a_field_no_conductor_splits():
+    # y^3 = 2 over Q(zeta3) gives the field Q(zeta3, 2^(1/3)); no
+    # cyclotomic field contains 2^(1/3), and over the closure it is k^3
+    G = AbelianGroup((3,))
+    d = QlsDatum(G, [G.element((1,))], [Character(G, (1,))])
+    F = Subgroup.trivial(G)
+    A = build_A(ModCatDatum(d, F, Cocycle2.trivial(F), w={(1,): [[1]]}, xi=[2]))
+    rep = simple_modules(A)
+    assert (A.dim, rep.radical_dim) == (3, 0)
+    assert rep.blocks == [{"block_dim": 3, "center_dim": 3}]
+    assert rep.module_dims() == [1, 1, 1]
 
 
 def test_build_is_deterministic():

@@ -30,6 +30,12 @@ KNOWN_PHI = {
 }
 
 
+def to_complex(x: CycloNumber) -> complex:
+    """The value of x under the embedding zeta_L -> exp(2 pi i / L)."""
+    w = cmath.exp(2j * cmath.pi / x.L)
+    return sum(c * w**i for i, c in enumerate(x.nums)) / x.den
+
+
 def test_cyclotomic_polynomial_tables():
     for L, coeffs in KNOWN_PHI.items():
         assert cyclotomic_polynomial(L) == coeffs
@@ -105,14 +111,14 @@ def test_arithmetic_matches_complex_embedding(L):
     for _ in range(25):
         a, b = rand(), rand()
         assert cmath.isclose(
-            (a + b).to_complex(), a.to_complex() + b.to_complex(), abs_tol=1e-9
+            to_complex(a + b), to_complex(a) + to_complex(b), abs_tol=1e-9
         )
         assert cmath.isclose(
-            (a * b).to_complex(), a.to_complex() * b.to_complex(), abs_tol=1e-9
+            to_complex(a * b), to_complex(a) * to_complex(b), abs_tol=1e-9
         )
         if not a.is_zero():
             assert cmath.isclose(
-                a.inv().to_complex(), 1 / a.to_complex(), abs_tol=1e-9
+                to_complex(a.inv()), 1 / to_complex(a), abs_tol=1e-9
             )
 
 
@@ -199,7 +205,7 @@ def test_rebase_round_trip():
     b = a.rebase(12)
     assert b.L == 12
     assert b == a
-    assert cmath.isclose(a.to_complex(), b.to_complex(), abs_tol=1e-12)
+    assert cmath.isclose(to_complex(a), to_complex(b), abs_tol=1e-12)
     with pytest.raises(ValueError):
         a.rebase(8)
 
@@ -208,7 +214,7 @@ def test_mixed_conductor_operations():
     x = zeta(4) + zeta(3)
     assert x.L == 12
     assert cmath.isclose(
-        x.to_complex(),
+        to_complex(x),
         cmath.exp(2j * cmath.pi / 4) + cmath.exp(2j * cmath.pi / 3),
         abs_tol=1e-12,
     )

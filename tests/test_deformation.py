@@ -25,13 +25,12 @@ from qlsmodcat.deformation import (
     group_sigma,
     sigma_bigalois,
     transport,
-    trivial_sigma,
 )
 from qlsmodcat.errors import CocycleInvalid, NotClosed, ValidationError
 from qlsmodcat.groups import AbelianGroup, Subgroup
 from qlsmodcat.hopf import QlsDatum, build_bosonization, group_hopf
 from qlsmodcat.linalg import pone
-from qls_fixtures import sweedler_datum, z4_mu_datum, z22_lambda_datum
+from qls_fixtures import sweedler_datum, trivial_sigma, z4_mu_datum, z22_lambda_datum
 
 
 def plain_mcd():

@@ -4,8 +4,8 @@ they replace.
 ``check_simplicity`` spans the products R_a o S_u instead of closing the
 generators under composition, ``simple_modules`` stops splitting a
 corner once its centre is proven a field, and module dimensions come
-from a descent through corners instead of a random search for a minimal
-left ideal.  A Hopf cocycle is checked by the algebra sweep of sigma H
+from each block's dimension and centre instead of a random search for a
+minimal left ideal.  A Hopf cocycle is checked by the algebra sweep of sigma H
 instead of a loop over the cocycle identity, the deformed product is two
 twists instead of a sum over triple coproducts, and the right Galois map
 is decided on the inverse connecting object.  Associativity and the
@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -53,7 +54,6 @@ from qlsmodcat.deformation import (
     deform_hopf,
     group_sigma,
     sigma_bigalois,
-    trivial_sigma,
 )
 from qlsmodcat.groups import AbelianGroup, Character, Subgroup
 from qlsmodcat.hopf import (
@@ -70,6 +70,7 @@ from qls_fixtures import (
     clifford_z2_datum,
     clifford_z22_datum,
     sweedler_datum,
+    trivial_sigma,
     z4_datum,
     z4_mu_datum,
     z22_lambda_datum,
@@ -95,8 +96,8 @@ def closure_span(A):
     return sp, gens
 
 
-def full_retry_blocks(A, seed=0, tries=24):
-    """Radical dim and sorted (block dim, centre dim) of every corner,
+def full_retry_corners(A, seed=0, tries=24):
+    """Radical dim, B = A/J and (idempotent, centre dim) of every corner,
     splitting along every central mix until each centre is the ground
     field or all the tries are spent."""
     J = comodule._trace_radical(A)
@@ -130,11 +131,17 @@ def full_retry_blocks(A, seed=0, tries=24):
                 vec_addmul(mix, dict(zr), CycloNumber.from_rational(c, B.L).raw(), red)
         if mix:
             queue.append(mix)
-    blocks = []
-    for e in ids:
-        block = linalg.span([B.multiply(B.basis(i), e) for i in range(B.dim)], B.L)
-        blocks.append((block.dim, center_dim(e)))
-    return J.dim, sorted(blocks)
+    return J.dim, B, [(e, center_dim(e)) for e in ids]
+
+
+def block_span(B, e):
+    return linalg.span([B.multiply(B.basis(i), e) for i in range(B.dim)], B.L)
+
+
+def full_retry_blocks(A):
+    """Radical dim and sorted (block dim, centre dim) of every corner."""
+    radical, B, corners = full_retry_corners(A)
+    return radical, sorted((block_span(B, e).dim, d) for e, d in corners)
 
 
 def report_blocks(rep):
@@ -264,7 +271,7 @@ def test_classify_rows_match_the_full_retry_loop(datum, monkeypatch):
     def oracle(A):
         radical, blocks = full_retry_blocks(A)
         return comodule.SimpleModulesReport(
-            radical, [{"block_dim": b, "center_dim": c} for b, c in blocks], [])
+            radical, [{"block_dim": b, "center_dim": c} for b, c in blocks])
 
     monkeypatch.setattr(classify, "simple_modules", oracle)
     assert classification_report(datum()).as_dict() == want
@@ -452,7 +459,7 @@ def poly_quo(coeffs, factor, L):
 
 
 def random_ideal_dim(B, e, block, rng, tries=24):
-    """The minimal left ideal search that the corner descent replaces.
+    """A random search for a minimal left ideal of a block with centre K.
 
     Draws the block's basis and random mixes of it, evaluates the cofactor
     of each irreducible factor of a draw's minimal polynomial at the draw
@@ -494,32 +501,38 @@ def random_ideal_dim(B, e, block, rng, tries=24):
     return None
 
 
-def module_dims_both_ways(A, monkeypatch):
-    """(descent, random search) module dims of every centre-1 block of A."""
-    descent = comodule._module_dim
-    out = []
-
-    def both(B, e, block):
-        got = descent(B, e, block)
-        out.append((block.dim, got, random_ideal_dim(B, e, block, random.Random(0))))
-        return got
-
-    monkeypatch.setattr(comodule, "_module_dim", both)
-    simple_modules(A)
-    return out
+def module_dims_both_ways(A):
+    """``module_dims()`` of A, and the sorted (block dim, random search dim)
+    of every centre-1 corner of the full retry loop."""
+    _, B, corners = full_retry_corners(A)
+    search = []
+    for e, center_dim in corners:
+        if center_dim == 1:
+            block = block_span(B, e)
+            search.append((block.dim,
+                           random_ideal_dim(B, e, block, random.Random(0))))
+    return simple_modules(A).module_dims(), sorted(search)
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
-def test_corner_descent_matches_the_random_ideal_search(name, monkeypatch):
-    for _, descent, search in module_dims_both_ways(PAIRS[name], monkeypatch):
-        assert descent is not None
-        if search is not None:
-            assert descent == search
+def test_corner_descent_matches_the_random_ideal_search(name):
+    """Every simple module the search certifies is one of ``module_dims()``."""
+    dims, search = module_dims_both_ways(PAIRS[name])
+    certified = Counter(n for _, n in search if n is not None)
+    assert not certified - Counter(dims)
 
 
-def test_the_ideal_search_oracle_certifies_matrix_blocks(monkeypatch):
-    dims = module_dims_both_ways(PAIRS["z22_lambda-regular"], monkeypatch)
-    assert sorted(dims) == [(1, 1, 1), (1, 1, 1), (4, 2, 2), (4, 2, 2)]
+def test_the_ideal_search_oracle_certifies_matrix_blocks():
+    dims, search = module_dims_both_ways(PAIRS["z22_lambda-regular"])
+    assert dims == [1, 1, 2, 2]
+    assert search == [(1, 1), (1, 1), (4, 2), (4, 2)]
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_module_dims_square_to_the_semisimple_part(name):
+    A = PAIRS[name]
+    rep = simple_modules(A)
+    assert sum(n * n for n in rep.module_dims()) == A.dim - rep.radical_dim
 
 
 def bench_cell(g):
@@ -540,7 +553,7 @@ def test_bench_matrix_block_over_q_i_is_split(g):
     A = bench_cell(g)
     rep = simple_modules(A)
     assert (A.dim, A.L, rep.block_data) == (16, 4, (16,))
-    assert rep.all_split
+    assert rep.blocks == [{"block_dim": 16, "center_dim": 1}]
     assert rep.module_dims() == [4]
 
 
