@@ -15,6 +15,11 @@ over Q it replaced; the two must agree exactly.
 Factoring is timed on the minimal polynomials a CLI ``classify`` factors:
 ``polyfactor.factor`` against a hit of ``comodule``'s per-process memo,
 which must give the same factors.
+
+The comodule-algebra sweep is timed on the dim-36 algebra over Z6 of the
+pipebench ``algebra-z6`` build: ``ComoduleAlgebra.verify`` against a
+ledger that already proves the bosonization (|S| n pairs), and
+``verify_coaction`` with a fresh report (all n^2 pairs).
 """
 
 from __future__ import annotations
@@ -27,8 +32,11 @@ from time import perf_counter
 
 from qlsmodcat import comodule, polyfactor
 from qlsmodcat._kernel import pure
+from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.cyclo import (CycloNumber, _poly_trim, _poly_xgcd, context,
                              cyclotomic_polynomial, zeta)
+from qlsmodcat.groups import AbelianGroup, Character, Subgroup
+from qlsmodcat.hopf import CheckReport, QlsDatum, verify_coaction
 
 try:
     from qlsmodcat._kernel import _speedups
@@ -181,6 +189,42 @@ def run_factoring(reps):
               f"memo hit {t_hit * 1e6:6.1f}us ({t_cold / t_hit:5.0f}x)")
 
 
+SWEEP_REPS = 5
+
+
+def run_sweeps(reps):
+    """The dim-36 comodule algebra over Z6 (q = zeta_6, F = Z6, xi = 2)."""
+    G = AbelianGroup((6,))
+    d = QlsDatum(G, [G.element((1,))], [Character(G, (1,))])
+    F = Subgroup.full(G)
+    A = comodule.build_A(comodule.ModCatDatum(
+        d, F, Cocycle2.trivial(F), w={(1,): [[1]]}, xi=[2]))
+    U = A.hopf
+    n = A.dim
+    print(f"comodule-algebra sweep, dim {n} over a dim {U.dim} "
+          f"bosonization, x {reps} reps")
+    t_proof, urep = time_calls(U.verify_algebra, reps)
+
+    def with_ledger():
+        # a new ledger each time, holding U's proof alone, so that A's
+        # own algebra sweep is timed too
+        ledger = CheckReport("proofs")
+        ledger.proven += urep.proven
+        return A.verify(ledger)
+
+    t_ledger, rep = time_calls(with_ledger, reps)
+    t_fresh, fresh = time_calls(
+        lambda: verify_coaction(CheckReport(), A, U, U.comult, A.coaction),
+        reps)
+    assert urep.ok and rep.ok and fresh.ok, "the dim-36 sweeps disagree"
+    pairs = len(A.generators()) * n
+    for label, t in (
+            ("U.verify_algebra, once a command", t_proof),
+            (f"A.verify with the ledger, {pairs} pairs", t_ledger),
+            (f"verify_coaction, fresh report, {n * n} pairs", t_fresh)):
+        print(f"  {label:44s} {t * 1e3:7.1f}ms")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--conductors", default="4,12,60",
@@ -196,6 +240,7 @@ def main(argv=None):
     for conductor in INVERSE_CONDUCTORS:
         run_inverses(conductor, args.count, INVERSE_REPS, args.seed)
     run_factoring(FACTOR_REPS)
+    run_sweeps(SWEEP_REPS)
 
 
 if __name__ == "__main__":

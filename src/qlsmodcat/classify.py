@@ -255,8 +255,10 @@ def classification_report(datum: QlsDatum, scalar_sample=(0, 1),
     for mcd in data:
         key = (mcd.F.key(), mcd.psi_norm.class_tag(), _w_key(mcd))
         cells.setdefault(key, []).append(mcd)
-    # every row's algebra is a comodule algebra over this one Hopf algebra
+    # every row's algebra is a comodule algebra over this one Hopf algebra,
+    # whose proof in the ledger serves each row at its conductor
     U = build_bosonization(datum)
+    proofs = CheckReport("proofs")
     rows = []
     free_total = 0
     for members in cells.values():
@@ -265,7 +267,7 @@ def classification_report(datum: QlsDatum, scalar_sample=(0, 1),
         free = len(free_xi) + len(free_al)
         free_total += free
         generic = members[-1]
-        A = build_A(generic, U)
+        A = build_A(generic, U, proofs)
         simp = check_simplicity(A)
         mods = simple_modules(A)
         label, general = _w_label(base)

@@ -31,7 +31,7 @@ from .errors import (
     SizeBound,
     ValidationError,
 )
-from .hopf import build_bosonization
+from .hopf import CheckReport, build_bosonization
 
 # compiled on first use, so each command compiles only the layers it runs
 classify = _lazy("classify")
@@ -289,10 +289,21 @@ def cmd_transport(args) -> int:
     _, lifting, mcd = serialize.load_datum(obj)
     if lifting is None:
         raise ValidationError("the input has no lifting section")
-    B = deformation.build_bigalois(lifting)
-    A = (comodule.build_A(mcd) if mcd is not None
-         else comodule.regular_coaction(B.right_hopf))
-    T, rep = deformation.transport(B, A)
+    # one ledger for the command: B's build proves the bosonization, and
+    # the modcat algebra is built over that same table, so every later
+    # sweep over it reads that proof
+    proofs = CheckReport("proofs")
+    B = deformation.build_bigalois(lifting, proofs)
+    if mcd is None:
+        A = comodule.regular_coaction(B.right_hopf)
+    elif mcd.L != B.algebra.L:
+        raise ValidationError(
+            f"the modcat algebra lives at conductor {mcd.L} and the "
+            f"connecting object at {B.algebra.L}, so A is not a comodule "
+            f"over either side of B")
+    else:
+        A = comodule.build_A(mcd, B.left_hopf, proofs)
+    T, rep = deformation.transport(B, A, proofs)
     payload = {"algebra": serialize.comodule_dump(T),
                "report": serialize.report_to_json(rep)}
     out = _out_path(args, "transport")
@@ -359,7 +370,8 @@ FLAGS = {
     "--format": dict(choices=("text", "json"), default="text"),
     "--sample": dict(default="0,1",
                      help="comma-separated scalar sample for classify"),
-    "--max-group-order": dict(type=int, default=256, dest="max_group_order"),
+    "--max-group-order": dict(type=_positive_int, default=256,
+                              dest="max_group_order"),
     "--conductor": dict(type=_positive_int,
                         help="rebase built tables to this conductor"),
     "--no-cache": dict(action="store_true", dest="no_cache"),

@@ -247,11 +247,29 @@ class ComoduleAlgebra(FiniteAlgebra):
         self.degree = list(degree) if degree is not None else None
         self.mcd = mcd
 
-    def verify(self) -> CheckReport:
-        rep = self.verify_algebra()
+    def verify(self, proofs: CheckReport | None = None) -> CheckReport:
+        """The algebra laws, then the comodule-algebra sweep over ``hopf``.
+
+        ``proofs`` is the ledger of one command: the algebras it has
+        proven unital and associative (``CheckReport.prove``).  This
+        algebra and the coacting U are each swept only when the ledger
+        holds no proof for their tables, and their proofs are entered in
+        it, or in a fresh ledger when none is given.  With both proofs,
+        multiplicativity is proven from the |S| n generator pairs
+        (``verify_coaction``).  U's failing laws are reported under a
+        ``hopf-`` prefix with U's labels, and then all n^2 pairs are
+        swept.
+        """
+        if proofs is None:
+            proofs = CheckReport()
+        rep = proofs.prove(self)
         rep.subject = "comodule-algebra"
-        return verify_coaction(rep, self, self.hopf, self.hopf.comult,
-                               self.coaction)
+        U = self.hopf
+        urep = proofs.prove(U)
+        rep.proven += urep.proven
+        for name, witness in urep.failures:
+            rep.fail("hopf-" + name, witness)
+        return verify_coaction(rep, self, U, U.comult, self.coaction)
 
 
 def _coaction_tables(mcd: ModCatDatum, alg: FiniteAlgebra, U: FiniteHopf):
@@ -284,7 +302,8 @@ def _coaction_tables(mcd: ModCatDatum, alg: FiniteAlgebra, U: FiniteHopf):
 
 
 def _assemble(mcd: ModCatDatum, mult: dict, labels,
-              U: FiniteHopf | None = None) -> ComoduleAlgebra:
+              U: FiniteHopf | None = None,
+              proofs: CheckReport | None = None) -> ComoduleAlgebra:
     ident = mcd.datum.group.identity()
     zero_w = (0,) * mcd.n_letters
     unit = {labels.index((zero_w, ident.exps)): linalg.pone(mcd.L)}
@@ -295,22 +314,25 @@ def _assemble(mcd: ModCatDatum, mult: dict, labels,
     coaction = _coaction_tables(mcd, alg, U)
     A = ComoduleAlgebra(labels, mcd.L, mult, unit, U, coaction,
                         degree=[sum(r) for r, _ in labels], mcd=mcd)
-    rep = A.verify()
+    rep = A.verify(proofs)
     if not rep.ok:
         raise ConfluenceFailure(
             f"built tables fail verification: {rep.checks_failed()}")
     return A
 
 
-def build_A(mcd: ModCatDatum, U: FiniteHopf | None = None) -> ComoduleAlgebra:
+def build_A(mcd: ModCatDatum, U: FiniteHopf | None = None,
+            proofs: CheckReport | None = None) -> ComoduleAlgebra:
     """The comodule algebra generated by the subspace rows and the e_f.
 
     ``U`` is the bosonization of ``mcd.datum`` at any conductor dividing
-    ``mcd.L``; it is built when not given.
+    ``mcd.L``; it is built when not given.  The tables are verified
+    against the ledger ``proofs`` (``ComoduleAlgebra.verify``).
     """
     mcd.require_valid()
     labels = monomial_labels(mcd.heights, mcd.F)
-    return _assemble(mcd, ComoduleRules(mcd).product_table(labels), labels, U)
+    return _assemble(mcd, ComoduleRules(mcd).product_table(labels), labels, U,
+                     proofs)
 
 
 def build_K(mcd: ModCatDatum, U: FiniteHopf | None = None) -> ComoduleAlgebra:

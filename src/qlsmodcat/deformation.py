@@ -517,12 +517,15 @@ def sigma_bigalois(H: FiniteHopf, sigma: HopfCocycle) -> BiGaloisRep:
     return rep
 
 
-def build_bigalois(ld: LiftingDatum) -> BiGaloisRep:
+def build_bigalois(ld: LiftingDatum,
+                   proofs: CheckReport | None = None) -> BiGaloisRep:
     """The connecting object between a lifting and its graded model.
 
     As an algebra this is the comodule algebra over the full group with
     trivial cocycle, full generating subspace and negated scalars; the
     graded Hopf algebra coacts on the left and the lifting on the right.
+    The proof of the graded Hopf algebra's algebra laws is entered into
+    the ledger ``proofs``, so that later sweeps over it can read it.
     """
     d = ld.datum
     theta = d.theta
@@ -545,7 +548,7 @@ def build_bigalois(ld: LiftingDatum) -> BiGaloisRep:
             alpha[(b, a)] = d.chi[i](d.g[j]) * lam_ij
     mcd = comodule.ModCatDatum(d, F, cocycles.Cocycle2.trivial(F), w=w, xi=xi,
                                alpha=alpha)
-    B = comodule.build_A(mcd)
+    B = comodule.build_A(mcd, proofs=proofs)
     H = build_lifting(ld).rebased(B.L)
 
     ident = d.group.identity()
@@ -583,24 +586,25 @@ def _unflatten(flat: dict, nA: int) -> dict:
     return {(k // nA, k % nA): c for k, c in flat.items()}
 
 
-def cotensor(B: BiGaloisRep,
-             A: comodule.ComoduleAlgebra) -> comodule.ComoduleAlgebra:
+def cotensor(B: BiGaloisRep, A: comodule.ComoduleAlgebra,
+             proofs: CheckReport | None = None) -> comodule.ComoduleAlgebra:
     """Solutions of the matching equation in B tensor A, as an algebra.
 
     When A is coacted by B's right Hopf algebra the matching is direct;
     when it is coacted by the left one, A is matched with the inverse
     object instead.  The result is a comodule algebra over the other
-    side, of the same dimension as A.
+    side, of the same dimension as A, verified against the ledger
+    ``proofs`` (``ComoduleAlgebra.verify``).
     """
     if A.hopf.same_tables(B.right_hopf):
-        return _cotensor_core(B, A)
+        return _cotensor_core(B, A, proofs)
     if A.hopf.same_tables(B.left_hopf):
-        return _cotensor_core(B.inverse(), A)
+        return _cotensor_core(B.inverse(), A, proofs)
     raise ValidationError("A is not a comodule over either side of B")
 
 
-def _cotensor_core(B: BiGaloisRep,
-                   A: comodule.ComoduleAlgebra) -> comodule.ComoduleAlgebra:
+def _cotensor_core(B: BiGaloisRep, A: comodule.ComoduleAlgebra,
+                   proofs: CheckReport | None) -> comodule.ComoduleAlgebra:
     """B cotensor A, for A coacted by B's right Hopf algebra; the result
     is coacted by B's left one."""
     nA = A.dim
@@ -666,23 +670,24 @@ def _cotensor_core(B: BiGaloisRep,
 
     T = comodule.ComoduleAlgebra(list(A.labels), L, mult, dict(A.unit),
                                  B.left_hopf, coaction)
-    rep = T.verify()
+    rep = T.verify(proofs)
     if not rep.ok:
         raise IsoCheckFailed(
             f"transported algebra fails verification: {rep.checks_failed()}")
     return T
 
 
-def transport(B: BiGaloisRep, A: comodule.ComoduleAlgebra):
+def transport(B: BiGaloisRep, A: comodule.ComoduleAlgebra,
+              proofs: CheckReport | None = None):
     """Move A along B and report which invariants survive.
 
     Returns the transported algebra and a report. Dimension, simplicity
     verdict and coinvariant dimension are compared between A and its
     image. A change of radical dimension or matrix block data is recorded
     as a failed check rather than raised, since equivalences need not
-    preserve them.
+    preserve them.  ``proofs`` is passed on to ``cotensor``.
     """
-    T = cotensor(B, A)
+    T = cotensor(B, A, proofs)
     rep = CheckReport("transport")
     if T.dim != A.dim:
         rep.fail("dimension-preserved", (A.dim, T.dim))

@@ -25,8 +25,9 @@ class CheckReport:
 
     The report also holds the algebras this sweep has proven unital and
     associative, each with the generators that prove it, so that later
-    checks of the same sweep can rest on those laws.  Nothing is kept on
-    the tables themselves.
+    checks of the same sweep can rest on those laws.  A report a command
+    passes from sweep to sweep is its ledger of such proofs (``prove``).
+    Nothing is kept on the tables themselves.
     """
 
     def __init__(self, subject: str = ""):
@@ -48,6 +49,19 @@ class CheckReport:
             if other is alg or FiniteAlgebra.same_tables(other, alg):
                 return gens
         return None
+
+    def prove(self, alg: "FiniteAlgebra") -> "CheckReport":
+        """The sweep of alg's unit laws and associativity, with this report
+        as a ledger: a proof it holds for tables equal to alg's is reused,
+        and a new proof is entered here."""
+        gens = self.generators(alg)
+        if gens is not None:
+            rep = CheckReport("algebra")
+            rep.proven.append((alg, gens))
+            return rep
+        rep = alg.verify_algebra()
+        self.proven += rep.proven
+        return rep
 
     def checks_failed(self) -> list[str]:
         seen = []
@@ -309,10 +323,11 @@ def verify_coaction(rep: CheckReport, alg: FiniteAlgebra, U: FiniteHopf,
     delta((s x) y) = delta(s) delta(x y) = (delta(s) delta(x)) delta(y)
     = delta(s x) delta(y) in the associative U tensor alg.  So the |S| n
     pairs (s, y) prove the law.  Otherwise, or when a pair fails, all n^2
-    pairs are swept and each failure reported.  U is not proven here
-    just for this: its proof costs about |S_U| n_U^2 products, and the
-    comodule algebras the engine builds are never larger than their U,
-    so that proof would cost more than the pairs it spares.
+    pairs are swept and each failure reported.  U is not proven here:
+    ``ComoduleAlgebra.verify`` enters U's proof into ``rep``, read from or
+    added to the ledger of the command, so each U is swept once however
+    many algebras it coacts on; a Hopf algebra's own sweep has proven it
+    as alg.
     """
     unital, coassociative, counital, multiplicative = names
     red = alg.ctx.reduction

@@ -1,7 +1,9 @@
 """Small shared data used across the test modules."""
 
 from qlsmodcat import deformation
-from qlsmodcat.groups import AbelianGroup, Character
+from qlsmodcat.cocycles import Cocycle2
+from qlsmodcat.comodule import ModCatDatum
+from qlsmodcat.groups import AbelianGroup, Character, Subgroup
 from qlsmodcat.hopf import QlsDatum
 
 
@@ -38,6 +40,15 @@ def clifford_z22_datum():
     return QlsDatum(G, [u, u], [chi, chi])
 
 
+def z6_modcat():
+    """F = Z6, the full subspace and xi = 2 over one generator of Z6 with
+    chi(g) = zeta_6: a dim-36 comodule algebra over a dim-36 bosonization."""
+    G = AbelianGroup((6,))
+    d = QlsDatum(G, [G.element((1,))], [Character(G, (1,))])
+    F = Subgroup.full(G)
+    return ModCatDatum(d, F, Cocycle2.trivial(F), w={(1,): [[1]]}, xi=[2])
+
+
 def z4_mu_datum():
     """One generator over Z4 with chi(g) = -1; admits the root lifting."""
     G = AbelianGroup((4,))
@@ -49,6 +60,29 @@ def z22_lambda_datum():
     G = AbelianGroup((2, 2))
     chi = Character(G, (1, 1))
     return QlsDatum(G, [G.element((1, 0)), G.element((0, 1))], [chi, chi])
+
+
+def z4_theta2_obj(modcat=False):
+    """Two generators of degree g over Z4 with chi(g) = -1, as an input
+    file; with ``modcat``, the dim-16 algebra over F = Z4 with root
+    scalars 1, 2 and link scalar 1."""
+    obj = {"group": {"orders": [4]}, "g": [[1], [1]], "chi": [[2], [2]]}
+    if modcat:
+        obj["modcat"] = {"F": {"gens": [[1]]},
+                         "w": [{"component": [1], "rows": [[1, 0], [0, 1]]}],
+                         "xi": [1, 2], "alpha": [[0, 1, 1]]}
+    return obj
+
+
+def z22_link_obj():
+    """The linking lifting of z22_lambda_datum with lambda = 1, and the
+    dim-16 algebra over F = Z2 x Z2 on both generators, as an input file."""
+    return {"group": {"orders": [2, 2]}, "g": [[1, 0], [0, 1]],
+            "chi": [[1, 1], [1, 1]],
+            "lifting": {"mu": [], "lambda": [[0, 1, 1]]},
+            "modcat": {"F": {"gens": [[1, 0], [0, 1]]},
+                       "w": [{"component": [0, 1], "rows": [[1]]},
+                             {"component": [1, 0], "rows": [[1]]}]}}
 
 
 def float_integer_inputs():

@@ -17,13 +17,16 @@ from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.comodule import ModCatDatum
 from qlsmodcat.deformation import LiftingDatum, build_bigalois
 from qlsmodcat.groups import Subgroup
-from qlsmodcat.serialize import bigalois_dump, datum_to_json, dumps_canonical
+from qlsmodcat.hopf import CheckReport, verify_coaction
+from qlsmodcat.serialize import (bigalois_dump, comodule_load, datum_to_json,
+                                 dumps_canonical)
 
 from qls_fixtures import (
     float_integer_inputs,
     sweedler_datum,
     z4_datum,
     z4_mu_datum,
+    z4_theta2_obj,
     z22_lambda_datum,
 )
 
@@ -631,6 +634,33 @@ def test_build_algebra_and_verify(tmp_path, capsys):
     assert "comodule-algebra: ok" in capsys.readouterr().out
 
 
+def test_verify_names_a_broken_coacting_hopf_table(tmp_path, capsys):
+    """One cell of the coacting bosonization deleted from a built
+    algebra: verify reports U's failing laws under a hopf- prefix with
+    U's labels, and then sweeps every pair for multiplicativity."""
+    path = write(tmp_path, z4_theta2_obj(modcat=True))
+    assert main(["build-algebra", path, "--no-cache"]) == 0
+    artifact = tmp_path / "datum.algebra.json"
+    obj = json.loads(artifact.read_text())
+    del obj["hopf"]["mult"][-1]
+    artifact.write_text(dumps_canonical(obj))
+    capsys.readouterr()
+    assert main(["verify", str(artifact), "--format", "json"]) == 2
+    got = json.loads(capsys.readouterr().out)["failures"]
+
+    A = comodule_load(obj)
+    U = A.hopf
+    assert A.verify_algebra().ok
+    hopf_failures = U.verify_algebra().failures
+    full = verify_coaction(CheckReport(), A, U, U.comult, A.coaction).failures
+    assert hopf_failures and {name for name, _ in hopf_failures} == {
+        "associativity"}
+    assert [name for name, _ in full] == ["coaction-multiplicative"] * len(full)
+    want = ([("hopf-" + name, w) for name, w in hopf_failures] + full)
+    assert [f["check"] for f in got] == [name for name, _ in want]
+    assert A.verify().failures == want
+
+
 def test_build_algebra_rejects_conductor_flag(tmp_path, capsys):
     path = write(tmp_path, sweedler_modcat_obj())
     with pytest.raises(SystemExit) as e:
@@ -711,6 +741,20 @@ def test_a_non_positive_conductor_is_a_usage_error(tmp_path, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["datum.json"]
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_a_non_positive_max_group_order_is_a_usage_error(tmp_path, capsys,
+                                                         bound):
+    """-3 used to exit 1 with "group of order 3 exceeds the subgroup
+    enumeration bound -3", after the input was read."""
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    with pytest.raises(SystemExit) as e:
+        main(["classify", path, "--max-group-order", bound])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-group-order" in err and "positive integer" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["datum.json"]
+
+
 @pytest.mark.parametrize("sample,message", [
     (",", "is empty"), ("", "is empty"),
     ("0,1,1", "repeats the value 1"), ("0,1,0", "repeats the value 0"),
@@ -782,6 +826,24 @@ def test_transport_defaults_to_the_regular_algebra(tmp_path, capsys):
     assert "dimension-preserved" not in failed
     assert main(["verify", str(out_path)]) == 0
     assert "comodule-algebra: ok" in capsys.readouterr().out
+
+
+ZETA8 = {"L": 8, "c": ["0", "1", "0", "0"]}
+
+
+@pytest.mark.parametrize("mu,xi", [(1, ZETA8), (ZETA8, 1)])
+def test_transport_of_an_algebra_at_another_conductor_is_an_input_error(
+        tmp_path, capsys, mu, xi):
+    """A modcat algebra at conductor 8 over a connecting object at 4, and
+    the other way round: neither side of B coacts on it."""
+    obj = z4_mu_obj()
+    obj["lifting"]["mu"] = [mu]
+    obj["modcat"] = {"F": {"gens": [[1]]},
+                     "w": [{"component": [1], "rows": [[1]]}], "xi": [xi]}
+    path = write(tmp_path, obj)
+    assert main(["transport", path]) == 1
+    err = capsys.readouterr().err
+    assert "conductor" in err and "either side of B" in err
 
 
 def test_transport_needs_a_lifting_section(tmp_path, capsys):

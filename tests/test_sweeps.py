@@ -10,11 +10,13 @@ in order; ``FiniteHopf.verify`` is pinned as a multiset, because its
 per-element checks may run in any order.
 """
 
+import json
 from collections import Counter
 
 import pytest
 
 from qlsmodcat import hopf
+from qlsmodcat.cli import main
 from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.comodule import ComoduleAlgebra, ModCatDatum, build_A
 from qlsmodcat.cyclo import CycloNumber
@@ -22,7 +24,8 @@ from qlsmodcat.deformation import BiGaloisRep, LiftingDatum, build_bigalois
 from qlsmodcat.groups import AbelianGroup, Character, Subgroup
 from qlsmodcat.hopf import (FiniteAlgebra, FiniteHopf, QlsDatum,
                             build_bosonization)
-from qls_fixtures import sweedler_datum, z4_mu_datum
+from qls_fixtures import (sweedler_datum, z4_mu_datum, z4_theta2_obj,
+                          z6_modcat, z22_link_obj)
 
 NAMES = {((0,), (0,)): "1", ((0,), (1,)): "g",
          ((1,), (0,)): "x", ((1,), (1,)): "xg"}
@@ -301,16 +304,21 @@ def test_bigalois_sweep_on_one_broken_cell(check):
 
 
 def test_build_bigalois_sweeps_the_algebra_once(monkeypatch):
-    calls = []
+    """B's algebra and its coacting bosonization U are each swept once:
+    two different tables of dim 8."""
+    calls, tables = [], []
     plain = FiniteAlgebra.verify_algebra
 
     def counted(self):
         calls.append(self.dim)
+        tables.append(self)
         return plain(self)
 
     monkeypatch.setattr(FiniteAlgebra, "verify_algebra", counted)
-    build_bigalois(LiftingDatum(z4_mu_datum(), mu=[1]))
-    assert calls == [8]
+    B = build_bigalois(LiftingDatum(z4_mu_datum(), mu=[1]))
+    assert calls == [8, 8]
+    assert tables[0] is not B.left_hopf and tables[1] is B.left_hopf
+    assert not FiniteAlgebra.same_tables(tables[0], tables[1])
 
 
 def test_hopf_sweep_multiplies_on_generators_only(monkeypatch):
@@ -337,3 +345,91 @@ def test_hopf_sweep_multiplies_on_generators_only(monkeypatch):
     monkeypatch.setattr(hopf, "vec_addmul", counted)
     assert H.verify().ok
     assert len(calls) <= 20000
+
+
+def test_comodule_sweep_multiplies_generator_pairs_only(monkeypatch):
+    """The dim-36 algebra over Z6 (q = zeta_6, F = Z6, xi = 2) is proven
+    multiplicative from its |S| n = 72 generator pairs once its coacting
+    bosonization is proven; without that proof all n^2 = 1,296 pairs are
+    multiplied.  A pair that fails still starts the full sweep."""
+    A = build_A(z6_modcat())
+    assert A.dim == A.hopf.dim == 36
+    gens = A.generators()
+    assert len(gens) * A.dim == 72
+    calls = []
+    plain = hopf.pair_multiply
+
+    def counted(*args):
+        calls.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(hopf, "pair_multiply", counted)
+    assert A.verify().ok
+    assert len(calls) <= 72
+
+    calls.clear()
+    coaction = [dict(v) for v in A.coaction]
+    del coaction[gens[-1]][min(coaction[gens[-1]])]
+    broken = ComoduleAlgebra(A.labels, A.L, A.mult, dict(A.unit), A.hopf,
+                             coaction, degree=A.degree)
+    rep = broken.verify()
+    assert "coaction-multiplicative" in rep.checks_failed()
+    assert len(calls) > A.dim ** 2
+
+
+# Z2 x Z2 with both generators of q = -1: its rows sit at conductors 2
+# and 4, so classify proves U at each
+Z22 = {k: v for k, v in z22_link_obj().items() if k in ("group", "g", "chi")}
+COMMANDS = {
+    "build-algebra": (z4_theta2_obj(modcat=True), ["--no-cache"]),
+    "classify": (z4_theta2_obj(), ["--sample", "0,1"]),
+    "classify-z22": (Z22, ["--sample", "0,1"]),
+    "transport": (z22_link_obj(), []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+def test_each_command_proves_each_table_once(case, tmp_path, monkeypatch,
+                                             capsys):
+    """Every algebra table a command builds or reads is swept for its unit
+    laws and associativity once: the bosonization U once (once per
+    conductor in classify), each built algebra once, and in transport
+    also the connecting object, the lifting and the transported algebra."""
+    monkeypatch.setenv("QLSMODCAT_CACHE_DIR", str(tmp_path / "cache"))
+    proven = []
+    plain = FiniteAlgebra.verify_algebra
+
+    def recorded(self):
+        proven.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(FiniteAlgebra, "verify_algebra", recorded)
+    obj, options = COMMANDS[case]
+    command = case.split("-z")[0]
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "out.json"
+    assert main([command, str(path), "--out", str(out)] + options) == 0
+    capsys.readouterr()
+
+    for i, table in enumerate(proven):
+        for other in proven[:i]:
+            assert not FiniteAlgebra.same_tables(table, other)
+    bosonizations = [t for t in proven if isinstance(t, FiniteHopf)]
+    if command == "build-algebra":
+        assert [t.dim for t in proven] == [16, 16]
+        assert len(bosonizations) == 1
+    elif command == "classify":
+        report = json.loads(out.read_text())["report"]
+        conductors = {t.L for t in bosonizations}
+        assert len(bosonizations) == len(conductors)
+        assert len(conductors) == (2 if case == "classify-z22" else 1)
+        # the generic algebra of each row, unless its tables repeat another's
+        algebras = len(proven) - len(bosonizations)
+        assert 1 < algebras <= len(report["rows"])
+    else:
+        # B and U from B's build, then T = B cotensor A and the lifting H
+        # that coacts on T; the modcat algebra A has U's tables here, so
+        # U's proof serves A's sweep too
+        assert [t.dim for t in proven] == [16, 16, 16, 16]
+        assert len(bosonizations) == 2
