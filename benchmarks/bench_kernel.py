@@ -20,21 +20,29 @@ The comodule-algebra sweep is timed on the dim-36 algebra over Z6 of the
 pipebench ``algebra-z6`` build: ``ComoduleAlgebra.verify`` against a
 ledger that already proves the bosonization (|S| n pairs), and
 ``verify_coaction`` with a fresh report (all n^2 pairs).
+
+The block analysis ``simple_modules`` is timed, with both factoring memos
+cleared before each repeat, on the 30 algebras ``classify --sample 0,1``
+builds over Z4 with two generators of degree 1 and q = -1, and on A and
+T of the dim-24 mixed Z6 transport of the pipebench; the block data
+printed are asserted.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from time import perf_counter
 
-from qlsmodcat import comodule, polyfactor
+from qlsmodcat import classify, comodule, polyfactor
 from qlsmodcat._kernel import pure
 from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.cyclo import (CycloNumber, _poly_trim, _poly_xgcd, context,
                              cyclotomic_polynomial, zeta)
+from qlsmodcat.deformation import LiftingDatum, build_bigalois, cotensor
 from qlsmodcat.groups import AbelianGroup, Character, Subgroup
 from qlsmodcat.hopf import CheckReport, QlsDatum, verify_coaction
 
@@ -225,6 +233,63 @@ def run_sweeps(reps):
         print(f"  {label:44s} {t * 1e3:7.1f}ms")
 
 
+BLOCK_REPS = 5
+
+
+def block_cases():
+    """(label, algebras, counts of their (radical dim, blocks))."""
+    Z4 = AbelianGroup((4,))
+    z4t2 = QlsDatum(Z4, [Z4.element((1,))] * 2, [Character(Z4, (2,))] * 2)
+    members = [comodule.build_A(m)
+               for m in classify.enumerate_modcat_data(z4t2, (0, 1))]
+    Z6 = AbelianGroup((6,))
+    g, chi = Z6.element((1,)), Character(Z6, (3,))
+    B = build_bigalois(LiftingDatum(QlsDatum(Z6, [g, g], [chi, chi]),
+                                    mu=[1, 2], lam={(0, 1): -2}))
+    A = comodule.regular_coaction(B.right_hopf)
+    return [
+        (f"Z4 theta=2, {len(members)} data at 0,1", members, Z4T2_BLOCKS),
+        ("mixed Z6 transport, A (dim 24)", [A],
+         {(6, ((1, 1), (1, 1), (8, 2), (8, 2))): 1}),
+        ("mixed Z6 transport, T (dim 24)", [cotensor(B, A)],
+         {(0, ((8, 2), (8, 2), (8, 2))): 1}),
+    ]
+
+
+# (radical dim, ((block dim, centre dim), ...)) -> number of algebras
+Z4T2_BLOCKS = {
+    (0, ((1, 1),)): 1, (1, ((1, 1),)): 2, (3, ((1, 1),)): 1,
+    (0, ((1, 1), (1, 1))): 1, (2, ((1, 1), (1, 1))): 2,
+    (6, ((1, 1), (1, 1))): 1,
+    (0, ((1, 1), (1, 1), (1, 1), (1, 1))): 3,
+    (4, ((1, 1), (1, 1), (1, 1), (1, 1))): 4,
+    (12, ((1, 1), (1, 1), (1, 1), (1, 1))): 1,
+    (0, ((4, 1), (4, 1))): 7, (8, ((4, 1), (4, 1))): 2,
+    (0, ((4, 1), (4, 1), (4, 1), (4, 1))): 4, (0, ((8, 2), (8, 2))): 1,
+}
+
+
+def block_key(rep):
+    return rep.radical_dim, tuple((b["block_dim"], b["center_dim"])
+                                  for b in rep.blocks)
+
+
+def run_blocks(reps):
+    print(f"block analysis, simple_modules with cleared memos, x {reps} reps")
+    for label, algs, want in block_cases():
+        def once():
+            comodule._factors_memo.cache_clear()
+            comodule._cofactor_memo.cache_clear()
+            return [comodule.simple_modules(alg) for alg in algs]
+
+        t, reports = time_calls(once, reps)
+        got = Counter(block_key(rep) for rep in reports)
+        print(f"  {label:34s} {t * 1e3:8.1f}ms")
+        for key, n in sorted(got.items()):
+            print(f"    {n:2d} x radical {key[0]}, blocks {key[1]}")
+        assert got == want, f"{label}: block data changed"
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--conductors", default="4,12,60",
@@ -241,6 +306,7 @@ def main(argv=None):
         run_inverses(conductor, args.count, INVERSE_REPS, args.seed)
     run_factoring(FACTOR_REPS)
     run_sweeps(SWEEP_REPS)
+    run_blocks(BLOCK_REPS)
 
 
 if __name__ == "__main__":

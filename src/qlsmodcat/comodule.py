@@ -617,12 +617,11 @@ def check_degree_one_generation(datum: QlsDatum, components,
 class SimplicityReport:
     """Outcome of the operator span and invariant subspace search."""
 
-    def __init__(self, verdict, operator_dim, full_dim, witness=None, hint=""):
+    def __init__(self, verdict, operator_dim, full_dim, witness=None):
         self.verdict = verdict
         self.operator_dim = operator_dim
         self.full_dim = full_dim
         self.witness = witness
-        self.hint = hint
 
     def __repr__(self):
         return (f"SimplicityReport({self.verdict}, "
@@ -726,10 +725,7 @@ def check_simplicity(A: ComoduleAlgebra) -> SimplicityReport:
                         changed = True
         if 0 < sub.dim < nA:
             return SimplicityReport("reducible", sp.dim, full, witness=sub)
-    return SimplicityReport(
-        "undecided", sp.dim, full,
-        hint="operator span is proper but no invariant subspace was found; "
-             "retry at a larger conductor")
+    return SimplicityReport("undecided", sp.dim, full)
 
 
 class SimpleModulesReport:
@@ -770,18 +766,33 @@ class SimpleModulesReport:
                 f"blocks={self.blocks})")
 
 
-def _trace_radical(B: FiniteAlgebra):
-    nB = B.dim
-    red = B.ctx.reduction
+def _basis_traces(B: FiniteAlgebra) -> list:
+    """The trace of left multiplication by each basis element, as pairs."""
     zero = linalg.pzero(B.L)
     tr = []
-    for k in range(nB):
+    for k in range(B.dim):
         acc = zero
-        for j in range(nB):
+        for j in range(B.dim):
             c = B.mult.get((k, j), {}).get(j)
             if c is not None:
                 acc = padd(acc, c)
         tr.append(acc)
+    return tr
+
+
+def _trace(vec: dict, tr: list, red, zero):
+    """The trace of left multiplication by vec, from the basis traces."""
+    acc = zero
+    for k, c in vec.items():
+        acc = padd(acc, pmul(c, tr[k], red))
+    return acc
+
+
+def _trace_radical(B: FiniteAlgebra):
+    nB = B.dim
+    red = B.ctx.reduction
+    zero = linalg.pzero(B.L)
+    tr = _basis_traces(B)
     rows = []
     for i in range(nB):
         row = {}
@@ -789,9 +800,7 @@ def _trace_radical(B: FiniteAlgebra):
             cell = B.mult.get((i, j))
             if not cell:
                 continue
-            acc = zero
-            for k, c in cell.items():
-                acc = padd(acc, pmul(c, tr[k], red))
+            acc = _trace(cell, tr, red, zero)
             if not pis0(acc):
                 row[j] = acc
         rows.append(row)
@@ -853,16 +862,6 @@ def _min_poly(B: FiniteAlgebra, y: dict, unit: dict):
             return coeffs
         sp.insert(dict(cur))
         pows.append(dict(cur))
-
-
-def _eval_poly(B: FiniteAlgebra, coeffs, y: dict, unit: dict) -> dict:
-    red = B.ctx.reduction
-    acc: dict = {}
-    for c in coeffs:
-        acc = B.multiply(acc, y)
-        if not c.is_zero():
-            vec_addmul(acc, unit, c.raw(), red)
-    return acc
 
 
 # A classify factors a few dozen distinct minimal polynomials, most of
@@ -927,47 +926,19 @@ def _cofactor_memo(coeffs: tuple, factor: tuple, mult: int, L: int) -> tuple:
     return _poly_key(polyfactor.as_cyclo(w, L)[::-1])
 
 
-def _split_idempotent(B: FiniteAlgebra, e: dict, z: dict, center_dim: int):
-    """Refine the idempotent e along an element z of the corner eBe.
-
-    Returns the orthogonal idempotents, one per coprime factor of the
-    minimal polynomial of z e, which sum to e; or [e] when z proves e
-    centrally primitive; or None when z decides nothing.  They are
-    central when e and z are.  The proof of [e]: the minimal polynomial
-    of z e is irreducible, without repeats, and of degree center_dim =
-    dim Z(Be); then k[z e] is a field and all of Z(Be).
-    """
-    x = B.multiply(z, e)
-    coeffs = _min_poly(B, x, e)
-    if len(coeffs) <= 2:
-        return None
-    factors = _poly_factors(coeffs, B.L)
-    if len(factors) == 1:
-        if factors[0][1] == 1 and len(coeffs) - 1 == center_dim:
-            return [e]
-        return None
-    return [_eval_poly(B, _cofactor_idempotent(coeffs, fc, m, B.L), x, e)
-            for fc, m in factors]
-
-
-def _corner(B: FiniteAlgebra, e: dict, zrows):
-    """(e, dim Z(Be), whether that dimension already proves e primitive)."""
-    zspan = linalg.Subspace(B.L)
-    for zr in zrows:
-        zspan.insert(B.multiply(dict(zr), e))
-    return e, zspan.dim, zspan.dim == 1
-
-
 def _central_mixes(B: FiniteAlgebra, zrows):
     """The fixed central elements sum_i t^(i+1) z_i for t = 2, 3, ...
 
-    On a corner Be not yet proven primitive, a mix decides nothing only
-    where two embeddings of Z(Be) into an algebraic closure agree on it.
-    The z_i e span Z(Be), so each such agreement is a nonzero polynomial
-    in t: only finitely many t fail on each of the finitely many central
-    idempotents of B, and the sequence settles every corner.  This needs
-    B semisimple, so the algebra it came from must be associative, as
-    every builder and the cotensor verify.
+    Some mix generates the centre Z.  B is semisimple, so Z tensored with
+    an algebraic closure is a product of m = dim Z copies of the closure,
+    one character per copy, and z generates Z exactly when the m
+    characters differ on z: then its minimal polynomial has m distinct
+    roots.  Two distinct characters differ on some z_i, as the z_i span
+    Z, so their difference on the mix for t is a nonzero polynomial in t
+    of degree at most m.  Only finitely many t fail for each of the
+    finitely many pairs of characters, and the sequence reaches a
+    generator.  This needs B semisimple, so the algebra it came from
+    must be associative, as every builder and the cotensor verify.
     """
     red = B.ctx.reduction
     for t in itertools.count(2):
@@ -982,32 +953,37 @@ def simple_modules(A: FiniteAlgebra) -> SimpleModulesReport:
     """Radical and central block decomposition.
 
     Works over the exact cyclotomic field at the algebra's conductor.
-    The unit is split along the centre's basis, then along the fixed
-    central mixes of ``_central_mixes``, until every corner is proven
-    simple (its centre is a field).  ``SimpleModulesReport.module_dims``
-    reads the simple modules over an algebraic closure off these blocks.
+    After the trace-form radical is divided out, one central z generates
+    the centre: the first of the centre's basis and then of the mixes of
+    ``_central_mixes`` whose minimal polynomial p has degree dim Z.  Each
+    irreducible factor h of p gives the central primitive idempotent
+    e = w(z), w the cofactor idempotent of h, whose block has centre
+    K[x]/(h) and dimension rank L_e = tr L_e = sum_s w_s tr L_(z^s).
+    ``SimpleModulesReport.module_dims`` reads the simple modules over an
+    algebraic closure off these blocks.
     """
     J = _trace_radical(A)
     B = _quotient_algebra(A, J) if J.dim else A
     Z = _center(B)
-    ids = [_corner(B, dict(B.unit), Z.rows)]
+    powers = [dict(B.unit)]
     for z in itertools.chain([dict(z) for z in Z.rows], _central_mixes(B, Z.rows)):
-        if all(primitive for _, _, primitive in ids):
+        p = _min_poly(B, z, powers[0])
+        if len(p) - 1 == Z.dim:
             break
-        nxt = []
-        for e, center_dim, primitive in ids:
-            parts = None if primitive else _split_idempotent(B, e, z, center_dim)
-            if parts is None:
-                nxt.append((e, center_dim, primitive))
-            elif len(parts) == 1:
-                nxt.append((e, center_dim, True))
-            else:
-                nxt.extend(_corner(B, p, Z.rows) for p in parts)
-        ids = nxt
+    while len(powers) < Z.dim:
+        powers.append(B.multiply(powers[-1], z))
+    tr, zero = _basis_traces(B), linalg.pzero(B.L)
+    traces = [linalg.to_cyclo(_trace(x, tr, B.ctx.reduction, zero), B.L)
+              for x in powers]
 
-    blocks = [{"block_dim": linalg.rank([B.multiply(B.basis(i), e)
-                                         for i in range(B.dim)], B.L),
-               "center_dim": center_dim}
-              for e, center_dim, _ in ids]
+    blocks = []
+    for h, m in _poly_factors(p, B.L):
+        w = _cofactor_idempotent(p, h, m, B.L)
+        dim = sum((c * t for c, t in zip(reversed(w), traces)),
+                  CycloNumber.zero(B.L))
+        if dim.den != 1 or any(dim.nums[1:]) or dim.nums[0] < 1:
+            raise ArithmeticError(
+                f"a central idempotent has trace {dim}, not a positive integer")
+        blocks.append({"block_dim": int(dim.nums[0]), "center_dim": len(h) - 1})
     blocks.sort(key=lambda b: (b["block_dim"], b["center_dim"]))
     return SimpleModulesReport(J.dim, blocks)

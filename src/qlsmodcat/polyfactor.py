@@ -142,8 +142,6 @@ def _order_key(fm, L: int):
 def factor(f, L: int) -> list:
     """[(h, m)]: the monic irreducible factors h of a monic f over
     Q(zeta_L), with multiplicities m, in sympy's ``factor_list`` order.
-    That order fixes the order of the idempotents ``simple_modules``
-    splits along, so it is part of what the artifacts depend on.
 
     Raises ArithmeticError unless the product of the h**m is f."""
     f = as_cyclo(f, L)

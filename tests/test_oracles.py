@@ -2,8 +2,9 @@
 they replace.
 
 ``check_simplicity`` spans the products R_a o S_u instead of closing the
-generators under composition, ``simple_modules`` stops splitting a
-corner once its centre is proven a field, and module dimensions come
+generators under composition, ``simple_modules`` reads each block off
+the trace of one idempotent of a generator of the centre instead of
+splitting corners along every central mix, and module dimensions come
 from each block's dimension and centre instead of a random search for a
 minimal left ideal.  A Hopf cocycle is checked by the algebra sweep of sigma H
 instead of a loop over the cocycle identity, the deformed product is two
@@ -12,8 +13,9 @@ is decided on the inverse connecting object.  Associativity and the
 multiplicativity of coactions and the counit are proven from a
 generating set instead of on every basis triple and pair.  Polynomials
 over Q(zeta_L) are factored in house instead of by sympy.  The old
-routes stay here as oracles, and two operation counts guard the cost
-on the dim-24 Z6 algebra of the pipeline benchmark.
+routes stay here as oracles, two operation counts guard the cost on the
+dim-24 Z6 algebra of the pipeline benchmark, and a third guards the
+factoring of ``simple_modules`` on every ``PAIRS`` fixture.
 """
 
 from __future__ import annotations
@@ -96,6 +98,47 @@ def closure_span(A):
     return sp, gens
 
 
+def _eval_poly(B: FiniteAlgebra, coeffs, y: dict, unit: dict) -> dict:
+    red = B.ctx.reduction
+    acc: dict = {}
+    for c in coeffs:
+        acc = B.multiply(acc, y)
+        if not c.is_zero():
+            vec_addmul(acc, unit, c.raw(), red)
+    return acc
+
+
+def _split_idempotent(B: FiniteAlgebra, e: dict, z: dict, center_dim: int):
+    """Refine the idempotent e along an element z of the corner eBe.
+
+    Returns the orthogonal idempotents, one per coprime factor of the
+    minimal polynomial of z e, which sum to e; or [e] when z proves e
+    centrally primitive; or None when z decides nothing.  They are
+    central when e and z are.  The proof of [e]: the minimal polynomial
+    of z e is irreducible, without repeats, and of degree center_dim =
+    dim Z(Be); then k[z e] is a field and all of Z(Be).
+    """
+    x = B.multiply(z, e)
+    coeffs = comodule._min_poly(B, x, e)
+    if len(coeffs) <= 2:
+        return None
+    factors = comodule._poly_factors(coeffs, B.L)
+    if len(factors) == 1:
+        if factors[0][1] == 1 and len(coeffs) - 1 == center_dim:
+            return [e]
+        return None
+    return [_eval_poly(B, comodule._cofactor_idempotent(coeffs, fc, m, B.L), x, e)
+            for fc, m in factors]
+
+
+def _corner(B: FiniteAlgebra, e: dict, zrows):
+    """(e, dim Z(Be), whether that dimension already proves e primitive)."""
+    zspan = linalg.Subspace(B.L)
+    for zr in zrows:
+        zspan.insert(B.multiply(dict(zr), e))
+    return e, zspan.dim, zspan.dim == 1
+
+
 def full_retry_corners(A, seed=0, tries=24):
     """Radical dim, B = A/J and (idempotent, centre dim) of every corner,
     splitting along every central mix until each centre is the ground
@@ -107,7 +150,7 @@ def full_retry_corners(A, seed=0, tries=24):
     red = B.ctx.reduction
 
     def center_dim(e):
-        return comodule._corner(B, e, Z.rows)[1]
+        return _corner(B, e, Z.rows)[1]
 
     ids = [dict(B.unit)]
     queue = [dict(z) for z in Z.rows]
@@ -118,7 +161,7 @@ def full_retry_corners(A, seed=0, tries=24):
             nxt = []
             for e in ids:
                 # no centre dimension is -1, so this never stops on a field
-                parts = comodule._split_idempotent(B, e, z, -1)
+                parts = _split_idempotent(B, e, z, -1)
                 nxt.extend(parts if parts is not None else [e])
             ids = nxt
         if attempts == 0 or all(center_dim(e) == 1 for e in ids):
@@ -257,10 +300,40 @@ def rational_z3xz3():
 PAIRS = dict(_criterion_8_pairs())
 
 
-@pytest.mark.parametrize("name", sorted(PAIRS))
+def classify_members(datum, sample):
+    """The algebra of every datum ``classify`` enumerates over the sample."""
+    return [build_A(m) for m in classify.enumerate_modcat_data(datum, sample)]
+
+
+def _retry_fixtures():
+    """PAIRS, every Z4 theta = 2 datum at sample 0,1 and every Z3 datum
+    at 0,2; the last hold Q(zeta3)[y]/(y^3 - 2), a field no conductor
+    splits."""
+    Z4, Z3 = AbelianGroup((4,)), AbelianGroup((3,))
+    out = dict(PAIRS)
+    for label, datum, sample in (
+            ("z4_theta2-0,1", QlsDatum(Z4, [Z4.element((1,))] * 2,
+                                       [Character(Z4, (2,))] * 2), (0, 1)),
+            ("z3-0,2", QlsDatum(Z3, [Z3.element((1,))], [Character(Z3, (1,))]),
+             (0, 2))):
+        for i, A in enumerate(classify_members(datum, sample)):
+            out[f"{label}-{i}"] = A
+    return out
+
+
+RETRY = _retry_fixtures()
+
+
+@pytest.mark.parametrize("name", sorted(RETRY))
 def test_simple_modules_matches_the_full_retry_loop(name):
-    A = PAIRS[name]
+    A = RETRY[name]
     assert report_blocks(simple_modules(A)) == full_retry_blocks(A)
+
+
+def test_the_retry_fixtures_hold_a_field_no_conductor_splits():
+    blocks = [report_blocks(simple_modules(A))
+              for name, A in RETRY.items() if name.startswith("z3-0,2")]
+    assert (0, [(3, 3)]) in blocks
 
 
 @pytest.mark.parametrize("datum", [sweedler_datum, clifford_z2_datum, z4_mu_datum,
@@ -308,6 +381,29 @@ def test_simple_modules_stops_on_proven_fields(monkeypatch):
     assert simple_modules(A).block_data == (1, 1, 8, 8)
     assert simple_modules(T).block_data == (8, 8, 8)
     assert len(calls) <= 10
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_simple_modules_factors_once(name, monkeypatch):
+    """One minimal polynomial factored, one cofactor idempotent per block."""
+    calls = Counter()
+    for fn in ("_poly_factors", "_cofactor_idempotent"):
+        def counted(*args, fn=fn, orig=getattr(comodule, fn)):
+            calls[fn] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(comodule, fn, counted)
+    rep = simple_modules(PAIRS[name])
+    assert calls == {"_poly_factors": 1, "_cofactor_idempotent": len(rep.blocks)}
+
+
+@pytest.mark.parametrize("w", [Fraction(1, 2), 0])
+def test_a_trace_that_is_no_dimension_raises(w, monkeypatch):
+    """A w that is no idempotent gives the dim-9 algebra a trace of 9 w."""
+    monkeypatch.setattr(comodule, "_cofactor_idempotent",
+                        lambda p, h, m, L: [CycloNumber.from_rational(w, L)])
+    with pytest.raises(ArithmeticError, match="not a positive integer"):
+        simple_modules(PAIRS["rational_z3xz3"])
 
 
 # ------------------------------------------------ factoring over Q(zeta_L)
@@ -488,7 +584,7 @@ def random_ideal_dim(B, e, block, rng, tries=24):
     for y in candidates():
         coeffs = comodule._min_poly(B, y, e)
         for fc, _ in comodule._poly_factors(coeffs, B.L):
-            zdiv = comodule._eval_poly(B, poly_quo(coeffs, fc, B.L), y, e)
+            zdiv = _eval_poly(B, poly_quo(coeffs, fc, B.L), y, e)
             if not zdiv:
                 continue
             ideal = ideal_span(B, block, zdiv)
