@@ -10,6 +10,10 @@ with the fewest factors among the first three good ones, linear Hensel
 lifting raises those factors past twice the Mignotte bound, and
 Zassenhaus's recombination tries subsets of them in order of size.
 
+``factor`` takes only squarefree polynomials: the minimal polynomial of
+a central element of a semisimple algebra in characteristic 0, the one
+kind the block analysis factors, has no repeated root.
+
 Polynomials are coefficient lists, lowest degree first: over K of
 CycloNumbers, over Q of Fractions, over Z and Z/m of ints.
 """
@@ -21,7 +25,7 @@ from itertools import combinations, count
 from math import gcd, isqrt, lcm
 
 from .cyclo import (CycloNumber, _galois_group, _poly_divmod, _poly_mul,
-                    _poly_sub, _poly_trim, conjugate, context, zeta)
+                    _poly_trim, conjugate, zeta)
 
 
 # ------------------------------------------------------------ K[x] and Q[x]
@@ -56,23 +60,6 @@ def exquo(a, b) -> list:
     if r:
         raise ArithmeticError("nonzero remainder in exact division")
     return q
-
-
-def squarefree_parts(f) -> list:
-    """Yun's decomposition of a monic f: [(g, i)] with f = prod g**i, the g
-    squarefree, pairwise coprime and of positive degree."""
-    a = gcd_monic(f, derivative(f))
-    b = exquo(f, a)
-    d = _poly_sub(exquo(derivative(f), a), derivative(b))
-    out = []
-    for i in count(1):
-        if len(b) == 1:
-            return out
-        g = gcd_monic(b, d)
-        b = exquo(b, g)
-        d = _poly_sub(exquo(d, g), derivative(b))
-        if len(g) > 1:
-            out.append((g, i))
 
 
 def shift(g, c) -> list:
@@ -126,34 +113,23 @@ def _factor_squarefree(g, L: int) -> list:
     return [shift(gcd_monic(gs, as_cyclo(h, L)), z * -s) for h in parts]
 
 
-def _order_key(fm, L: int):
-    """sympy's ``factor_list`` order: degree, multiplicity, then the
-    coefficients from the top; over Q those of the primitive integer
-    multiple, else each coefficient's coordinates from the top."""
-    h, m = fm
-    if context(L).degree == 1:
-        den = lcm(*(c.den for c in h))
-        coeffs = [c.as_fraction() * den for c in h]
-    else:
-        coeffs = [_poly_trim(Fraction(n, c.den) for n in c.nums)[::-1] for c in h]
-    return len(h), m, coeffs[::-1]
-
-
 def factor(f, L: int) -> list:
-    """[(h, m)]: the monic irreducible factors h of a monic f over
-    Q(zeta_L), with multiplicities m, in sympy's ``factor_list`` order.
+    """The monic irreducible factors over Q(zeta_L) of a monic squarefree f
+    of positive degree, each once, in the order the recombination finds
+    them.
 
-    Raises ArithmeticError unless the product of the h**m is f."""
+    Raises ArithmeticError if f has a repeated factor, that is if
+    gcd(f, f') is not 1, or unless the factors multiply back to f."""
     f = as_cyclo(f, L)
-    out = [(as_cyclo(h, L), i)
-           for g, i in squarefree_parts(f) for h in _factor_squarefree(g, L)]
+    if len(gcd_monic(f, derivative(f))) > 1:
+        raise ArithmeticError("f has a repeated factor")
+    out = [as_cyclo(h, L) for h in _factor_squarefree(f, L)]
     back = [Fraction(1)]
-    for h, m in out:
-        for _ in range(m):
-            back = _poly_mul(back, h)
+    for h in out:
+        back = _poly_mul(back, h)
     if as_cyclo(back, L) != f:
         raise ArithmeticError("the factors do not multiply back to f")
-    return sorted(out, key=lambda fm: _order_key(fm, L))
+    return out
 
 
 # ------------------------------------------------------------ Z/m[x] and Z[x]

@@ -29,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlsmodcat import (_kernel as kernel, classify, comodule, deformation, hopf, linalg,
@@ -78,6 +78,7 @@ from qls_fixtures import (
     z22_lambda_datum,
 )
 from test_acceptance import full_mcd
+from test_polyfactor import same_factors, squarefree
 
 
 def closure_span(A):
@@ -99,36 +100,37 @@ def closure_span(A):
 
 
 def _eval_poly(B: FiniteAlgebra, coeffs, y: dict, unit: dict) -> dict:
+    """sum_k coeffs[k] y^k in the corner with the given unit."""
     red = B.ctx.reduction
     acc: dict = {}
+    power = dict(unit)
     for c in coeffs:
-        acc = B.multiply(acc, y)
         if not c.is_zero():
-            vec_addmul(acc, unit, c.raw(), red)
+            vec_addmul(acc, power, c.raw(), red)
+        power = B.multiply(power, y)
     return acc
 
 
 def _split_idempotent(B: FiniteAlgebra, e: dict, z: dict, center_dim: int):
     """Refine the idempotent e along an element z of the corner eBe.
 
-    Returns the orthogonal idempotents, one per coprime factor of the
-    minimal polynomial of z e, which sum to e; or [e] when z proves e
-    centrally primitive; or None when z decides nothing.  They are
-    central when e and z are.  The proof of [e]: the minimal polynomial
-    of z e is irreducible, without repeats, and of degree center_dim =
-    dim Z(Be); then k[z e] is a field and all of Z(Be).
+    Returns the orthogonal idempotents, one per irreducible factor of
+    the minimal polynomial of z e, which sum to e; or [e] when z proves
+    e centrally primitive; or None when z decides nothing.  They are
+    central when e and z are; then z e is central in the semisimple B,
+    so its minimal polynomial is squarefree.  The proof of [e]: that
+    polynomial is irreducible and of degree center_dim = dim Z(Be); then
+    k[z e] is a field and all of Z(Be).
     """
     x = B.multiply(z, e)
-    coeffs = comodule._min_poly(B, x, e)
+    coeffs, _ = comodule._min_poly(B, x, e)
     if len(coeffs) <= 2:
         return None
     factors = comodule._poly_factors(coeffs, B.L)
     if len(factors) == 1:
-        if factors[0][1] == 1 and len(coeffs) - 1 == center_dim:
-            return [e]
-        return None
-    return [_eval_poly(B, comodule._cofactor_idempotent(coeffs, fc, m, B.L), x, e)
-            for fc, m in factors]
+        return [e] if len(coeffs) - 1 == center_dim else None
+    return [_eval_poly(B, comodule._cofactor_idempotent(coeffs, fc, B.L), x, e)
+            for fc in factors]
 
 
 def _corner(B: FiniteAlgebra, e: dict, zrows):
@@ -401,7 +403,7 @@ def test_simple_modules_factors_once(name, monkeypatch):
 def test_a_trace_that_is_no_dimension_raises(w, monkeypatch):
     """A w that is no idempotent gives the dim-9 algebra a trace of 9 w."""
     monkeypatch.setattr(comodule, "_cofactor_idempotent",
-                        lambda p, h, m, L: [CycloNumber.from_rational(w, L)])
+                        lambda p, h, L: [CycloNumber.from_rational(w, L)])
     with pytest.raises(ArithmeticError, match="not a positive integer"):
         simple_modules(PAIRS["rational_z3xz3"])
 
@@ -426,7 +428,7 @@ def sympy_domain(L):
 
 
 def sympy_poly(coeffs, L):
-    """The sympy polynomial in t with the given coefficients, highest first."""
+    """The sympy polynomial in t with the given coefficients, lowest first."""
     from sympy import QQ, Poly, symbols
 
     dom, gen_pows = sympy_domain(L)
@@ -441,14 +443,15 @@ def sympy_poly(coeffs, L):
                 val += dom.convert(QQ(int(num), int(den))) * gen_pows[k]
         return val
 
-    return Poly([to_dom(c) for c in coeffs], symbols("t"), domain=dom)
+    # sympy lists coefficients highest first
+    return Poly([to_dom(c) for c in reversed(coeffs)], symbols("t"), domain=dom)
 
 
 def from_sympy_poly(p, L):
-    """The coefficients of a sympy polynomial, highest first, as CycloNumbers."""
+    """The coefficients of a sympy polynomial, lowest first, as CycloNumbers."""
     _, gen_pows = sympy_domain(L)
     out = []
-    for val in p.rep.to_list():
+    for val in reversed(p.rep.to_list()):
         if gen_pows is None:
             out.append(CycloNumber.from_rational(
                 Fraction(int(val.numerator), int(val.denominator)), L))
@@ -463,14 +466,15 @@ def from_sympy_poly(p, L):
 
 
 def sympy_factors(coeffs, L):
-    """sympy's ``factor_list``, each factor made monic, highest first."""
-    return [(from_sympy_poly(f.monic(), L), m)
-            for f, m in sympy_poly(coeffs, L).factor_list()[1]]
+    """sympy's ``factor_list``, each factor made monic and listed as often
+    as it divides."""
+    return [from_sympy_poly(f.monic(), L)
+            for f, m in sympy_poly(coeffs, L).factor_list()[1] for _ in range(m)]
 
 
-def sympy_cofactor_idempotent(coeffs, factor, mult, L):
+def sympy_cofactor_idempotent(coeffs, factor, L):
     p = sympy_poly(coeffs, L)
-    f = sympy_poly(factor, L) ** mult
+    f = sympy_poly(factor, L)
     u = p.quo(f)
     _, v, h = f.gcdex(u)
     assert h.is_one
@@ -478,15 +482,14 @@ def sympy_cofactor_idempotent(coeffs, factor, mult, L):
 
 
 def poly_product(factors, L):
-    """prod h**m, highest first."""
+    """The product of the factors."""
     out = [CycloNumber.one(L)]
-    for h, m in factors:
-        for _ in range(m):
-            nxt = [CycloNumber.zero(L)] * (len(out) + len(h) - 1)
-            for i, x in enumerate(out):
-                for j, y in enumerate(h):
-                    nxt[i + j] = nxt[i + j] + x * y
-            out = nxt
+    for h in factors:
+        nxt = [CycloNumber.zero(L)] * (len(out) + len(h) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(h):
+                nxt[i + j] = nxt[i + j] + x * y
+        out = nxt
     return out
 
 
@@ -499,48 +502,50 @@ def small_cyclo(L):
 
 @st.composite
 def factored_polys(draw):
-    """(L, [(monic factor, multiplicity)]) with up to three factors of
-    degree up to 3, over one of the conductors the package meets."""
+    """(L, [monic factor]) with up to three factors of degree up to 3,
+    over one of the conductors the package meets, whose product is
+    squarefree."""
     L = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12]))
-    parts = draw(st.lists(st.tuples(st.lists(small_cyclo(L), min_size=1, max_size=3),
-                                    st.integers(1, 2)), min_size=1, max_size=3))
-    return L, [([CycloNumber.one(L)] + h, m) for h, m in parts]
+    parts = draw(st.lists(st.lists(small_cyclo(L), min_size=1, max_size=3),
+                          min_size=1, max_size=3))
+    parts = [h + [CycloNumber.one(L)] for h in parts]
+    assume(squarefree(poly_product(parts, L)))
+    return L, parts
 
 
 @settings(max_examples=40, deadline=None)
 @given(factored_polys())
 def test_factors_match_sympy(case):
-    """The in-house factors are sympy's, in sympy's order, and multiply back
+    """The in-house factors are sympy's, in any order, and multiply back
     to f; every cofactor idempotent is sympy's ``gcdex`` one."""
     L, parts = case
     f = poly_product(parts, L)
     ours = comodule._poly_factors(f, L)
-    assert ours == sympy_factors(f, L)
+    assert same_factors(ours, sympy_factors(f, L))
     assert poly_product(ours, L) == f
-    for h, m in ours:
-        assert (comodule._cofactor_idempotent(f, h, m, L)
-                == sympy_cofactor_idempotent(f, h, m, L))
+    for h in ours:
+        assert (comodule._cofactor_idempotent(f, h, L)
+                == sympy_cofactor_idempotent(f, h, L))
 
 
 # the minimal polynomials bench classify factors (x^2 - 1 and x^2 - 4 at
-# L = 2 and 4, x^2 + 4 at 4, the sextic at 6), then rational polynomials
-# that split further over Q(zeta_L), with repeats; highest degree first
+# L = 2 and 4, x^2 + 4 at 4, the sextic at 6), then squarefree rational
+# polynomials that split further over Q(zeta_L); lowest degree first
 RATIONAL_CASES = [
-    (2, [1, 0, -1]), (4, [1, 0, -1]), (2, [1, 0, -4]), (4, [1, 0, -4]),
-    (4, [1, 0, 4]), (6, [1, 0, -2, 0, 2, 0, -1]),
+    (2, [-1, 0, 1]), (4, [-1, 0, 1]), (2, [-4, 0, 1]), (4, [-4, 0, 1]),
+    (4, [4, 0, 1]), (6, [-1, 0, 2, 0, -2, 0, 1]),
     (8, [1, 0, -10, 0, 1]), (12, [1, 0, -10, 0, 1]),
-    (3, [1, 2, 3, 2, 1]), (5, [1, -1, -1, -1, -1, -2]),
-    (8, [1, 0, -1, 0, -2]), (1, [1, 0, -5, 0, 6]),
+    (3, [1, 0, 1, 0, 1]), (5, [-2, -1, -1, -1, -1, 1]),
+    (8, [-2, 0, -1, 0, 1]), (1, [6, 0, -5, 0, 1]),
 ]
 
 
 @pytest.mark.parametrize("L,coeffs", RATIONAL_CASES)
 def test_rational_polynomials_factor_as_sympy(L, coeffs):
     """Rational polynomials: the factors are sympy's ``factor_list`` over
-    Q(zeta_L), in its order."""
+    Q(zeta_L), in any order."""
     f = [CycloNumber.from_rational(c, L) for c in coeffs]
-    ours = [(h[::-1], m) for h, m in polyfactor.factor(f[::-1], L)]
-    assert ours == sympy_factors(f, L)
+    assert same_factors(polyfactor.factor(f, L), sympy_factors(f, L))
 
 
 # ------------------------------------------------------- module dimensions
@@ -582,8 +587,12 @@ def random_ideal_dim(B, e, block, rng, tries=24):
                 yield mix
 
     for y in candidates():
-        coeffs = comodule._min_poly(B, y, e)
-        for fc, _ in comodule._poly_factors(coeffs, B.L):
+        coeffs, _ = comodule._min_poly(B, y, e)
+        # y need not be central, so its minimal polynomial may repeat a
+        # factor; factor only its squarefree part
+        radical = polyfactor.as_cyclo(polyfactor.exquo(coeffs, polyfactor.gcd_monic(
+            coeffs, polyfactor.derivative(coeffs))), B.L)
+        for fc in comodule._poly_factors(radical, B.L):
             zdiv = _eval_poly(B, poly_quo(coeffs, fc, B.L), y, e)
             if not zdiv:
                 continue
