@@ -66,6 +66,16 @@ def _write_artifact(path: Path, text: str) -> None:
     path.write_text(text + "\n")
 
 
+def _report(args, suffix: str, payload, text) -> None:
+    """Write the payload as the artifact, print it on stdout as JSON or,
+    in text format, print ``text()``, and name the artifact on stderr."""
+    out = _out_path(args, suffix)
+    dumped = serialize.dumps_canonical(payload)
+    _write_artifact(out, dumped)
+    print(dumped if args.format == "json" else text())
+    print(f"wrote {out}", file=sys.stderr)
+
+
 def _parse_sample(text: str):
     """The distinct scalars of a comma-separated sample, in order.  An
     empty sample would drop every cell with a free scalar, and a repeated
@@ -217,10 +227,8 @@ def _build_hopf_command(args, obj, command, suffix, kind, make) -> int:
                 raise ValidationError(
                     f"conductor {args.conductor} is not a multiple of {H.L}")
             H = H.rebased(args.conductor)
-        rep = H.verify()
-        if not rep.ok:
-            raise ConfluenceFailure(
-                f"built tables fail the axiom sweep: {rep.checks_failed()}")
+        H.verify().require(ConfluenceFailure,
+                           "built tables fail the axiom sweep")
         return serialize.hopf_dump(H)
 
     payload, out, cached = _finish_build(
@@ -271,16 +279,9 @@ def cmd_classify(args) -> int:
     report = classify.classification_report(datum, sample,
                                             bound=args.max_group_order)
     reps = classify.dedupe(report.data)
-    payload = {"report": report.as_dict(), "representatives": len(reps)}
-    out = _out_path(args, "classify")
-    text = serialize.dumps_canonical(payload)
-    _write_artifact(out, text)
-    if args.format == "json":
-        print(text)
-    else:
-        print(report.to_text())
-        print(f"representatives: {len(reps)}")
-    print(f"wrote {out}", file=sys.stderr)
+    _report(args, "classify",
+            {"report": report.as_dict(), "representatives": len(reps)},
+            lambda: f"{report.to_text()}\nrepresentatives: {len(reps)}")
     return 0
 
 
@@ -304,21 +305,11 @@ def cmd_transport(args) -> int:
     else:
         A = comodule.build_A(mcd, B.left_hopf, proofs)
     T, rep = deformation.transport(B, A, proofs)
-    payload = {"algebra": serialize.comodule_dump(T),
-               "report": serialize.report_to_json(rep)}
-    out = _out_path(args, "transport")
-    text = serialize.dumps_canonical(payload)
-    _write_artifact(out, text)
-    if args.format == "json":
-        print(text)
-    else:
-        print(f"transported algebra: dim {T.dim}")
-        if rep.ok:
-            print("all recorded invariants preserved")
-        else:
-            for name, witness in rep.failures:
-                print(f"changed {name}: {witness}")
-    print(f"wrote {out}", file=sys.stderr)
+    changed = [f"changed {name}: {witness}" for name, witness in rep.failures]
+    _report(args, "transport", {"algebra": serialize.comodule_dump(T),
+                                "report": serialize.report_to_json(rep)},
+            lambda: "\n".join([f"transported algebra: dim {T.dim}"] + (
+                changed or ["all recorded invariants preserved"])))
     return 0
 
 

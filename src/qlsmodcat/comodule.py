@@ -196,9 +196,7 @@ class ModCatDatum:
         return True
 
     def require_valid(self) -> None:
-        rep = self.validate()
-        if not rep.ok:
-            raise ValidationError(f"invalid module-category datum: {rep!r}")
+        self.validate().require(ValidationError, "invalid module-category datum")
 
 
 class ComoduleRules(NormalFormEngine):
@@ -314,10 +312,7 @@ def _assemble(mcd: ModCatDatum, mult: dict, labels,
     coaction = _coaction_tables(mcd, alg, U)
     A = ComoduleAlgebra(labels, mcd.L, mult, unit, U, coaction,
                         degree=[sum(r) for r, _ in labels], mcd=mcd)
-    rep = A.verify(proofs)
-    if not rep.ok:
-        raise ConfluenceFailure(
-            f"built tables fail verification: {rep.checks_failed()}")
+    A.verify(proofs).require(ConfluenceFailure, "built tables fail verification")
     return A
 
 
@@ -407,8 +402,7 @@ def loewy_filtration(A: ComoduleAlgebra) -> list:
         for i in range(nA):
             rows.append({u * nA + a: c for (u, a), c in A.coaction[i].items()
                          if U.degree[u] > n})
-        kern = linalg.left_kernel(rows, U.dim * nA, A.L)
-        spaces.append(linalg.span(kern, A.L))
+        spaces.append(linalg.left_kernel(rows, U.dim * nA, A.L))
         if spaces[-1].dim == nA:
             return spaces
         n += 1
@@ -454,9 +448,8 @@ def associated_graded(A: ComoduleAlgebra) -> FiniteAlgebra:
     the same label in the graded model, so the check is a direct table
     comparison; a mismatch raises IsoCheckFailed.
     """
-    rep = verify_loewy(A)
-    if not rep.ok:
-        raise IsoCheckFailed(f"filtration does not match the monomial layers: {rep!r}")
+    verify_loewy(A).require(IsoCheckFailed,
+                            "filtration does not match the monomial layers")
     mult = {}
     for (i, j), cell in A.mult.items():
         d = A.degree[i] + A.degree[j]
@@ -482,8 +475,7 @@ def coinvariants(A: ComoduleAlgebra):
         for u0, c0 in U.unit.items():
             accumulate(row, u0 * nA + i, pneg(c0))
         rows.append(row)
-    kern = linalg.left_kernel(rows, U.dim * nA, A.L)
-    return linalg.span(kern, A.L)
+    return linalg.left_kernel(rows, U.dim * nA, A.L)
 
 
 class GaloisReport:
@@ -613,7 +605,9 @@ def check_degree_one_generation(datum: QlsDatum, components,
 
 
 class SimplicityReport:
-    """Outcome of the operator span and invariant subspace search."""
+    """Outcome of the operator span and invariant subspace search: the
+    verdict over an algebraic closure of K, "split-simple" or "reducible",
+    and a K-rational invariant subspace as witness when one was found."""
 
     def __init__(self, verdict, operator_dim, full_dim, witness=None):
         self.verdict = verdict
@@ -696,12 +690,16 @@ def _operator_span(A: ComoduleAlgebra):
 
 
 def check_simplicity(A: ComoduleAlgebra) -> SimplicityReport:
-    """Span the right multiplications and coaction slices, then decide.
+    """Span the right multiplications and coaction slices, then decide
+    over an algebraic closure K-bar of the ground field K.
 
-    A full operator span certifies that the only invariant subspaces are
-    trivial.  Otherwise the kernel of each difference of two generators
-    is closed up under the generators in search of a proper invariant
-    subspace.
+    The span's dimension is the same over K and over K-bar.  A full span
+    certifies that the only invariant subspaces are trivial.  A proper
+    one is a proper subalgebra of End(A (x) K-bar), so by Burnside's
+    theorem A (x) K-bar has a proper invariant subspace and the verdict
+    is "reducible".  The kernel of each difference of two generators is
+    then closed up under the generators, and the first proper closure is
+    the K-rational witness; when none is proper the witness is None.
     """
     nA = A.dim
     full = nA * nA
@@ -710,10 +708,9 @@ def check_simplicity(A: ComoduleAlgebra) -> SimplicityReport:
         return SimplicityReport("split-simple", sp.dim, full)
 
     for i, j in itertools.combinations(range(len(gens)), 2):
-        kern = linalg.left_kernel(_sub_rows(gens[i], gens[j]), nA, A.L)
-        if not 0 < len(kern) < nA:
+        sub = linalg.left_kernel(_sub_rows(gens[i], gens[j]), nA, A.L)
+        if not 0 < sub.dim < nA:
             continue
-        sub = linalg.span([dict(v) for v in kern], A.L)
         changed = True
         while changed and sub.dim < nA:
             changed = False
@@ -723,7 +720,7 @@ def check_simplicity(A: ComoduleAlgebra) -> SimplicityReport:
                         changed = True
         if 0 < sub.dim < nA:
             return SimplicityReport("reducible", sp.dim, full, witness=sub)
-    return SimplicityReport("undecided", sp.dim, full)
+    return SimplicityReport("reducible", sp.dim, full)
 
 
 class SimpleModulesReport:
@@ -802,8 +799,7 @@ def _trace_radical(B: FiniteAlgebra):
             if not pis0(acc):
                 row[j] = acc
         rows.append(row)
-    kern = linalg.left_kernel(rows, nB, B.L)
-    return linalg.span(kern, B.L)
+    return linalg.left_kernel(rows, nB, B.L)
 
 
 def _quotient_algebra(B: FiniteAlgebra, J):
@@ -834,8 +830,7 @@ def _center(B: FiniteAlgebra):
             for j, c in diff.items():
                 row[b * nB + j] = c
         rows.append(row)
-    kern = linalg.left_kernel(rows, nB * nB, B.L)
-    return linalg.span(kern, B.L)
+    return linalg.left_kernel(rows, nB * nB, B.L)
 
 
 def _min_poly(B: FiniteAlgebra, y: dict, unit: dict):

@@ -18,20 +18,18 @@ from typing import NamedTuple
 from qlsmodcat import _kernel as _K
 
 
-def _polydiv_int(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Divide by a monic integer polynomial, requiring zero remainder."""
-    num = list(num)
-    dd = len(den) - 1
-    q = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            q[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("nonzero remainder in exact division")
-    return q
+def _exquo_z(f, g):
+    """f / g in Z[x], or None when g does not divide f there."""
+    f, dg = list(f), len(g) - 1
+    q = [0] * (len(f) - dg)
+    for i in range(len(f) - 1, dg - 1, -1):
+        c, r = divmod(f[i], g[-1])
+        if r:
+            return None
+        q[i - dg] = c
+        for j in range(dg + 1):
+            f[i - dg + j] -= c * g[j]
+    return None if any(f) else q
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -65,7 +63,7 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
     num = [-1] + [0] * (L - 1) + [1]
     for d in range(1, L):
         if L % d == 0:
-            num = _polydiv_int(num, cyclotomic_polynomial(d))
+            num = _exquo_z(num, cyclotomic_polynomial(d))
     return tuple(num)
 
 

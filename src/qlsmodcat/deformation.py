@@ -91,9 +91,7 @@ class LiftingDatum:
         return rep
 
     def require_valid(self) -> None:
-        rep = self.validate()
-        if not rep.ok:
-            raise ValidationError(f"invalid lifting datum: {rep!r}")
+        self.validate().require(ValidationError, "invalid lifting datum")
 
 
 class LiftingRules(NormalFormEngine):
@@ -163,10 +161,7 @@ class HopfCocycle:
         self.L = H.L
         self.table = {k: v for k, v in table.items() if not pis0(v)}
         if check:
-            rep = self.validate()
-            if not rep.ok:
-                raise CocycleInvalid(
-                    f"cocycle table fails: {rep.checks_failed()}")
+            self.validate().require(CocycleInvalid, "cocycle table fails")
         self.inverse = self._convolution_inverse()
 
     def value(self, i: int, j: int):
@@ -290,10 +285,7 @@ def deform_hopf(H: FiniteHopf, sigma: HopfCocycle) -> FiniteHopf:
     out = FiniteHopf(H.labels, H.L, mult, dict(H.unit),
                      [dict(v) for v in H.comult], list(H.counit), antipode,
                      degree=H.degree, graded=False)
-    rep = out.verify()
-    if not rep.ok:
-        raise CocycleInvalid(
-            f"deformed tables fail Hopf axioms: {rep.checks_failed()}")
+    out.verify().require(CocycleInvalid, "deformed tables fail Hopf axioms")
     return out
 
 
@@ -346,10 +338,8 @@ def deform_comodule_algebra(A: comodule.ComoduleAlgebra, sigma: HopfCocycle,
     out = comodule.ComoduleAlgebra(A.labels, A.L, mult, dict(A.unit), hopf,
                                    [dict(v) for v in A.coaction],
                                    degree=A.degree)
-    rep = out.verify()
-    if not rep.ok:
-        raise CocycleInvalid(
-            f"deformed comodule algebra fails verification: {rep.checks_failed()}")
+    out.verify().require(CocycleInvalid,
+                         "deformed comodule algebra fails verification")
     return out
 
 
@@ -397,10 +387,8 @@ def coideal_twist(H: FiniteHopf, rows,
             mult[key] = coords
     labels = [("k", piv) for piv in sp.pivots]
     out = comodule.ComoduleAlgebra(labels, H.L, mult, unit, H, coaction)
-    rep = out.verify()
-    if not rep.ok:
-        raise CocycleInvalid(
-            f"twisted coideal subalgebra fails verification: {rep.checks_failed()}")
+    out.verify().require(CocycleInvalid,
+                         "twisted coideal subalgebra fails verification")
     return out
 
 
@@ -510,10 +498,8 @@ def sigma_bigalois(H: FiniteHopf, sigma: HopfCocycle) -> BiGaloisRep:
     rho = [dict(v) for v in H.comult]
     rep = BiGaloisRep(sigma.twisted, deform_hopf(H, sigma), H, lam, rho,
                       list(H.counit))
-    check = rep.verify()
-    if not check.ok:
-        raise CocycleInvalid(
-            f"twisted algebra fails bicomodule checks: {check.checks_failed()}")
+    rep.verify().require(CocycleInvalid,
+                         "twisted algebra fails bicomodule checks")
     return rep
 
 
@@ -571,10 +557,8 @@ def build_bigalois(ld: LiftingDatum,
     cb = [one if sum(r) == 0 else linalg.pzero(B.L) for r, _ in B.labels]
     rep = BiGaloisRep(B, B.hopf, H, [dict(v) for v in B.coaction], rho, cb)
     # build_A has already verified B as a left comodule algebra
-    check = rep.verify_right(CheckReport("bigalois"))
-    if not check.ok:
-        raise ConfluenceFailure(
-            f"connecting object fails verification: {check.checks_failed()}")
+    rep.verify_right(CheckReport("bigalois")).require(
+        ConfluenceFailure, "connecting object fails verification")
     return rep
 
 
@@ -620,14 +604,13 @@ def _cotensor_core(B: BiGaloisRep, A: comodule.ComoduleAlgebra,
             for (h, a2), c in A.coaction[a].items():
                 accumulate(row, (b * nK + h) * nA + a2, pneg(c))
             rows.append(row)
-    kern = linalg.left_kernel(rows, len(rho) * nK * nA, L)
-    space = linalg.span([dict(v) for v in kern], L)
+    space = linalg.left_kernel(rows, len(rho) * nK * nA, L)
     if space.dim != nA:
         raise IsoCheckFailed(
             f"cotensor dimension {space.dim} differs from {nA}")
 
     cb = B.counit_functional
-    basis = [dict(r) for r in space.rows]
+    basis = space.rows
 
     def collapse(flat: dict) -> dict:
         out: dict = {}
@@ -670,10 +653,8 @@ def _cotensor_core(B: BiGaloisRep, A: comodule.ComoduleAlgebra,
 
     T = comodule.ComoduleAlgebra(list(A.labels), L, mult, dict(A.unit),
                                  B.left_hopf, coaction)
-    rep = T.verify(proofs)
-    if not rep.ok:
-        raise IsoCheckFailed(
-            f"transported algebra fails verification: {rep.checks_failed()}")
+    T.verify(proofs).require(IsoCheckFailed,
+                             "transported algebra fails verification")
     return T
 
 

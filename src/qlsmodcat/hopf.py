@@ -70,6 +70,13 @@ class CheckReport:
                 seen.append(name)
         return seen
 
+    def require(self, error: type, what: str) -> "CheckReport":
+        """This report when it holds no failure; otherwise raise
+        ``error`` with ``what`` and the names of the failed checks."""
+        if self.failures:
+            raise error(f"{what}: {self.checks_failed()}")
+        return self
+
     def __repr__(self):
         if self.ok:
             return f"CheckReport({self.subject or 'ok'}: ok)"
@@ -548,9 +555,7 @@ class QlsDatum:
         return rep
 
     def require_valid(self) -> None:
-        rep = self.validate()
-        if not rep.ok:
-            raise ValidationError(f"invalid datum: {rep!r}")
+        self.validate().require(ValidationError, "invalid datum")
 
 
 def monomial_labels(heights, elements) -> list:

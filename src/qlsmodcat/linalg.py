@@ -189,18 +189,20 @@ def _augmented(rows, ncols: int, L: int) -> Subspace:
     return sp
 
 
-def left_kernel(rows, ncols: int, L: int) -> list[dict]:
-    """Basis of {c : sum_i c_i rows_i = 0}, as dicts over row indices.
+def left_kernel(rows, ncols: int, L: int) -> Subspace:
+    """The subspace {c : sum_i c_i rows_i = 0}, over the row indices.
 
-    Reads off the echelon rows of the augmented rows whose leading column
-    is in the augmented block.
+    The echelon rows of the augmented rows whose leading column is in the
+    augmented block are zero in every other pivot column, so shifted they
+    are already the kernel's reduced row echelon form, and each insert
+    below only appends a row.
     """
     sp = _augmented(rows, ncols, L)
-    out = []
+    kern = Subspace(L)
     for piv, row in zip(sp.pivots, sp.rows):
         if piv >= ncols:
-            out.append({c - ncols: v for c, v in row.items()})
-    return out
+            kern.insert({c - ncols: v for c, v in row.items()})
+    return kern
 
 
 def solve(rows, targets, ncols: int, L: int) -> list:

@@ -24,8 +24,8 @@ from fractions import Fraction
 from itertools import combinations, count
 from math import gcd, isqrt, lcm
 
-from .cyclo import (CycloNumber, _galois_group, _poly_divmod, _poly_mul,
-                    _poly_trim, conjugate, zeta)
+from .cyclo import (CycloNumber, _exquo_z, _galois_group, _poly_divmod,
+                    _poly_mul, _poly_trim, conjugate, zeta)
 
 
 # ------------------------------------------------------------ K[x] and Q[x]
@@ -263,20 +263,6 @@ def hensel(f, us, p: int, k: int) -> list:
         out.append(g)
     inv = pow(f[-1], -1, p ** k)
     return out + [[c * inv % p ** k for c in f]]
-
-
-def _exquo_z(f, g):
-    """f / g in Z[x], or None when g does not divide f there."""
-    f, dg = list(f), len(g) - 1
-    q = [0] * (len(f) - dg)
-    for i in range(len(f) - 1, dg - 1, -1):
-        c, r = divmod(f[i], g[-1])
-        if r:
-            return None
-        q[i - dg] = c
-        for j in range(dg + 1):
-            f[i - dg + j] -= c * g[j]
-    return None if any(f) else q
 
 
 def factor_integer(f) -> list:

@@ -30,7 +30,7 @@ from qlsmodcat.errors import (
     ValidationError,
 )
 from qlsmodcat.groups import AbelianGroup, Character, Subgroup
-from qlsmodcat.hopf import QlsDatum, build_bosonization, group_hopf
+from qlsmodcat.hopf import FiniteAlgebra, QlsDatum, build_bosonization, group_hopf
 from qls_fixtures import (
     clifford_z2_datum,
     sweedler_datum,
@@ -363,6 +363,23 @@ def test_simplicity_verdicts():
 
     plain = check_simplicity(group_hopf(AbelianGroup((4,))))
     assert plain.verdict == "reducible"
+
+
+def test_a_proper_operator_span_is_reducible_over_the_closure():
+    # Q(sqrt 2) = Q[y]/(y^2 - 2) has no proper ideal over Q, so no
+    # K-rational witness exists; its right multiplications span only 2 of
+    # End's 4 dimensions, and by Burnside's theorem that makes it
+    # reducible over the closure, where it splits as k x k
+    one, two = (CycloNumber.one(1) * n for n in (1, 2))
+    A = FiniteAlgebra(["1", "y"], 1,
+                      {(0, 0): {0: one.raw()}, (0, 1): {1: one.raw()},
+                       (1, 0): {1: one.raw()}, (1, 1): {0: two.raw()}},
+                      {0: one.raw()})
+    assert A.verify_algebra().ok
+    rep = check_simplicity(A)
+    assert (rep.verdict, rep.operator_dim, rep.full_dim) == ("reducible", 2, 4)
+    assert rep.witness is None
+    assert simple_modules(A).module_dims() == [1, 1]
 
 
 def test_simple_modules_of_group_algebras():

@@ -66,7 +66,7 @@ def test_known_rank_and_kernel():
     # make the third row the sum of the first two: rank drops, kernel appears
     rows[2] = vec_add(rows[0], rows[1])
     assert rank(rows, L) == 2
-    kers = left_kernel(rows, 3, L)
+    kers = left_kernel(rows, 3, L).rows
     assert len(kers) == 1
     assert combine(kers[0], rows, L) == {}
 
@@ -77,7 +77,7 @@ def test_left_kernel_dimension_count():
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         rows = [_rand_vec(rng, m) for _ in range(n)]
         r = rank(rows, L)
-        kers = left_kernel(rows, m, L)
+        kers = left_kernel(rows, m, L).rows
         assert len(kers) == n - r
         for k in kers:
             assert combine(k, rows, L) == {}
@@ -133,7 +133,7 @@ def test_subspace_membership():
 
 def test_kernel_of_zero_map_is_everything():
     rows = [{} for _ in range(3)]
-    kers = left_kernel(rows, 2, L)
+    kers = left_kernel(rows, 2, L).rows
     assert len(kers) == 3
 
 
@@ -309,6 +309,27 @@ def test_insert_matches_full_scan_insert_in_any_order(case):
             assert _is_rref(sp)
             assert sp._holders == _holders_from_rows(sp)
         assert sp.key() == reference
+
+
+@given(st.lists(sparse_vecs, max_size=7).flatmap(
+    lambda rows: st.tuples(st.just(rows), st.permutations(range(len(rows))))))
+def test_left_kernel_is_the_kernel_in_canonical_form(case):
+    """The kernel comes back as a Subspace in RREF: the same key as the
+    span of its rows and of another basis of it (its rows permuted, each
+    but the first plus the one before it), and every row combines the
+    input rows to zero."""
+    rows, perm = case
+    kern = left_kernel(rows, 6, L)
+    assert _is_rref(kern)
+    assert kern._holders == _holders_from_rows(kern)
+    for k in kern.rows:
+        assert combine(k, rows, L) == {}
+    assert kern.dim == len(rows) - rank(rows, L)
+    permuted = [kern.rows[i] for i in perm if i < kern.dim]
+    other = [vec_add(v, permuted[i - 1]) if i else v
+             for i, v in enumerate(permuted)]
+    assert span(kern.rows, L).key() == kern.key()
+    assert span(other, L).key() == kern.key()
 
 
 class _UnwalkableRows(list):

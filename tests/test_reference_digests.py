@@ -1,13 +1,16 @@
-"""Transport artifacts byte for byte against the pipeline benchmark.
+"""Command outputs byte for byte against the pipeline benchmark.
 
-Runs ``transport`` in process on the first input variant of each
-transport slot of ``pipebench/workloads.py`` and compares the artifact's
-sha256 with the digest recorded in ``pipebench/reference.json``, which
-is only read here.  The root slot moves the regular algebra of the
-lifting, so the cotensor matches it directly; the link slot moves a
-comodule algebra over the graded side, so it goes through the inverse
-connecting object.  A fresh interpreter runs a command of each kind on
-valid inputs to check that none imports sympy or jsonschema.
+Runs the commands of ``pipebench/workloads.py`` in process on the first
+input variant of every slot of its three workloads and compares each
+output with what ``pipebench/reference.json``, which is only read here,
+records: the sha256 of every build, transport and classify artifact and
+the stdout of every ``verify``.  A build runs twice, as in the bench, and
+the cache hit must write the same bytes.  The root transport slot moves
+the regular algebra of the lifting, so the cotensor matches it directly;
+the link slot moves a comodule algebra over the graded side, so it goes
+through the inverse connecting object.  A fresh interpreter runs a
+command of each kind on valid inputs to check that none imports sympy or
+jsonschema.
 """
 
 from __future__ import annotations
@@ -61,6 +64,36 @@ def test_transport_artifact_matches_the_reference(name, tmp_path, capsys,
     assert len(calls) == INVERSES[name]
     want = REFERENCE[workloads.input_key(slot.command, slot.options, obj)]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]
+
+
+OTHER_SLOTS = workloads.tables_slots() + workloads.classify_slots()
+
+
+@pytest.mark.parametrize("slot", OTHER_SLOTS, ids=lambda slot: slot.name)
+def test_build_verify_and_classify_outputs_match_the_reference(
+        slot, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QLSMODCAT_CACHE_DIR", str(tmp_path / "cache"))
+    obj = slot.variants[0]
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(obj))
+    steps = workloads.steps([(slot, obj)], lambda name: str(src),
+                            lambda name, suffix: str(tmp_path / f"{suffix}.json"))
+    assert [s.kind for s in steps] == (
+        ["build", "hit", "verify"] if slot.command.startswith("build-")
+        else ["classify"])
+    for step in steps:
+        assert main(step.argv) == 0, step.name
+        stdout = capsys.readouterr().out
+        if step.kind == "verify":
+            assert stdout == REFERENCE[step.key]["stdout"]
+            continue
+        data = Path(step.artifact).read_bytes()
+        if step.kind == "hit":
+            assert "(cache hit)" in stdout
+            assert data == Path(step.expect["same_as"]).read_bytes()
+        else:
+            assert hashlib.sha256(data).hexdigest() == \
+                REFERENCE[step.key]["sha256"], step.name
 
 
 CLI_RUN = """

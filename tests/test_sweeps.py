@@ -18,14 +18,18 @@ import pytest
 from qlsmodcat import hopf
 from qlsmodcat.cli import main
 from qlsmodcat.cocycles import Cocycle2
-from qlsmodcat.comodule import ComoduleAlgebra, ModCatDatum, build_A
+from qlsmodcat.comodule import (ComoduleAlgebra, ModCatDatum, build_A,
+                                regular_coaction)
 from qlsmodcat.cyclo import CycloNumber
-from qlsmodcat.deformation import BiGaloisRep, LiftingDatum, build_bigalois
+from qlsmodcat.deformation import (BiGaloisRep, LiftingDatum, build_bigalois,
+                                   cotensor, deform_hopf)
+from qlsmodcat.errors import CocycleInvalid, ConfluenceFailure, IsoCheckFailed
 from qlsmodcat.groups import AbelianGroup, Character, Subgroup
 from qlsmodcat.hopf import (FiniteAlgebra, FiniteHopf, QlsDatum,
                             build_bosonization)
-from qls_fixtures import (sweedler_datum, z4_mu_datum, z4_theta2_obj,
-                          z6_modcat, z22_link_obj)
+from qlsmodcat.serialize import datum_to_json
+from qls_fixtures import (sweedler_datum, trivial_sigma, z4_mu_datum,
+                          z4_theta2_obj, z6_modcat, z22_link_obj)
 
 NAMES = {((0,), (0,)): "1", ((0,), (1,)): "g",
          ((1,), (0,)): "x", ((1,), (1,)): "xg"}
@@ -433,3 +437,48 @@ def test_each_command_proves_each_table_once(case, tmp_path, monkeypatch,
         # U's proof serves A's sweep too
         assert [t.dim for t in proven] == [16, 16, 16, 16]
         assert len(bosonizations) == 2
+
+
+def failing_algebra_sweep(alg):
+    """verify_algebra that reports one associator, so every sweep fails."""
+    rep = hopf.CheckReport("algebra")
+    rep.fail("associativity", (alg.labels[0],) * 3)
+    return rep
+
+
+def test_failed_build_time_sweeps_raise_with_the_failed_checks(
+        monkeypatch, tmp_path, capsys):
+    """Each build that verifies its tables raises a typed error whose
+    message lists the checks that failed, and build-hopf exits 2."""
+    d = sweedler_datum()
+    F = Subgroup.full(d.group)
+    mcd = ModCatDatum(d, F, Cocycle2.trivial(F), w={(1,): [[1]]}, xi=[1])
+    ld = LiftingDatum(d)
+    B = build_bigalois(ld)
+    A = regular_coaction(B.right_hopf)
+    H = build_bosonization(d)
+    sigma = trivial_sigma(H)
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum_to_json(d)))
+    monkeypatch.setattr(FiniteAlgebra, "verify_algebra", failing_algebra_sweep)
+
+    both = "['associativity', 'hopf-associativity']"
+    cases = [
+        (lambda: build_A(mcd), ConfluenceFailure,
+         f"built tables fail verification: {both}"),
+        (lambda: cotensor(B, A), IsoCheckFailed,
+         f"transported algebra fails verification: {both}"),
+        (lambda: build_bigalois(ld), ConfluenceFailure,
+         f"built tables fail verification: {both}"),
+        (lambda: deform_hopf(H, sigma), CocycleInvalid,
+         "deformed tables fail Hopf axioms: ['associativity']"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error) as caught:
+            build()
+        assert str(caught.value) == message
+
+    assert main(["build-hopf", str(path), "--no-cache",
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == ("verification failure: built tables "
+                                       "fail the axiom sweep: ['associativity']\n")
