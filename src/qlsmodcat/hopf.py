@@ -284,7 +284,9 @@ def extend_letters(first: FiniteAlgebra, second: FiniteAlgebra, labels,
 
     The image of (r, g) is start times letters[a] ** r[a] for a = 0, 1, ...
     in turn, times group_image(g); ``start`` is the unit of the tensor
-    product and ``heights[a]`` bounds the exponents of letter a.
+    product and ``heights[a]`` bounds the exponents of letter a.  The
+    letter chain of each exponent tuple r is multiplied out once and
+    shared by every label (r, g).
     """
     pows = []
     for a, letter in enumerate(letters):
@@ -292,12 +294,16 @@ def extend_letters(first: FiniteAlgebra, second: FiniteAlgebra, labels,
         for _ in range(1, heights[a]):
             powers.append(pair_multiply(first, second, powers[-1], letter))
         pows.append(powers)
+    chains: dict = {}
     out = []
     for r, ge in labels:
-        t = start
-        for a, k in enumerate(r):
-            if k:
-                t = pair_multiply(first, second, t, pows[a][k])
+        t = chains.get(r)
+        if t is None:
+            t = start
+            for a, k in enumerate(r):
+                if k:
+                    t = pair_multiply(first, second, t, pows[a][k])
+            chains[r] = t
         out.append(pair_multiply(first, second, t, group_image(ge)))
     return out
 

@@ -5,14 +5,25 @@ group elements.  The target shape is a run of generator indices in
 ascending order, each run shorter than that generator's height, followed
 by exactly one group element.  Relations are supplied by subclasses as
 four hooks; the engine repeatedly replaces the leftmost reducible
-pattern and memoizes finished words, so repeated table builds stay
-cheap.
+pattern and memoizes finished words.
+
+A product table needs only n * theta normal forms, not n^2: each basis
+label times each letter.  The basis is the PBW basis y^r g, so the row of
+e_i is built by right multiplication, e_i y^r g = ((e_i y^(r - e_a)) y_a) g
+with a the last letter of r, and a group element on the right moves a
+normal form e_(t,k) to a multiple of e_(t,kg).  For a confluent
+presentation every word has one normal form (Bergman's diamond lemma),
+so this composition gives the normal form of the concatenated label
+words, cell for cell.  For a presentation that is not confluent the two
+may differ; the axiom sweeps run on the table either way.
 """
 
 from __future__ import annotations
 
-from .cyclo import CycloNumber
+from ._kernel import mul as pmul
+from .cyclo import CycloNumber, context
 from .groups import GroupElement
+from .linalg import vec_addmul
 
 
 class NormalFormEngine:
@@ -112,18 +123,55 @@ class NormalFormEngine:
         """Structure constants on the basis labels (exponents, group exps).
 
         Cell (i, j) holds the normal form of label i's word followed by
-        label j's, as {index: pair}; zero cells are left out.
+        label j's, as {index: pair}; zero cells are left out.  Only the
+        words of label i followed by one letter are normalized.  With
+        label j = (r, g), row i is e_i y^r = (e_i y^(r - e_a)) y_a for a
+        the last letter of r, one sparse step per exponent tuple, and then
+        e_(t,k) g = c e_(t,kg) for (c, kg) = group_product(k, g), a
+        coefficient of a group-element product and so never zero.  The
+        labels are those of ``monomial_labels``: every (t, k) for t in a
+        box of exponents and k in a group, by total degree of t, so that
+        r - e_a comes before r.
         """
         idx = {lab: i for i, lab in enumerate(labels)}
-        words = [self.word_of(r, self.group.element(ge)) for r, ge in labels]
+        red = context(self.L).reduction
+        elem = {ge: self.group.element(ge) for _, ge in labels}
+        right = [[self._cell(self.word_of(r, elem[ge]) + (a,), idx)
+                  for r, ge in labels] for a in range(self.n_letters)]
+        moves = {}
+        for g in elem.values():
+            by_k = {}
+            for ke, k in elem.items():
+                coef, kg = self.group_product(k, g)
+                by_k[ke] = kg.exps, coef.raw()
+            moves[g.exps] = [(idx[(t, by_k[ke][0])], by_k[ke][1])
+                             for t, ke in labels]
+        steps = []
+        for r in dict.fromkeys(r for r, _ in labels):
+            if any(r):
+                a = max(b for b, e in enumerate(r) if e)
+                steps.append((r, r[:a] + (r[a] - 1,) + r[a + 1:], right[a]))
+        zero_r = (0,) * self.n_letters
         mult: dict = {}
-        for i1, w1 in enumerate(words):
-            for i2, w2 in enumerate(words):
-                nf = self.normalize(w1 + w2)
-                cell = {idx[(t, g.exps)]: c.raw() for (t, g), c in nf.items()}
+        for i in range(len(labels)):
+            rows = {zero_r: {i: self.one.raw()}}
+            for r, prev, by in steps:
+                row: dict = {}
+                for k, c in rows[prev].items():
+                    vec_addmul(row, by[k], c, red)
+                rows[r] = row
+            for j, (r, ge) in enumerate(labels):
+                move = moves[ge]
+                cell = {}
+                for k, c in rows[r].items():
+                    tgt, d = move[k]
+                    cell[tgt] = pmul(c, d, red)
                 if cell:
-                    mult[(i1, i2)] = cell
+                    mult[(i, j)] = cell
         return mult
+
+    def _cell(self, word, idx) -> dict:
+        return {idx[(t, g.exps)]: c.raw() for (t, g), c in self.normalize(word).items()}
 
     def word_of(self, exps, g):
         """Inverse of _pack: the word a product of normal forms starts from."""

@@ -12,10 +12,14 @@ twists instead of a sum over triple coproducts, and the right Galois map
 is decided on the inverse connecting object.  Associativity and the
 multiplicativity of coactions and the counit are proven from a
 generating set instead of on every basis triple and pair.  Polynomials
-over Q(zeta_L) are factored in house instead of by sympy.  The old
-routes stay here as oracles, two operation counts guard the cost on the
-dim-24 Z6 algebra of the pipeline benchmark, and a third guards the
-factoring of ``simple_modules`` on every ``PAIRS`` fixture.
+over Q(zeta_L) are factored in house instead of by sympy.  A product
+table is composed from right multiplication by letters instead of
+normalizing every pair of label words.  The old routes stay here as
+oracles, two operation counts guard the cost on the dim-24 Z6 algebra
+of the pipeline benchmark, and a third guards the factoring of
+``simple_modules`` on every ``PAIRS`` fixture.  Further counts guard the
+normalizations of a table and the letter chains of ``extend_letters``,
+and two broken presentations must still fail their sweeps.
 """
 
 from __future__ import annotations
@@ -25,19 +29,23 @@ import functools
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qlsmodcat import (_kernel as kernel, classify, comodule, deformation, hopf, linalg,
-                       polyfactor)
+                       polyfactor, serialize)
 from qlsmodcat._kernel import add as padd, is_zero as pis0, mul as pmul
 from qlsmodcat.classify import classification_report
+from qlsmodcat.cli import main
 from qlsmodcat.cocycles import Cocycle2, enumerate_classes
 from qlsmodcat.comodule import (
+    ComoduleRules,
     ModCatDatum,
     build_A,
     check_simplicity,
@@ -67,6 +75,7 @@ from qlsmodcat.hopf import (
     group_hopf,
 )
 from qlsmodcat.linalg import accumulate, pone, vec_addmul
+from qlsmodcat.rewrite import NormalFormEngine
 
 from qls_fixtures import (
     clifford_z2_datum,
@@ -79,6 +88,9 @@ from qls_fixtures import (
 )
 from test_acceptance import full_mcd
 from test_polyfactor import same_factors, squarefree
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "pipebench"))
+import workloads  # noqa: E402
 
 
 def closure_span(A):
@@ -1035,3 +1047,206 @@ def test_sweeps_match_the_exhaustive_loops_on_corruptions(name, monkeypatch):
     # through the induction; some of them must be caught
     assert outside > 0 and caught_outside > 0
     assert not all(verdicts)
+
+
+# ------------------------------------------------------ product tables
+
+def normal_form_table(engine, labels) -> dict:
+    """Cell (i, j) as the normal form of label i's word followed by label
+    j's: all n^2 concatenated words normalized."""
+    idx = {lab: i for i, lab in enumerate(labels)}
+    words = [engine.word_of(r, engine.group.element(ge)) for r, ge in labels]
+    mult: dict = {}
+    for i1, w1 in enumerate(words):
+        for i2, w2 in enumerate(words):
+            nf = engine.normalize(w1 + w2)
+            cell = {idx[(t, g.exps)]: c.raw() for (t, g), c in nf.items()}
+            if cell:
+                mult[(i1, i2)] = cell
+    return mult
+
+
+def built_tables(build) -> list:
+    """(engine, labels, table) of every product table ``build()`` makes."""
+    seen = []
+    table = NormalFormEngine.product_table
+
+    def recorded(engine, labels):
+        seen.append((engine, labels, table(engine, labels)))
+        return seen[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NormalFormEngine, "product_table", recorded)
+        build()
+    return seen
+
+
+def _slot_build(command, obj):
+    """The builder one bench command runs on obj, and how many product
+    tables it makes: the bosonization has a closed form, and a transport
+    builds the lifting H, the connecting B and the modcat A if any."""
+    datum, lifting, mcd = serialize.load_datum(obj)
+    if command == "build-hopf":
+        return (lambda: build_bosonization(datum)), 0
+    if command == "build-lifting":
+        return (lambda: build_lifting(lifting)), 1
+    if command == "build-algebra":
+        return (lambda: build_A(mcd)), 1
+
+    def transport():
+        B = build_bigalois(lifting)
+        if mcd is not None:
+            build_A(mcd, B.left_hopf)
+    return transport, 2 + (mcd is not None)
+
+
+BENCH_SLOTS = {slot.name: slot
+               for slot in workloads.tables_slots() + workloads.transport_slots()}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SLOTS))
+def test_bench_tables_equal_the_normal_forms(name):
+    slot = BENCH_SLOTS[name]
+    for obj in slot.variants:
+        build, count = _slot_build(slot.command, obj)
+        tables = built_tables(build)
+        assert len(tables) == count
+        for engine, labels, table in tables:
+            assert table == normal_form_table(engine, labels)
+
+
+def _qls(orders, g, chi):
+    G = AbelianGroup(orders)
+    return QlsDatum(G, [G.element(e) for e in g], [Character(G, c) for c in chi])
+
+
+CLASSIFY_DATA = {
+    "z3": _qls((3,), [(1,)], [(1,)]),
+    "z4_theta2": _qls((4,), [(1,)] * 2, [(2,)] * 2),
+    "z22_theta2": _qls((2, 2), [(1, 0), (0, 1)], [(1, 1)] * 2),
+    "z4_theta3": _qls((4,), [(1,)] * 3, [(2,)] * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_DATA))
+def test_classify_tables_equal_the_normal_forms(name):
+    members = classify.enumerate_modcat_data(CLASSIFY_DATA[name], (0, 1))
+    assert members
+    for mcd in members:
+        labels = hopf.monomial_labels(mcd.heights, mcd.F)
+        assert ComoduleRules(mcd).product_table(labels) == \
+            normal_form_table(ComoduleRules(mcd), labels)
+
+
+def twisted_z22_mcd():
+    """Z2 x Z2 with two letters, a nontrivial cocycle class and xi = 1, 1."""
+    d = CLASSIFY_DATA["z22_theta2"]
+    F = Subgroup.full(d.group)
+    psi = Cocycle2.from_exponents(F, {(0, 1): 1})
+    assert any(psi.class_tag())
+    return ModCatDatum(d, F, psi, w={(1, 0): [[1]], (0, 1): [[1]]}, xi=[1, 1])
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in CONNECTING] + ["psi"])
+def test_fixture_tables_equal_the_normal_forms(name):
+    if name == "psi":
+        tables = built_tables(lambda: build_A(twisted_z22_mcd()))
+    else:
+        ld = next(ld for other, ld, _ in CONNECTING if other == name)
+        tables = built_tables(lambda: build_bigalois(ld))
+    assert len(tables) == (1 if name == "psi" else 2)
+    for engine, labels, table in tables:
+        assert table == normal_form_table(engine, labels)
+
+
+@pytest.mark.parametrize("name, dim, theta", [("lifting-z8t2", 32, 2),
+                                              ("algebra-z6", 36, 1)])
+def test_a_table_normalizes_n_theta_words(name, dim, theta, monkeypatch):
+    """Only the outermost normalize calls count: a reduction recurses."""
+    slot = BENCH_SLOTS[name]
+    outer, depth = [], []
+    normalize = NormalFormEngine.normalize
+
+    def counted(engine, word):
+        if not depth:
+            outer.append(word)
+        depth.append(1)
+        try:
+            return normalize(engine, word)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(NormalFormEngine, "normalize", counted)
+    for obj in slot.variants:
+        outer.clear()
+        _, lifting, mcd = serialize.load_datum(obj)
+        X = build_lifting(lifting) if lifting is not None else build_A(mcd)
+        assert X.dim == dim
+        assert len(outer) <= dim * theta
+
+
+def test_extend_letters_multiplies_each_letter_chain_once(monkeypatch):
+    """On the dim-24 Z6 theta = 2 connecting object: per call, one power of
+    each letter, one chain per exponent tuple, one step per label."""
+    counts, inside = [], []
+    pair_multiply, extend = hopf.pair_multiply, hopf.extend_letters
+
+    def counted(*args):
+        if inside:
+            counts[-1] += 1
+        return pair_multiply(*args)
+
+    def per_call(*args):
+        counts.append(0)
+        inside.append(1)
+        try:
+            return extend(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(hopf, "pair_multiply", counted)
+    for module in (hopf, comodule, deformation):
+        monkeypatch.setattr(module, "extend_letters", per_call)
+    G = AbelianGroup((6,))
+    g, chi = G.element((1,)), Character(G, (3,))
+    B = build_bigalois(LiftingDatum(QlsDatum(G, [g, g], [chi, chi]),
+                                    mu=[1, 2], lam={(0, 1): -2}))
+    assert B.algebra.dim == 24
+    # the bosonization's and the lifting's coproducts, B's coaction, rho:
+    # two letter powers, four chain steps over (1, 0), (0, 1), (1, 1) and
+    # one group step per label
+    assert counts == [2 + 4 + 24] * 4
+
+
+def _run_broken(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.setenv("QLSMODCAT_CACHE_DIR", str(tmp_path / "cache"))
+    slot = BENCH_SLOTS[name]
+    src = tmp_path / "input.json"
+    src.write_text(serialize.dumps_canonical(slot.variants[0]) + "\n")
+    code = main([slot.command, str(src), "--out", str(tmp_path / "out.json")])
+    return code, capsys.readouterr().err
+
+
+def test_q_commuting_letters_made_to_commute_fail_the_sweep(tmp_path, monkeypatch,
+                                                            capsys):
+    swap = deformation.LiftingRules.swap_descending
+
+    def commuting(engine, b, a):
+        (coef, word), *rest = swap(engine, b, a)
+        return [(-coef, word)] + rest
+
+    monkeypatch.setattr(deformation.LiftingRules, "swap_descending", commuting)
+    code, err = _run_broken(tmp_path, monkeypatch, capsys, "lifting-z4t2")
+    assert code == 2
+    assert "built tables fail the axiom sweep: ['associativity', " \
+           "'comult-multiplicative']" in err
+
+
+def test_a_negated_group_move_fails_verification(tmp_path, monkeypatch, capsys):
+    move = comodule.ComoduleRules.move_group_past
+    monkeypatch.setattr(comodule.ComoduleRules, "move_group_past",
+                        lambda engine, f, a: -move(engine, f, a))
+    code, err = _run_broken(tmp_path, monkeypatch, capsys, "algebra-z6")
+    assert code == 2
+    assert "built tables fail verification: ['unit-left', 'associativity', " \
+           "'coaction-multiplicative']" in err
