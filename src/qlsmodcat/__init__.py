@@ -1,9 +1,17 @@
 """Exact invariants of comodule algebras over bosonized quantum linear spaces."""
 
 import importlib.util
+import json
 import sys
 
 __version__ = "0.1.0"
+
+
+def dumps_canonical(obj) -> str:
+    """obj as canonical JSON: sorted keys and no spaces, so equal objects
+    give equal text.  It lives here, not in serialize, so that the CLI
+    can key and answer a cache hit without compiling the engine."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _lazy(name: str):

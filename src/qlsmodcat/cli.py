@@ -5,8 +5,10 @@ axiom sweep fails on input that parsed cleanly or when the command line
 is malformed (each subcommand takes only its own flags).  Artifacts are
 written as canonical JSON next to the input file unless --out says
 otherwise; build results are cached under a content hash of the input,
-the package version and the package's sources, and cache hits are
-accepted only when their stored checksum still matches.
+the package version, the package's sources and its input schema, and
+cache hits are accepted only when their stored checksum still matches.
+A hit is answered before the input is parsed, so it compiles no layer of
+the engine; every miss parses and validates the input in full.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from . import __version__, _lazy, serialize
+from . import __version__, _lazy, dumps_canonical
 from .errors import (
     CocycleInvalid,
     ConfluenceFailure,
@@ -31,9 +32,16 @@ from .errors import (
     SizeBound,
     ValidationError,
 )
-from .hopf import CheckReport, build_bosonization
 
-# compiled on first use, so each command compiles only the layers it runs
+# Each layer is compiled on its first use, so a command compiles only the
+# layers it runs and a cache hit compiles none.  The layers under
+# serialize and hopf get handles too, so that importing this module puts
+# every shared layer in sys.modules: pipebench/tracer.py rebinds functions
+# only across the modules present once it has imported this one.
+for _core in ("_kernel", "cyclo", "groups", "linalg"):
+    _lazy(_core)
+serialize = _lazy("serialize")
+hopf = _lazy("hopf")
 classify = _lazy("classify")
 comodule = _lazy("comodule")
 deformation = _lazy("deformation")
@@ -63,14 +71,17 @@ def _out_path(args, suffix: str) -> Path:
 
 
 def _write_artifact(path: Path, text: str) -> None:
-    path.write_text(text + "\n")
+    try:
+        path.write_text(text + "\n")
+    except OSError as e:
+        raise ValidationError(f"cannot write {path}: {e}")
 
 
 def _report(args, suffix: str, payload, text) -> None:
     """Write the payload as the artifact, print it on stdout as JSON or,
     in text format, print ``text()``, and name the artifact on stderr."""
     out = _out_path(args, suffix)
-    dumped = serialize.dumps_canonical(payload)
+    dumped = dumps_canonical(payload)
     _write_artifact(out, dumped)
     print(dumped if args.format == "json" else text())
     print(f"wrote {out}", file=sys.stderr)
@@ -80,6 +91,8 @@ def _parse_sample(text: str):
     """The distinct scalars of a comma-separated sample, in order.  An
     empty sample would drop every cell with a free scalar, and a repeated
     one would enumerate the same datum twice, so both are input errors."""
+    from fractions import Fraction  # classify only
+
     try:
         sample = [Fraction(tok) for tok in text.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError):
@@ -112,12 +125,16 @@ def _checksum(text: str) -> str:
 
 @functools.cache
 def _source_digest() -> str:
-    """sha256 of the package's .py sources, read once per process."""
+    """sha256 of the package's .py sources and its data files (the input
+    schema, which decides what a build accepts), read once per process.
+    A hit is served before the input is validated, so both must be in
+    the key."""
     import hashlib
 
     root = Path(__file__).resolve().parent
     h = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted(p for p in root.rglob("*")
+                       if p.suffix in (".py", ".json")):
         h.update(path.relative_to(root).as_posix().encode() + b"\0")
         h.update(path.read_bytes())
     return h.hexdigest()
@@ -125,42 +142,52 @@ def _source_digest() -> str:
 
 def _cache_key(command: str, obj, options: dict) -> str:
     """Key of a build: a result of other code, or of another input, misses."""
-    blob = serialize.dumps_canonical(
+    blob = dumps_canonical(
         {"command": command, "input": obj, "options": options,
          "version": __version__, "sources": _source_digest()})
     return _checksum(blob)
 
 
+def _entry(text: str) -> str:
+    """The cache entry of a payload's canonical text:
+    dumps_canonical({"checksum": ..., "payload": payload}), spelled out
+    around the text so the payload is not dumped again."""
+    return f'{{"checksum":"{_checksum(text)}","payload":{text}}}'
+
+
+# where the payload's text starts in an entry
+_TEXT_START = len('{"checksum":"') + 64 + len('","payload":')
+
+
 def _cache_get(key: str):
-    """(payload, its canonical text) of a stored entry whose checksum
-    matches that text, or None."""
+    """(payload, its canonical text) of a stored entry, or None.
+
+    The text is cut out of the entry and served as it stands when the
+    entry is exactly _entry(text), checksum included; it is decoded once,
+    for the summary line.  Any other entry is a miss.
+    """
     path = _cache_dir() / f"{key}.json"
     try:
-        stored = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+        stored = path.read_text()
+    except (OSError, ValueError):
         return None
-    if not isinstance(stored, dict) or "payload" not in stored:
+    text = stored[_TEXT_START:-1]
+    if stored != _entry(text):
         return None
-    text = serialize.dumps_canonical(stored["payload"])
-    if stored.get("checksum") != _checksum(text):
+    try:
+        return json.loads(text), text
+    except ValueError:
         return None
-    return stored["payload"], text
 
 
 def _cache_put(key: str, text: str) -> None:
-    """Store the canonical text of a payload.
-
-    The entry is dumps_canonical({"checksum": ..., "payload": payload}),
-    spelled out around the text so the payload is not dumped again.  It
-    is written through a temporary file, so a reader never sees half an
-    entry.
-    """
+    """Store the canonical text of a payload as its _entry, written
+    through a temporary file, so a reader never sees half an entry."""
     path = _cache_dir() / f"{key}.json"
     tmp = path.with_name(f".{key}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(
-            f'{{"checksum":"{_checksum(text)}","payload":{text}}}')
+        tmp.write_text(_entry(text))
         os.replace(tmp, path)
     except OSError:
         try:
@@ -185,7 +212,7 @@ def cmd_validate(args) -> int:
         reports.append(mcd.validate())
     ok = all(r.ok for r in reports)
     if args.format == "json":
-        print(serialize.dumps_canonical(
+        print(dumps_canonical(
             {"valid": ok, "N": list(datum.N),
              "reports": [serialize.report_to_json(r) for r in reports]}))
     elif ok:
@@ -203,14 +230,19 @@ def cmd_validate(args) -> int:
 
 
 def _finish_build(args, obj, command, suffix, options, build):
-    """Shared cache/verify/write plumbing for the three build commands."""
+    """Shared cache/write plumbing for the three build commands.
+
+    The cache is looked up first.  ``build`` parses and validates the
+    input, builds and sweeps the tables and returns their payload, and
+    runs on every miss; a hit needs only the key and the stored text.
+    """
     key = None if args.no_cache else _cache_key(command, obj, options)
     hit = None if key is None else _cache_get(key)
     if hit is not None:
         payload, text = hit
     else:
         payload = build()
-        text = serialize.dumps_canonical(payload)
+        text = dumps_canonical(payload)
         if key is not None:
             _cache_put(key, text)
     out = _out_path(args, suffix)
@@ -219,7 +251,8 @@ def _finish_build(args, obj, command, suffix, options, build):
 
 
 def _build_hopf_command(args, obj, command, suffix, kind, make) -> int:
-    """build-hopf and build-lifting: build, rebase, sweep, cache, write."""
+    """build-hopf and build-lifting: parse and build (``make``), rebase,
+    sweep, cache, write."""
     def build():
         H = make()
         if args.conductor:
@@ -241,27 +274,35 @@ def _build_hopf_command(args, obj, command, suffix, kind, make) -> int:
 
 def cmd_build_hopf(args) -> int:
     obj = _read_json(args.input)
-    datum, _, _ = serialize.load_datum(obj)
+
+    def make():
+        datum, _, _ = serialize.load_datum(obj)
+        return hopf.build_bosonization(datum)
+
     return _build_hopf_command(args, obj, "build-hopf", "hopf", "bosonization",
-                               lambda: build_bosonization(datum))
+                               make)
 
 
 def cmd_build_lifting(args) -> int:
     obj = _read_json(args.input)
-    _, lifting, _ = serialize.load_datum(obj)
-    if lifting is None:
-        raise ValidationError("the input has no lifting section")
+
+    def make():
+        _, lifting, _ = serialize.load_datum(obj)
+        if lifting is None:
+            raise ValidationError("the input has no lifting section")
+        return deformation.build_lifting(lifting)
+
     return _build_hopf_command(args, obj, "build-lifting", "lifting", "lifting",
-                               lambda: deformation.build_lifting(lifting))
+                               make)
 
 
 def cmd_build_algebra(args) -> int:
     obj = _read_json(args.input)
-    _, _, mcd = serialize.load_datum(obj)
-    if mcd is None:
-        raise ValidationError("the input has no modcat section")
 
     def build():
+        _, _, mcd = serialize.load_datum(obj)
+        if mcd is None:
+            raise ValidationError("the input has no modcat section")
         return serialize.comodule_dump(comodule.build_A(mcd))
 
     payload, out, cached = _finish_build(
@@ -293,7 +334,7 @@ def cmd_transport(args) -> int:
     # one ledger for the command: B's build proves the bosonization, and
     # the modcat algebra is built over that same table, so every later
     # sweep over it reads that proof
-    proofs = CheckReport("proofs")
+    proofs = hopf.CheckReport("proofs")
     B = deformation.build_bigalois(lifting, proofs)
     if mcd is None:
         A = comodule.regular_coaction(B.right_hopf)
@@ -334,7 +375,7 @@ def cmd_verify(args) -> int:
     except (KeyError, IndexError, TypeError) as e:
         raise ValidationError(f"artifact is structurally broken: {e!r}")
     if args.format == "json":
-        print(serialize.dumps_canonical(serialize.report_to_json(rep)))
+        print(dumps_canonical(serialize.report_to_json(rep)))
     elif rep.ok:
         print(f"{rep.subject}: ok")
     else:

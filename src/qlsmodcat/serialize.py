@@ -16,7 +16,7 @@ from fractions import Fraction
 from importlib import resources
 from math import lcm
 
-from . import _lazy, linalg
+from . import _lazy, dumps_canonical, linalg  # noqa: F401 (re-exported)
 from .cyclo import CycloNumber, totient
 from .errors import ValidationError
 from .groups import AbelianGroup, Character, GroupElement, Subgroup
@@ -26,10 +26,6 @@ from .hopf import CheckReport, FiniteAlgebra, FiniteHopf, QlsDatum
 cocycles = _lazy("cocycles")
 comodule = _lazy("comodule")
 deformation = _lazy("deformation")
-
-
-def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------- scalars

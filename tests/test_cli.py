@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -501,6 +502,28 @@ def test_cache_entry_is_the_canonical_wrapper_and_checked(tmp_path, capsys):
     assert artifact.read_bytes() == blob
 
 
+@pytest.mark.parametrize("reform", [
+    lambda text: text + "\n",
+    lambda text: json.dumps(json.loads(text), sort_keys=True),
+    lambda text: dumps_canonical(json.loads(text)).replace(
+        '"checksum"', '"checksum" ', 1),
+    lambda text: text.replace('"checksum":"', '"checksum":"0', 1),
+], ids=["newline", "spaces", "space-after-key", "long-checksum"])
+def test_a_cache_entry_in_another_form_is_a_miss(tmp_path, capsys, reform):
+    """An entry is served only in exactly the form _cache_put writes; any
+    other text, even of the same JSON value, is a miss that the rebuild
+    overwrites."""
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    assert main(["build-hopf", path]) == 0
+    (entry,) = (tmp_path / "cache").iterdir()
+    text = entry.read_text()
+    entry.write_text(reform(text))
+    capsys.readouterr()
+    assert main(["build-hopf", path]) == 0
+    assert "cache hit" not in capsys.readouterr().out
+    assert entry.read_text() == text
+
+
 def test_cache_misses_when_the_code_changes(tmp_path, capsys, monkeypatch):
     import qlsmodcat.cli as cli
 
@@ -547,6 +570,95 @@ def test_an_uncached_build_takes_no_source_digest(tmp_path, capsys):
     capsys.readouterr()
 
 
+# the three build commands, each on an input it builds
+BUILDS = [
+    ("build-hopf", lambda: datum_to_json(sweedler_datum()), ["--conductor", "4"]),
+    ("build-lifting", z4_mu_obj, []),
+    ("build-algebra", sweedler_modcat_obj, []),
+]
+
+
+@pytest.mark.parametrize("command, make, flags", BUILDS,
+                         ids=[b[0] for b in BUILDS])
+def test_a_cache_hit_writes_and_prints_what_its_miss_did(
+        tmp_path, capsys, command, make, flags):
+    path = write(tmp_path, make())
+    out = tmp_path / "out.json"
+    argv = [command, path, *flags, "--out", str(out)]
+    assert main(argv) == 0
+    miss = capsys.readouterr().out
+    blob = out.read_bytes()
+    out.unlink()
+    assert main(argv) == 0
+    hit = capsys.readouterr().out
+    assert out.read_bytes() == blob
+    assert "(cache hit)" not in miss
+    assert hit == miss.replace("; wrote", " (cache hit); wrote")
+
+
+def _off_schema(make):
+    obj = make()
+    obj["group"]["orders"] = [0]
+    return obj
+
+
+@pytest.mark.parametrize("command, make, flags, message", [
+    ("build-hopf", lambda: _off_schema(sweedler_modcat_obj), [],
+     "input does not match the schema at $.group.orders[0]: "
+     "0 is less than the minimum of 1"),
+    ("build-lifting", lambda: _off_schema(z4_mu_obj), [],
+     "input does not match the schema at $.group.orders[0]: "
+     "0 is less than the minimum of 1"),
+    ("build-algebra", lambda: _off_schema(sweedler_modcat_obj), [],
+     "input does not match the schema at $.group.orders[0]: "
+     "0 is less than the minimum of 1"),
+    ("build-lifting", lambda: datum_to_json(sweedler_datum()), [],
+     "the input has no lifting section"),
+    ("build-algebra", lambda: datum_to_json(sweedler_datum()), [],
+     "the input has no modcat section"),
+    ("build-hopf", lambda: datum_to_json(sweedler_datum()),
+     ["--conductor", "3"], "conductor 3 is not a multiple of 2"),
+    ("build-lifting", z4_mu_obj, ["--conductor", "6"],
+     "conductor 6 is not a multiple of 4"),
+])
+def test_a_warm_cache_still_rejects_bad_input(tmp_path, capsys, command, make,
+                                              flags, message):
+    """Hits are answered before the input is parsed, so with a cache that
+    holds builds of every command, over the same datum where there is
+    one, a bad input still exits 1 with its message."""
+    for name, good, good_flags in BUILDS + [
+            ("build-hopf", lambda: datum_to_json(sweedler_datum()), []),
+            ("build-hopf", sweedler_modcat_obj, []),
+            ("build-lifting", z4_mu_obj, ["--conductor", "8"])]:
+        warm = write(tmp_path, good(), "warm.json")
+        assert main([name, warm, *good_flags]) == 0
+    capsys.readouterr()
+    path = write(tmp_path, make())
+    for _ in range(2):
+        assert main([command, path, *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_an_unwritable_out_path_is_an_input_error(tmp_path, capsys):
+    """Writing the artifact fails on a miss and on a hit of build-hopf,
+    and in classify and transport, each with exit 1 and no traceback."""
+    out = tmp_path / "no-such-dir" / "a.json"
+    message = f"error: cannot write {out}: "
+    hopf_in = write(tmp_path, datum_to_json(sweedler_datum()))
+    for hit in (False, True):
+        assert main(["build-hopf", hopf_in, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert (main(["build-hopf", hopf_in, "--out",
+                      str(tmp_path / "good.json")]) == 0)
+        assert "(cache hit)" in capsys.readouterr().out
+    assert main(["classify", hopf_in, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    lifting_in = write(tmp_path, z4_mu_obj(), "lifting.json")
+    assert main(["transport", lifting_in, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.parent.exists()
+
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "pipebench"))
 import run as pipebench_run  # noqa: E402
@@ -555,12 +667,18 @@ import tracer  # noqa: E402
 UNLOADED = """
 import importlib.util, json, sys
 {code}
-print(json.dumps(sorted(
-    name for name, m in sys.modules.items()
-    if name.startswith("qlsmodcat.") and type(m) is importlib.util._LazyModule)))
+lazy = {{name: type(m) is importlib.util._LazyModule
+        for name, m in sys.modules.items()
+        if name == "qlsmodcat" or name.startswith("qlsmodcat.")}}
+print(json.dumps([sorted(n for n in lazy if lazy[n]),
+                  sorted(n for n in lazy if not lazy[n])]))
 """
 HEAVY = ["qlsmodcat.classify", "qlsmodcat.cocycles", "qlsmodcat.comodule",
          "qlsmodcat.deformation"]
+# the layers of the engine, each still a handle after a cache hit
+HANDLES = ["qlsmodcat._kernel", "qlsmodcat.classify", "qlsmodcat.comodule",
+           "qlsmodcat.cyclo", "qlsmodcat.deformation", "qlsmodcat.groups",
+           "qlsmodcat.hopf", "qlsmodcat.linalg", "qlsmodcat.serialize"]
 
 
 def _fresh_python(tmp_path, argv) -> subprocess.CompletedProcess:
@@ -574,7 +692,9 @@ def _fresh_python(tmp_path, argv) -> subprocess.CompletedProcess:
 
 def test_each_command_compiles_only_the_layers_it_runs(tmp_path):
     """The layer modules still unloaded when a command ends, each command
-    in a fresh interpreter as the CLI runs it."""
+    in a fresh interpreter as the CLI runs it.  A cache hit loads no
+    layer of the engine at all: only the package root, the CLI and the
+    error types."""
     hopf_in = write(tmp_path, datum_to_json(sweedler_datum()))
     lifting_in = write(tmp_path, z4_mu_obj(), "lifting.json")
     algebra_in = write(tmp_path, sweedler_modcat_obj(), "algebra.json")
@@ -582,7 +702,7 @@ def test_each_command_compiles_only_the_layers_it_runs(tmp_path):
     cases = [
         ("probe", pipebench_run.PROBE, HEAVY),
         ("build-hopf", ["build-hopf", hopf_in, "--out", hopf_out], HEAVY),
-        ("cache hit", ["build-hopf", hopf_in, "--out", hopf_out], HEAVY),
+        ("cache hit", ["build-hopf", hopf_in, "--out", hopf_out], HANDLES),
         ("verify", ["verify", hopf_out], HEAVY),
         ("build-lifting", ["build-lifting", lifting_in],
          ["qlsmodcat.classify", "qlsmodcat.cocycles", "qlsmodcat.comodule"]),
@@ -597,9 +717,10 @@ def test_each_command_compiles_only_the_layers_it_runs(tmp_path):
         else:
             code = command
         proc = _fresh_python(tmp_path, ["-c", UNLOADED.format(code=code)])
+        got, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
         if name == "cache hit":
             assert "(cache hit)" in proc.stdout
-        got = json.loads(proc.stdout.strip().splitlines()[-1])
+            assert loaded == ["qlsmodcat", "qlsmodcat.cli", "qlsmodcat.errors"]
         assert got == want, name
 
 
@@ -623,6 +744,54 @@ def test_the_tracer_wraps_the_lazily_compiled_layers(tmp_path):
         assert layers.calls.get(span), (argv[0], span)
         assert layers.missing == ["linalg:preimage", "comodule:_poly_quo",
                                   "comodule:_field_domain"]
+
+
+def test_importing_the_cli_puts_every_shared_layer_in_sys_modules(tmp_path):
+    """pipebench/tracer.py rebinds functions across the qlsmodcat modules
+    in sys.modules once it has imported the CLI, so a layer that a
+    command loads only later would escape it.  After a build-hopf miss,
+    the only new entries are a kernel lane and the cocycles handle."""
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    code = ("import json, sys\n"
+            "import qlsmodcat.cli\n"
+            "before = set(sys.modules)\n"
+            f"assert qlsmodcat.cli.main(['build-hopf', {path!r}]) == 0\n"
+            "print(json.dumps(sorted(\n"
+            "    n for n in set(sys.modules) - before\n"
+            "    if n.startswith('qlsmodcat.')\n"
+            "    and not n.startswith('qlsmodcat._kernel.'))))")
+    proc = _fresh_python(tmp_path, ["-c", code])
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["qlsmodcat.cocycles"]
+
+
+def test_a_hit_turns_into_a_miss_when_the_schema_or_a_source_changes(
+        tmp_path):
+    """The key covers the input schema as well as every .py source (the
+    version is covered above): a hit is served before the input meets
+    the schema, so an entry made under another schema must not be
+    found."""
+    pkg = tmp_path / "src" / "qlsmodcat"
+    shutil.copytree(ROOT / "src" / "qlsmodcat", pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"),
+               QLSMODCAT_CACHE_DIR=str(tmp_path / "cache"))
+
+    def hit() -> bool:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlsmodcat.cli", "build-hopf", path],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return "(cache hit)" in proc.stdout
+
+    assert not hit()
+    assert hit()
+    for name, text in [("schema/datum.schema.json", "\n"),
+                       ("hopf.py", "# edited\n")]:
+        with open(pkg / name, "a") as f:
+            f.write(text)
+        assert not hit(), name
+        assert hit(), name
 
 
 def test_build_algebra_and_verify(tmp_path, capsys):
