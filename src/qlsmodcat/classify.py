@@ -21,7 +21,13 @@ from fractions import Fraction
 from . import linalg
 from ._kernel import is_zero as pis0, mul as pmul, neg as pneg
 from .cocycles import enumerate_classes
-from .comodule import ModCatDatum, build_A, check_simplicity, simple_modules
+from .comodule import (
+    ModCatDatum,
+    build_A,
+    check_simplicity,
+    simple_modules,
+    w_rows,
+)
 from .cyclo import CycloNumber, context
 from .errors import NotExteriorDatum, ValidationError
 from .groups import Subgroup, enumerate_subgroups
@@ -58,17 +64,6 @@ def free_scalar_positions(mcd: ModCatDatum):
     return free_xi, free_alpha
 
 
-def _check_w_shape(datum: QlsDatum, w: dict) -> None:
-    comp = {el.exps: idcs for el, idcs in datum.isotypic().items()}
-    for ge, rows in (w or {}).items():
-        if tuple(ge) not in comp:
-            raise ValidationError(f"component {tuple(ge)} carries no generators")
-        for row in rows:
-            if len(row) != len(comp[tuple(ge)]):
-                raise ValidationError(
-                    "row length does not match the component dimension")
-
-
 def enumerate_modcat_data(datum: QlsDatum, scalar_sample=(0, 1),
                           extra_w=None, bound: int = 256) -> list[ModCatDatum]:
     """Every valid datum tuple over the sample, in a deterministic order."""
@@ -76,7 +71,7 @@ def enumerate_modcat_data(datum: QlsDatum, scalar_sample=(0, 1),
     sample = list(scalar_sample)
     ws = coordinate_subspaces(datum)
     for w in (extra_w or []):
-        _check_w_shape(datum, w)
+        w_rows(datum, w)
         ws.append(w)
     out = []
     for F in enumerate_subgroups(datum.group, bound):
@@ -101,18 +96,7 @@ def enumerate_modcat_data(datum: QlsDatum, scalar_sample=(0, 1),
 
 
 def _w_key(mcd: ModCatDatum) -> tuple:
-    by_comp: dict = {}
-    for a in range(mcd.n_letters):
-        by_comp.setdefault(mcd.carriers[a].exps, []).append(a)
-    out = []
-    for ge in sorted(by_comp):
-        sub = linalg.Subspace(mcd.L)
-        for a in by_comp[ge]:
-            sub.insert({p: c.raw()
-                        for p, c in zip(mcd.positions[a], mcd.rows[a])
-                        if not c.is_zero()})
-        out.append((ge, sub.key()))
-    return tuple(out)
+    return tuple((h.exps, span.key()) for h, _, span in mcd.row_spans())
 
 
 def datum_key(mcd: ModCatDatum, strict: bool = False) -> tuple:

@@ -5,8 +5,9 @@ axiom sweep fails on input that parsed cleanly or when the command line
 is malformed (each subcommand takes only its own flags).  Artifacts are
 written as canonical JSON next to the input file unless --out says
 otherwise; build results are cached under a content hash of the input,
-the package version, the package's sources and its input schema, and
-cache hits are accepted only when their stored checksum still matches.
+the package version, the package's sources, its compiled kernel and its
+input schema, and cache hits are accepted only when their stored
+checksum still matches.
 A hit is answered before the input is parsed, so it compiles no layer of
 the engine; every miss parses and validates the input in full.
 """
@@ -53,8 +54,8 @@ INTERNAL_ERRORS = (ConfluenceFailure, IsoCheckFailed, NotClosed)
 
 def _read_json(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read {path}: {e}")
     try:
         return json.loads(text)
@@ -125,16 +126,19 @@ def _checksum(text: str) -> str:
 
 @functools.cache
 def _source_digest() -> str:
-    """sha256 of the package's .py sources and its data files (the input
-    schema, which decides what a build accepts), read once per process.
-    A hit is served before the input is validated, so both must be in
-    the key."""
+    """sha256 of the package's .py sources, its data files (the input
+    schema, which decides what a build accepts) and its compiled kernel,
+    source and built extension module both, read once per process.  A
+    hit is served before the input is validated, so all must be in the
+    key."""
     import hashlib
+    from importlib.machinery import EXTENSION_SUFFIXES
 
     root = Path(__file__).resolve().parent
     h = hashlib.sha256()
     for path in sorted(p for p in root.rglob("*")
-                       if p.suffix in (".py", ".json")):
+                       if p.suffix in (".py", ".json", ".c")
+                       or p.name.endswith(tuple(EXTENSION_SUFFIXES))):
         h.update(path.relative_to(root).as_posix().encode() + b"\0")
         h.update(path.read_bytes())
     return h.hexdigest()

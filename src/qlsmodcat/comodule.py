@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from math import isqrt, lcm
 
 from . import linalg
@@ -26,7 +25,7 @@ from .errors import (
     IsoCheckFailed,
     ValidationError,
 )
-from .groups import GroupElement, Subgroup
+from .groups import Subgroup
 from .hopf import (
     CheckReport,
     FiniteAlgebra,
@@ -39,6 +38,24 @@ from .hopf import (
 )
 from .linalg import accumulate, vec_addmul
 from .rewrite import NormalFormEngine
+
+
+def w_rows(datum: QlsDatum, w) -> list:
+    """The rows of a subspace ``w`` as (carrier, generator positions, row),
+    by component; ValidationError when a component carries no generators
+    or a row's length is not the component's dimension."""
+    comp = datum.isotypic()
+    out = []
+    for ge in sorted(w or {}):
+        h = datum.group.element(tuple(ge))
+        if h not in comp:
+            raise ValidationError(f"component {tuple(ge)} carries no generators")
+        for row in w[ge]:
+            if len(row) != len(comp[h]):
+                raise ValidationError(
+                    "row length does not match the component dimension")
+            out.append((h, comp[h], row))
+    return out
 
 
 class ModCatDatum:
@@ -66,28 +83,8 @@ class ModCatDatum:
         for v in self.psi_norm.table.values():
             L = lcm(L, v.L)
 
-        carriers: list[GroupElement] = []
-        positions: list[list[int]] = []
-        raw_rows: list[list] = []
-        for ge in sorted(w or {}):
-            h = datum.group.element(tuple(ge))
-            idcs = [i for i, el in enumerate(datum.g) if el == h]
-            if not idcs:
-                raise ValidationError(
-                    f"component {tuple(ge)} carries no generators")
-            for row in (w or {})[ge]:
-                if len(row) != len(idcs):
-                    raise ValidationError(
-                        "row length does not match the component dimension")
-                row = [c if isinstance(c, CycloNumber)
-                       else CycloNumber.from_rational(Fraction(c), 1)
-                       for c in row]
-                for c in row:
-                    L = lcm(L, c.L)
-                carriers.append(h)
-                positions.append(idcs)
-                raw_rows.append(row)
-
+        parsed = w_rows(datum, w)
+        carriers = [h for h, _, _ in parsed]
         m = len(carriers)
         xi = list(xi) if xi is not None else [0] * m
         if len(xi) != m:
@@ -97,17 +94,19 @@ class ModCatDatum:
             a, b = key
             if not 0 <= a < b < m:
                 raise ValidationError(f"link index {key} is not strictly upper")
-        for c in list(xi) + list(alpha.values()):
+        entries = [c for _, _, row in parsed for c in row]
+        for c in entries + xi + list(alpha.values()):
             if isinstance(c, CycloNumber):
                 L = lcm(L, c.L)
 
         self.L = L
         self.carriers = carriers
-        self.positions = positions
-        self.rows = [[c.rebase(L) for c in row] for row in raw_rows]
-        self.xi = [self._scalar(c) for c in xi]
-        self.alpha = {k: self._scalar(c) for k, c in sorted(alpha.items())
-                      if not self._scalar(c).is_zero()}
+        self.positions = [idcs for _, idcs, _ in parsed]
+        self.rows = [[CycloNumber.coerce(c, L) for c in row]
+                     for _, _, row in parsed]
+        self.xi = [CycloNumber.coerce(c, L) for c in xi]
+        alpha = {k: CycloNumber.coerce(c, L) for k, c in sorted(alpha.items())}
+        self.alpha = {k: c for k, c in alpha.items() if not c.is_zero()}
 
         # commutation scalars and heights; ambiguity makes the subspace
         # structurally unusable, so it fails here rather than in a report
@@ -129,11 +128,6 @@ class ModCatDatum:
                     vals[f] = datum.chi[self.positions[a][lead]](f).rebase(L)
             self.chiF.append(vals)
 
-    def _scalar(self, c) -> CycloNumber:
-        if isinstance(c, CycloNumber):
-            return c.rebase(self.L)
-        return CycloNumber.from_rational(Fraction(c), self.L)
-
     @property
     def n_letters(self) -> int:
         return len(self.carriers)
@@ -151,11 +145,8 @@ class ModCatDatum:
             if all(c.is_zero() for c in self.rows[a]):
                 rep.fail("row-zero", a)
         # independence within each component
-        for h in sorted(set(self.carriers), key=lambda e: e.exps):
-            rows = [{p: c.raw() for p, c in zip(self.positions[a], self.rows[a])
-                     if not c.is_zero()}
-                    for a in range(self.n_letters) if self.carriers[a] == h]
-            if linalg.rank(rows, self.L) != len(rows):
+        for h, count, span in self.row_spans():
+            if span.dim != count:
                 rep.fail("rows-dependent", h.exps)
         # full eigenvector condition
         for a in range(self.n_letters):
@@ -172,6 +163,18 @@ class ModCatDatum:
             if not self.scalar_free((a, b)):
                 rep.fail("link-scalar-forced-zero", (a, b))
         return rep
+
+    def row_spans(self) -> list:
+        """(carrier, number of rows, span of the rows) of each component
+        the rows meet, by carrier; a row is a vector over the generators
+        of its component."""
+        out = []
+        for h in sorted(set(self.carriers), key=lambda e: e.exps):
+            rows = [{p: c.raw() for p, c in zip(self.positions[a], self.rows[a])
+                     if not c.is_zero()}
+                    for a in range(self.n_letters) if self.carriers[a] == h]
+            out.append((h, len(rows), linalg.span(rows, self.L)))
+        return out
 
     def scalar_free(self, letters) -> bool:
         """Whether the compatibility conditions leave free the scalar of
@@ -293,10 +296,7 @@ def _coaction_tables(mcd: ModCatDatum, alg: FiniteAlgebra, U: FiniteHopf):
               alg.index[(ea, ident.exps)])] = one
         lam_letter.append(vec2)
 
-    u1a1 = {(U.index[(zero_v, ident.exps)], unit_a): one}
-    return extend_letters(
-        U, alg, alg.labels, u1a1, lam_letter, mcd.heights,
-        lambda fe: {(U.index[(zero_v, fe)], alg.index[(zero_w, fe)]): one})
+    return extend_letters(U, alg, alg.labels, lam_letter, mcd.heights)
 
 
 def _assemble(mcd: ModCatDatum, mult: dict, labels,

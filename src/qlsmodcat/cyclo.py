@@ -147,6 +147,14 @@ class CycloNumber:
         d = context(L).degree
         return cls(L, (f.numerator,) + (0,) * (d - 1), f.denominator)
 
+    @classmethod
+    def coerce(cls, value, L: int) -> "CycloNumber":
+        """value at conductor L: a CycloNumber rebased (L a multiple of its
+        conductor), or a rational (int, Fraction or decimal string)."""
+        if isinstance(value, CycloNumber):
+            return value.rebase(L)
+        return cls.from_rational(value, L)
+
     def raw(self):
         return self.nums, self.den
 

@@ -63,14 +63,9 @@ class LiftingDatum:
             if isinstance(c, CycloNumber):
                 L = lcm(L, c.L)
         self.L = L
-        self.mu = [self._scalar(c) for c in mu]
-        self.lam = {(i, j): self._scalar(c) for (i, j), c in sorted(lam.items())
-                    if not self._scalar(c).is_zero()}
-
-    def _scalar(self, c) -> CycloNumber:
-        if isinstance(c, CycloNumber):
-            return c.rebase(self.L)
-        return CycloNumber.from_rational(c, self.L)
+        self.mu = [CycloNumber.coerce(c, L) for c in mu]
+        lam = {k: CycloNumber.coerce(c, L) for k, c in sorted(lam.items())}
+        self.lam = {k: c for k, c in lam.items() if not c.is_zero()}
 
     def validate(self) -> CheckReport:
         rep = self.datum.validate()
@@ -266,7 +261,7 @@ def deform_hopf(H: FiniteHopf, sigma: HopfCocycle) -> FiniteHopf:
     twisted on the right by sigma^-1, through the coproduct with its legs
     swapped.
     """
-    if sigma.H is not H and not sigma.H.same_tables(H):
+    if not sigma.H.same_tables(H):
         raise ValidationError("cocycle lives on a different Hopf algebra")
     red = H.ctx.reduction
     mult = _twisted_product(sigma.inverse, _flip(H.comult), sigma.twisted)
@@ -330,7 +325,7 @@ def deform_comodule_algebra(A: comodule.ComoduleAlgebra, sigma: HopfCocycle,
     the deformed Hopf algebra, which is verified.
     """
     U = A.hopf
-    if sigma.H is not U and not sigma.H.same_tables(U):
+    if not sigma.H.same_tables(U):
         raise ValidationError("cocycle does not live on the coacting Hopf algebra")
     mult = _twisted_product(sigma.table, A.coaction, A)
     if hopf is None:
@@ -353,7 +348,7 @@ def coideal_twist(H: FiniteHopf, rows,
     not).  The coaction is the restricted coproduct, still over H, and
     the result is verified as a left H-comodule algebra.
     """
-    if sigma.H is not H and not sigma.H.same_tables(H):
+    if not sigma.H.same_tables(H):
         raise ValidationError("cocycle does not live on the ambient Hopf algebra")
     sp = linalg.span(rows, H.L)
     basis = sp.rows
@@ -549,10 +544,7 @@ def build_bigalois(ld: LiftingDatum,
             (B.index[(ea_b, ident.exps)], H.index[(zero_r, ident.exps)]): one,
             (B.index[(zero_r, g.exps)], H.index[(ea_h, ident.exps)]): one,
         })
-    start = {(B.index[(zero_r, ident.exps)], H.index[(zero_r, ident.exps)]): one}
-    rho = extend_letters(
-        B, H, B.labels, start, rho_letter, mcd.heights,
-        lambda fe: {(B.index[(zero_r, fe)], H.index[(zero_r, fe)]): one})
+    rho = extend_letters(B, H, B.labels, rho_letter, mcd.heights)
 
     cb = [one if sum(r) == 0 else linalg.pzero(B.L) for r, _ in B.labels]
     rep = BiGaloisRep(B, B.hopf, H, [dict(v) for v in B.coaction], rho, cb)
@@ -670,21 +662,19 @@ def transport(B: BiGaloisRep, A: comodule.ComoduleAlgebra,
     """
     T = cotensor(B, A, proofs)
     rep = CheckReport("transport")
-    if T.dim != A.dim:
-        rep.fail("dimension-preserved", (A.dim, T.dim))
-    sv = comodule.check_simplicity(A).verdict
-    dv = comodule.check_simplicity(T).verdict
-    if sv != dv:
-        rep.fail("simplicity-verdict-preserved", (sv, dv))
-    sco = comodule.coinvariants(A).dim
-    dco = comodule.coinvariants(T).dim
-    if sco != dco:
-        rep.fail("coinvariants-preserved", (sco, dco))
-    src = comodule.simple_modules(A)
-    dst = comodule.simple_modules(T)
-    if src.radical_dim != dst.radical_dim:
-        rep.fail("radical-dimension-preserved",
-                 (src.radical_dim, dst.radical_dim))
-    if src.block_data != dst.block_data:
-        rep.fail("block-data-preserved", (src.block_data, dst.block_data))
+    before, after = _invariants(A), _invariants(T)
+    for check, value in before.items():
+        if value != after[check]:
+            rep.fail(check, (value, after[check]))
     return T, rep
+
+
+def _invariants(A: comodule.ComoduleAlgebra) -> dict:
+    """The invariants ``transport`` compares, keyed by the name of the
+    check that fails when one changes, in report order."""
+    blocks = comodule.simple_modules(A)
+    return {"dimension-preserved": A.dim,
+            "simplicity-verdict-preserved": comodule.check_simplicity(A).verdict,
+            "coinvariants-preserved": comodule.coinvariants(A).dim,
+            "radical-dimension-preserved": blocks.radical_dim,
+            "block-data-preserved": blocks.block_data}

@@ -46,7 +46,7 @@ class CheckReport:
         """The generators of ``alg`` when this sweep has proven algebra
         tables equal to alg's unital and associative, else None."""
         for other, gens in self.proven:
-            if other is alg or FiniteAlgebra.same_tables(other, alg):
+            if FiniteAlgebra.same_tables(other, alg):
                 return gens
         return None
 
@@ -82,6 +82,19 @@ class CheckReport:
             return f"CheckReport({self.subject or 'ok'}: ok)"
         return "CheckReport(%s: failed %s)" % (
             self.subject or "?", ", ".join(self.checks_failed()))
+
+
+def _generators_prove(rep: CheckReport, check: str, failures, gens,
+                      labels) -> bool:
+    """Whether no tuple of the generators ``gens`` breaks the law, which
+    the caller's induction then proves; ``failures(firsts)`` yields the
+    breaking index tuples with first index in ``firsts``.  Without gens,
+    or when one fails, each failure of every tuple is reported as check."""
+    if gens is not None and next(failures(gens), None) is None:
+        return True
+    for t in failures(range(len(labels))):
+        rep.fail(check, tuple(labels[i] for i in t))
+    return False
 
 
 def rebase_vec(vec: dict, L: int, M: int) -> dict:
@@ -220,24 +233,21 @@ class FiniteAlgebra:
         sweep reports each failure.
         """
         rep = CheckReport("algebra")
-        if next(self._unit_failures(), None) is None:
-            gens = self.generators()
-            if next(self._associators(gens), None) is None:
-                rep.proven.append((self, gens))
-                return rep
         for check, i in self._unit_failures():
             rep.fail(check, self.labels[i])
-        for i, j, k in self._associators(range(self.dim)):
-            rep.fail("associativity",
-                     (self.labels[i], self.labels[j], self.labels[k]))
+        gens = self.generators() if rep.ok else None
+        if _generators_prove(rep, "associativity", self._associators, gens,
+                             self.labels):
+            rep.proven.append((self, gens))
         return rep
 
     def same_tables(self, other) -> bool:
-        return (isinstance(other, FiniteAlgebra)
-                and self.labels == other.labels
-                and self.L == other.L
-                and self.unit == other.unit
-                and self.mult == other.mult)
+        return other is self or (
+            isinstance(other, FiniteAlgebra)
+            and self.labels == other.labels
+            and self.L == other.L
+            and self.unit == other.unit
+            and self.mult == other.mult)
 
     def rebased(self, M: int) -> "FiniteAlgebra":
         """The same algebra with every pair rewritten at conductor M."""
@@ -278,16 +288,23 @@ def pair_multiply(first: FiniteAlgebra, second: FiniteAlgebra,
 
 
 def extend_letters(first: FiniteAlgebra, second: FiniteAlgebra, labels,
-                   start: dict, letters, heights, group_image) -> list:
+                   letters, heights) -> list:
     """Images of the basis labels (r, g) under an algebra map into
     first tensor second, fixed by the images of the generators.
 
-    The image of (r, g) is start times letters[a] ** r[a] for a = 0, 1, ...
-    in turn, times group_image(g); ``start`` is the unit of the tensor
-    product and ``heights[a]`` bounds the exponents of letter a.  The
-    letter chain of each exponent tuple r is multiplied out once and
-    shared by every label (r, g).
+    Both factors have monomial labels (exponents, group element).  The
+    image of (r, g) is 1 tensor 1 times letters[a] ** r[a] for a = 0, 1,
+    ... in turn, times g tensor g; ``heights[a]`` bounds the exponents of
+    letter a.  The letter chain of each exponent tuple r is multiplied
+    out once and shared by every label (r, g).
     """
+    one = linalg.pone(first.L)
+    z1, z2 = ((0,) * len(alg.labels[0][0]) for alg in (first, second))
+
+    def group_image(ge) -> dict:
+        return {(first.index[(z1, ge)], second.index[(z2, ge)]): one}
+
+    start = group_image((0,) * len(labels[0][1]))
     pows = []
     for a, letter in enumerate(letters):
         powers = [start]
@@ -345,18 +362,11 @@ def verify_coaction(rep: CheckReport, alg: FiniteAlgebra, U: FiniteHopf,
     unital, coassociative, counital, multiplicative = names
     red = alg.ctx.reduction
     n = alg.dim
-
-    def coact(vec: dict) -> dict:
-        out: dict = {}
-        for i, c in vec.items():
-            vec_addmul(out, coaction[i], c, red)
-        return out
-
     unit_target = {}
     for u0, c0 in U.unit.items():
         for i, c in alg.unit.items():
             unit_target[(u0, i)] = pmul(c0, c, red)
-    is_unital = coact(alg.unit) == unit_target
+    is_unital = linalg.combine(alg.unit, coaction, alg.L) == unit_target
     if not is_unital:
         rep.fail(unital, "1")
 
@@ -375,18 +385,17 @@ def verify_coaction(rep: CheckReport, alg: FiniteAlgebra, U: FiniteHopf,
         if acc != alg.basis(i):
             rep.fail(counital, alg.labels[i])
 
-    def failing_pairs(firsts):
+    def unmultiplicative(firsts):
         for i in firsts:
             for j in range(n):
                 want = pair_multiply(U, alg, coaction[i], coaction[j])
-                if coact(alg.mult.get((i, j), {})) != want:
+                got = linalg.combine(alg.mult.get((i, j), {}), coaction, alg.L)
+                if got != want:
                     yield i, j
 
-    gens = rep.generators(alg)
-    if (not is_unital or gens is None or rep.generators(U) is None
-            or next(failing_pairs(gens), None) is not None):
-        for i, j in failing_pairs(range(n)):
-            rep.fail(multiplicative, (alg.labels[i], alg.labels[j]))
+    proven = is_unital and rep.generators(U) is not None
+    _generators_prove(rep, multiplicative, unmultiplicative,
+                      rep.generators(alg) if proven else None, alg.labels)
     return rep
 
 
@@ -429,20 +438,21 @@ class FiniteHopf(FiniteAlgebra):
         return acc
 
     def same_tables(self, other) -> bool:
-        return (isinstance(other, FiniteHopf)
-                and super().same_tables(other)
-                and self.comult == other.comult
-                and self.counit == other.counit
-                and self.antipode == other.antipode)
+        return other is self or (
+            isinstance(other, FiniteHopf)
+            and super().same_tables(other)
+            and self.comult == other.comult
+            and self.counit == other.counit
+            and self.antipode == other.antipode)
 
     def rebased(self, M: int) -> "FiniteHopf":
         if M == self.L:
             return self
-        mult = {k: rebase_vec(v, self.L, M) for k, v in self.mult.items()}
+        alg = super().rebased(M)
         comult = [rebase_vec(v, self.L, M) for v in self.comult]
         counit = [linalg.to_cyclo(p, self.L).rebase(M).raw() for p in self.counit]
         antipode = [rebase_vec(v, self.L, M) for v in self.antipode]
-        return FiniteHopf(self.labels, M, mult, rebase_vec(self.unit, self.L, M),
+        return FiniteHopf(self.labels, M, alg.mult, alg.unit,
                           comult, counit, antipode,
                           degree=self.degree, graded=self.graded)
 
@@ -488,18 +498,16 @@ class FiniteHopf(FiniteAlgebra):
         # generator s and basis y, given the unit laws, associativity and
         # eps(1) = 1: T = {x : eps(x y) = eps(x) eps(y) for all y}
         # contains 1 and eps((s x) y) = eps(s) eps(x y) puts s x in T
-        def failing_pairs(firsts):
+        def uncounital(firsts):
             for i in firsts:
                 for j in range(n):
                     prod = self.mult.get((i, j), {})
                     if self.counit_value(prod) != pmul(self.counit[i], self.counit[j], red):
                         yield i, j
 
-        gens = rep.generators(self)
-        if (not counit_unital or gens is None
-                or next(failing_pairs(gens), None) is not None):
-            for i, j in failing_pairs(range(n)):
-                rep.fail("counit-multiplicative", (self.labels[i], self.labels[j]))
+        _generators_prove(rep, "counit-multiplicative", uncounital,
+                          rep.generators(self) if counit_unital else None,
+                          self.labels)
         return rep
 
 
@@ -595,9 +603,7 @@ def complete_hopf(d: QlsDatum, L: int, labels, mult: dict,
         ei = tuple(1 if a == i else 0 for a in range(theta))
         dx.append({(idx[(ei, ident.exps)], unit_idx): one,
                    (idx[(zero_r, d.g[i].exps)], idx[(ei, ident.exps)]): one})
-    comult = extend_letters(
-        alg, alg, labels, {(unit_idx, unit_idx): one}, dx, d.N,
-        lambda ge: {(idx[(zero_r, ge)], idx[(zero_r, ge)]): one})
+    comult = extend_letters(alg, alg, labels, dx, d.N)
     counit = [one if sum(r) == 0 else linalg.pzero(L) for r, _ in labels]
 
     sx = []

@@ -37,6 +37,7 @@ class NormalFormEngine:
         self.group = group
         self.L = conductor
         self.one = CycloNumber.one(conductor)
+        self._red = context(conductor).reduction
         self._memo = {}
 
     # Relation hooks.  Fragment lists hold (coefficient, replacement word)
@@ -60,7 +61,8 @@ class NormalFormEngine:
         raise NotImplementedError
 
     def normalize(self, word):
-        """Reduce a word to {(exponents, group element): coefficient}.
+        """Reduce a word to {(exponents, group element): coefficient},
+        each coefficient a kernel pair.
 
         The returned dict is shared through the memo table; callers must
         treat it as read-only.
@@ -75,20 +77,15 @@ class NormalFormEngine:
     def _reduce(self, word):
         hit = self._leftmost(word)
         if hit is None:
-            return {self._pack(word): self.one}
+            return {self._pack(word): self.one.raw()}
         start, length, frags = hit
         head, tail = word[:start], word[start + length:]
         out = {}
         for coef, frag in frags:
             if coef.is_zero():
                 continue
-            for key, c in self.normalize(head + tuple(frag) + tail).items():
-                acc = out.get(key)
-                acc = coef * c if acc is None else acc + coef * c
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+            vec_addmul(out, self.normalize(head + tuple(frag) + tail),
+                       coef.raw(), self._red)
         return out
 
     def _leftmost(self, word):
@@ -134,7 +131,7 @@ class NormalFormEngine:
         r - e_a comes before r.
         """
         idx = {lab: i for i, lab in enumerate(labels)}
-        red = context(self.L).reduction
+        red = self._red
         elem = {ge: self.group.element(ge) for _, ge in labels}
         right = [[self._cell(self.word_of(r, elem[ge]) + (a,), idx)
                   for r, ge in labels] for a in range(self.n_letters)]
@@ -171,7 +168,7 @@ class NormalFormEngine:
         return mult
 
     def _cell(self, word, idx) -> dict:
-        return {idx[(t, g.exps)]: c.raw() for (t, g), c in self.normalize(word).items()}
+        return {idx[(t, g.exps)]: c for (t, g), c in self.normalize(word).items()}
 
     def word_of(self, exps, g):
         """Inverse of _pack: the word a product of normal forms starts from."""

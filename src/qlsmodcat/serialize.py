@@ -333,7 +333,7 @@ def _label_from_json(lab) -> tuple:
     return (tuple(r), tuple(exps))
 
 
-def _algebra_core(alg: FiniteAlgebra) -> dict:
+def algebra_dump(alg: FiniteAlgebra) -> dict:
     mult = []
     for (i, j) in sorted(alg.mult):
         cell = alg.mult[(i, j)]
@@ -443,16 +443,12 @@ def _table_load(obj, key: str, n: int, L: int, legs) -> list:
     return table
 
 
-def algebra_dump(alg: FiniteAlgebra) -> dict:
-    return _algebra_core(alg)
-
-
 def algebra_load(obj) -> FiniteAlgebra:
     return FiniteAlgebra(*_core_tables(obj))
 
 
 def hopf_dump(H: FiniteHopf) -> dict:
-    out = _algebra_core(H)
+    out = algebra_dump(H)
     out["comult"] = _table_dump(H.comult, H.L)
     out["counit"] = [_pair_json(H.counit[i], H.L) for i in range(H.dim)]
     out["antipode"] = [[i, k, _pair_json(c, H.L)]
@@ -477,7 +473,7 @@ def hopf_load(obj) -> FiniteHopf:
 
 
 def comodule_dump(A: comodule.ComoduleAlgebra) -> dict:
-    out = _algebra_core(A)
+    out = algebra_dump(A)
     out["coaction"] = _table_dump(A.coaction, A.L)
     out["degree"] = list(A.degree) if A.degree is not None else None
     out["hopf"] = hopf_dump(A.hopf)
@@ -496,7 +492,7 @@ def comodule_load(obj) -> comodule.ComoduleAlgebra:
 def bigalois_dump(B: deformation.BiGaloisRep) -> dict:
     alg = B.algebra
     out = {
-        "algebra": _algebra_core(alg),
+        "algebra": algebra_dump(alg),
         "left_hopf": hopf_dump(B.left_hopf),
         "right_hopf": hopf_dump(B.right_hopf),
         "left_coaction": _table_dump(B.left_coaction, alg.L),

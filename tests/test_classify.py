@@ -182,6 +182,20 @@ def test_registered_general_subspace():
         enumerate_modcat_data(d, extra_w=[{(1,): [[1, 0, 0]]}])
 
 
+@pytest.mark.parametrize("w, message", [
+    ({(0,): [[1]]}, "component (0,) carries no generators"),
+    ({(1,): [[1, 0, 0]]}, "row length does not match the component dimension"),
+])
+def test_a_bad_extra_subspace_fails_as_the_datum_does(w, message):
+    d = clifford_z2_datum()
+    F = Subgroup.trivial(d.group)
+    with pytest.raises(ValidationError) as from_datum:
+        ModCatDatum(d, F, Cocycle2.trivial(F), w=w)
+    with pytest.raises(ValidationError) as from_sweep:
+        enumerate_modcat_data(d, extra_w=[w])
+    assert str(from_datum.value) == str(from_sweep.value) == message
+
+
 def test_report_determinism():
     a = classification_report(clifford_z2_datum())
     b = classification_report(clifford_z2_datum())

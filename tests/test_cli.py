@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,24 @@ def test_malformed_json_is_an_input_error(tmp_path, capsys):
 def test_missing_file_is_an_input_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, warm", [
+    ("validate", False), ("classify", False), ("transport", False),
+    ("verify", False), ("build-hopf", False), ("build-hopf", True)])
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command,
+                                                   warm):
+    """build-hopf reads its input before it looks up the cache, so the
+    error is the same whether the cache holds an entry or not."""
+    if warm:
+        assert main(["build-hopf",
+                     write(tmp_path, datum_to_json(sweedler_datum()))]) == 0
+        assert any((tmp_path / "cache").iterdir())
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    capsys.readouterr()
+    assert main([command, str(path)]) == 1
+    assert f"error: cannot read {path}:" in capsys.readouterr().err
 
 
 def test_build_hopf_then_verify(tmp_path, capsys):
@@ -766,10 +785,12 @@ def test_importing_the_cli_puts_every_shared_layer_in_sys_modules(tmp_path):
 
 def test_a_hit_turns_into_a_miss_when_the_schema_or_a_source_changes(
         tmp_path):
-    """The key covers the input schema as well as every .py source (the
-    version is covered above): a hit is served before the input meets
-    the schema, so an entry made under another schema must not be
-    found."""
+    """The key covers the input schema, every .py source and the compiled
+    kernel, its C source and a built extension module (the version is
+    covered above): a hit is served before the input meets the schema,
+    so an entry made under another schema must not be found, nor one
+    made by another kernel.  The junk extension module fails to import,
+    and the kernel falls back to the pure lane."""
     pkg = tmp_path / "src" / "qlsmodcat"
     shutil.copytree(ROOT / "src" / "qlsmodcat", pkg,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -787,7 +808,9 @@ def test_a_hit_turns_into_a_miss_when_the_schema_or_a_source_changes(
     assert not hit()
     assert hit()
     for name, text in [("schema/datum.schema.json", "\n"),
-                       ("hopf.py", "# edited\n")]:
+                       ("hopf.py", "# edited\n"),
+                       ("_kernel/_speedups.c", "/* edited */\n"),
+                       ("_kernel/_speedups" + EXTENSION_SUFFIXES[0], "junk\n")]:
         with open(pkg / name, "a") as f:
             f.write(text)
         assert not hit(), name

@@ -184,6 +184,17 @@ def test_transport_of_root_lifting_changes_block_data():
     assert "block-data-preserved" in failed
 
 
+def test_transport_reports_each_changed_invariant_once_in_order():
+    """The failures of the root-lifting transport, their order and their
+    (before, after) witnesses."""
+    B = build_bigalois(LiftingDatum(z4_mu_datum(), mu=[1]))
+    _, rep = transport(B, regular_coaction(B.right_hopf))
+    assert rep.failures == [
+        ("radical-dimension-preserved", (2, 0)),
+        ("block-data-preserved", ((1, 1, 4), (4, 4))),
+    ]
+
+
 def test_transport_along_trivial_lifting_preserves_blocks():
     B = build_bigalois(LiftingDatum(z4_mu_datum()))
     A = regular_coaction(B.right_hopf)

@@ -1060,7 +1060,7 @@ def normal_form_table(engine, labels) -> dict:
     for i1, w1 in enumerate(words):
         for i2, w2 in enumerate(words):
             nf = engine.normalize(w1 + w2)
-            cell = {idx[(t, g.exps)]: c.raw() for (t, g), c in nf.items()}
+            cell = {idx[(t, g.exps)]: c for (t, g), c in nf.items()}
             if cell:
                 mult[(i1, i2)] = cell
     return mult
