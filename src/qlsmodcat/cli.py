@@ -39,7 +39,7 @@ from .errors import (
 # serialize and hopf get handles too, so that importing this module puts
 # every shared layer in sys.modules: pipebench/tracer.py rebinds functions
 # only across the modules present once it has imported this one.
-for _core in ("_kernel", "cyclo", "groups", "linalg"):
+for _core in ("_kernel", "cyclo", "groups", "linalg", "rewrite"):
     _lazy(_core)
 serialize = _lazy("serialize")
 hopf = _lazy("hopf")

@@ -4,9 +4,11 @@ A module-category datum picks a subgroup F, a 2-cocycle on it, a graded
 subspace W spanned by eigenvectors for the subgroup characters, and the
 root and link scalars xi and alpha.  The main builder produces the
 algebra generated by W and the twisted group basis {e_f} with its left
-coaction, as exact tables.  The rest of the module computes filtrations,
-coinvariants, the Galois map, simplicity and block reports, and the
-degree-one generation checker.
+coaction, as exact tables, from the rewrite engine under
+``ComoduleRules``; the graded model is the same build with xi and alpha
+zero.  The rest of the module computes filtrations, coinvariants, the
+Galois map, simplicity and block reports, and the degree-one generation
+checker.
 """
 
 from __future__ import annotations
@@ -164,6 +166,14 @@ class ModCatDatum:
                 rep.fail("link-scalar-forced-zero", (a, b))
         return rep
 
+    def w(self) -> dict:
+        """The rows as CycloNumbers at L, by component exponents, in the
+        form the constructor reads ``w``."""
+        out: dict = {}
+        for h, row in zip(self.carriers, self.rows):
+            out.setdefault(h.exps, []).append(row)
+        return out
+
     def row_spans(self) -> list:
         """(carrier, number of rows, span of the rows) of each component
         the rows meet, by carrier; a row is a vector over the generators
@@ -299,9 +309,17 @@ def _coaction_tables(mcd: ModCatDatum, alg: FiniteAlgebra, U: FiniteHopf):
     return extend_letters(U, alg, alg.labels, lam_letter, mcd.heights)
 
 
-def _assemble(mcd: ModCatDatum, mult: dict, labels,
-              U: FiniteHopf | None = None,
-              proofs: CheckReport | None = None) -> ComoduleAlgebra:
+def build_A(mcd: ModCatDatum, U: FiniteHopf | None = None,
+            proofs: CheckReport | None = None) -> ComoduleAlgebra:
+    """The comodule algebra generated by the subspace rows and the e_f.
+
+    ``U`` is the bosonization of ``mcd.datum`` at any conductor dividing
+    ``mcd.L``; it is built when not given.  The tables are verified
+    against the ledger ``proofs`` (``ComoduleAlgebra.verify``).
+    """
+    mcd.require_valid()
+    labels = monomial_labels(mcd.heights, mcd.F)
+    mult = ComoduleRules(mcd).product_table(labels)
     ident = mcd.datum.group.identity()
     zero_w = (0,) * mcd.n_letters
     unit = {labels.index((zero_w, ident.exps)): linalg.pone(mcd.L)}
@@ -316,56 +334,11 @@ def _assemble(mcd: ModCatDatum, mult: dict, labels,
     return A
 
 
-def build_A(mcd: ModCatDatum, U: FiniteHopf | None = None,
-            proofs: CheckReport | None = None) -> ComoduleAlgebra:
-    """The comodule algebra generated by the subspace rows and the e_f.
-
-    ``U`` is the bosonization of ``mcd.datum`` at any conductor dividing
-    ``mcd.L``; it is built when not given.  The tables are verified
-    against the ledger ``proofs`` (``ComoduleAlgebra.verify``).
-    """
-    mcd.require_valid()
-    labels = monomial_labels(mcd.heights, mcd.F)
-    return _assemble(mcd, ComoduleRules(mcd).product_table(labels), labels, U,
-                     proofs)
-
-
 def build_K(mcd: ModCatDatum, U: FiniteHopf | None = None) -> ComoduleAlgebra:
-    """The graded model: same generators with all xi and alpha set to zero.
-
-    Tables come from a closed form rather than the rewriting engine, so
-    this is an independent path used to cross-check build_A.
-    """
+    """The graded model: ``build_A`` of the same subgroup, cocycle and
+    rows with every xi and alpha zero, at the conductor of ``mcd``."""
     mcd.require_valid()
-    labels = monomial_labels(mcd.heights, mcd.F)
-    idx = {lab: i for i, lab in enumerate(labels)}
-    m = mcd.n_letters
-    heights = mcd.heights
-    group = mcd.datum.group
-    L = mcd.L
-    qexp = [[mcd.Q[a][b] for b in range(m)] for a in range(m)]
-
-    mult: dict = {}
-    for i1, (r, fe) in enumerate(labels):
-        f = group.element(fe)
-        chif = [mcd.chiF[a][f] for a in range(m)]
-        for i2, (s, ge) in enumerate(labels):
-            if any(r[a] + s[a] >= heights[a] for a in range(m)):
-                continue
-            g = group.element(ge)
-            coef = mcd.psi_norm(f, g).rebase(L)
-            for a in range(m):
-                if s[a]:
-                    coef = coef * chif[a] ** s[a]
-            for b in range(m):
-                if not s[b]:
-                    continue
-                for a in range(b + 1, m):
-                    if r[a]:
-                        coef = coef * qexp[a][b] ** (r[a] * s[b])
-            t = tuple(r[a] + s[a] for a in range(m))
-            mult[(i1, i2)] = {idx[(t, (f * g).exps)]: coef.raw()}
-    return _assemble(mcd, mult, labels, U)
+    return build_A(ModCatDatum(mcd.datum, mcd.F, mcd.psi, mcd.w()), U)
 
 
 def regular_coaction(H: FiniteHopf) -> ComoduleAlgebra:

@@ -38,7 +38,7 @@ from .hopf import (
     verify_coaction,
 )
 from .linalg import accumulate, vec_addmul
-from .rewrite import NormalFormEngine
+from .rewrite import LiftingRules
 
 # compiled on first use: build-lifting runs neither
 cocycles = _lazy("cocycles")
@@ -72,16 +72,12 @@ class LiftingDatum:
         rep.subject = "lifting"
         d = self.datum
         for i, m in enumerate(self.mu):
-            if m.is_zero():
-                continue
-            if (d.g[i] ** d.N[i]).is_identity():
+            if not m.is_zero() and ((d.g[i] ** d.N[i]).is_identity()
+                                    or not (d.chi[i] ** d.N[i]).is_trivial()):
                 rep.fail("root-scalar-forced-zero", i)
-            if not (d.chi[i] ** d.N[i]).is_trivial():
-                rep.fail("root-scalar-forced-zero", i)
-        for (i, j), c in self.lam.items():
-            if (d.g[i] * d.g[j]).is_identity():
-                rep.fail("link-scalar-forced-zero", (i, j))
-            if not (d.chi[i] * d.chi[j]).is_trivial():
+        for (i, j) in self.lam:
+            if ((d.g[i] * d.g[j]).is_identity()
+                    or not (d.chi[i] * d.chi[j]).is_trivial()):
                 rep.fail("link-scalar-forced-zero", (i, j))
         return rep
 
@@ -89,44 +85,12 @@ class LiftingDatum:
         self.validate().require(ValidationError, "invalid lifting datum")
 
 
-class LiftingRules(NormalFormEngine):
-    """Rewriting rules for the lifted relations."""
-
-    def __init__(self, ld: LiftingDatum):
-        d = ld.datum
-        super().__init__(d.theta, d.N, d.group, ld.L)
-        self.d = d
-        self.mu = ld.mu
-        self.lam = ld.lam
-
-    def group_product(self, g, h):
-        return self.one, g * h
-
-    def move_group_past(self, g, a):
-        return self.d.chi[a](g).rebase(self.L)
-
-    def swap_descending(self, b, a):
-        coef = self.d.chi[a](self.d.g[b]).rebase(self.L)
-        frags = [(coef, (a, b))]
-        lam = self.lam.get((a, b))
-        if lam is not None:
-            frags.append((-(coef * lam), ()))
-            frags.append((coef * lam, (self.d.g[a] * self.d.g[b],)))
-        return frags
-
-    def cut_power(self, a):
-        m = self.mu[a]
-        if m.is_zero():
-            return []
-        return [(m, ()), (-m, ((self.d.g[a] ** self.d.N[a]),))]
-
-
 def build_lifting(ld: LiftingDatum) -> FiniteHopf:
     """Hopf algebra tables for the lifting determined by (mu, lambda)."""
     ld.require_valid()
     d = ld.datum
     labels = monomial_labels(d.N, d.group)
-    mult = LiftingRules(ld).product_table(labels)
+    mult = LiftingRules(d, ld.L, ld.mu, ld.lam).product_table(labels)
     return complete_hopf(d, ld.L, labels, mult, graded=False)
 
 

@@ -320,7 +320,10 @@ class Subgroup:
 
 
 def enumerate_subgroups(group: AbelianGroup, bound: int = 256) -> list[Subgroup]:
-    """All subgroups, smallest first, in a canonical order."""
+    """All subgroups, smallest first, in a canonical order.
+
+    Each subgroup is presented (``Subgroup``) once, when its element set
+    is first reached; every later closure is only looked up."""
     if group.order > bound:
         raise SizeBound(
             f"group of order {group.order} exceeds the subgroup enumeration bound {bound}"
@@ -335,9 +338,9 @@ def enumerate_subgroups(group: AbelianGroup, bound: int = 256) -> list[Subgroup]
             for g in group:
                 if g in sub:
                     continue
-                bigger = Subgroup.generated(group, list(sub.gens) + [g])
-                if bigger.elements not in seen:
-                    seen[bigger.elements] = bigger
-                    nxt.append(bigger)
+                elements = _closure(group, list(sub.gens) + [g])
+                if elements not in seen:
+                    seen[elements] = Subgroup(group, elements)
+                    nxt.append(seen[elements])
         frontier = nxt
     return sorted(seen.values(), key=lambda s: (s.order, s.key()))

@@ -4,6 +4,8 @@ The central builder turns a quantum linear space datum (group, grading
 elements, characters) into the smash product of the nilpotent generator
 algebra with the group algebra, with comultiplication, counit and
 antipode materialized as sparse tables over a fixed cyclotomic field.
+Its product table is the rewrite engine's, under the lifting rules with
+every root and link scalar zero; this module adds the coalgebra.
 Everything downstream (comodule algebras, deformations, reports) works
 against the two table classes defined here.
 """
@@ -12,12 +14,15 @@ from __future__ import annotations
 
 import itertools
 
-from . import linalg
+from . import _lazy, linalg
 from ._kernel import add as padd, is_zero as pis0, mul as pmul
-from .cyclo import CycloNumber, context, zeta
+from .cyclo import CycloNumber, context
 from .errors import DimensionMismatch, ValidationError
 from .groups import AbelianGroup, Character, GroupElement
 from .linalg import accumulate, vec_addmul
+
+# compiled on the first build: verify and a cache hit rewrite no words
+rewrite = _lazy("rewrite")
 
 
 class CheckReport:
@@ -624,36 +629,12 @@ def complete_hopf(d: QlsDatum, L: int, labels, mult: dict,
 
 
 def build_bosonization(d: QlsDatum) -> FiniteHopf:
-    """The graded Hopf algebra on monomials x^r times a group element."""
+    """The graded Hopf algebra on monomials x^r times a group element: the
+    lifting whose root and link scalars are all zero."""
     d.require_valid()
-    group, theta, N = d.group, d.theta, d.N
-    L = group.exponent
-    labels = monomial_labels(N, group)
-    idx = {lab: i for i, lab in enumerate(labels)}
-
-    qexp = [[d.chi[j].eval_exponent(d.g[k]) for j in range(theta)]
-            for k in range(theta)]
-
-    mult: dict = {}
-    for i1, (r, ge) in enumerate(labels):
-        g = group.element(ge)
-        chig = [d.chi[a].eval_exponent(g) for a in range(theta)]
-        for i2, (s, he) in enumerate(labels):
-            if any(r[a] + s[a] >= N[a] for a in range(theta)):
-                continue
-            e = 0
-            for a in range(theta):
-                if s[a]:
-                    e += s[a] * chig[a]
-            for j in range(theta):
-                if not s[j]:
-                    continue
-                for k in range(j + 1, theta):
-                    if r[k]:
-                        e += r[k] * s[j] * qexp[k][j]
-            t = tuple(r[a] + s[a] for a in range(theta))
-            gh = g * group.element(he)
-            mult[(i1, i2)] = {idx[(t, gh.exps)]: zeta(L, e).raw()}
+    L = d.group.exponent
+    labels = monomial_labels(d.N, d.group)
+    mult = rewrite.LiftingRules(d, L).product_table(labels)
     return complete_hopf(d, L, labels, mult, graded=True)
 
 

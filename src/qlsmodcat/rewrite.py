@@ -16,6 +16,11 @@ presentation every word has one normal form (Bergman's diamond lemma),
 so this composition gives the normal form of the concatenated label
 words, cell for cell.  For a presentation that is not confluent the two
 may differ; the axiom sweeps run on the table either way.
+
+``LiftingRules`` presents the liftings of a bosonized quantum linear
+space, and with every scalar zero the bosonization itself, so every Hopf
+product table comes from this engine; ``comodule.ComoduleRules`` presents
+the comodule algebras and their graded models.
 """
 
 from __future__ import annotations
@@ -177,3 +182,37 @@ class NormalFormEngine:
             letters.extend([a] * r)
         letters.append(g)
         return tuple(letters)
+
+
+class LiftingRules(NormalFormEngine):
+    """Rewriting rules for the lifting of a quantum linear space datum
+    ``d`` by root scalars ``mu`` (one per letter) and link scalars ``lam``
+    ({(i, j): scalar} for i < j), all CycloNumbers at ``conductor``.
+    Left out, every scalar is zero: the rules of the bosonization."""
+
+    def __init__(self, d, conductor, mu=None, lam=None):
+        super().__init__(d.theta, d.N, d.group, conductor)
+        self.d = d
+        self.mu = mu or [CycloNumber.zero(conductor)] * d.theta
+        self.lam = lam or {}
+
+    def group_product(self, g, h):
+        return self.one, g * h
+
+    def move_group_past(self, g, a):
+        return self.d.chi[a](g).rebase(self.L)
+
+    def swap_descending(self, b, a):
+        coef = self.d.chi[a](self.d.g[b]).rebase(self.L)
+        frags = [(coef, (a, b))]
+        lam = self.lam.get((a, b))
+        if lam is not None:
+            frags.append((-(coef * lam), ()))
+            frags.append((coef * lam, (self.d.g[a] * self.d.g[b],)))
+        return frags
+
+    def cut_power(self, a):
+        m = self.mu[a]
+        if m.is_zero():
+            return []
+        return [(m, ()), (-m, ((self.d.g[a] ** self.d.N[a]),))]

@@ -261,15 +261,12 @@ def datum_to_json(datum: QlsDatum, lifting: deformation.LiftingDatum = None,
                        for (i, j), c in sorted(lifting.lam.items())],
         }
     if mcd is not None:
-        by_comp: dict = {}
-        for a in range(mcd.n_letters):
-            by_comp.setdefault(mcd.carriers[a].exps, []).append(
-                [cyclo_to_json(c) for c in mcd.rows[a]])
         out["modcat"] = {
             "F": {"gens": [list(g.exps) for g in mcd.F.gens]},
             "psi": cocycle_to_json(mcd.psi),
-            "w": [{"component": list(ge), "rows": rows}
-                  for ge, rows in sorted(by_comp.items())],
+            "w": [{"component": list(ge),
+                   "rows": [[cyclo_to_json(c) for c in row] for row in rows]}
+                  for ge, rows in sorted(mcd.w().items())],
             "xi": [cyclo_to_json(c) for c in mcd.xi],
             "alpha": [[a, b, cyclo_to_json(c)]
                       for (a, b), c in sorted(mcd.alpha.items())],

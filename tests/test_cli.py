@@ -71,6 +71,19 @@ def test_validate_flags_forced_zero_lifting_scalar(tmp_path, capsys):
     assert "root-scalar-forced-zero" in capsys.readouterr().out
 
 
+def test_validate_reports_a_forced_zero_root_scalar_once(tmp_path, capsys):
+    """Over Z2 x Z4 with g = (1, 0), g^2 = 1 and chi^2 != eps each force
+    mu to zero: one failure of the one scalar, in text and in JSON."""
+    path = write(tmp_path, {"group": {"orders": [2, 4]}, "g": [[1, 0]],
+                            "chi": [[1, 1]], "lifting": {"mu": [1]}})
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr().out == "FAIL lifting root-scalar-forced-zero: 0\n"
+    assert main(["validate", path, "--format", "json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [r["failures"] for r in out["reports"]] == [
+        [], [{"check": "root-scalar-forced-zero", "witness": 0}]]
+
+
 def test_validate_json_format(tmp_path, capsys):
     path = write(tmp_path, datum_to_json(sweedler_datum()))
     assert main(["validate", path, "--format", "json"]) == 0
@@ -694,10 +707,13 @@ print(json.dumps([sorted(n for n in lazy if lazy[n]),
 """
 HEAVY = ["qlsmodcat.classify", "qlsmodcat.cocycles", "qlsmodcat.comodule",
          "qlsmodcat.deformation"]
+# what verify leaves unloaded: it builds no table, so rewrites no word
+UNBUILT = sorted(HEAVY + ["qlsmodcat.rewrite"])
 # the layers of the engine, each still a handle after a cache hit
 HANDLES = ["qlsmodcat._kernel", "qlsmodcat.classify", "qlsmodcat.comodule",
            "qlsmodcat.cyclo", "qlsmodcat.deformation", "qlsmodcat.groups",
-           "qlsmodcat.hopf", "qlsmodcat.linalg", "qlsmodcat.serialize"]
+           "qlsmodcat.hopf", "qlsmodcat.linalg", "qlsmodcat.rewrite",
+           "qlsmodcat.serialize"]
 
 
 def _fresh_python(tmp_path, argv) -> subprocess.CompletedProcess:
@@ -719,10 +735,10 @@ def test_each_command_compiles_only_the_layers_it_runs(tmp_path):
     algebra_in = write(tmp_path, sweedler_modcat_obj(), "algebra.json")
     hopf_out = str(tmp_path / "out.hopf.json")
     cases = [
-        ("probe", pipebench_run.PROBE, HEAVY),
+        ("probe", pipebench_run.PROBE, UNBUILT),
         ("build-hopf", ["build-hopf", hopf_in, "--out", hopf_out], HEAVY),
         ("cache hit", ["build-hopf", hopf_in, "--out", hopf_out], HANDLES),
-        ("verify", ["verify", hopf_out], HEAVY),
+        ("verify", ["verify", hopf_out], UNBUILT),
         ("build-lifting", ["build-lifting", lifting_in],
          ["qlsmodcat.classify", "qlsmodcat.cocycles", "qlsmodcat.comodule"]),
         ("build-algebra", ["build-algebra", algebra_in],

@@ -109,6 +109,21 @@ def test_subgroup_counts():
     assert len(enumerate_subgroups(AbelianGroup((3, 3)))) == 6
 
 
+def test_each_subgroup_is_presented_once(monkeypatch):
+    """Closures are deduplicated on their element sets before a subgroup
+    is presented: the 67 subgroups of Z2^4 cost 67 presentations."""
+    presented = []
+    init = Subgroup.__init__
+
+    def counted(self, group, elements):
+        presented.append(elements)
+        init(self, group, elements)
+
+    monkeypatch.setattr(Subgroup, "__init__", counted)
+    assert len(enumerate_subgroups(AbelianGroup((2,) * 4))) == 67
+    assert len(presented) == 67
+
+
 def test_subgroup_enumeration_bound():
     with pytest.raises(SizeBound):
         enumerate_subgroups(AbelianGroup((2,) * 9))

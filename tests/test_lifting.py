@@ -5,8 +5,10 @@ import pytest
 from qlsmodcat.cyclo import zeta
 from qlsmodcat.deformation import LiftingDatum, build_lifting
 from qlsmodcat.errors import ValidationError
-from qlsmodcat.hopf import build_bosonization
+from qlsmodcat.groups import AbelianGroup, Character
+from qlsmodcat.hopf import QlsDatum, build_bosonization
 
+from closed_forms import bosonization_mult
 from qls_fixtures import (
     clifford_z22_datum,
     sweedler_datum,
@@ -20,13 +22,13 @@ def one_pair(L):
 
 
 def test_trivial_lifting_equals_bosonization():
-    # with all scalars zero the engine must reproduce the closed-form
-    # tables bit for bit, grading flag aside
+    # with all scalars zero the lifting and the bosonization must both
+    # reproduce the closed-form product bit for bit, grading flag aside
     for d in (sweedler_datum(), z4_mu_datum(), z22_lambda_datum()):
         H = build_bosonization(d)
         K = build_lifting(LiftingDatum(d))
         assert K.labels == H.labels
-        assert K.mult == H.mult
+        assert K.mult == H.mult == bosonization_mult(d)
         assert K.comult == H.comult
         assert K.counit == H.counit
         assert K.antipode == H.antipode
@@ -59,6 +61,20 @@ def test_link_scalar_conditions():
     assert "link-scalar-forced-zero" in rep.checks_failed()
     with pytest.raises(ValidationError):
         LiftingDatum(z22_lambda_datum(), lam={(1, 0): 1})
+
+
+def test_each_forced_zero_scalar_fails_once():
+    # over Z2 x Z4 with g = (1, 0): g^2 = 1 and chi^2 != eps; over Z4
+    # with g1 g2 = 1: chi1 chi2 != eps.  Both reasons hold, one failure
+    G = AbelianGroup((2, 4))
+    d = QlsDatum(G, [G.element((1, 0))], [Character(G, (1, 1))])
+    assert LiftingDatum(d, mu=[1]).validate().failures == [
+        ("root-scalar-forced-zero", 0)]
+    G = AbelianGroup((4,))
+    chi = Character(G, (1,))
+    d = QlsDatum(G, [G.element((1,)), G.element((3,))], [chi, chi])
+    assert LiftingDatum(d, lam={(0, 1): 1}).validate().failures == [
+        ("link-scalar-forced-zero", (0, 1))]
 
 
 def test_mu_lifting_tables():

@@ -14,7 +14,9 @@ multiplicativity of coactions and the counit are proven from a
 generating set instead of on every basis triple and pair.  Polynomials
 over Q(zeta_L) are factored in house instead of by sympy.  A product
 table is composed from right multiplication by letters instead of
-normalizing every pair of label words.  The old routes stay here as
+normalizing every pair of label words, and the bosonization and the
+graded model come from that table instead of closed-form loops
+(``closed_forms``).  The old routes stay here as
 oracles, two operation counts guard the cost on the dim-24 Z6 algebra
 of the pipeline benchmark, and a third guards the factoring of
 ``simple_modules`` on every ``PAIRS`` fixture.  Further counts guard the
@@ -48,6 +50,7 @@ from qlsmodcat.comodule import (
     ComoduleRules,
     ModCatDatum,
     build_A,
+    build_K,
     check_simplicity,
     regular_coaction,
     simple_modules,
@@ -77,6 +80,7 @@ from qlsmodcat.hopf import (
 from qlsmodcat.linalg import accumulate, pone, vec_addmul
 from qlsmodcat.rewrite import NormalFormEngine
 
+from closed_forms import bosonization_mult, graded_model_mult
 from qls_fixtures import (
     clifford_z2_datum,
     clifford_z22_datum,
@@ -1083,21 +1087,22 @@ def built_tables(build) -> list:
 
 def _slot_build(command, obj):
     """The builder one bench command runs on obj, and how many product
-    tables it makes: the bosonization has a closed form, and a transport
-    builds the lifting H, the connecting B and the modcat A if any."""
+    tables it makes: an algebra build also makes the bosonization U it is
+    coacted on, and a transport builds the connecting B with its U, the
+    lifting H and the modcat A if any."""
     datum, lifting, mcd = serialize.load_datum(obj)
     if command == "build-hopf":
-        return (lambda: build_bosonization(datum)), 0
+        return (lambda: build_bosonization(datum)), 1
     if command == "build-lifting":
         return (lambda: build_lifting(lifting)), 1
     if command == "build-algebra":
-        return (lambda: build_A(mcd)), 1
+        return (lambda: build_A(mcd)), 2
 
     def transport():
         B = build_bigalois(lifting)
         if mcd is not None:
             build_A(mcd, B.left_hopf)
-    return transport, 2 + (mcd is not None)
+    return transport, 3 + (mcd is not None)
 
 
 BENCH_SLOTS = {slot.name: slot
@@ -1147,6 +1152,61 @@ def twisted_z22_mcd():
     return ModCatDatum(d, F, psi, w={(1, 0): [[1]], (0, 1): [[1]]}, xi=[1, 1])
 
 
+def zeta8_z4_mcd():
+    """Z4 with two letters of degree g, chi(g) = -1, and alpha = zeta_8:
+    a conductor the datum alone does not reach."""
+    d = CLASSIFY_DATA["z4_theta2"]
+    F = Subgroup.full(d.group)
+    return ModCatDatum(d, F, Cocycle2.trivial(F), w={(1,): [[1, 0], [0, 1]]},
+                       alpha={(0, 1): zeta(8, 1)})
+
+
+def bosonization_data():
+    """Every bench datum, the theta = 0 group algebras, Z4 with theta = 3
+    and Z2^3 with theta = 3."""
+    out = {}
+    for wl in (workloads.tables_slots, workloads.transport_slots,
+               workloads.classify_slots):
+        for slot in wl():
+            for v, obj in enumerate(slot.variants):
+                out[f"{slot.name}#{v}"] = serialize.load_datum(obj)[0]
+    for orders in ((1,), (6,), (2, 2)):
+        out["group" + "x".join(map(str, orders))] = _qls(orders, [], [])
+    out["z4_theta3"] = CLASSIFY_DATA["z4_theta3"]
+    out["z2^3_theta3"] = _qls((2, 2, 2), [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                              [(1, 1, 1)] * 3)
+    return out
+
+
+def test_the_bosonization_equals_the_closed_form():
+    data = bosonization_data()
+    assert len(data) == 41
+    for name, d in data.items():
+        assert build_bosonization(d).mult == bosonization_mult(d), name
+
+
+def graded_model_data():
+    """Every classify member at 0,1 of Z3, Z4 theta = 2 and Z2 x Z2
+    theta = 2, the twisted cocycle on Z2 x Z2 and alpha = zeta_8 over Z4."""
+    out = {}
+    for name in ("z3", "z4_theta2", "z22_theta2"):
+        members = classify.enumerate_modcat_data(CLASSIFY_DATA[name], (0, 1))
+        out.update((f"{name}#{k}", mcd) for k, mcd in enumerate(members))
+    out["psi"] = twisted_z22_mcd()
+    out["zeta8"] = zeta8_z4_mcd()
+    return out
+
+
+def test_the_graded_model_equals_the_closed_form():
+    data = graded_model_data()
+    assert len(data) == 100
+    for name, mcd in data.items():
+        K = build_K(mcd)
+        assert K.L == mcd.L, name
+        assert K.mult == graded_model_mult(mcd), name
+    assert data["zeta8"].L == 8
+
+
 @pytest.mark.parametrize("name", [name for name, _, _ in CONNECTING] + ["psi"])
 def test_fixture_tables_equal_the_normal_forms(name):
     if name == "psi":
@@ -1154,35 +1214,45 @@ def test_fixture_tables_equal_the_normal_forms(name):
     else:
         ld = next(ld for other, ld, _ in CONNECTING if other == name)
         tables = built_tables(lambda: build_bigalois(ld))
-    assert len(tables) == (1 if name == "psi" else 2)
+    assert len(tables) == (2 if name == "psi" else 3)
     for engine, labels, table in tables:
         assert table == normal_form_table(engine, labels)
 
 
-@pytest.mark.parametrize("name, dim, theta", [("lifting-z8t2", 32, 2),
+@pytest.mark.parametrize("name, dim, theta", [("hopf-z8", 64, 1),
+                                              ("lifting-z8t2", 32, 2),
                                               ("algebra-z6", 36, 1)])
 def test_a_table_normalizes_n_theta_words(name, dim, theta, monkeypatch):
-    """Only the outermost normalize calls count: a reduction recurses."""
+    """Only the outermost normalize calls count, per table: a reduction
+    recurses, and an algebra build also makes the table of its U."""
     slot = BENCH_SLOTS[name]
-    outer, depth = [], []
-    normalize = NormalFormEngine.normalize
+    tables, depth = [], []
+    normalize, product_table = (NormalFormEngine.normalize,
+                                NormalFormEngine.product_table)
 
     def counted(engine, word):
         if not depth:
-            outer.append(word)
+            tables[-1][2].append(word)
         depth.append(1)
         try:
             return normalize(engine, word)
         finally:
             depth.pop()
 
+    def per_table(engine, labels):
+        tables.append((len(labels), engine.n_letters, []))
+        return product_table(engine, labels)
+
     monkeypatch.setattr(NormalFormEngine, "normalize", counted)
+    monkeypatch.setattr(NormalFormEngine, "product_table", per_table)
     for obj in slot.variants:
-        outer.clear()
-        _, lifting, mcd = serialize.load_datum(obj)
-        X = build_lifting(lifting) if lifting is not None else build_A(mcd)
-        assert X.dim == dim
-        assert len(outer) <= dim * theta
+        tables.clear()
+        build, count = _slot_build(slot.command, obj)
+        assert build().dim == dim
+        assert len(tables) == count
+        assert (dim, theta) in [(n, letters) for n, letters, _ in tables]
+        for n, letters, outer in tables:
+            assert len(outer) <= n * letters
 
 
 def test_extend_letters_multiplies_each_letter_chain_once(monkeypatch):
