@@ -26,6 +26,14 @@ cleared before each repeat, on the 30 algebras ``classify --sample 0,1``
 builds over Z4 with two generators of degree 1 and q = -1, and on A and
 T of the dim-24 mixed Z6 transport of the pipebench; the block data
 printed are asserted.
+
+``check_simplicity`` is timed as it runs, with the leading-column
+certificate first, against its exact path, which eliminates the operator
+span (the certificate forced to fall short), on A and T of the dim-24
+mixed Z6 transport, on A and T of the dim-64 Z8 regular transport and
+on the 198 algebras ``classify --sample 0,1`` builds over Z4 with three
+generators and q = -1; both must give the same verdicts and operator
+dims.
 """
 
 from __future__ import annotations
@@ -235,22 +243,40 @@ def run_sweeps(reps):
 BLOCK_REPS = 5
 
 
-def block_cases():
-    """(label, algebras, counts of their (radical dim, blocks))."""
+def sampled_members(theta):
+    """The algebras ``classify --sample 0,1`` builds over Z4 with theta
+    generators of degree 1 and q = -1, one per datum."""
     Z4 = AbelianGroup((4,))
-    z4t2 = QlsDatum(Z4, [Z4.element((1,))] * 2, [Character(Z4, (2,))] * 2)
-    members = [comodule.build_A(m)
-               for m in classify.enumerate_modcat_data(z4t2, (0, 1))]
+    d = QlsDatum(Z4, [Z4.element((1,))] * theta, [Character(Z4, (2,))] * theta)
+    return [comodule.build_A(m)
+            for m in classify.enumerate_modcat_data(d, (0, 1))]
+
+
+def transport_pair(datum, mu, lam):
+    """The regular algebra A of the lifting's right Hopf algebra and its
+    image T under transport along the connecting object."""
+    B = build_bigalois(LiftingDatum(datum, mu=mu, lam=lam))
+    A = comodule.regular_coaction(B.right_hopf)
+    return A, cotensor(B, A)
+
+
+def mixed_z6_pair():
+    """The pipebench dim-24 mixed Z6 transport: q = -1, root scalars 1
+    and 2, link scalar -2."""
     Z6 = AbelianGroup((6,))
     g, chi = Z6.element((1,)), Character(Z6, (3,))
-    B = build_bigalois(LiftingDatum(QlsDatum(Z6, [g, g], [chi, chi]),
-                                    mu=[1, 2], lam={(0, 1): -2}))
-    A = comodule.regular_coaction(B.right_hopf)
+    return transport_pair(QlsDatum(Z6, [g, g], [chi, chi]), [1, 2], {(0, 1): -2})
+
+
+def block_cases():
+    """(label, algebras, counts of their (radical dim, blocks))."""
+    members = sampled_members(2)
+    A, T = mixed_z6_pair()
     return [
         (f"Z4 theta=2, {len(members)} data at 0,1", members, Z4T2_BLOCKS),
         ("mixed Z6 transport, A (dim 24)", [A],
          {(6, ((1, 1), (1, 1), (8, 2), (8, 2))): 1}),
-        ("mixed Z6 transport, T (dim 24)", [cotensor(B, A)],
+        ("mixed Z6 transport, T (dim 24)", [T],
          {(0, ((8, 2), (8, 2), (8, 2))): 1}),
     ]
 
@@ -289,6 +315,49 @@ def run_blocks(reps):
         assert got == want, f"{label}: block data changed"
 
 
+SIMPLICITY_REPS = 3
+
+
+def exact_simplicity(A):
+    """``check_simplicity`` with the certificate forced to fall short, so
+    that the operator span is eliminated as before the certificate."""
+    certificate = comodule._leading_columns
+    comodule._leading_columns = lambda A, gens: 0
+    try:
+        return comodule.check_simplicity(A)
+    finally:
+        comodule._leading_columns = certificate
+
+
+def simplicity_cases():
+    Z8 = AbelianGroup((8,))
+    z8 = QlsDatum(Z8, [Z8.element((1,))], [Character(Z8, (1,))])
+    A, T = mixed_z6_pair()
+    A8, T8 = transport_pair(z8, [0], {})
+    members = sampled_members(3)
+    return [("mixed Z6 transport, A (dim 24)", [A]),
+            ("mixed Z6 transport, T (dim 24)", [T]),
+            ("Z8 regular transport, A (dim 64)", [A8]),
+            ("Z8 regular transport, T (dim 64)", [T8]),
+            (f"Z4 theta=3, {len(members)} data at 0,1", members)]
+
+
+def run_simplicity(reps):
+    print(f"check_simplicity, leading columns against the exact span, "
+          f"x {reps} reps")
+    for label, algs in simplicity_cases():
+        t_cert, cert = time_calls(
+            lambda: [comodule.check_simplicity(A) for A in algs], reps)
+        t_exact, exact = time_calls(
+            lambda: [exact_simplicity(A) for A in algs], reps)
+        verdicts = [(r.verdict, r.operator_dim) for r in cert]
+        assert verdicts == [(r.verdict, r.operator_dim) for r in exact], \
+            f"{label}: the certificate and the exact span disagree"
+        print(f"  {label:34s} certificate {t_cert * 1e3:8.1f}ms   "
+              f"exact {t_exact * 1e3:8.1f}ms ({t_exact / t_cert:4.1f}x)   "
+              f"{Counter(v for v, _ in verdicts)}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--conductors", default="4,12,60",
@@ -306,6 +375,7 @@ def main(argv=None):
     run_factoring(FACTOR_REPS)
     run_sweeps(SWEEP_REPS)
     run_blocks(BLOCK_REPS)
+    run_simplicity(SIMPLICITY_REPS)
 
 
 if __name__ == "__main__":

@@ -206,12 +206,13 @@ def cmd_validate(args) -> int:
     obj = _read_json(args.input)
     datum, lifting, _ = serialize.load_datum(obj, modcat=False)
     reports = [datum.validate()]
-    if lifting is not None:
-        reports.append(lifting.validate())
-    # a modcat section is only defined over a valid datum: over an invalid
-    # one the datum's failures are the report, as for the bare datum
+    # the lifting and modcat sections are only defined over a valid datum:
+    # over an invalid one the datum's failures are the report, as for the
+    # bare datum
     mcd = None
-    if "modcat" in obj and reports[0].ok:
+    if reports[0].ok and lifting is not None:
+        reports.append(lifting.validate())
+    if reports[0].ok and "modcat" in obj:
         mcd = serialize.load_modcat(datum, obj["modcat"])
         reports.append(mcd.validate())
     ok = all(r.ok for r in reports)

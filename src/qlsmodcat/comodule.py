@@ -628,14 +628,50 @@ def _sub_rows(r1, r2):
     return out
 
 
-def _operator_span(A: ComoduleAlgebra):
+def _products(A, gens):
+    """The coaction slices S_u and the right multiplications R_a, in the
+    order both spans take the products R_a o S_u."""
+    nA = A.dim
+    return gens[nA:] or [[A.basis(i) for i in range(nA)]], gens[:nA]
+
+
+def _leading_columns(A, gens) -> int:
+    """How many distinct leading columns the products R_a o S_u have.
+
+    The leading column of an operator is the least flat index i * n + j
+    of a nonzero entry.  Only the rows combine(S[i], R_a) up to the first
+    nonzero one are formed.  The count stops once it reaches n^2, or once
+    the products left cannot bring it there.
+    """
+    nA = A.dim
+    full = nA * nA
+    slices, rmults = _products(A, gens)
+    left = len(slices) * nA
+    leads = set()
+    for S in slices:
+        nonzero = [(i, r) for i, r in enumerate(S) if r]
+        for R in rmults:
+            for i, r in nonzero:
+                row = linalg.combine(r, R, A.L)
+                if row:
+                    leads.add(i * nA + min(row))
+                    break
+            left -= 1
+            if len(leads) == full or len(leads) + left < full:
+                return len(leads)
+    return len(leads)
+
+
+def _operator_span(A: ComoduleAlgebra, gens):
     """The operator algebra of A, spanned by the products R_a o S_u.
 
     R_a is right multiplication by the basis element a and S_u the
     coaction slice a |-> (u* (x) id) lambda(a), for u in the coaction's
-    support.  The algebra these generate is the span of the R_a o S_u
-    alone (Montgomery, Hopf Algebras and Their Actions on Rings, 1993,
-    4.1: the action of A # H*), because that span is closed:
+    support; ``gens`` are the R_a, then the S_u, as
+    ``_operator_generators`` lists them.  The algebra these generate is
+    the span of the R_a o S_u alone (Montgomery, Hopf Algebras and Their
+    Actions on Rings, 1993, 4.1: the action of A # H*), because that span
+    is closed:
 
     * S_f o R_b = sum R_(S_(f_2)(b)) o S_(f_1), since lambda is
       multiplicative (f(hk) = f_1(h) f_2(k));
@@ -646,29 +682,36 @@ def _operator_span(A: ComoduleAlgebra):
     So inserting the n * |support| products proves the dimension; it is
     not sampling.  This needs A to pass ``ComoduleAlgebra.verify``, which
     every builder and the cotensor check.  Without a coaction the span is
-    that of the R_a.  Returns the span and the generators R_a, S_u.
+    that of the R_a.
     """
     nA = A.dim
     full = nA * nA
-    gens = _operator_generators(A)
-    rmults = gens[:nA]
-    slices = gens[nA:] or [[A.basis(i) for i in range(nA)]]
+    slices, rmults = _products(A, gens)
     sp = linalg.Subspace(A.L)
     for S in slices:
         for R in rmults:
             sp.insert(_flat_op([linalg.combine(r, R, A.L) for r in S], nA))
             if sp.dim == full:
-                return sp, gens
-    return sp, gens
+                return sp
+    return sp
 
 
 def check_simplicity(A: ComoduleAlgebra) -> SimplicityReport:
     """Span the right multiplications and coaction slices, then decide
     over an algebraic closure K-bar of the ground field K.
 
-    The span's dimension is the same over K and over K-bar.  A full span
-    certifies that the only invariant subspaces are trivial.  A proper
-    one is a proper subalgebra of End(A (x) K-bar), so by Burnside's
+    The span's dimension is the same over K and over K-bar, and a full
+    span certifies that the only invariant subspaces are trivial.  Most
+    spans are proven full by their leading columns alone: when the
+    products R_a o S_u have n^2 distinct leading columns, those n^2
+    operators are linearly independent.  In a dependency among them, the
+    operator with the least leading column among those with a nonzero
+    coefficient is the only one of them nonzero in that column, so its
+    coefficient is zero after all.  That is the echelon argument, exact
+    over K, and no vector is inserted.
+
+    When the leading columns fall short, the span is eliminated.  A proper
+    span is a proper subalgebra of End(A (x) K-bar), so by Burnside's
     theorem A (x) K-bar has a proper invariant subspace and the verdict
     is "reducible".  The kernel of each difference of two generators is
     then closed up under the generators, and the first proper closure is
@@ -676,7 +719,10 @@ def check_simplicity(A: ComoduleAlgebra) -> SimplicityReport:
     """
     nA = A.dim
     full = nA * nA
-    sp, gens = _operator_span(A)
+    gens = _operator_generators(A)
+    if _leading_columns(A, gens) == full:
+        return SimplicityReport("split-simple", full, full)
+    sp = _operator_span(A, gens)
     if sp.dim == full:
         return SimplicityReport("split-simple", sp.dim, full)
 

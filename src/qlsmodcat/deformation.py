@@ -68,8 +68,8 @@ class LiftingDatum:
         self.lam = {k: c for k, c in lam.items() if not c.is_zero()}
 
     def validate(self) -> CheckReport:
-        rep = self.datum.validate()
-        rep.subject = "lifting"
+        """The conditions on the scalars, over a datum that is valid."""
+        rep = CheckReport("lifting")
         d = self.datum
         for i, m in enumerate(self.mu):
             if not m.is_zero() and ((d.g[i] ** d.N[i]).is_identity()
@@ -82,6 +82,7 @@ class LiftingDatum:
         return rep
 
     def require_valid(self) -> None:
+        self.datum.require_valid()
         self.validate().require(ValidationError, "invalid lifting datum")
 
 

@@ -1,7 +1,10 @@
 """Datum enumeration, dedupe keys, the table, and the Clifford cross-check."""
 
+import functools
+
 import pytest
 
+from qlsmodcat import comodule
 from qlsmodcat.classify import (
     classification_report,
     coordinate_subspaces,
@@ -12,11 +15,11 @@ from qlsmodcat.classify import (
     free_scalar_positions,
 )
 from qlsmodcat.cocycles import Cocycle2
-from qlsmodcat.comodule import ModCatDatum
+from qlsmodcat.comodule import ModCatDatum, build_A, coinvariants
 from qlsmodcat.cyclo import CycloNumber
 from qlsmodcat.errors import NotExteriorDatum, SizeBound, ValidationError
-from qlsmodcat.groups import AbelianGroup, Subgroup
-from qlsmodcat.hopf import QlsDatum
+from qlsmodcat.groups import AbelianGroup, Character, Subgroup
+from qlsmodcat.hopf import CheckReport, QlsDatum, build_bosonization
 from qls_fixtures import (
     clifford_z2_datum,
     clifford_z22_datum,
@@ -29,6 +32,36 @@ from qls_fixtures import (
 def z22_group_datum():
     G = AbelianGroup((2, 2))
     return QlsDatum(G, [], [])
+
+
+@functools.cache
+def sampled_members():
+    """The algebra of every datum ``enumerate_modcat_data`` yields at the
+    sample 0, 1 over Z3, over Z4 with two generators and chi(g) = -1, and
+    over Z2 x Z2 with two generators: the data of bench ``classify``."""
+    G = AbelianGroup((3,))
+    z3 = QlsDatum(G, [G.element((1,))], [Character(G, (1,))])
+    G = AbelianGroup((4,))
+    z4t2 = QlsDatum(G, [G.element((1,))] * 2, [Character(G, (2,))] * 2)
+    out = []
+    for datum in (z3, z4t2, z22_lambda_datum()):
+        U = build_bosonization(datum)
+        proofs = CheckReport("proofs")
+        out += [build_A(mcd, U, proofs)
+                for mcd in enumerate_modcat_data(datum, (0, 1))]
+    return out
+
+
+def test_every_sampled_member_is_simple_with_trivial_coinvariants():
+    """Each member, not only the one each row reports on, gives an
+    indecomposable module category: A is right H-simple, certified by
+    its leading columns, and its coinvariants are the scalars."""
+    members = sampled_members()
+    assert len(members) == 98
+    for A in members:
+        gens = comodule._operator_generators(A)
+        assert comodule._leading_columns(A, gens) == A.dim ** 2
+        assert coinvariants(A).dim == 1
 
 
 def as_int(c: CycloNumber) -> int:

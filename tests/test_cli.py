@@ -109,6 +109,23 @@ def test_validate_reports_an_invalid_datum_under_a_modcat_section(
     assert "self-pairing-one" in outs[0]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_validate_reports_an_invalid_datum_under_a_lifting_section_once(
+        tmp_path, capsys, fmt):
+    """A lifting section over a datum with g = 1 and chi trivial adds no
+    report: its scalars are checked only over a valid datum."""
+    bare = {"group": {"orders": [2]}, "g": [[0]], "chi": [[0]]}
+    outs = []
+    for obj in (bare, dict(bare, lifting={"mu": [1]})):
+        path = write(tmp_path, obj)
+        assert main(["validate", path, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs.append(captured.out)
+    assert outs[1] == outs[0]
+    assert outs[0].count("self-pairing-one") == 1
+
+
 def test_malformed_json_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ nope")

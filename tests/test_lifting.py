@@ -63,6 +63,17 @@ def test_link_scalar_conditions():
         LiftingDatum(z22_lambda_datum(), lam={(1, 0): 1})
 
 
+def test_a_lifting_over_an_invalid_datum_is_rejected():
+    # g = 1 and chi trivial give q = 1; the lifting's own report checks
+    # only its scalars, and require_valid still rejects the datum
+    G = AbelianGroup((2,))
+    ld = LiftingDatum(QlsDatum(G, [G.identity()], [Character(G, (0,))]), mu=[1])
+    assert ld.validate().subject == "lifting"
+    assert "self-pairing-one" not in ld.validate().checks_failed()
+    with pytest.raises(ValidationError, match="invalid datum"):
+        build_lifting(ld)
+
+
 def test_each_forced_zero_scalar_fails_once():
     # over Z2 x Z4 with g = (1, 0): g^2 = 1 and chi^2 != eps; over Z4
     # with g1 g2 = 1: chi1 chi2 != eps.  Both reasons hold, one failure

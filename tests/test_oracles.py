@@ -2,8 +2,10 @@
 they replace.
 
 ``check_simplicity`` spans the products R_a o S_u instead of closing the
-generators under composition, ``simple_modules`` reads each block off
-the trace of one idempotent of a generator of the centre instead of
+generators under composition, and proves most spans full from the
+products' leading columns instead of eliminating them;
+``simple_modules`` reads each block off the trace of one idempotent of
+a generator of the centre instead of
 splitting corners along every central mix, and module dimensions come
 from each block's dimension and centre instead of a random search for a
 minimal left ideal.  A Hopf cocycle is checked by the algebra sweep of sigma H
@@ -17,8 +19,8 @@ table is composed from right multiplication by letters instead of
 normalizing every pair of label words, and the bosonization and the
 graded model come from that table instead of closed-form loops
 (``closed_forms``).  The old routes stay here as
-oracles, two operation counts guard the cost on the dim-24 Z6 algebra
-of the pipeline benchmark, and a third guards the factoring of
+oracles, three operation counts guard the cost on the dim-24 Z6 algebra
+of the pipeline benchmark, and a fourth guards the factoring of
 ``simple_modules`` on every ``PAIRS`` fixture.  Further counts guard the
 normalizations of a table and the letter chains of ``extend_letters``,
 and two broken presentations must still fail their sweeps.
@@ -91,16 +93,16 @@ from qls_fixtures import (
     z22_lambda_datum,
 )
 from test_acceptance import full_mcd
+from test_classify import sampled_members
 from test_polyfactor import same_factors, squarefree
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "pipebench"))
 import workloads  # noqa: E402
 
 
-def closure_span(A):
+def closure_span(A, gens):
     """Close the identity and the generators under composition."""
     nA = A.dim
-    gens = comodule._operator_generators(A)
     sp = linalg.Subspace(A.L)
     queue = []
     for rows in [[A.basis(i) for i in range(nA)]] + gens:
@@ -112,7 +114,7 @@ def closure_span(A):
             prod = [linalg.combine(r, g, A.L) for r in cur]
             if sp.insert(comodule._flat_op(prod, nA)):
                 queue.append(prod)
-    return sp, gens
+    return sp
 
 
 def _eval_poly(B: FiniteAlgebra, coeffs, y: dict, unit: dict) -> dict:
@@ -258,10 +260,12 @@ SMALL = _small_fixtures()
 def test_operator_span_equals_the_closure(name, monkeypatch):
     A = SMALL[name]
     assert A.dim <= 16
-    span, _ = comodule._operator_span(A)
-    closed, _ = closure_span(A)
-    assert span.key() == closed.key()
+    gens = comodule._operator_generators(A)
+    assert comodule._operator_span(A, gens).key() == closure_span(A, gens).key()
 
+    # on a split-simple fixture the leading columns would answer before
+    # either span, so both sides are sent down the exact path
+    monkeypatch.setattr(comodule, "_leading_columns", shortfall)
     fast = check_simplicity(A)
     monkeypatch.setattr(comodule, "_operator_span", closure_span)
     slow = check_simplicity(A)
@@ -269,6 +273,33 @@ def test_operator_span_equals_the_closure(name, monkeypatch):
     assert fast.verdict != "undecided"
     if fast.witness is not None:
         assert fast.witness.key() == slow.witness.key()
+
+
+def shortfall(A, gens):
+    """A certificate that never counts enough leading columns."""
+    return 0
+
+
+def test_the_leading_columns_certify_only_full_spans():
+    certified = 0
+    for A in list(SMALL.values()) + sampled_members():
+        gens = comodule._operator_generators(A)
+        if comodule._leading_columns(A, gens) == A.dim ** 2:
+            certified += 1
+            assert comodule._operator_span(A, gens).dim == A.dim ** 2
+    # the three reducible fixtures fall short, every other algebra is certified
+    assert certified == len(SMALL) - 3 + len(sampled_members())
+
+
+def test_a_shortfall_gives_the_same_report(monkeypatch):
+    def summary(rep):
+        witness = None if rep.witness is None else rep.witness.key()
+        return rep.verdict, rep.operator_dim, rep.full_dim, witness
+
+    before = {name: summary(check_simplicity(A)) for name, A in SMALL.items()}
+    monkeypatch.setattr(comodule, "_leading_columns", shortfall)
+    after = {name: summary(check_simplicity(A)) for name, A in SMALL.items()}
+    assert after == before
 
 
 def test_oracle_fixtures_cover_both_verdicts():
@@ -370,9 +401,7 @@ def test_classify_rows_match_the_full_retry_loop(datum, monkeypatch):
 
 # ----------------------------------------------------- operation counts
 
-def test_simplicity_inserts_at_most_one_product_per_pair(monkeypatch):
-    A = MIXED[0]
-    support = {u for lam in A.coaction for (u, _) in lam}
+def counted_inserts(monkeypatch):
     calls = []
     insert = linalg.Subspace.insert
 
@@ -381,6 +410,22 @@ def test_simplicity_inserts_at_most_one_product_per_pair(monkeypatch):
         return insert(self, vec)
 
     monkeypatch.setattr(linalg.Subspace, "insert", counted)
+    return calls
+
+
+def test_a_certified_algebra_inserts_no_vector(monkeypatch):
+    calls = counted_inserts(monkeypatch)
+    for A in MIXED:
+        rep = check_simplicity(A)
+        assert (A.dim, rep.verdict, rep.operator_dim) == (24, "split-simple", 576)
+    assert calls == []
+
+
+def test_simplicity_inserts_at_most_one_product_per_pair(monkeypatch):
+    A = MIXED[0]
+    support = {u for lam in A.coaction for (u, _) in lam}
+    monkeypatch.setattr(comodule, "_leading_columns", shortfall)
+    calls = counted_inserts(monkeypatch)
     rep = check_simplicity(A)
     assert (A.dim, rep.verdict) == (24, "split-simple")
     assert len(calls) <= A.dim * len(support)
