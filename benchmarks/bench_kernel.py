@@ -21,6 +21,12 @@ pipebench ``algebra-z6`` build: ``ComoduleAlgebra.verify`` against a
 ledger that already proves the bosonization (|S| n pairs), and
 ``verify_coaction`` with a fresh report (all n^2 pairs).
 
+The connecting object's right sweep, ``BiGaloisRep.verify_right``, is
+timed on the dim-24 mixed Z6 and the dim-64 Z8 liftings of the pipebench
+transports: against a ledger that already proves B, as ``build_bigalois``
+passes it (H proven, then |S| n pairs), and with a fresh report (H
+proven, then all n^2 pairs); both must pass with the same failures.
+
 The block analysis ``simple_modules`` is timed, with both factoring memos
 cleared before each repeat, on the 30 algebras ``classify --sample 0,1``
 builds over Z4 with two generators of degree 1 and q = -1, and on A and
@@ -252,20 +258,60 @@ def sampled_members(theta):
             for m in classify.enumerate_modcat_data(d, (0, 1))]
 
 
-def transport_pair(datum, mu, lam):
+def mixed_z6_lifting():
+    """The pipebench dim-24 mixed Z6 lifting: q = -1, root scalars 1 and
+    2, link scalar -2."""
+    Z6 = AbelianGroup((6,))
+    g, chi = Z6.element((1,)), Character(Z6, (3,))
+    return LiftingDatum(QlsDatum(Z6, [g, g], [chi, chi]), mu=[1, 2],
+                        lam={(0, 1): -2})
+
+
+def z8_lifting():
+    """The dim-64 lifting over Z8 with q = zeta_8, whose root scalar is 0."""
+    Z8 = AbelianGroup((8,))
+    return LiftingDatum(QlsDatum(Z8, [Z8.element((1,))], [Character(Z8, (1,))]),
+                        mu=[0])
+
+
+def transport_pair(ld):
     """The regular algebra A of the lifting's right Hopf algebra and its
     image T under transport along the connecting object."""
-    B = build_bigalois(LiftingDatum(datum, mu=mu, lam=lam))
+    B = build_bigalois(ld)
     A = comodule.regular_coaction(B.right_hopf)
     return A, cotensor(B, A)
 
 
 def mixed_z6_pair():
-    """The pipebench dim-24 mixed Z6 transport: q = -1, root scalars 1
-    and 2, link scalar -2."""
-    Z6 = AbelianGroup((6,))
-    g, chi = Z6.element((1,)), Character(Z6, (3,))
-    return transport_pair(QlsDatum(Z6, [g, g], [chi, chi]), [1, 2], {(0, 1): -2})
+    """The pipebench dim-24 mixed Z6 transport."""
+    return transport_pair(mixed_z6_lifting())
+
+
+def run_connecting(reps):
+    print(f"connecting object's right sweep, x {reps} reps")
+    for label, ld in (("mixed Z6 lifting", mixed_z6_lifting()),
+                      ("Z8 lifting", z8_lifting())):
+        B = build_bigalois(ld)
+        n = B.algebra.dim
+        bproof = B.algebra.verify_algebra()
+
+        def with_ledger():
+            # a new ledger each time, holding B's proof alone as build_A
+            # leaves it, so that H's algebra sweep is timed too
+            ledger = CheckReport("proofs")
+            ledger.proven += bproof.proven
+            return B.verify_right(ledger)
+
+        t_ledger, rep = time_calls(with_ledger, reps)
+        t_fresh, fresh = time_calls(
+            lambda: B.verify_right(CheckReport("bigalois")), reps)
+        assert rep.ok and fresh.ok and rep.failures == fresh.failures, \
+            f"{label}: the ledger and the fresh report disagree"
+        pairs = len(B.algebra.generators()) * n
+        name = f"{label} (dim {n})"
+        print(f"  {name:28s} ledger, {pairs:4d} pairs "
+              f"{t_ledger * 1e3:7.1f}ms   fresh report, {n * n:4d} pairs "
+              f"{t_fresh * 1e3:7.1f}ms ({t_fresh / t_ledger:4.1f}x)")
 
 
 def block_cases():
@@ -330,10 +376,8 @@ def exact_simplicity(A):
 
 
 def simplicity_cases():
-    Z8 = AbelianGroup((8,))
-    z8 = QlsDatum(Z8, [Z8.element((1,))], [Character(Z8, (1,))])
     A, T = mixed_z6_pair()
-    A8, T8 = transport_pair(z8, [0], {})
+    A8, T8 = transport_pair(z8_lifting())
     members = sampled_members(3)
     return [("mixed Z6 transport, A (dim 24)", [A]),
             ("mixed Z6 transport, T (dim 24)", [T]),
@@ -374,6 +418,7 @@ def main(argv=None):
         run_inverses(conductor, args.count, INVERSE_REPS, args.seed)
     run_factoring(FACTOR_REPS)
     run_sweeps(SWEEP_REPS)
+    run_connecting(SWEEP_REPS)
     run_blocks(BLOCK_REPS)
     run_simplicity(SIMPLICITY_REPS)
 

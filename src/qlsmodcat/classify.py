@@ -4,8 +4,10 @@ The sweep walks every subgroup, one 2-cocycle per cohomology class, every
 coordinate subspace of the generator space (plus user-registered general
 subspaces), and fills the root and link scalars from a finite sample,
 forcing to zero every position the compatibility conditions rule out.
-Representatives are deduped by the canonical key (W, F, psi class, xi,
-alpha) and summarized in a table with one row per (F, psi class, W) cell.
+Over the coordinate subspaces and a sample without repeats, no two data
+share the canonical key (W, F, psi class, xi, alpha) that ``dedupe``
+compares.  The data are summarized in a table with one row per
+(F, psi class, W) cell.
 
 The exterior cross-check rebuilds the algebra of an all-order-two datum
 as a Clifford algebra smashed with the twisted subgroup algebra, using a
@@ -15,6 +17,7 @@ compares the structure tables cell by cell.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -168,17 +171,11 @@ class ClassificationRow:
 
 
 class ClassificationReport:
-    """Rows in sweep order plus a totals line.
+    """Rows in sweep order plus a totals line."""
 
-    ``data`` is the enumerated list the rows summarize, so callers can
-    dedupe it without enumerating again.
-    """
-
-    def __init__(self, rows: list[ClassificationRow], totals: dict,
-                 data: list[ModCatDatum]):
+    def __init__(self, rows: list[ClassificationRow], totals: dict):
         self.rows = rows
         self.totals = totals
-        self.data = data
 
     def as_dict(self) -> dict:
         return {"rows": [r.as_dict() for r in self.rows],
@@ -240,8 +237,9 @@ def classification_report(datum: QlsDatum, scalar_sample=(0, 1),
         key = (mcd.F.key(), mcd.psi_norm.class_tag(), _w_key(mcd))
         cells.setdefault(key, []).append(mcd)
     # every row's algebra is a comodule algebra over this one Hopf algebra,
-    # whose proof in the ledger serves each row at its conductor
-    U = build_bosonization(datum)
+    # rebased once per conductor, so that the ledger finds its proof by
+    # identity
+    U_at = functools.cache(build_bosonization(datum).rebased)
     proofs = CheckReport("proofs")
     rows = []
     free_total = 0
@@ -251,7 +249,7 @@ def classification_report(datum: QlsDatum, scalar_sample=(0, 1),
         free = len(free_xi) + len(free_al)
         free_total += free
         generic = members[-1]
-        A = build_A(generic, U, proofs)
+        A = build_A(generic, U_at(generic.L), proofs)
         simp = check_simplicity(A)
         mods = simple_modules(A)
         label, general = _w_label(base)
@@ -261,7 +259,7 @@ def classification_report(datum: QlsDatum, scalar_sample=(0, 1),
             mods.block_data, mods.radical_dim))
     totals = {"rows": len(rows), "data": len(data),
               "free_parameters": free_total}
-    return ClassificationReport(rows, totals, data)
+    return ClassificationReport(rows, totals)
 
 
 def _mono_times_letter(S: tuple, a: int, contract, one) -> dict:

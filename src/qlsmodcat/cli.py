@@ -324,10 +324,12 @@ def cmd_classify(args) -> int:
     sample = _parse_sample(args.sample)
     report = classify.classification_report(datum, sample,
                                             bound=args.max_group_order)
-    reps = classify.dedupe(report.data)
+    # distinct subgroups, cocycle classes, coordinate W and sample values
+    # give distinct dedupe keys, so each enumerated datum represents itself
+    reps = report.totals["data"]
     _report(args, "classify",
-            {"report": report.as_dict(), "representatives": len(reps)},
-            lambda: f"{report.to_text()}\nrepresentatives: {len(reps)}")
+            {"report": report.as_dict(), "representatives": reps},
+            lambda: f"{report.to_text()}\nrepresentatives: {reps}")
     return 0
 
 

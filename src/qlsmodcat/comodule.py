@@ -261,25 +261,16 @@ class ComoduleAlgebra(FiniteAlgebra):
     def verify(self, proofs: CheckReport | None = None) -> CheckReport:
         """The algebra laws, then the comodule-algebra sweep over ``hopf``.
 
-        ``proofs`` is the ledger of one command: the algebras it has
-        proven unital and associative (``CheckReport.prove``).  This
-        algebra and the coacting U are each swept only when the ledger
-        holds no proof for their tables, and their proofs are entered in
-        it, or in a fresh ledger when none is given.  With both proofs,
-        multiplicativity is proven from the |S| n generator pairs
-        (``verify_coaction``).  U's failing laws are reported under a
-        ``hopf-`` prefix with U's labels, and then all n^2 pairs are
-        swept.
+        This algebra and the coacting U are proven through the ledger
+        ``proofs`` of one command, or the report's own when none is given
+        (``CheckReport.prove``), so each is swept only when the ledger
+        holds no proof for its tables.  With both proofs, multiplicativity
+        is proven from the |S| n generator pairs (``verify_coaction``).
+        U's failing laws are reported under a ``hopf-`` prefix with U's
+        labels, and then all n^2 pairs are swept.
         """
-        if proofs is None:
-            proofs = CheckReport()
-        rep = proofs.prove(self)
-        rep.subject = "comodule-algebra"
         U = self.hopf
-        urep = proofs.prove(U)
-        rep.proven += urep.proven
-        for name, witness in urep.failures:
-            rep.fail("hopf-" + name, witness)
+        rep = CheckReport("comodule-algebra", proofs).prove(self).prove(U, "hopf-")
         return verify_coaction(rep, self, U, U.comult, self.coaction)
 
 

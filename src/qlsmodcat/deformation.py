@@ -155,9 +155,7 @@ class HopfCocycle:
         1993, §7.1): the counit on the last leg of either law gives the
         cocycle identity or the normalization back, and they give it.
         """
-        rep = self.twisted.verify_algebra()
-        rep.subject = "hopf-cocycle"
-        return rep
+        return CheckReport("hopf-cocycle").prove(self.twisted)
 
     def _convolution_inverse(self) -> dict:
         """tau with sigma(a_1, b_1) tau(a_2, b_2) = eps(a) eps(b): row
@@ -383,11 +381,14 @@ class BiGaloisRep:
 
     def verify_right(self, rep: CheckReport) -> CheckReport:
         """The checks beyond the left comodule algebra: the right coaction,
-        as a left one over the reversed coproduct, and coactions-commute."""
+        as a left one over the reversed coproduct, and coactions-commute.
+        H is proven through the ledger of ``rep``, where the left sweep
+        proved B, and its failing laws are reported as ``right-hopf-*``."""
         H = self.right_hopf
         B = self.algebra
         red = B.ctx.reduction
         rho = self.right_coaction
+        rep.prove(H, "right-hopf-")
         verify_coaction(rep, B, H, _flip(H.comult), _flip(rho),
                         tuple("right-" + name for name in COACTION_CHECKS))
 
@@ -470,9 +471,12 @@ def build_bigalois(ld: LiftingDatum,
     As an algebra this is the comodule algebra over the full group with
     trivial cocycle, full generating subspace and negated scalars; the
     graded Hopf algebra coacts on the left and the lifting on the right.
-    The proof of the graded Hopf algebra's algebra laws is entered into
-    the ledger ``proofs``, so that later sweeps over it can read it.
+    B, the graded Hopf algebra and the lifting are proven unital and
+    associative through the ledger ``proofs``, a new one when none is
+    given, so that every sweep over them reads those proofs.
     """
+    if proofs is None:
+        proofs = CheckReport("proofs")
     d = ld.datum
     theta = d.theta
     F = Subgroup.full(d.group)
@@ -513,8 +517,8 @@ def build_bigalois(ld: LiftingDatum,
 
     cb = [one if sum(r) == 0 else linalg.pzero(B.L) for r, _ in B.labels]
     rep = BiGaloisRep(B, B.hopf, H, [dict(v) for v in B.coaction], rho, cb)
-    # build_A has already verified B as a left comodule algebra
-    rep.verify_right(CheckReport("bigalois")).require(
+    # build_A has verified B as a left comodule algebra
+    rep.verify_right(proofs).require(
         ConfluenceFailure, "connecting object fails verification")
     return rep
 

@@ -28,17 +28,18 @@ rewrite = _lazy("rewrite")
 class CheckReport:
     """Collected failures of one verification sweep.
 
-    The report also holds the algebras this sweep has proven unital and
+    The report also reads a ledger of the algebras proven unital and
     associative, each with the generators that prove it, so that later
-    checks of the same sweep can rest on those laws.  A report a command
-    passes from sweep to sweep is its ledger of such proofs (``prove``).
-    Nothing is kept on the tables themselves.
+    checks can rest on those laws: the ledger of ``proofs`` (a command's
+    ledger, passed from sweep to sweep), or its own.  Nothing is kept on
+    the tables themselves.
     """
 
-    def __init__(self, subject: str = ""):
+    def __init__(self, subject: str = "", proofs: "CheckReport | None" = None):
         self.subject = subject
         self.failures: list[tuple[str, object]] = []
-        self.proven: list[tuple[FiniteAlgebra, list[int]]] = []
+        self.proven: list[tuple[FiniteAlgebra, list[int]]] = (
+            [] if proofs is None else proofs.proven)
 
     def fail(self, check: str, witness) -> None:
         self.failures.append((check, witness))
@@ -48,25 +49,23 @@ class CheckReport:
         return not self.failures
 
     def generators(self, alg: "FiniteAlgebra") -> list[int] | None:
-        """The generators of ``alg`` when this sweep has proven algebra
-        tables equal to alg's unital and associative, else None."""
+        """The generators of ``alg`` when the ledger holds a proof that
+        tables equal to alg's are unital and associative, else None."""
         for other, gens in self.proven:
             if FiniteAlgebra.same_tables(other, alg):
                 return gens
         return None
 
-    def prove(self, alg: "FiniteAlgebra") -> "CheckReport":
-        """The sweep of alg's unit laws and associativity, with this report
-        as a ledger: a proof it holds for tables equal to alg's is reused,
-        and a new proof is entered here."""
-        gens = self.generators(alg)
-        if gens is not None:
-            rep = CheckReport("algebra")
-            rep.proven.append((alg, gens))
-            return rep
-        rep = alg.verify_algebra()
-        self.proven += rep.proven
-        return rep
+    def prove(self, alg: "FiniteAlgebra", prefix: str = "") -> "CheckReport":
+        """Sweep alg's unit laws and associativity unless the ledger holds
+        a proof for tables equal to alg's; a new proof is entered in the
+        ledger, and each failing law is reported here under ``prefix``."""
+        if self.generators(alg) is None:
+            rep = alg.verify_algebra()
+            self.proven += rep.proven
+            for name, witness in rep.failures:
+                self.fail(prefix + name, witness)
+        return self
 
     def checks_failed(self) -> list[str]:
         seen = []
@@ -350,19 +349,16 @@ def verify_coaction(rep: CheckReport, alg: FiniteAlgebra, U: FiniteHopf,
     all three.
 
     Multiplicativity is proven from the generators S of ``alg`` when
-    ``rep`` already holds proofs that alg and U are unital and
-    associative (``CheckReport.generators``) and the coaction is unital:
-    then T = {x : delta(x y) = delta(x) delta(y) for all y} contains 1
-    and is closed under left multiplication by each s with
+    the ledger of ``rep`` already holds proofs that alg and U are unital
+    and associative (``CheckReport.generators``) and the coaction is
+    unital: then T = {x : delta(x y) = delta(x) delta(y) for all y}
+    contains 1 and is closed under left multiplication by each s with
     delta(s y) = delta(s) delta(y) for all basis y, since
     delta((s x) y) = delta(s) delta(x y) = (delta(s) delta(x)) delta(y)
     = delta(s x) delta(y) in the associative U tensor alg.  So the |S| n
     pairs (s, y) prove the law.  Otherwise, or when a pair fails, all n^2
-    pairs are swept and each failure reported.  U is not proven here:
-    ``ComoduleAlgebra.verify`` enters U's proof into ``rep``, read from or
-    added to the ledger of the command, so each U is swept once however
-    many algebras it coacts on; a Hopf algebra's own sweep has proven it
-    as alg.
+    pairs are swept and each failure reported.  Each caller proves alg
+    and U through that ledger first (``CheckReport.prove``).
     """
     unital, coassociative, counital, multiplicative = names
     red = alg.ctx.reduction
@@ -462,8 +458,7 @@ class FiniteHopf(FiniteAlgebra):
                           degree=self.degree, graded=self.graded)
 
     def verify(self) -> CheckReport:
-        rep = self.verify_algebra()
-        rep.subject = "hopf"
+        rep = CheckReport("hopf").prove(self)
         # H coacts on itself through its coproduct: the sweep checks
         # comult-unital, coassociativity, the left half of the counit law
         # and comult-multiplicative; the right half below adds counit-law

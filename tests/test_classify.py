@@ -19,7 +19,8 @@ from qlsmodcat.comodule import ModCatDatum, build_A, coinvariants
 from qlsmodcat.cyclo import CycloNumber
 from qlsmodcat.errors import NotExteriorDatum, SizeBound, ValidationError
 from qlsmodcat.groups import AbelianGroup, Character, Subgroup
-from qlsmodcat.hopf import CheckReport, QlsDatum, build_bosonization
+from qlsmodcat.hopf import (CheckReport, FiniteHopf, QlsDatum,
+                            build_bosonization)
 from qls_fixtures import (
     clifford_z2_datum,
     clifford_z22_datum,
@@ -34,17 +35,25 @@ def z22_group_datum():
     return QlsDatum(G, [], [])
 
 
-@functools.cache
-def sampled_members():
-    """The algebra of every datum ``enumerate_modcat_data`` yields at the
-    sample 0, 1 over Z3, over Z4 with two generators and chi(g) = -1, and
-    over Z2 x Z2 with two generators: the data of bench ``classify``."""
+def bench_classify_data():
+    """Sweedler and the three data of bench ``classify``: Z3 with
+    q = zeta_3, Z4 with two generators and q = -1, and Z2 x Z2 with two
+    generators."""
     G = AbelianGroup((3,))
     z3 = QlsDatum(G, [G.element((1,))], [Character(G, (1,))])
     G = AbelianGroup((4,))
     z4t2 = QlsDatum(G, [G.element((1,))] * 2, [Character(G, (2,))] * 2)
+    return {"sweedler": sweedler_datum(), "z3": z3, "z4t2": z4t2,
+            "z22t2": z22_lambda_datum()}
+
+
+@functools.cache
+def sampled_members():
+    """The algebra of every datum ``enumerate_modcat_data`` yields at the
+    sample 0, 1 over the data of bench ``classify``."""
+    data = bench_classify_data()
     out = []
-    for datum in (z3, z4t2, z22_lambda_datum()):
+    for datum in (data["z3"], data["z4t2"], data["z22t2"]):
         U = build_bosonization(datum)
         proofs = CheckReport("proofs")
         out += [build_A(mcd, U, proofs)
@@ -162,6 +171,32 @@ def test_dedupe_keeps_distinct_scalars_and_rejects_mixed_bases():
                                      Subgroup.trivial(AbelianGroup((2, 2))),
                                      Cocycle2.trivial(
                                          Subgroup.trivial(AbelianGroup((2, 2)))))])
+
+
+@pytest.mark.parametrize("name", sorted(bench_classify_data()))
+def test_enumerated_data_dedupe_to_themselves(name):
+    """The sweep yields one datum per (F, psi class, W, scalar choice),
+    so no two share a dedupe key, and ``classify`` prints the number of
+    data as its representatives."""
+    data = enumerate_modcat_data(bench_classify_data()[name], (0, 1))
+    assert dedupe(data) == data
+
+
+def test_classify_rebases_the_bosonization_once_per_conductor(monkeypatch):
+    """The Z2 x Z2 rows sit at conductors 2 and 4: the bosonization, built
+    at 2, is rebased to 4 once, not once per row at 4."""
+    rebases = []
+    plain = FiniteHopf.rebased
+
+    def counted(self, M):
+        if M != self.L:
+            rebases.append(M)
+        return plain(self, M)
+
+    monkeypatch.setattr(FiniteHopf, "rebased", counted)
+    rep = classification_report(z22_lambda_datum(), (0, 1))
+    assert rep.totals["rows"] == 24
+    assert rebases == [4]
 
 
 def test_sweedler_report():

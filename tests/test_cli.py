@@ -20,8 +20,8 @@ from qlsmodcat.comodule import ModCatDatum
 from qlsmodcat.deformation import LiftingDatum, build_bigalois
 from qlsmodcat.groups import Subgroup
 from qlsmodcat.hopf import CheckReport, verify_coaction
-from qlsmodcat.serialize import (bigalois_dump, comodule_load, datum_to_json,
-                                 dumps_canonical)
+from qlsmodcat.serialize import (bigalois_dump, bigalois_load, comodule_load,
+                                 datum_to_json, dumps_canonical)
 
 from qls_fixtures import (
     float_integer_inputs,
@@ -884,6 +884,30 @@ def test_verify_names_a_broken_coacting_hopf_table(tmp_path, capsys):
     want = ([("hopf-" + name, w) for name, w in hopf_failures] + full)
     assert [f["check"] for f in got] == [name for name, _ in want]
     assert A.verify().failures == want
+
+
+def test_verify_names_a_broken_lifting_table(tmp_path, capsys):
+    """One mult cell of the lifting H deleted from a dumped Z4
+    root-lifting connecting object: verify names H's failing laws under
+    a right-hopf- prefix, apart from B's and U's laws, which still hold,
+    and then sweeps every pair for the right coaction."""
+    artifact = _bigalois_artifact(tmp_path)
+    obj = json.loads(artifact.read_text())
+    del obj["right_hopf"]["mult"][-1]
+    artifact.write_text(dumps_canonical(obj))
+    assert main(["verify", str(artifact), "--format", "json"]) == 2
+    got = [f["check"] for f in json.loads(capsys.readouterr().out)["failures"]]
+
+    B = bigalois_load(obj)
+    assert B.algebra.verify_algebra().ok and B.left_hopf.verify_algebra().ok
+    hopf_failures = B.right_hopf.verify_algebra().failures
+    assert hopf_failures and {name for name, _ in hopf_failures} == {
+        "associativity"}
+    want = ["right-hopf-" + name for name, _ in hopf_failures]
+    assert got[:len(want)] == want
+    assert got[len(want):] and all(
+        name.startswith("right-coaction-") for name in got[len(want):])
+    assert got == [name for name, _ in B.verify().failures]
 
 
 def test_build_algebra_rejects_conductor_flag(tmp_path, capsys):

@@ -308,8 +308,9 @@ def test_bigalois_sweep_on_one_broken_cell(check):
 
 
 def test_build_bigalois_sweeps_the_algebra_once(monkeypatch):
-    """B's algebra and its coacting bosonization U are each swept once:
-    two different tables of dim 8."""
+    """B's algebra, its left coacting bosonization U and the lifting H
+    that coacts on the right are each swept once: three different tables
+    of dim 8, all in one ledger."""
     calls, tables = [], []
     plain = FiniteAlgebra.verify_algebra
 
@@ -320,9 +321,36 @@ def test_build_bigalois_sweeps_the_algebra_once(monkeypatch):
 
     monkeypatch.setattr(FiniteAlgebra, "verify_algebra", counted)
     B = build_bigalois(LiftingDatum(z4_mu_datum(), mu=[1]))
-    assert calls == [8, 8]
-    assert tables[0] is not B.left_hopf and tables[1] is B.left_hopf
-    assert not FiniteAlgebra.same_tables(tables[0], tables[1])
+    assert calls == [8, 8, 8]
+    assert tables == [B.algebra, B.left_hopf, B.right_hopf]
+    for i, table in enumerate(tables):
+        for other in tables[:i]:
+            assert not FiniteAlgebra.same_tables(table, other)
+
+
+def test_right_sweep_multiplies_generator_pairs_only(monkeypatch):
+    """The dim-24 connecting object of the mixed Z6 lifting (q = -1, root
+    scalars 1 and 2, link scalar -2) is proven right-coaction
+    multiplicative from its |S| n = 72 generator pairs, read off the
+    ledger that proved B and H, not from all n^2 = 576 pairs."""
+    Z6 = AbelianGroup((6,))
+    g, chi = Z6.element((1,)), Character(Z6, (3,))
+    ld = LiftingDatum(QlsDatum(Z6, [g, g], [chi, chi]), mu=[1, 2],
+                      lam={(0, 1): -2})
+    calls = []
+    plain = hopf.pair_multiply
+
+    def counted(first, second, x, y):
+        calls.append((first, second))
+        return plain(first, second, x, y)
+
+    monkeypatch.setattr(hopf, "pair_multiply", counted)
+    B = build_bigalois(ld)
+    n = B.algebra.dim
+    assert n == 24
+    right = sum(first is B.right_hopf and second is B.algebra
+                for first, second in calls)
+    assert right <= len(B.algebra.generators()) * n == 72
 
 
 def test_hopf_sweep_multiplies_on_generators_only(monkeypatch):
