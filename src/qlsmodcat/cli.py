@@ -363,13 +363,21 @@ def cmd_transport(args) -> int:
 
 def cmd_verify(args) -> int:
     obj = _read_json(args.input)
+    claims = None
     if isinstance(obj, dict) and "algebra" in obj and "report" in obj:
-        obj = obj["algebra"]
+        obj, claims = obj["algebra"], obj["report"]
+        if (not isinstance(obj, dict) or "coaction" not in obj
+                or "left_coaction" in obj):
+            raise ValidationError("a transport artifact holds a comodule algebra")
     try:
         if isinstance(obj, dict) and "left_coaction" in obj:
             rep = serialize.bigalois_load(obj).verify()
         elif isinstance(obj, dict) and "coaction" in obj:
-            rep = serialize.comodule_load(obj).verify()
+            T = serialize.comodule_load(obj)
+            rep = T.verify()
+            # T's invariants are computed only from tables that pass
+            if claims is not None and rep.ok:
+                serialize.check_transport_report(T, claims, rep)
         elif isinstance(obj, dict) and "comult" in obj:
             rep = serialize.hopf_load(obj).verify()
         elif isinstance(obj, dict) and "mult" in obj:

@@ -274,32 +274,6 @@ class ComoduleAlgebra(FiniteAlgebra):
         return verify_coaction(rep, self, U, U.comult, self.coaction)
 
 
-def _coaction_tables(mcd: ModCatDatum, alg: FiniteAlgebra, U: FiniteHopf):
-    group = mcd.datum.group
-    theta = mcd.datum.theta
-    m = mcd.n_letters
-    one = linalg.pone(mcd.L)
-    ident = group.identity()
-    zero_v = (0,) * theta
-    zero_w = (0,) * m
-    unit_a = alg.index[(zero_w, ident.exps)]
-
-    lam_letter = []
-    for a in range(m):
-        ea = tuple(1 if t == a else 0 for t in range(m))
-        vec2 = {}
-        for p, c in zip(mcd.positions[a], mcd.rows[a]):
-            if c.is_zero():
-                continue
-            ep = tuple(1 if t == p else 0 for t in range(theta))
-            vec2[(U.index[(ep, ident.exps)], unit_a)] = c.raw()
-        vec2[(U.index[(zero_v, mcd.carriers[a].exps)],
-              alg.index[(ea, ident.exps)])] = one
-        lam_letter.append(vec2)
-
-    return extend_letters(U, alg, alg.labels, lam_letter, mcd.heights)
-
-
 def build_A(mcd: ModCatDatum, U: FiniteHopf | None = None,
             proofs: CheckReport | None = None) -> ComoduleAlgebra:
     """The comodule algebra generated by the subspace rows and the e_f.
@@ -318,7 +292,13 @@ def build_A(mcd: ModCatDatum, U: FiniteHopf | None = None,
     if U is None:
         U = build_bosonization(mcd.datum)
     U = U.rebased(mcd.L)
-    coaction = _coaction_tables(mcd, alg, U)
+    # y_a -> sum_p row_a[p] x_p (x) 1 + h_a (x) y_a
+    coaction = extend_letters(
+        U, alg, labels,
+        [({p: c.raw() for p, c in zip(pos, row) if not c.is_zero()}, h.exps, a)
+         for a, (pos, row, h) in enumerate(
+             zip(mcd.positions, mcd.rows, mcd.carriers))],
+        mcd.heights)
     A = ComoduleAlgebra(labels, mcd.L, mult, unit, U, coaction,
                         degree=[sum(r) for r, _ in labels], mcd=mcd)
     A.verify(proofs).require(ConfluenceFailure, "built tables fail verification")
@@ -460,19 +440,14 @@ class GaloisReport:
 
 
 def galois_map(A: ComoduleAlgebra) -> GaloisReport:
-    U = A.hopf
     nA = A.dim
     red = A.ctx.reduction
-    rows = []
-    for i in range(nA):
-        lam = A.coaction[i]
-        for j in range(nA):
-            flat: dict = {}
-            for (u, a), c in lam.items():
-                for k, c2 in A.mult.get((a, j), {}).items():
-                    accumulate(flat, u * nA + k, pmul(c, c2, red))
-            rows.append(flat)
-    return GaloisReport(linalg.rank(rows, A.L), nA * nA, U.dim * nA)
+    # column j sends a to a e_j; row (i, j) is lambda(e_i) (1 (x) e_j)
+    cols = [[A.mult.get((a, j), {}) for a in range(nA)] for j in range(nA)]
+    rows = [{u * nA + k: c
+             for (u, k), c in linalg.through(lam, 1, col, red).items()}
+            for lam in A.coaction for col in cols]
+    return GaloisReport(linalg.rank(rows, A.L), nA * nA, A.hopf.dim * nA)
 
 
 class GenerationReport:

@@ -37,7 +37,7 @@ from .hopf import (
     pair_multiply,
     verify_coaction,
 )
-from .linalg import accumulate, vec_addmul
+from .linalg import accumulate, through, vec_addmul
 from .rewrite import LiftingRules
 
 # compiled on first use: build-lifting runs neither
@@ -97,14 +97,9 @@ def build_lifting(ld: LiftingDatum) -> FiniteHopf:
 
 def _iterated_comult(H: FiniteHopf, i: int, legs: int) -> dict:
     """Coefficients of the (legs - 1)-fold coproduct of basis element i."""
-    red = H.ctx.reduction
     cur = {(i,): linalg.pone(H.L)}
-    for _ in range(legs - 1):
-        nxt: dict = {}
-        for key, c in cur.items():
-            for (a, b), c2 in H.comult[key[-1]].items():
-                accumulate(nxt, key[:-1] + (a, b), pmul(c, c2, red))
-        cur = nxt
+    for last in range(legs - 1):
+        cur = through(cur, last, H.comult, H.ctx.reduction)
     return cur
 
 
@@ -394,15 +389,7 @@ class BiGaloisRep:
 
         lam = self.left_coaction
         for i in range(B.dim):
-            one_way: dict = {}
-            other: dict = {}
-            for (u, b), c in lam[i].items():
-                for (b2, h), c2 in rho[b].items():
-                    accumulate(one_way, (u, b2, h), pmul(c, c2, red))
-            for (b, h), c in rho[i].items():
-                for (u, b2), c2 in lam[b].items():
-                    accumulate(other, (u, b2, h), pmul(c, c2, red))
-            if one_way != other:
+            if through(lam[i], 1, rho, red) != through(rho[i], 0, lam, red):
                 rep.fail("coactions-commute", B.labels[i])
         return rep
 
@@ -425,22 +412,10 @@ class BiGaloisRep:
         op = FiniteAlgebra(B.labels, B.L,
                            {(j, i): cell for (i, j), cell in B.mult.items()},
                            dict(B.unit))
-        left = _first_leg_through(_flip(self.right_coaction),
-                                  _antipode_inverse(H), red)
-        right = _flip(_first_leg_through(self.left_coaction, U.antipode, red))
+        sinv = _antipode_inverse(H)
+        left = _flip([through(v, 1, sinv, red) for v in self.right_coaction])
+        right = _flip([through(v, 0, U.antipode, red) for v in self.left_coaction])
         return BiGaloisRep(op, H, U, left, right, list(self.counit_functional))
-
-
-def _first_leg_through(cells, images, red) -> list:
-    """Every cell {(x, y): c} with its first leg x sent to images[x]."""
-    out = []
-    for cell in cells:
-        acc: dict = {}
-        for (x, y), c in cell.items():
-            for k, c2 in images[x].items():
-                accumulate(acc, (k, y), pmul(c, c2, red))
-        out.append(acc)
-    return out
 
 
 def _antipode_inverse(H: FiniteHopf) -> list:
@@ -501,19 +476,11 @@ def build_bigalois(ld: LiftingDatum,
     B = comodule.build_A(mcd, proofs=proofs)
     H = build_lifting(ld).rebased(B.L)
 
-    ident = d.group.identity()
-    zero_r = (0,) * theta
     one = linalg.pone(B.L)
-    rho_letter = []
-    for a, oi in enumerate(order):
-        ea_b = tuple(1 if t == a else 0 for t in range(theta))
-        ea_h = tuple(1 if t == oi else 0 for t in range(theta))
-        g = d.g[oi]
-        rho_letter.append({
-            (B.index[(ea_b, ident.exps)], H.index[(zero_r, ident.exps)]): one,
-            (B.index[(zero_r, g.exps)], H.index[(ea_h, ident.exps)]): one,
-        })
-    rho = extend_letters(B, H, B.labels, rho_letter, mcd.heights)
+    # y_a -> y_a (x) 1 + g (x) x_oi
+    rho = extend_letters(B, H, B.labels,
+                         [({a: one}, d.g[oi].exps, oi)
+                          for a, oi in enumerate(order)], mcd.heights)
 
     cb = [one if sum(r) == 0 else linalg.pzero(B.L) for r, _ in B.labels]
     rep = BiGaloisRep(B, B.hopf, H, [dict(v) for v in B.coaction], rho, cb)
@@ -603,14 +570,10 @@ def _cotensor_core(B: BiGaloisRep, A: comodule.ComoduleAlgebra,
             if cell:
                 mult[(i, j)] = cell
 
-    coaction = []
-    for i in range(nA):
-        lam: dict = {}
-        for (b, a), c in reps[i].items():
-            for (u, b2), c2 in B.left_coaction[b].items():
-                if not pis0(cb[b2]):
-                    accumulate(lam, (u, a), pmul(cb[b2], pmul(c, c2, red), red))
-        coaction.append(lam)
+    # b (x) a -> cb(b_(0)) b_(-1) (x) a
+    counit = [{(): e} for e in cb]
+    coact = [through(lam, 1, counit, red) for lam in B.left_coaction]
+    coaction = [through(vec, 0, coact, red) for vec in reps]
 
     T = comodule.ComoduleAlgebra(list(A.labels), L, mult, dict(A.unit),
                                  B.left_hopf, coaction)
@@ -623,24 +586,26 @@ def transport(B: BiGaloisRep, A: comodule.ComoduleAlgebra,
               proofs: CheckReport | None = None):
     """Move A along B and report which invariants survive.
 
-    Returns the transported algebra and a report. Dimension, simplicity
-    verdict and coinvariant dimension are compared between A and its
-    image. A change of radical dimension or matrix block data is recorded
-    as a failed check rather than raised, since equivalences need not
-    preserve them.  ``proofs`` is passed on to ``cotensor``.
+    Returns the transported algebra and a report.  Each of the five
+    ``invariants`` that differs between A and its image is recorded the
+    same way, as a failed check with witness (A's value, T's value);
+    none raises.  Radical dimension and block data may change, since the
+    cotensor is an equivalence of comodule categories, not an algebra
+    isomorphism.  ``proofs`` is passed on to ``cotensor``.
     """
     T = cotensor(B, A, proofs)
     rep = CheckReport("transport")
-    before, after = _invariants(A), _invariants(T)
+    before, after = invariants(A), invariants(T)
     for check, value in before.items():
         if value != after[check]:
             rep.fail(check, (value, after[check]))
     return T, rep
 
 
-def _invariants(A: comodule.ComoduleAlgebra) -> dict:
-    """The invariants ``transport`` compares, keyed by the name of the
-    check that fails when one changes, in report order."""
+def invariants(A: comodule.ComoduleAlgebra) -> dict:
+    """The invariants ``transport`` compares and ``verify`` rechecks,
+    keyed by the name of the check that fails when one changes, in
+    report order."""
     blocks = comodule.simple_modules(A)
     return {"dimension-preserved": A.dim,
             "simplicity-verdict-preserved": comodule.check_simplicity(A).verdict,

@@ -77,6 +77,24 @@ def vec_addmul(acc: dict, vec: dict, coef, red) -> None:
             acc[k] = cur
 
 
+def through(vec: dict, leg: int, images, red) -> dict:
+    """Send leg ``leg`` of a sparse tensor through a linear map.
+
+    The keys of vec are tuples of basis indices, one per leg, and
+    ``images[x]`` is the image of basis element x, keyed by an index or
+    by a tuple of indices.  Each key's leg is replaced by the image's
+    key, so an image {(): c} contracts the leg to the scalar c.  Entries
+    that cancel are dropped.
+    """
+    out: dict = {}
+    for key, c in vec.items():
+        head, tail = key[:leg], key[leg + 1:]
+        for k, c2 in images[key[leg]].items():
+            accumulate(out, head + (k if type(k) is tuple else (k,)) + tail,
+                       pmul(c, c2, red))
+    return out
+
+
 def combine(coeffs: dict, rows, L: int) -> dict:
     """Return sum over i of coeffs[i] * rows[i]."""
     red = context(L).reduction

@@ -536,3 +536,24 @@ def report_to_json(rep: CheckReport) -> dict:
         "failures": [{"check": name, "witness": _plain(w)}
                      for name, w in rep.failures],
     }
+
+
+def check_transport_report(T: comodule.ComoduleAlgebra, obj,
+                           rep: CheckReport) -> CheckReport:
+    """Check the ``transport`` report ``obj`` against T, the algebra it
+    moved, into rep.  Each failure must name an invariant of
+    ``deformation.invariants`` not named before and carry [before, after]
+    with after T's value as ``report_to_json`` writes it, and before
+    another; "ok" must hold exactly when no failure is listed.  A
+    mismatch is reported as ``report-`` and the check it names."""
+    after = {k: _plain(v) for k, v in deformation.invariants(T).items()}
+    for f in obj["failures"]:
+        name, witness = f["check"], f["witness"]
+        if name not in after:
+            rep.fail("report-unknown-check", name)
+        elif not (isinstance(witness, list) and len(witness) == 2
+                  and witness[0] != witness[1] == after.pop(name)):
+            rep.fail("report-" + name, witness)
+    if obj["ok"] is not (not obj["failures"]):
+        rep.fail("report-ok", obj["ok"])
+    return rep

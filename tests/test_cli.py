@@ -712,6 +712,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "pipebench"))
 import run as pipebench_run  # noqa: E402
 import tracer  # noqa: E402
+import workloads as pipebench_workloads  # noqa: E402
 
 UNLOADED = """
 import importlib.util, json, sys
@@ -1075,6 +1076,55 @@ def test_transport_defaults_to_the_regular_algebra(tmp_path, capsys):
     assert "dimension-preserved" not in failed
     assert main(["verify", str(out_path)]) == 0
     assert "comodule-algebra: ok" in capsys.readouterr().out
+
+
+def _set_after(report, check, value):
+    for f in report["failures"]:
+        if f["check"] == check:
+            f["witness"][1] = value
+
+
+# each forgery of the dim-8 root lifting's transport report, and the check
+# verify names for it
+FORGERIES = [
+    (lambda r: r.update(failures=[{"check": "simplicity",
+                                   "witness": "made up"}]),
+     "report-unknown-check: simplicity"),
+    (lambda r: _set_after(r, "block-data-preserved", [2, 6]),
+     "report-block-data-preserved"),
+    (lambda r: r.update(ok=True), "report-ok"),
+    (lambda r: r["failures"].append(r["failures"][0]),
+     "report-unknown-check: radical-dimension-preserved"),
+]
+
+
+def test_verify_checks_what_a_transport_report_claims(tmp_path, capsys):
+    """verify recomputes T's invariants: a failure must name one of them
+    and give T's value after, and ok must hold exactly when none fails."""
+    out_path = tmp_path / "moved.json"
+    assert main(["transport", write(tmp_path, z4_mu_obj()),
+                 "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    for forge, named in FORGERIES:
+        artifact = json.loads(out_path.read_text())
+        forge(artifact["report"])
+        assert main(["verify", write(tmp_path, artifact, "forged.json")]) == 2
+        assert f"FAIL comodule-algebra {named}" in capsys.readouterr().out
+    # a report over a table that is no comodule algebra claims nothing
+    artifact["algebra"] = artifact["algebra"]["hopf"]
+    assert main(["verify", write(tmp_path, artifact, "forged.json")]) == 1
+    assert "holds a comodule algebra" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slot", pipebench_workloads.transport_slots(),
+                         ids=lambda slot: slot.name)
+def test_the_bench_transport_artifacts_verify(tmp_path, capsys, slot):
+    out_path = tmp_path / "moved.json"
+    assert main(["transport", write(tmp_path, slot.variants[0]),
+                 "--out", str(out_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out_path)]) == 0
+    assert capsys.readouterr().out == "comodule-algebra: ok\n"
 
 
 ZETA8 = {"L": 8, "c": ["0", "1", "0", "0"]}

@@ -6,7 +6,7 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlsmodcat import _kernel as _K, linalg
@@ -25,6 +25,7 @@ from qlsmodcat.linalg import (
     rank,
     solve,
     span,
+    through,
     vec_addmul,
 )
 
@@ -219,6 +220,62 @@ def test_pair_multiply_matches_dense_sum(case):
                     terms.append(((m1, m2),
                                   cyc(c1) * cyc(c2) * cyc(d1) * cyc(d2)))
     assert out == _sparse(terms)
+
+
+def _leg_loop(vec: dict, leg: int, images, M: int) -> dict:
+    """The nested loop the leg map replaced, summed in CycloNumbers: each
+    term's key is the key with its leg swapped for the image's key."""
+    total: dict = {}
+    for key, c in vec.items():
+        for k, c2 in images[key[leg]].items():
+            mid = k if isinstance(k, tuple) else (k,)
+            new = (*key[:leg], *mid, *key[leg + 1:])
+            total[new] = (total.get(new, CycloNumber.zero(M))
+                          + CycloNumber._make(M, c) * CycloNumber._make(M, c2))
+    return {k: c.raw() for k, c in total.items() if not c.is_zero()}
+
+
+@st.composite
+def leg_cases(draw):
+    """A sparse 2- or 3-leg tensor over a basis of 3 at conductor 1, 4 or
+    8, the leg to map (0, 1 or the last) and images keyed by an index, by
+    a pair or by () (a contraction).  In half the cases element 1 maps to
+    minus the image of 0, and each key with 0 in the leg has a twin with
+    1 there and the same coefficient, so their terms cancel."""
+    M = draw(st.sampled_from([1, 4, 8]))
+    legs = draw(st.sampled_from([2, 3]))
+    leg = draw(st.sampled_from(sorted({0, 1, legs - 1})))
+    scal = st.builds(lambda n, d, k: zeta(M, k) * Fraction(n, d),
+                     st.integers(-2, 2), st.sampled_from([1, 2]),
+                     st.integers(0, M - 1))
+
+    def sparse(keys, size):
+        total: dict = {}
+        for k, c in draw(st.lists(st.tuples(keys, scal), max_size=size)):
+            total[k] = total.get(k, CycloNumber.zero(M)) + c
+        return {k: c for k, c in total.items() if not c.is_zero()}
+
+    width = draw(st.sampled_from([None, 0, 2]))
+    image_keys = (st.integers(0, 2) if width is None
+                  else st.tuples(*[st.integers(0, 2)] * width))
+    images = [sparse(image_keys, 3) for _ in range(3)]
+    vec = sparse(st.tuples(*[st.integers(0, 2)] * legs), 6)
+    if draw(st.booleans()):
+        images[1] = {k: -c for k, c in images[0].items()}
+        vec = {k: c for k, c in vec.items() if k[leg] != 1}
+        vec.update({k[:leg] + (1,) + k[leg + 1:]: c
+                    for k, c in vec.items() if k[leg] == 0})
+    images = [{k: c.raw() for k, c in img.items()} for img in images]
+    return M, leg, {k: c.raw() for k, c in vec.items()}, images
+
+
+@settings(max_examples=300, deadline=None)
+@given(leg_cases())
+def test_through_matches_the_nested_loop(case):
+    M, leg, vec, images = case
+    out = through(vec, leg, images, context(M).reduction)
+    assert _no_zero_entries(out)
+    assert out == _leg_loop(vec, leg, images, M)
 
 
 # Subspace.reduce eliminates only the pivots in the vector's support; the
