@@ -33,6 +33,14 @@ builds over Z4 with two generators of degree 1 and q = -1, and on A and
 T of the dim-24 mixed Z6 transport of the pipebench; the block data
 printed are asserted.
 
+Light's associativity test, ``FiniteAlgebra.verify_algebra``, is timed
+as it runs, walking only the table's nonzero cells, against the same test
+over the grid loop it replaced, which accumulates both sides of every
+basis triple, on U, B, H and T of the pipebench's dim-32 link and dim-24
+mixed transports, the dim-64 Z8 bosonization of its ``hopf-z8`` build and
+the dim-32 Z8 lifting of its ``lifting-z8t2`` build; both must report the
+same failures.
+
 ``check_simplicity`` is timed as it runs, with the leading-column
 certificate first, against its exact path, which eliminates the operator
 span (the certificate forced to fall short), on A and T of the dim-24
@@ -51,14 +59,17 @@ from fractions import Fraction
 from math import lcm
 from time import perf_counter
 
-from qlsmodcat import classify, comodule, polyfactor
+from qlsmodcat import classify, comodule, polyfactor, serialize
 from qlsmodcat._kernel import pure
 from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.cyclo import (CycloNumber, _poly_trim, _poly_xgcd, context,
                              cyclotomic_polynomial, zeta)
-from qlsmodcat.deformation import LiftingDatum, build_bigalois, cotensor
+from qlsmodcat.deformation import (LiftingDatum, build_bigalois,
+                                   build_lifting, cotensor)
 from qlsmodcat.groups import AbelianGroup, Character, Subgroup
-from qlsmodcat.hopf import CheckReport, QlsDatum, verify_coaction
+from qlsmodcat.hopf import (CheckReport, FiniteAlgebra, QlsDatum,
+                            build_bosonization, verify_coaction)
+from qlsmodcat.linalg import vec_addmul
 
 try:
     from qlsmodcat._kernel import _speedups
@@ -274,12 +285,22 @@ def z8_lifting():
                         mu=[0])
 
 
+def transport_tables(ld, mcd=None) -> dict:
+    """The tables of a transport: the connecting object B of the lifting,
+    its left and right Hopf algebras U and H, the algebra A (mcd's over
+    U, or H's regular algebra without mcd) and its image T."""
+    B = build_bigalois(ld)
+    A = (comodule.regular_coaction(B.right_hopf) if mcd is None
+         else comodule.build_A(mcd, B.left_hopf))
+    return {"U": B.left_hopf, "B": B.algebra, "H": B.right_hopf, "A": A,
+            "T": cotensor(B, A)}
+
+
 def transport_pair(ld):
     """The regular algebra A of the lifting's right Hopf algebra and its
     image T under transport along the connecting object."""
-    B = build_bigalois(ld)
-    A = comodule.regular_coaction(B.right_hopf)
-    return A, cotensor(B, A)
+    tables = transport_tables(ld)
+    return tables["A"], tables["T"]
 
 
 def mixed_z6_pair():
@@ -361,6 +382,83 @@ def run_blocks(reps):
         assert got == want, f"{label}: block data changed"
 
 
+ASSOCIATIVITY_REPS = 5
+
+# the first input variant of the pipebench link-z222-sub transport
+LINK_Z222 = {"group": {"orders": [2, 2, 2]}, "g": [[0, 0, 1], [1, 0, 0]],
+             "chi": [[1, 0, 1], [1, 0, 1]],
+             "lifting": {"mu": [], "lambda": [[0, 1, 2]]},
+             "modcat": {"F": {"gens": [[0, 0, 1], [1, 0, 0]]},
+                        "w": [{"component": [0, 0, 1], "rows": [[1]]},
+                              {"component": [1, 0, 0], "rows": [[1]]}]}}
+
+
+def grid_associators(alg, firsts):
+    """The associativity sweep over every basis triple, each side
+    accumulated from the table."""
+    n = alg.dim
+    mult = alg.mult
+    red = alg.ctx.reduction
+    for i in firsts:
+        for j in range(n):
+            ij = mult.get((i, j), {})
+            for k in range(n):
+                left: dict = {}
+                for m, c in ij.items():
+                    cell = mult.get((m, k))
+                    if cell:
+                        vec_addmul(left, cell, c, red)
+                right: dict = {}
+                for m, d in mult.get((j, k), {}).items():
+                    cell = mult.get((i, m))
+                    if cell:
+                        vec_addmul(right, cell, d, red)
+                if left != right:
+                    yield i, j, k
+
+
+def grid_verify_algebra(alg):
+    """``verify_algebra`` with the grid loop as its associativity sweep."""
+    walk = FiniteAlgebra._associators
+    FiniteAlgebra._associators = grid_associators
+    try:
+        return alg.verify_algebra()
+    finally:
+        FiniteAlgebra._associators = walk
+
+
+def associativity_cases():
+    _, link, link_mcd = serialize.load_datum(LINK_Z222)
+    Z8 = AbelianGroup((8,))
+    g = Z8.element((1,))
+    chi4 = Character(Z8, (4,))
+    cases = []
+    for label, tables in (("link", transport_tables(link, link_mcd)),
+                          ("mixed", transport_tables(mixed_z6_lifting()))):
+        cases += [(f"{label} transport, {name}", tables[name])
+                  for name in "UBHT"]
+    return cases + [
+        ("Z8 bosonization", build_bosonization(
+            QlsDatum(Z8, [g], [Character(Z8, (1,))]))),
+        ("Z8 lifting", build_lifting(LiftingDatum(
+            QlsDatum(Z8, [g, g], [chi4, chi4]), mu=[1, 2],
+            lam={(0, 1): -2}))),
+    ]
+
+
+def run_associativity(reps):
+    print(f"associativity, verify_algebra against the grid loop, x {reps} reps")
+    for label, alg in associativity_cases():
+        t_walk, walk = time_calls(alg.verify_algebra, reps)
+        t_grid, grid = time_calls(lambda: grid_verify_algebra(alg), reps)
+        assert walk.failures == grid.failures, \
+            f"{label}: the walk and the grid loop disagree"
+        name = f"{label} (dim {alg.dim})"
+        print(f"  {name:32s} walk {t_walk * 1e3:7.2f}ms   "
+              f"grid {t_grid * 1e3:7.2f}ms ({t_grid / t_walk:4.1f}x)   "
+              f"{'ok' if walk.ok else walk.checks_failed()}")
+
+
 SIMPLICITY_REPS = 3
 
 
@@ -420,6 +518,7 @@ def main(argv=None):
     run_sweeps(SWEEP_REPS)
     run_connecting(SWEEP_REPS)
     run_blocks(BLOCK_REPS)
+    run_associativity(ASSOCIATIVITY_REPS)
     run_simplicity(SIMPLICITY_REPS)
 
 

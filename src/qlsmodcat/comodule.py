@@ -95,7 +95,9 @@ class ModCatDatum:
         for key in alpha:
             a, b = key
             if not 0 <= a < b < m:
-                raise ValidationError(f"link index {key} is not strictly upper")
+                raise ValidationError(
+                    f"link index {key} out of range: need 0 <= a < b < m "
+                    f"= {m}, the number of subspace rows")
         entries = [c for _, _, row in parsed for c in row]
         for c in entries + xi + list(alpha.values()):
             if isinstance(c, CycloNumber):

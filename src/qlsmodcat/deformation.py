@@ -57,7 +57,9 @@ class LiftingDatum:
         lam = dict(lam) if lam is not None else {}
         for (i, j) in lam:
             if not 0 <= i < j < theta:
-                raise ValidationError(f"link scalar index {(i, j)} not strictly upper")
+                raise ValidationError(
+                    f"link scalar index {(i, j)} out of range: need "
+                    f"0 <= i < j < theta = {theta}")
         L = datum.conductor
         for c in list(mu) + list(lam.values()):
             if isinstance(c, CycloNumber):

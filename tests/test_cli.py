@@ -126,6 +126,29 @@ def test_validate_reports_an_invalid_datum_under_a_lifting_section_once(
     assert outs[0].count("self-pairing-one") == 1
 
 
+def test_an_out_of_range_link_scalar_names_its_bound(tmp_path, capsys):
+    """(0, 1) is strictly upper, but over one generator it is out of range."""
+    obj = z4_mu_obj()
+    obj["lifting"]["lambda"] = [[0, 1, 1]]
+    assert main(["validate", write(tmp_path, obj)]) == 1
+    err = capsys.readouterr().err
+    assert "link scalar index (0, 1) out of range" in err
+    assert "0 <= i < j < theta = 1" in err
+    assert "strictly upper" not in err
+
+
+def test_an_out_of_range_modcat_link_names_its_bound(tmp_path, capsys):
+    """(0, 1) is strictly upper, but over one subspace row it is out of
+    range."""
+    obj = sweedler_modcat_obj()
+    obj["modcat"]["alpha"] = [[0, 1, 1]]
+    assert main(["validate", write(tmp_path, obj)]) == 1
+    err = capsys.readouterr().err
+    assert "link index (0, 1) out of range" in err
+    assert "0 <= a < b < m = 1" in err
+    assert "strictly upper" not in err
+
+
 def test_malformed_json_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{ nope")

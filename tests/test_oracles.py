@@ -23,7 +23,10 @@ oracles, three operation counts guard the cost on the dim-24 Z6 algebra
 of the pipeline benchmark, and a fourth guards the factoring of
 ``simple_modules`` on every ``PAIRS`` fixture.  Further counts guard the
 normalizations of a table and the letter chains of ``extend_letters``,
-and two broken presentations must still fail their sweeps.
+and two broken presentations must still fail their sweeps.  The
+associativity sweep, which walks only a table's nonzero cells, must find
+the triples a product of every basis triple finds, on random tables and
+on one-cell corruptions of the fixtures.
 """
 
 from __future__ import annotations
@@ -1054,7 +1057,16 @@ def _changed(vec, f):
 
 def _broken_tables(obj, fields):
     """(field, cell, copy of obj) with one cell of one table negated or
-    doubled; cells that stay the same are skipped."""
+    doubled, cells that stay the same skipped; then, for ``mult``, with
+    one empty cell set to the unit, and with the term of one one-term
+    cell moved to the next basis element."""
+    def broken(field, table, cell, new):
+        out = copy.copy(obj)
+        changed = dict(table) if isinstance(table, dict) else list(table)
+        changed[cell] = new
+        setattr(out, field, changed)
+        return field, cell, out
+
     for field in fields:
         table = getattr(obj, field)
         for cell in (sorted(table) if isinstance(table, dict) else range(len(table))):
@@ -1062,20 +1074,54 @@ def _broken_tables(obj, fields):
                 value = table[cell]
                 new = _changed(value, f) if isinstance(value, dict) else (
                     padd(value, value) if f == 2 else kernel.neg(value))
-                if new == value:
-                    continue
-                broken = copy.copy(obj)
-                changed = dict(table) if isinstance(table, dict) else list(table)
-                changed[cell] = new
-                setattr(broken, field, changed)
-                yield field, cell, broken
+                if new != value:
+                    yield broken(field, table, cell, new)
+        if field == "mult":
+            # a sweep that walks the nonzero cells must still reach these
+            for cell in itertools.product(range(obj.dim), repeat=2):
+                if not table.get(cell):
+                    yield broken(field, table, cell, dict(obj.unit))
+            # scaling or filling one cell never gives a triple whose two
+            # one-term sides differ only in their keys; this does
+            for cell in sorted(table):
+                if len(table[cell]) == 1:
+                    (p, v), = table[cell].items()
+                    yield broken(field, table, cell, {(p + 1) % obj.dim: v})
 
 
 CORRUPTED = {
+    # every cell of the bosonization holds one term, and x x = 0
+    "bosonization": (build_bosonization(z4_mu_datum()),
+                     ("mult", "comult", "counit")),
     "lifting": (Z4_MU, ("mult", "comult", "counit")),
     "regular": (regular_coaction(Z4_MU), ("mult", "coaction")),
     "full": (build_A(full_mcd(z4_mu_datum())), ("mult", "coaction")),
 }
+
+
+@st.composite
+def random_tables(draw):
+    """A table on up to 4 basis elements at conductor 4 whose cells hold
+    up to 3 terms, with empty cells and zero entries among them."""
+    n = draw(st.integers(1, 4))
+    values = st.sampled_from([CycloNumber.from_rational(q, 4).raw()
+                              for q in (0, 1, -1, 2)]
+                             + [zeta(4).raw(), (-zeta(4)).raw()])
+    cells = st.dictionaries(st.integers(0, n - 1), values, max_size=3)
+    pairs = itertools.product(range(n), repeat=2)
+    mult = {cell: draw(cells) for cell in pairs if draw(st.booleans())}
+    return FiniteAlgebra(range(n), 4, mult, {0: pone(4)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_tables())
+def test_the_associativity_walk_matches_every_triple(A):
+    """Walking the nonzero cells, one-term sides compared as scaled
+    cells, finds the triples a product of every basis triple finds."""
+    want = exhaustive_algebra(A).failures
+    got = A._associators(range(A.dim))
+    assert [("associativity", t) for t in got] == [
+        f for f in want if f[0] == "associativity"]
 
 
 @pytest.mark.parametrize("name", sorted(CORRUPTED))

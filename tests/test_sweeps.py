@@ -11,7 +11,9 @@ per-element checks may run in any order.
 """
 
 import json
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -27,9 +29,12 @@ from qlsmodcat.errors import CocycleInvalid, ConfluenceFailure, IsoCheckFailed
 from qlsmodcat.groups import AbelianGroup, Character, Subgroup
 from qlsmodcat.hopf import (FiniteAlgebra, FiniteHopf, QlsDatum,
                             build_bosonization)
-from qlsmodcat.serialize import datum_to_json
+from qlsmodcat.serialize import datum_to_json, load_datum
 from qls_fixtures import (sweedler_datum, trivial_sigma, z4_mu_datum,
                           z4_theta2_obj, z6_modcat, z22_link_obj)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "pipebench"))
+import workloads  # noqa: E402
 
 NAMES = {((0,), (0,)): "1", ((0,), (1,)): "g",
          ((1,), (0,)): "x", ((1,), (1,)): "xg"}
@@ -357,10 +362,11 @@ def test_hopf_sweep_multiplies_on_generators_only(monkeypatch):
     """The dim-64 Z8 bosonization with q = zeta_8 is proven from S = {g, x}:
     about |S| n^2 products instead of the n^3 of every basis triple.
 
-    The associativity sweep reads both sides of a triple off the table,
-    one ``vec_addmul`` per nonzero term, and so does every other product
-    of the sweep: the whole verify makes 9,721 calls, and an
-    associativity sweep over every first factor alone makes 122,880."""
+    Every product of the sweep but associativity makes one
+    ``vec_addmul`` per nonzero term: the whole verify makes 1,408 calls.
+    The associativity sweep compares this table's one-term sides without
+    accumulating (see the next test); accumulating every nonzero term of
+    every first factor's triples would take 122,880 calls."""
     G = AbelianGroup((8,))
     H = build_bosonization(QlsDatum(G, [G.element((1,))],
                                     [Character(G, (1,))]))
@@ -377,6 +383,44 @@ def test_hopf_sweep_multiplies_on_generators_only(monkeypatch):
     monkeypatch.setattr(hopf, "vec_addmul", counted)
     assert H.verify().ok
     assert len(calls) <= 20000
+
+
+def hopf_z8_bosonizations():
+    """The dim-64 Z8 bosonizations of every variant of the pipebench
+    ``hopf-z8`` slot."""
+    slot = next(s for s in workloads.tables_slots() if s.name == "hopf-z8")
+    return [build_bosonization(load_datum(obj)[0]) for obj in slot.variants]
+
+
+def test_associativity_compares_only_triples_with_a_nonzero_side(monkeypatch):
+    """Each Z8 bosonization (q = zeta_8, |S| = 2, 2,304 nonzero cells of
+    4,096) is proven associative from 4,608 of its |S| n^2 = 8,192
+    generator triples: at every other triple, row j and each row m of
+    e_i e_j are empty in column k, so both sides are zero.  Every nonzero
+    side of this table is one scaled cell, so no triple is accumulated."""
+    compared, accumulated = [], []
+    columns, plain = hopf._columns, hopf.vec_addmul
+
+    def counted_columns(rows, ij, row_j):
+        ks = columns(rows, ij, row_j)
+        compared.append(len(ks))
+        return ks
+
+    def counted_addmul(acc, vec, coef, red):
+        accumulated.append(1)
+        return plain(acc, vec, coef, red)
+
+    monkeypatch.setattr(hopf, "_columns", counted_columns)
+    monkeypatch.setattr(hopf, "vec_addmul", counted_addmul)
+    for H in hopf_z8_bosonizations():
+        gens = H.generators()
+        assert (H.dim, len(gens), sum(map(bool, H.mult.values()))) == (64, 2, 2304)
+        compared.clear()
+        assert H.verify_algebra().ok
+        assert 0 < sum(compared) <= 4608
+        accumulated.clear()
+        assert next(H._associators(gens), None) is None
+        assert not accumulated
 
 
 def test_comodule_sweep_multiplies_generator_pairs_only(monkeypatch):
