@@ -48,15 +48,28 @@ mixed Z6 transport, on A and T of the dim-64 Z8 regular transport and
 on the 198 algebras ``classify --sample 0,1`` builds over Z4 with three
 generators and q = -1; both must give the same verdicts and operator
 dims.
+
+Start-up is timed on fresh processes, as the CLI runs each command, with
+``PYTHONDONTWRITEBYTECODE=1``: ``qlsmodcat validate`` of a bare datum
+and the pipebench's set-up probe, each against empty cache directories
+(every module compiled) and then against a warm one (every module loaded
+from the code cache).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import random
+import subprocess
+import sys
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
+from statistics import median
 from time import perf_counter
 
 from qlsmodcat import classify, comodule, polyfactor, serialize
@@ -500,6 +513,43 @@ def run_simplicity(reps):
               f"{Counter(v for v, _ in verdicts)}")
 
 
+STARTUP_PROCESSES = 5
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_startup(reps):
+    """Wall time of fresh processes, at most STARTUP_PROCESSES a case."""
+    sys.path.insert(0, str(ROOT / "pipebench"))
+    from run import PROBE
+
+    reps = min(reps, STARTUP_PROCESSES)
+    print(f"start-up, fresh processes writing no bytecode, x {reps} each")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        datum = tmp / "datum.json"
+        datum.write_text(json.dumps({"group": {"orders": [2]},
+                                     "g": [[1]], "chi": [[1]]}))
+
+        def wall(argv, cache):
+            env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                       PYTHONPATH=str(ROOT / "src"),
+                       QLSMODCAT_CACHE_DIR=str(cache))
+            t0 = perf_counter()
+            subprocess.run([sys.executable, *argv], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            return perf_counter() - t0
+
+        for label, argv in (
+                ("validate", ["-m", "qlsmodcat.cli", "validate", str(datum)]),
+                ("set-up probe", ["-c", PROBE])):
+            caches = [tmp / f"{label}-{i}" for i in range(reps)]
+            empty = [wall(argv, cache) for cache in caches]
+            # the last empty directory is warm now
+            warm = [wall(argv, caches[-1]) for _ in range(reps)]
+            print(f"  {label:14s} empty cache {median(empty) * 1e3:6.1f}ms   "
+                  f"warm cache {median(warm) * 1e3:6.1f}ms")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--conductors", default="4,12,60",
@@ -520,6 +570,7 @@ def main(argv=None):
     run_blocks(BLOCK_REPS)
     run_associativity(ASSOCIATIVITY_REPS)
     run_simplicity(SIMPLICITY_REPS)
+    run_startup(STARTUP_PROCESSES)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,11 @@
 
 import importlib.util
 import json
+import marshal
+import os
 import sys
+from importlib.machinery import PathFinder, SourceFileLoader
+from pathlib import Path
 
 __version__ = "0.1.0"
 
@@ -15,13 +19,14 @@ def dumps_canonical(obj) -> str:
 
 
 def _lazy(name: str):
-    """The module qlsmodcat.<name>, compiled and run on its first attribute
+    """The module qlsmodcat.<name>, loaded and run on its first attribute
     access; an entry already in sys.modules is returned as it is.
 
     Each CLI command runs in a fresh process, so a layer it never calls
-    is then never compiled.  The handle goes into sys.modules and onto
-    the package at once, as an import would put it, so every later
-    import of the module gets the same object.
+    is then never loaded, from the code cache or by compiling it.  The
+    handle goes into sys.modules and onto the package at once, as an
+    import would put it, so every later import of the module gets the
+    same object.
     """
     full = f"{__name__}.{name}"
     if full in sys.modules:
@@ -33,3 +38,82 @@ def _lazy(name: str):
     globals()[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+# ------------------------------------------------------------------ cache
+
+def _cache_dir() -> Path:
+    """$QLSMODCAT_CACHE_DIR, else ~/.cache/qlsmodcat: the CLI's build
+    results at its top, the package's compiled code under code/."""
+    env = os.environ.get("QLSMODCAT_CACHE_DIR")
+    if env:
+        return Path(env)
+    return Path.home() / ".cache" / "qlsmodcat"
+
+
+def _store(path: Path, data: bytes) -> None:
+    """Write a cache entry through a temporary file, so a reader never
+    sees half an entry.  An entry that cannot be written is not stored."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+
+
+class _CodeLoader(SourceFileLoader):
+    """A package module's code, compiled only the first time its exact
+    source is seen.
+
+    Every process is fresh and may write no __pycache__, so the compiled
+    code goes to the cache directory's code/ instead.  An entry is keyed
+    by the bytecode magic number, the optimize flag (-O code has no
+    asserts), the resolved source path (a traceback names the file that
+    ran) and the source's hash, and begins with that key.  Anything else
+    in its place, unreadable, truncated or garbage, is a miss.
+    """
+
+    def get_code(self, fullname):
+        path = os.path.realpath(self.get_filename(fullname))
+        source = self.get_data(path)
+        key = b"%b%d\0%b\0%b" % (
+            importlib.util.MAGIC_NUMBER, sys.flags.optimize,
+            os.fsencode(path), importlib.util.source_hash(source))
+        try:
+            entry = (_cache_dir() / "code"
+                     / f"{fullname}.{importlib.util.source_hash(key).hex()}")
+        except RuntimeError:  # no home directory to hold the cache
+            return self.source_to_code(source, path)
+        try:
+            data = entry.read_bytes()
+            if data.startswith(key):
+                return marshal.loads(data[len(key):])
+        except (OSError, EOFError, ValueError, TypeError):
+            pass
+        code = self.source_to_code(source, path)
+        _store(entry, key + marshal.dumps(code))
+        return code
+
+
+class _CodeFinder:
+    """Gives each qlsmodcat.* module that has a plain source loader a
+    _CodeLoader; other packages, and a built kernel extension, are left
+    to the finders after it."""
+
+    @staticmethod
+    def find_spec(fullname, path=None, target=None):
+        if not fullname.startswith(f"{__name__}."):
+            return None
+        spec = PathFinder.find_spec(fullname, path)
+        if spec is None or type(spec.loader) is not SourceFileLoader:
+            return None
+        spec.loader = _CodeLoader(fullname, spec.origin)
+        return spec
+
+
+sys.meta_path.insert(0, _CodeFinder)

@@ -8,8 +8,11 @@ otherwise; build results are cached under a content hash of the input,
 the package version, the package's sources, its compiled kernel and its
 input schema, and cache hits are accepted only when their stored
 checksum still matches.
-A hit is answered before the input is parsed, so it compiles no layer of
+A hit is answered before the input is parsed, so it loads no layer of
 the engine; every miss parses and validates the input in full.
+The cache directory (``qlsmodcat._cache_dir``) also holds the package's
+compiled code under code/, which the package root reads and writes for
+every process; --no-cache skips the build results only.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
-from . import __version__, _lazy, dumps_canonical
+from . import __version__, _cache_dir, _lazy, _store, dumps_canonical
 from .errors import (
     CocycleInvalid,
     ConfluenceFailure,
@@ -111,13 +113,6 @@ def _parse_sample(text: str):
 
 # ------------------------------------------------------------------ cache
 
-def _cache_dir() -> Path:
-    env = os.environ.get("QLSMODCAT_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "qlsmodcat"
-
-
 def _checksum(text: str) -> str:
     import hashlib  # on the cache path only
 
@@ -185,19 +180,8 @@ def _cache_get(key: str):
 
 
 def _cache_put(key: str, text: str) -> None:
-    """Store the canonical text of a payload as its _entry, written
-    through a temporary file, so a reader never sees half an entry."""
-    path = _cache_dir() / f"{key}.json"
-    tmp = path.with_name(f".{key}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(_entry(text))
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
+    """Store the canonical text of a payload as its _entry."""
+    _store(_cache_dir() / f"{key}.json", _entry(text).encode())
 
 
 # --------------------------------------------------------------- commands

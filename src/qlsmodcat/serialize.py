@@ -18,7 +18,7 @@ from math import lcm
 
 from . import _lazy, dumps_canonical, linalg  # noqa: F401 (re-exported)
 from .cyclo import CycloNumber, totient
-from .errors import ValidationError
+from .errors import SizeBound, ValidationError
 from .groups import AbelianGroup, Character, GroupElement, Subgroup
 from .hopf import CheckReport, FiniteAlgebra, FiniteHopf, QlsDatum
 
@@ -81,6 +81,23 @@ def _check_degree(L: int, count: int) -> None:
     need = totient(L)
     if count != need:
         raise ValidationError(f"scalar at conductor {L} needs {need} coefficients")
+
+
+# An input group is enumerated element by element, and its exponent is the
+# conductor of the datum's scalars: cyclo.context(1024) builds in 0.06 s,
+# context(2048) in 0.23 s (pure lane, shared 2-vCPU VM).
+MAX_GROUP_ORDER = 4096
+MAX_GROUP_EXPONENT = 1024
+
+
+def _check_group(G: AbelianGroup) -> None:
+    """Bound the group's exponent and order before any element is
+    enumerated or any table at its conductor is built."""
+    for what, value, ceiling in (("exponent", G.exponent, MAX_GROUP_EXPONENT),
+                                 ("order", G.order, MAX_GROUP_ORDER)):
+        if value > ceiling:
+            raise SizeBound(
+                f"group {what} {value} exceeds the ceiling {ceiling}")
 
 
 def cyclo_from_json(obj, L: int | None = None) -> CycloNumber:
@@ -282,6 +299,7 @@ def load_datum(obj, modcat: bool = True):
     """
     validate_input(obj)
     G = AbelianGroup(tuple(obj["group"]["orders"]))
+    _check_group(G)
     g = [G.element(tuple(e)) for e in obj["g"]]
     chi = [Character(G, tuple(e)) for e in obj["chi"]]
     datum = QlsDatum(G, g, chi)

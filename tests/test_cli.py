@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -1026,6 +1027,58 @@ def test_a_non_positive_max_group_order_is_a_usage_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "--max-group-order" in err and "positive integer" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["datum.json"]
+
+
+# groups past the ceilings, each of which used to end in a traceback
+# (OverflowError, MemoryError), run out of time or, for thirty orders of 2,
+# pass validate and exhaust memory in build-hopf
+HUGE_GROUPS = {
+    "order-1e20": ([10**20], "group exponent 100000000000000000000 "
+                   "exceeds the ceiling 1024"),
+    "order-2^32": ([2**32], "group exponent 4294967296 exceeds the ceiling 1024"),
+    "order-1e7": ([10**7], "group exponent 10000000 exceeds the ceiling 1024"),
+    "thirty-Z2": ([2] * 30, "group order 1073741824 exceeds the ceiling 4096"),
+}
+
+
+def _limited(argv, timeout) -> subprocess.CompletedProcess:
+    """A fresh CLI process with at most 1 GiB of address space, so a
+    missing bound fails the test instead of exhausting the machine."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "qlsmodcat.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=limit)
+
+
+@pytest.mark.parametrize("command", ["validate", "build-hopf", "transport",
+                                     "classify"])
+@pytest.mark.parametrize("case", sorted(HUGE_GROUPS))
+def test_a_group_past_the_ceilings_is_a_size_bound(tmp_path, case, command):
+    orders, message = HUGE_GROUPS[case]
+    first = [[int(i == 0) for i in range(len(orders))]]
+    path = write(tmp_path, {"group": {"orders": orders}, "g": first,
+                            "chi": [[2 * e for e in first[0]]]})
+    proc = _limited([command, path], 60)
+    assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
+    assert list(tmp_path.glob("datum.*.json")) == []
+
+
+@pytest.mark.parametrize("orders,g,chi", [
+    ([6, 6], [[1, 0], [0, 1]], [[2, 0], [0, 1]]),
+    ([16], [[1]], [[1]]),
+    ([2] * 5, [[1, 0, 0, 0, 0]], [[1, 0, 0, 0, 0]]),
+    ([1024], [[1]], [[1]]),
+    ([64, 64], [[1, 0]], [[1, 0]]),
+], ids=["Z6xZ6", "Z16", "Z2^5", "exponent-at-ceiling", "order-at-ceiling"])
+def test_the_group_ceilings_accept_the_largest_inputs(tmp_path, orders, g,
+                                                      chi):
+    path = write(tmp_path, {"group": {"orders": orders}, "g": g, "chi": chi})
+    proc = _limited(["validate", path], 120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("valid")
 
 
 @pytest.mark.parametrize("sample,message", [
