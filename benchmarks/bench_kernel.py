@@ -59,6 +59,7 @@ from the code cache).
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import random
@@ -517,11 +518,18 @@ STARTUP_PROCESSES = 5
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def pipebench_probe() -> str:
+    """The text of pipebench/run.py's set-up probe, read without importing
+    run.py, which puts pipebench/ on sys.path for its own modules."""
+    tree = ast.parse((ROOT / "pipebench" / "run.py").read_text())
+    (value,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["PROBE"]]
+    return ast.literal_eval(value)
+
+
 def run_startup(reps):
     """Wall time of fresh processes, at most STARTUP_PROCESSES a case."""
-    sys.path.insert(0, str(ROOT / "pipebench"))
-    from run import PROBE
-
     reps = min(reps, STARTUP_PROCESSES)
     print(f"start-up, fresh processes writing no bytecode, x {reps} each")
     with tempfile.TemporaryDirectory() as tmp:
@@ -541,7 +549,7 @@ def run_startup(reps):
 
         for label, argv in (
                 ("validate", ["-m", "qlsmodcat.cli", "validate", str(datum)]),
-                ("set-up probe", ["-c", PROBE])):
+                ("set-up probe", ["-c", pipebench_probe()])):
             caches = [tmp / f"{label}-{i}" for i in range(reps)]
             empty = [wall(argv, cache) for cache in caches]
             # the last empty directory is warm now

@@ -51,19 +51,27 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "qlsmodcat"
 
 
-def _store(path: Path, data: bytes) -> None:
-    """Write a cache entry through a temporary file, so a reader never
-    sees half an entry.  An entry that cannot be written is not stored."""
+def _store(path: Path, data: bytes, mode: int = 0o666) -> None:
+    """Write a cache entry with permissions mode (less the umask) through
+    a temporary file, so a reader never sees half an entry.  An entry
+    that cannot be written is not stored."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(data)
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode),
+                  "wb") as f:
+            f.write(data)
         os.replace(tmp, path)
     except OSError:
         try:
             tmp.unlink()
         except OSError:
             pass
+
+
+def _private(st: os.stat_result) -> bool:
+    """Whether only this user, and root, can change what st describes."""
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
 
 
 class _CodeLoader(SourceFileLoader):
@@ -76,6 +84,11 @@ class _CodeLoader(SourceFileLoader):
     asserts), the resolved source path (a traceback names the file that
     ran) and the source's hash, and begins with that key.  Anything else
     in its place, unreadable, truncated or garbage, is a miss.
+
+    The key is public, so an entry is code that runs only when no one
+    else could have written it: code/ (made 0700) and the entry must
+    belong to this user and be writable by neither group nor others.
+    Otherwise code/ is neither read nor written.
     """
 
     def get_code(self, fullname):
@@ -85,29 +98,38 @@ class _CodeLoader(SourceFileLoader):
             importlib.util.MAGIC_NUMBER, sys.flags.optimize,
             os.fsencode(path), importlib.util.source_hash(source))
         try:
-            entry = (_cache_dir() / "code"
-                     / f"{fullname}.{importlib.util.source_hash(key).hex()}")
-        except RuntimeError:  # no home directory to hold the cache
+            code_dir = _cache_dir() / "code"
+            code_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
+            private = _private(code_dir.stat())
+        except (RuntimeError, OSError):  # no home directory, or no code/
+            private = False
+        if not private:
             return self.source_to_code(source, path)
+        entry = code_dir / f"{fullname}.{importlib.util.source_hash(key).hex()}"
         try:
-            data = entry.read_bytes()
-            if data.startswith(key):
-                return marshal.loads(data[len(key):])
+            with open(entry, "rb") as f:
+                if _private(os.fstat(f.fileno())):
+                    data = f.read()
+                    if data.startswith(key):
+                        return marshal.loads(data[len(key):])
         except (OSError, EOFError, ValueError, TypeError):
             pass
         code = self.source_to_code(source, path)
-        _store(entry, key + marshal.dumps(code))
+        _store(entry, key + marshal.dumps(code), 0o600)
         return code
 
 
 class _CodeFinder:
     """Gives each qlsmodcat.* module that has a plain source loader a
-    _CodeLoader; other packages, and a built kernel extension, are left
-    to the finders after it."""
+    _CodeLoader while Python may write no bytecode (-B or
+    PYTHONDONTWRITEBYTECODE); otherwise __pycache__ is the cache.  Other
+    packages, and a built kernel extension, are left to the finders
+    after it."""
 
     @staticmethod
     def find_spec(fullname, path=None, target=None):
-        if not fullname.startswith(f"{__name__}."):
+        if not (sys.dont_write_bytecode
+                and fullname.startswith(f"{__name__}.")):
             return None
         spec = PathFinder.find_spec(fullname, path)
         if spec is None or type(spec.loader) is not SourceFileLoader:

@@ -12,7 +12,8 @@ A hit is answered before the input is parsed, so it loads no layer of
 the engine; every miss parses and validates the input in full.
 The cache directory (``qlsmodcat._cache_dir``) also holds the package's
 compiled code under code/, which the package root reads and writes for
-every process; --no-cache skips the build results only.
+every process that may write no bytecode; --no-cache skips the build
+results only.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ from .errors import (
     ValidationError,
 )
 
-# Each layer is compiled on its first use, so a command compiles only the
-# layers it runs and a cache hit compiles none.  The layers under
-# serialize and hopf get handles too, so that importing this module puts
-# every shared layer in sys.modules: pipebench/tracer.py rebinds functions
-# only across the modules present once it has imported this one.
+# Each layer is loaded (from code/ or compiled) on its first use, so a
+# command loads only the layers it runs and a cache hit loads none.  The
+# layers under serialize and hopf get handles too, so that importing this
+# module puts every shared layer in sys.modules: pipebench/tracer.py
+# rebinds functions only across the modules present once it has imported
+# this one.
 for _core in ("_kernel", "cyclo", "groups", "linalg", "rewrite"):
     _lazy(_core)
 serialize = _lazy("serialize")
@@ -396,13 +398,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _group_order(text: str) -> int:
+    """A --max-group-order: no input group is larger than the ceiling,
+    so a bound above it would promise what load_datum refuses."""
+    value = _positive_int(text)
+    if value > serialize.MAX_GROUP_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"must be at most the group order ceiling "
+            f"{serialize.MAX_GROUP_ORDER}, got {text!r}")
+    return value
+
+
 FLAGS = {
     "--out": dict(help="artifact path (default: next to input)"),
     "--format": dict(choices=("text", "json"), default="text"),
     "--sample": dict(default="0,1",
                      help="comma-separated scalar sample for classify"),
-    "--max-group-order": dict(type=_positive_int, default=256,
-                              dest="max_group_order"),
+    "--max-group-order": dict(
+        type=_group_order, default=256, dest="max_group_order",
+        help="largest group order to enumerate subgroups of; at most the "
+             "input ceiling serialize.MAX_GROUP_ORDER (4096)"),
     "--conductor": dict(type=_positive_int,
                         help="rebase built tables to this conductor"),
     "--no-cache": dict(action="store_true", dest="no_cache"),

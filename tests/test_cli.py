@@ -21,8 +21,8 @@ from qlsmodcat.comodule import ModCatDatum
 from qlsmodcat.deformation import LiftingDatum, build_bigalois
 from qlsmodcat.groups import Subgroup
 from qlsmodcat.hopf import CheckReport, verify_coaction
-from qlsmodcat.serialize import (bigalois_dump, bigalois_load, comodule_load,
-                                 datum_to_json, dumps_canonical)
+from qlsmodcat.serialize import (MAX_GROUP_ORDER, bigalois_dump, bigalois_load,
+                                 comodule_load, datum_to_json, dumps_canonical)
 
 from qls_fixtures import (
     float_integer_inputs,
@@ -1027,6 +1027,22 @@ def test_a_non_positive_max_group_order_is_a_usage_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "--max-group-order" in err and "positive integer" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["datum.json"]
+
+
+def test_a_max_group_order_past_the_input_ceiling_is_a_usage_error(
+        tmp_path, capsys):
+    """No input group is larger than MAX_GROUP_ORDER, so a bound above it
+    would be accepted and never reached."""
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    assert main(["classify", path, "--max-group-order", str(MAX_GROUP_ORDER),
+                 "--out", str(tmp_path / "out.json")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        main(["classify", path, "--max-group-order", str(MAX_GROUP_ORDER + 1)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-group-order" in err
+    assert f"at most the group order ceiling {MAX_GROUP_ORDER}" in err
 
 
 # groups past the ceilings, each of which used to end in a traceback

@@ -2,18 +2,22 @@
 
 Every case runs against its own temporary cache directory.  The cases in
 fresh processes run as a CLI command runs, with ``PYTHONDONTWRITEBYTECODE``
-set, from the checkout's ``src`` or from a temporary copy of the package.
-The tests run as root, to whom a directory's mode bits deny no write, so
-an unwritable cache directory is a path through a regular file.
+set, from the checkout's ``src`` or from a temporary copy of the package;
+the cases in this process set ``sys.dont_write_bytecode`` as that does.
+Root is denied no write by a directory's mode bits, so an unwritable
+cache directory is a path through a regular file.
 """
 
 from __future__ import annotations
 
-import importlib.util
+import importlib
+import marshal
 import os
 import shutil
+import stat
 import subprocess
 import sys
+from importlib.machinery import SourceFileLoader
 from pathlib import Path
 
 import pytest
@@ -28,8 +32,9 @@ DATUM = '{"group":{"orders":[8]},"g":[[1]],"chi":[[1]]}\n'
 @pytest.fixture
 def compiles(tmp_path, monkeypatch):
     """The source files compiled in this process while the test runs,
-    against a cache directory of its own."""
+    against a cache directory of its own, with no bytecode written."""
     monkeypatch.setenv("QLSMODCAT_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     names = []
     source_to_code = _CodeLoader.source_to_code
 
@@ -42,14 +47,17 @@ def compiles(tmp_path, monkeypatch):
 
 
 def _get_code(fullname: str):
-    spec = importlib.util.find_spec(fullname)
+    package = importlib.import_module(fullname.rpartition(".")[0])
+    spec = _CodeFinder.find_spec(fullname, package.__path__)
     assert type(spec.loader) is _CodeLoader
     return spec.loader.get_code(fullname)
 
 
-def _run(tmp_path, argv, cache, src=ROOT / "src", flags=()):
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(src),
-               QLSMODCAT_CACHE_DIR=str(cache))
+def _run(tmp_path, argv, cache, src=ROOT / "src", flags=(), bytecode=False):
+    env = dict(os.environ, PYTHONPATH=str(src), QLSMODCAT_CACHE_DIR=str(cache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    if not bytecode:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
     return subprocess.run([sys.executable, *flags, *argv], env=env,
                           cwd=tmp_path, capture_output=True, timeout=300)
 
@@ -78,18 +86,110 @@ def test_a_second_load_compiles_nothing(tmp_path, compiles):
     assert entry.name.startswith("qlsmodcat.linalg.")
 
 
-def test_package_modules_load_through_the_code_loader():
+def test_package_modules_load_through_the_code_loader(tmp_path):
     """An import and a lazy handle both: LazyLoader wraps the same loader."""
-    import qlsmodcat.cli
+    code = ("import qlsmodcat, qlsmodcat.cli as c; "
+            "print(type(c.__loader__).__name__, "
+            "type(qlsmodcat._lazy('classify').__spec__.loader).__name__)")
+    proc = _run(tmp_path, ["-c", code], tmp_path / "cache")
+    assert (proc.returncode, proc.stdout) == (0, b"_CodeLoader _CodeLoader\n")
 
-    assert type(qlsmodcat.cli.__loader__) is _CodeLoader
-    assert type(qlsmodcat._lazy("classify").__spec__.loader) is _CodeLoader
+
+def test_where_python_writes_bytecode_pycache_is_the_cache(tmp_path):
+    """Without -B or PYTHONDONTWRITEBYTECODE, Python's own __pycache__
+    serves the package: code/ is neither made nor read."""
+    src = _copy(tmp_path, "src")
+    cache = tmp_path / "cache"
+    code = "import qlsmodcat.cli as c; print(type(c.__loader__).__name__)"
+    for _ in range(2):
+        proc = _run(tmp_path, ["-c", code], cache, src, bytecode=True)
+        assert (proc.returncode, proc.stdout) == (0, b"SourceFileLoader\n")
+    assert not (cache / "code").exists()
+    assert list((src / "qlsmodcat" / "__pycache__").glob("cli.*.pyc"))
 
 
 @pytest.mark.parametrize("name", ["json", "qlsmodcat", "qlsmodcatx",
                                   "qlsmodcatx.cli", "qlsmodcat.missing"])
-def test_the_finder_leaves_other_names_alone(name):
+def test_the_finder_leaves_other_names_alone(name, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     assert _CodeFinder.find_spec(name, qlsmodcat.__path__) is None
+
+
+def test_the_finder_stands_aside_where_python_writes_bytecode(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    assert _CodeFinder.find_spec("qlsmodcat.linalg", qlsmodcat.__path__) \
+        is None
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = _CodeFinder.find_spec("qlsmodcat.linalg", qlsmodcat.__path__)
+    assert type(spec.loader) is _CodeLoader
+
+
+def _poison(entry: Path, real) -> None:
+    """Put code that sets POISONED after entry's key, as someone who can
+    write the entry could."""
+    data = entry.read_bytes()
+    key = data[:len(data) - len(marshal.dumps(real))]
+    entry.write_bytes(key + marshal.dumps(compile("POISONED = 1", "x", "exec")))
+
+
+def _served(code) -> bool:
+    namespace = {}
+    exec(code, namespace)
+    return "POISONED" in namespace
+
+
+def test_an_entry_only_its_owner_can_write_is_loaded(tmp_path, compiles):
+    """The control for the cases below: their poisoned entry, left private
+    to its owner, is served."""
+    real = _get_code("qlsmodcat.errors")
+    (entry,) = (tmp_path / "cache" / "code").iterdir()
+    assert stat.S_IMODE(entry.stat().st_mode) == 0o600
+    assert stat.S_IMODE(entry.parent.stat().st_mode) == 0o700
+    _poison(entry, real)
+    assert _served(_get_code("qlsmodcat.errors"))
+    assert compiles == ["errors.py"]
+
+
+@pytest.mark.parametrize("change", ["group-writable", "world-writable",
+                                    "foreign-owned"])
+def test_an_entry_others_could_write_is_recompiled_not_loaded(
+        tmp_path, compiles, change):
+    real = _get_code("qlsmodcat.errors")
+    (entry,) = (tmp_path / "cache" / "code").iterdir()
+    _poison(entry, real)
+    if change == "foreign-owned":
+        if os.getuid() != 0:
+            pytest.skip("only root can give a file to another user")
+        os.chown(entry, os.getuid() + 1, -1)
+    else:
+        entry.chmod(0o620 if change == "group-writable" else 0o602)
+    assert _get_code("qlsmodcat.errors") == real
+    assert compiles == ["errors.py"] * 2
+    st = entry.stat()
+    assert (st.st_uid, stat.S_IMODE(st.st_mode)) == (os.getuid(), 0o600)
+    assert not _served(_get_code("qlsmodcat.errors"))
+    assert compiles == ["errors.py"] * 2
+
+
+@pytest.mark.parametrize("change", ["group-writable", "foreign-owned"])
+def test_a_code_directory_others_could_write_is_neither_read_nor_written(
+        tmp_path, compiles, change):
+    real = _get_code("qlsmodcat.errors")
+    code_dir = tmp_path / "cache" / "code"
+    (entry,) = code_dir.iterdir()
+    _poison(entry, real)
+    poisoned = entry.read_bytes()
+    if change == "foreign-owned":
+        if os.getuid() != 0:
+            pytest.skip("only root can give a directory to another user")
+        os.chown(code_dir, os.getuid() + 1, -1)
+    else:
+        code_dir.chmod(0o770)
+    assert _get_code("qlsmodcat.errors") == real
+    assert _get_code("qlsmodcat.linalg")
+    assert compiles == ["errors.py", "errors.py", "linalg.py"]
+    assert list(code_dir.iterdir()) == [entry]
+    assert entry.read_bytes() == poisoned
 
 
 def test_a_changed_source_is_never_served_from_an_old_entry(tmp_path):
