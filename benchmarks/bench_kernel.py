@@ -41,6 +41,13 @@ mixed transports, the dim-64 Z8 bosonization of its ``hopf-z8`` build and
 the dim-32 Z8 lifting of its ``lifting-z8t2`` build; both must report the
 same failures.
 
+The cotensor's table, ``deformation._cotensor_table``, is timed as it
+runs, from the |S| n products of a generating set's letters in
+B tensor A, against the all-pairs loop it replaced
+(``tests/all_pairs.py``), which multiplies all n^2 pairs of
+representatives, on the dim-24 mixed Z6 and the dim-64 Z8 regular
+transports of the pipebench; both must give the same table.
+
 ``check_simplicity`` is timed as it runs, with the leading-column
 certificate first, against its exact path, which eliminates the operator
 span (the certificate forced to fall short), on A and T of the dim-24
@@ -60,6 +67,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib.util
 import json
 import os
 import random
@@ -73,7 +81,7 @@ from pathlib import Path
 from statistics import median
 from time import perf_counter
 
-from qlsmodcat import classify, comodule, polyfactor, serialize
+from qlsmodcat import classify, comodule, deformation, polyfactor, serialize
 from qlsmodcat._kernel import pure
 from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.cyclo import (CycloNumber, _poly_trim, _poly_xgcd, context,
@@ -473,6 +481,48 @@ def run_associativity(reps):
               f"{'ok' if walk.ok else walk.checks_failed()}")
 
 
+COTENSOR_REPS = 3
+
+
+def table_arguments(B, A) -> tuple:
+    """The arguments ``cotensor`` passes its table builder on B and A."""
+    seen = []
+    table = deformation._cotensor_table
+
+    def recorded(*args):
+        seen.append(args)
+        return table(*args)
+
+    deformation._cotensor_table = recorded
+    try:
+        cotensor(B, A)
+    finally:
+        deformation._cotensor_table = table
+    return seen[0]
+
+
+def run_cotensor(reps):
+    spec = importlib.util.spec_from_file_location(
+        "all_pairs", ROOT / "tests" / "all_pairs.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    print(f"cotensor table, letters against all pairs, x {reps} reps")
+    for label, ld in (("mixed Z6 transport", mixed_z6_lifting()),
+                      ("Z8 regular transport", z8_lifting())):
+        B = build_bigalois(ld)
+        args = table_arguments(B, comodule.regular_coaction(B.right_hopf))
+        t_letters, letters = time_calls(
+            lambda: deformation._cotensor_table(*args), reps)
+        t_pairs, pairs = time_calls(lambda: oracle.all_pairs_table(*args),
+                                    reps)
+        assert letters == pairs, f"{label}: the two tables differ"
+        n = len(args[-1])
+        name = f"{label} (dim {n})"
+        print(f"  {name:32s} letters {t_letters * 1e3:7.1f}ms   "
+              f"all pairs, {n * n:4d} products {t_pairs * 1e3:7.1f}ms "
+              f"({t_pairs / t_letters:4.1f}x)")
+
+
 SIMPLICITY_REPS = 3
 
 
@@ -577,6 +627,7 @@ def main(argv=None):
     run_connecting(SWEEP_REPS)
     run_blocks(BLOCK_REPS)
     run_associativity(ASSOCIATIVITY_REPS)
+    run_cotensor(COTENSOR_REPS)
     run_simplicity(SIMPLICITY_REPS)
     run_startup(STARTUP_PROCESSES)
 

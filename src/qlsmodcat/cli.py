@@ -245,6 +245,9 @@ def _build_hopf_command(args, obj, command, suffix, kind, make) -> int:
     """build-hopf and build-lifting: parse and build (``make``), rebase,
     sweep, cache, write."""
     def build():
+        if args.conductor and args.conductor > serialize.MAX_CONDUCTOR:
+            raise SizeBound(f"conductor {args.conductor} exceeds the ceiling "
+                            f"{serialize.MAX_CONDUCTOR}")
         H = make()
         if args.conductor:
             if args.conductor % H.L:
@@ -419,7 +422,8 @@ FLAGS = {
         help="largest group order to enumerate subgroups of; at most the "
              "input ceiling serialize.MAX_GROUP_ORDER (4096)"),
     "--conductor": dict(type=_positive_int,
-                        help="rebase built tables to this conductor"),
+                        help="rebase built tables to this conductor, at most "
+                             "serialize.MAX_CONDUCTOR (4096)"),
     "--no-cache": dict(action="store_true", dest="no_cache"),
 }
 BUILD_FLAGS = ("--out", "--conductor", "--no-cache")

@@ -33,6 +33,7 @@ from .hopf import (
     QlsDatum,
     complete_hopf,
     extend_letters,
+    left_closure,
     monomial_labels,
     pair_multiply,
     verify_coaction,
@@ -508,19 +509,47 @@ def cotensor(B: BiGaloisRep, A: comodule.ComoduleAlgebra,
     when it is coacted by the left one, A is matched with the inverse
     object instead.  The result is a comodule algebra over the other
     side, of the same dimension as A, verified against the ledger
-    ``proofs`` (``ComoduleAlgebra.verify``).
+    ``proofs`` (``ComoduleAlgebra.verify``), a new one when none is
+    given.
+
+    The table is built from the products of a generating set's letters
+    only, which proves closure under every product in the associative
+    B tensor A (``_cotensor_core``).  So B and A are proven unital and
+    associative through the ledger too; B^-1's algebra is B^op, whose
+    unit laws and associativity are B's.  T's own sweep runs first, so
+    tables that fail their laws are reported as T's.
     """
+    if proofs is None:
+        proofs = CheckReport("proofs")
     if A.hopf.same_tables(B.right_hopf):
-        return _cotensor_core(B, A, proofs)
-    if A.hopf.same_tables(B.left_hopf):
-        return _cotensor_core(B.inverse(), A, proofs)
-    raise ValidationError("A is not a comodule over either side of B")
+        T = _cotensor_core(B, A, proofs)
+    elif A.hopf.same_tables(B.left_hopf):
+        T = _cotensor_core(B.inverse(), A, proofs)
+    else:
+        raise ValidationError("A is not a comodule over either side of B")
+    CheckReport("cotensor", proofs).prove(B.algebra, "bigalois-").prove(
+        A).require(IsoCheckFailed, "cotensor factors fail verification")
+    return T
 
 
 def _cotensor_core(B: BiGaloisRep, A: comodule.ComoduleAlgebra,
-                   proofs: CheckReport | None) -> comodule.ComoduleAlgebra:
+                   proofs: CheckReport) -> comodule.ComoduleAlgebra:
     """B cotensor A, for A coacted by B's right Hopf algebra; the result
-    is coacted by B's left one."""
+    is coacted by B's left one.
+
+    The matching equation is solved as one kernel V, and rep_i is the
+    element of V that collapses to e_i of A.  T's cell (i, j) is
+    collapse(rep_i rep_j), but only the products rep_s rep_j for the
+    letters s of a generating set S of T are formed (``_cotensor_table``).
+    That is still a proof that V is closed under every product, given
+    that B tensor A is associative, which ``cotensor`` proves:
+    - V holds 1 (x) 1, which collapses to A's unit (checked);
+    - rep_s V lies in V for each s in S (each letter product checked);
+    - the closure of 1 under S reaches dim V (checked), so V is spanned
+      by words rep_s1 (rep_s2 (... (1 (x) 1))), and by associativity
+      each word times an element of V stays in V.
+    Associativity also gives every cell from the letter products alone.
+    """
     nA = A.dim
     nK = A.hopf.dim
     L = A.L
@@ -562,15 +591,7 @@ def _cotensor_core(B: BiGaloisRep, A: comodule.ComoduleAlgebra,
             vec_addmul(vec, basis[k], c, red)
         reps.append(_unflatten(vec, nA))
 
-    mult: dict = {}
-    for i in range(nA):
-        for j in range(nA):
-            flat = _flatten(pair_multiply(B.algebra, A, reps[i], reps[j]), nA)
-            if not space.contains(flat):
-                raise NotClosed("cotensor is not closed under the product")
-            cell = collapse(flat)
-            if cell:
-                mult[(i, j)] = cell
+    mult = _cotensor_table(B.algebra, A, space, collapse, reps)
 
     # b (x) a -> cb(b_(0)) b_(-1) (x) a
     counit = [{(): e} for e in cb]
@@ -582,6 +603,69 @@ def _cotensor_core(B: BiGaloisRep, A: comodule.ComoduleAlgebra,
     T.verify(proofs).require(IsoCheckFailed,
                              "transported algebra fails verification")
     return T
+
+
+def _cotensor_table(first: FiniteAlgebra, A: comodule.ComoduleAlgebra,
+                    space: linalg.Subspace, collapse, reps) -> dict:
+    """T's table, cell (i, j) = collapse(rep_i rep_j), from |S| n products
+    in first tensor A rather than all n^2 (see ``_cotensor_core``).
+
+    ``space`` is the cotensor space V, flattened, and ``collapse`` maps V
+    onto A's basis coordinates, in which T works.  S is chosen greedily
+    over T's basis, as ``FiniteAlgebra.generators`` does
+    (``left_closure``), and the letter column of s is
+    collapse(rep_s rep_j) for every j, each product checked to lie in V.
+    Each vector of the closure of 1 is s times an earlier one,
+    found_k = s found_p.  One n x n solve writes e_i = sum_k c_ik found_k,
+    and found_k e_j = s (found_p e_j) walks that tree in T's coordinates
+    with the letter columns, so cell (i, j) is sum_k c_ik found_k e_j.
+    """
+    n = len(reps)
+    L = A.L
+    red = A.ctx.reduction
+    one = linalg.pone(L)
+    unit = _flatten({(b, a): pmul(c, d, red) for b, c in first.unit.items()
+                     for a, d in A.unit.items()}, n)
+    if not space.contains(unit):
+        raise NotClosed("the cotensor does not hold 1 (x) 1")
+    if collapse(unit) != A.unit:
+        raise IsoCheckFailed("1 (x) 1 does not collapse to the unit of A")
+
+    cols: dict = {}         # the letter columns: cols[s][j] = e_s e_j in T
+
+    def times(s: int, vec: dict) -> dict:
+        col = cols.get(s)
+        if col is None:
+            col = cols[s] = []
+            for j in range(n):
+                flat = _flatten(pair_multiply(first, A, reps[s], reps[j]), n)
+                if not space.contains(flat):
+                    raise NotClosed("cotensor is not closed under the product")
+                col.append(collapse(flat))
+        out: dict = {}
+        for j, c in vec.items():
+            vec_addmul(out, col[j], c, red)
+        return out
+
+    _, found, words = left_closure(n, L, dict(A.unit), times)
+    if len(found) != n:
+        raise IsoCheckFailed(
+            f"the letters generate {len(found)} of the cotensor's {n} dimensions")
+
+    # right[k][j] = found_k e_j; found_0 is the unit
+    right = [[{j: one} for j in range(n)]]
+    for s, p in words:
+        right.append([times(s, v) for v in right[p]])
+    mult: dict = {}
+    for i, coeffs in enumerate(linalg.solve(found, [{i: one} for i in range(n)],
+                                            n, L)):
+        for j in range(n):
+            cell: dict = {}
+            for k, c in coeffs.items():
+                vec_addmul(cell, right[k][j], c, red)
+            if cell:
+                mult[(i, j)] = cell
+    return mult
 
 
 def transport(B: BiGaloisRep, A: comodule.ComoduleAlgebra,

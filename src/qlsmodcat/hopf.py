@@ -233,36 +233,10 @@ class FiniteAlgebra:
                         yield i, j, k
 
     def generators(self) -> list[int]:
-        """A generating set S of basis indices, chosen greedily.
-
-        V starts as the span of 1 and is kept closed under left
-        multiplication by S; walking the basis in label order, each
-        element not yet in V joins S.  With the unit laws, s = s 1 lies
-        in V once s joins S, so V ends as the whole algebra: every
-        element is a combination of words s_1 (s_2 (... (s_k 1))).
-        """
-        n = self.dim
-        span = linalg.Subspace(self.L)
-        span.insert(self.unit)
-        found = [self.unit]
-        gens: list[int] = []
-        done: list[int] = []    # done[t]: how many of found gens[t] has multiplied
-        for i in range(n):
-            if span.dim == n:
-                break
-            if span.contains(self.basis(i)):
-                continue
-            gens.append(i)
-            done.append(0)
-            while span.dim < n and min(done) < len(found):
-                for t, s in enumerate(gens):
-                    left = self.basis(s)
-                    while span.dim < n and done[t] < len(found):
-                        prod = self.multiply(left, found[done[t]])
-                        done[t] += 1
-                        if span.insert(prod):
-                            found.append(prod)
-        return gens
+        """A generating set S of basis indices, chosen greedily
+        (``left_closure``)."""
+        return left_closure(self.dim, self.L, self.unit,
+                            lambda s, v: self.multiply(self.basis(s), v))[0]
 
     def verify_algebra(self) -> CheckReport:
         """The unit laws and associativity, proven from the generators.
@@ -305,6 +279,43 @@ class FiniteAlgebra:
             return self
         mult = {k: rebase_vec(v, self.L, M) for k, v in self.mult.items()}
         return FiniteAlgebra(self.labels, M, mult, rebase_vec(self.unit, self.L, M))
+
+
+def left_closure(n: int, L: int, unit: dict, times) -> tuple:
+    """A generating set S of an n-dim algebra, chosen greedily, with the
+    closure of 1 under S that proves it generates.
+
+    ``times(s, v)`` is e_s v.  V starts as the span of 1 and is kept
+    closed under left multiplication by S; walking the basis in label
+    order, each element not yet in V joins S.  With the unit laws,
+    s = s 1 lies in V once s joins S, so V ends as the whole algebra:
+    every element is a combination of words s_1 (s_2 (... (s_k 1))).
+    Returns S, the basis ``found`` of V, found[0] being 1, and the
+    ``words`` (s, p), one for each later k, with found[k] = e_s found[p].
+    """
+    span = linalg.Subspace(L)
+    span.insert(unit)
+    found = [unit]
+    words: list[tuple[int, int]] = []
+    gens: list[int] = []
+    done: list[int] = []    # done[t]: how many of found gens[t] has multiplied
+    one = linalg.pone(L)
+    for i in range(n):
+        if span.dim == n:
+            break
+        if span.contains({i: one}):
+            continue
+        gens.append(i)
+        done.append(0)
+        while span.dim < n and min(done) < len(found):
+            for t, s in enumerate(gens):
+                while span.dim < n and done[t] < len(found):
+                    prod = times(s, found[done[t]])
+                    if span.insert(prod):
+                        found.append(prod)
+                        words.append((s, done[t]))
+                    done[t] += 1
+    return gens, found, words
 
 
 def pair_multiply(first: FiniteAlgebra, second: FiniteAlgebra,

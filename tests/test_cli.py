@@ -21,8 +21,9 @@ from qlsmodcat.comodule import ModCatDatum
 from qlsmodcat.deformation import LiftingDatum, build_bigalois
 from qlsmodcat.groups import Subgroup
 from qlsmodcat.hopf import CheckReport, verify_coaction
-from qlsmodcat.serialize import (MAX_GROUP_ORDER, bigalois_dump, bigalois_load,
-                                 comodule_load, datum_to_json, dumps_canonical)
+from qlsmodcat.serialize import (MAX_CONDUCTOR, MAX_GROUP_ORDER, bigalois_dump,
+                                 bigalois_load, comodule_load, datum_to_json,
+                                 dumps_canonical)
 
 from qls_fixtures import (
     float_integer_inputs,
@@ -1080,6 +1081,32 @@ def test_a_group_past_the_ceilings_is_a_size_bound(tmp_path, case, command):
     proc = _limited([command, path], 60)
     assert (proc.returncode, proc.stderr) == (1, f"error: {message}\n")
     assert list(tmp_path.glob("datum.*.json")) == []
+
+
+@pytest.mark.parametrize("command", ["build-hopf", "build-lifting"])
+@pytest.mark.parametrize("conductor", [MAX_CONDUCTOR + 4, 1000000])
+def test_a_conductor_past_the_ceiling_is_a_size_bound(tmp_path, command,
+                                                      conductor):
+    """Both conductors are multiples of the datum's 4, so only the ceiling
+    rejects them; 1000000 used to run on, rebasing at that conductor."""
+    path = write(tmp_path, z4_mu_obj())
+    proc = _limited([command, path, "--conductor", str(conductor),
+                     "--no-cache"], 60)
+    assert (proc.returncode, proc.stderr) == (
+        1, f"error: conductor {conductor} exceeds the ceiling "
+           f"{MAX_CONDUCTOR}\n")
+    assert list(tmp_path.glob("datum.*.json")) == []
+
+
+def test_the_conductor_ceiling_admits_itself(tmp_path):
+    """The Sweedler tables rebase at the ceiling itself, under the same
+    address-space limit; every other --conductor in the tests is 8 or
+    less."""
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    proc = _limited(["build-hopf", path, "--conductor", str(MAX_CONDUCTOR),
+                     "--no-cache"], 120)
+    assert proc.returncode == 0, proc.stderr
+    assert f"conductor {MAX_CONDUCTOR};" in proc.stdout
 
 
 @pytest.mark.parametrize("orders,g,chi", [

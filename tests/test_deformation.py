@@ -26,9 +26,10 @@ from qlsmodcat.deformation import (
     sigma_bigalois,
     transport,
 )
-from qlsmodcat.errors import CocycleInvalid, NotClosed, ValidationError
+from qlsmodcat.errors import (CocycleInvalid, IsoCheckFailed, NotClosed,
+                               ValidationError)
 from qlsmodcat.groups import AbelianGroup, Subgroup
-from qlsmodcat.hopf import QlsDatum, build_bosonization, group_hopf
+from qlsmodcat.hopf import FiniteAlgebra, QlsDatum, build_bosonization, group_hopf
 from qlsmodcat.linalg import pone
 from qls_fixtures import sweedler_datum, trivial_sigma, z4_mu_datum, z22_lambda_datum
 
@@ -220,6 +221,30 @@ def test_cotensor_against_left_coacting_side():
     assert T.dim == 8
     want = simple_modules(B.algebra).block_data
     assert simple_modules(T).block_data == want
+
+
+@pytest.mark.parametrize("side, failed", [("B", "bigalois-associativity"),
+                                          ("A", "associativity")])
+def test_cotensor_rests_on_proofs_of_both_factors(monkeypatch, side, failed):
+    """The table comes from the letters only in an associative B tensor A,
+    so a factor whose sweep fails fails the cotensor, after T's sweep.
+    B cotensor H has B's tables, so B's case goes through B^-1 and U."""
+    B = build_bigalois(LiftingDatum(z4_mu_datum(), mu=[1]))
+    A = regular_coaction(B.left_hopf if side == "B" else B.right_hopf)
+    broken = {"B": B.algebra, "A": A}[side]
+    plain = FiniteAlgebra.verify_algebra
+
+    def sweep(alg):
+        rep = plain(alg)
+        if alg is broken:
+            rep.fail("associativity", (alg.labels[0],) * 3)
+            rep.proven.clear()
+        return rep
+
+    monkeypatch.setattr(FiniteAlgebra, "verify_algebra", sweep)
+    with pytest.raises(IsoCheckFailed) as caught:
+        cotensor(B, A)
+    assert str(caught.value) == f"cotensor factors fail verification: ['{failed}']"
 
 
 def test_cotensor_rejects_unrelated_comodule():

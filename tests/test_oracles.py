@@ -18,7 +18,10 @@ over Q(zeta_L) are factored in house instead of by sympy.  A product
 table is composed from right multiplication by letters instead of
 normalizing every pair of label words, and the bosonization and the
 graded model come from that table instead of closed-form loops
-(``closed_forms``).  The old routes stay here as
+(``closed_forms``).  The cotensor's table comes from |S| n letter
+products in B tensor A instead of all n^2 (``all_pairs``), and a letter
+product with a stray term must fail its closure check.  The old routes
+stay here as
 oracles, three operation counts guard the cost on the dim-24 Z6 algebra
 of the pipeline benchmark, and a fourth guards the factoring of
 ``simple_modules`` on every ``PAIRS`` fixture.  Further counts guard the
@@ -62,6 +65,7 @@ from qlsmodcat.comodule import (
     trivial_coaction,
 )
 from qlsmodcat.cyclo import CycloNumber, context, zeta
+from qlsmodcat.errors import NotClosed
 from qlsmodcat.deformation import (
     BiGaloisRep,
     HopfCocycle,
@@ -85,6 +89,7 @@ from qlsmodcat.hopf import (
 from qlsmodcat.linalg import accumulate, pone, vec_addmul
 from qlsmodcat.rewrite import NormalFormEngine
 
+from all_pairs import all_pairs_cotensor
 from closed_forms import bosonization_mult, graded_model_mult
 from qls_fixtures import (
     clifford_z2_datum,
@@ -1377,6 +1382,117 @@ def test_extend_letters_multiplies_each_letter_chain_once(monkeypatch):
     # two letter powers, four chain steps over (1, 0), (0, 1), (1, 1) and
     # one group step per label
     assert counts == [2 + 4 + 24] * 4
+
+
+def _transport_case(ld, mcd=None):
+    """B, A and the ledger of a ``transport`` command: A is mcd's algebra
+    over B's left Hopf algebra, or without mcd the regular algebra of its
+    right one."""
+    proofs = CheckReport("proofs")
+    B = build_bigalois(ld, proofs)
+    A = (regular_coaction(B.right_hopf) if mcd is None
+         else build_A(mcd, B.left_hopf, proofs))
+    return B, A, proofs
+
+
+def _fixture_case(B, ld):
+    """B with the regular algebra of its right Hopf algebra, or with ld's
+    full-subgroup algebra, as ``_criterion_8_pairs`` transports them."""
+    A = (regular_coaction(B.right_hopf) if ld is None
+         else build_A(full_mcd(ld.datum)))
+    return B, A, None
+
+
+def _z8_regular():
+    Z8 = AbelianGroup((8,))
+    return _transport_case(LiftingDatum(
+        QlsDatum(Z8, [Z8.element((1,))], [Character(Z8, (1,))]), mu=[0]))
+
+
+def transport_cases() -> dict:
+    """Every transport of this module, every input variant of the bench's
+    transport slots and the dim-64 Z8 regular transport, each as a
+    function returning (B, A, ledger)."""
+    cases = {}
+    for name, ld, B in CONNECTING:
+        cases[f"{name}-regular"] = functools.partial(_fixture_case, B, None)
+        cases[f"{name}-full"] = functools.partial(_fixture_case, B, ld)
+    for slot in workloads.transport_slots():
+        for v, obj in enumerate(slot.variants):
+            _, ld, mcd = serialize.load_datum(obj)
+            cases[f"{slot.name}#{v}"] = functools.partial(_transport_case,
+                                                          ld, mcd)
+    cases["z8-regular"] = _z8_regular
+    return cases
+
+
+TRANSPORT_CASES = transport_cases()
+
+
+def test_transport_cases_cover_every_transport():
+    assert len(TRANSPORT_CASES) == 6 + 10 + 1
+    # the mixed Z6 pair of this module is the first mixed bench variant
+    B, A, proofs = TRANSPORT_CASES["mixed-z6t2-regular#0"]()
+    assert A.mult == MIXED[0].mult and A.coaction == MIXED[0].coaction
+    assert cotensor(B, A, proofs).mult == MIXED[1].mult
+
+
+def dumps(T) -> str:
+    return serialize.dumps_canonical(serialize.comodule_dump(T))
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_CASES))
+def test_the_letter_table_equals_all_pairs(name):
+    B, A, proofs = TRANSPORT_CASES[name]()
+    T = cotensor(B, A, proofs)
+    want = all_pairs_cotensor(B, A, proofs)
+    assert dumps(T) == dumps(want)
+
+
+@pytest.mark.parametrize("name, products", [("mixed-z6t2-regular#0", 72),
+                                            ("link-z222-sub#0", 64),
+                                            ("z8-regular", 128)])
+def test_cotensor_multiplies_each_letter_column_once(name, products,
+                                                     monkeypatch):
+    """|S| n products in B tensor A, not n^2: 3 x 24, 4 x 16 and 2 x 64.
+    T's own sweep multiplies in U tensor T, through ``hopf``, and is
+    guarded by the sweep counts."""
+    B, A, proofs = TRANSPORT_CASES[name]()
+    calls = []
+    multiply = deformation.pair_multiply
+
+    def counted(*args):
+        calls.append(1)
+        return multiply(*args)
+
+    monkeypatch.setattr(deformation, "pair_multiply", counted)
+    T = cotensor(B, A, proofs)
+    assert len(calls) == len(T.generators()) * T.dim == products
+
+
+def test_a_stray_term_in_a_letter_product_is_not_closed(tmp_path, monkeypatch,
+                                                        capsys):
+    """The first letter product of the mixed Z6 transport gains a term
+    outside the cotensor space, which its closure check must catch."""
+    multiply = deformation.pair_multiply
+    calls = []
+
+    def stray(first, second, x, y):
+        out = multiply(first, second, x, y)
+        calls.append(1)
+        if len(calls) == 1:
+            accumulate(out, (first.dim - 1, second.dim - 1), pone(first.L))
+        return out
+
+    monkeypatch.setattr(deformation, "pair_multiply", stray)
+    B, A, proofs = TRANSPORT_CASES["mixed-z6t2-regular#0"]()
+    with pytest.raises(NotClosed):
+        cotensor(B, A, proofs)
+    calls.clear()
+    code, err = _run_broken(tmp_path, monkeypatch, capsys, "mixed-z6t2-regular")
+    assert code == 2
+    assert err == ("verification failure: cotensor is not closed under the "
+                   "product\n")
 
 
 def _run_broken(tmp_path, monkeypatch, capsys, name):
