@@ -48,6 +48,11 @@ B tensor A, against the all-pairs loop it replaced
 representatives, on the dim-24 mixed Z6 and the dim-64 Z8 regular
 transports of the pipebench; both must give the same table.
 
+The cotensor's matching equation, ``linalg.left_kernel``, is timed as it
+runs, block by block, against one augmented elimination of all its rows
+(``tests/whole_kernel.py``), on the dim-24 mixed Z6 and the dim-64 Z8
+regular transports of the pipebench; both must give the same kernel key.
+
 ``check_simplicity`` is timed as it runs, with the leading-column
 certificate first, against its exact path, which eliminates the operator
 span (the certificate forced to fall short), on A and T of the dim-24
@@ -81,7 +86,8 @@ from pathlib import Path
 from statistics import median
 from time import perf_counter
 
-from qlsmodcat import classify, comodule, deformation, polyfactor, serialize
+from qlsmodcat import (classify, comodule, deformation, linalg, polyfactor,
+                       serialize)
 from qlsmodcat._kernel import pure
 from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.cyclo import (CycloNumber, _poly_trim, _poly_xgcd, context,
@@ -484,33 +490,42 @@ def run_associativity(reps):
 COTENSOR_REPS = 3
 
 
-def table_arguments(B, A) -> tuple:
-    """The arguments ``cotensor`` passes its table builder on B and A."""
+def first_arguments(module, name: str, B, A) -> tuple:
+    """The arguments of the first call ``cotensor`` makes on B and A to
+    module.name: ``deformation._cotensor_table`` gets the table builder's,
+    ``linalg.left_kernel`` the matching equation's (rows, ncols, L)."""
     seen = []
-    table = deformation._cotensor_table
+    fn = getattr(module, name)
 
     def recorded(*args):
         seen.append(args)
-        return table(*args)
+        return fn(*args)
 
-    deformation._cotensor_table = recorded
+    setattr(module, name, recorded)
     try:
         cotensor(B, A)
     finally:
-        deformation._cotensor_table = table
+        setattr(module, name, fn)
     return seen[0]
 
 
-def run_cotensor(reps):
+def oracle_module(name: str):
+    """tests/<name>.py, loaded by path: the oracles live with the tests."""
     spec = importlib.util.spec_from_file_location(
-        "all_pairs", ROOT / "tests" / "all_pairs.py")
-    oracle = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracle)
+        name, ROOT / "tests" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_cotensor(reps):
+    oracle = oracle_module("all_pairs")
     print(f"cotensor table, letters against all pairs, x {reps} reps")
     for label, ld in (("mixed Z6 transport", mixed_z6_lifting()),
                       ("Z8 regular transport", z8_lifting())):
         B = build_bigalois(ld)
-        args = table_arguments(B, comodule.regular_coaction(B.right_hopf))
+        args = first_arguments(deformation, "_cotensor_table", B,
+                               comodule.regular_coaction(B.right_hopf))
         t_letters, letters = time_calls(
             lambda: deformation._cotensor_table(*args), reps)
         t_pairs, pairs = time_calls(lambda: oracle.all_pairs_table(*args),
@@ -521,6 +536,27 @@ def run_cotensor(reps):
         print(f"  {name:32s} letters {t_letters * 1e3:7.1f}ms   "
               f"all pairs, {n * n:4d} products {t_pairs * 1e3:7.1f}ms "
               f"({t_pairs / t_letters:4.1f}x)")
+
+
+KERNEL_REPS = 3
+
+
+def run_left_kernel(reps):
+    oracle = oracle_module("whole_kernel")
+    print(f"matching equation, blocks against one elimination, x {reps} reps")
+    for label, ld in (("mixed Z6 transport", mixed_z6_lifting()),
+                      ("Z8 regular transport", z8_lifting())):
+        B = build_bigalois(ld)
+        args = first_arguments(linalg, "left_kernel", B,
+                               comodule.regular_coaction(B.right_hopf))
+        t_blocks, blocks = time_calls(lambda: linalg.left_kernel(*args), reps)
+        t_whole, whole = time_calls(lambda: oracle.whole_left_kernel(*args),
+                                    reps)
+        assert blocks.key() == whole.key(), f"{label}: the kernels differ"
+        name = f"{label} ({len(args[0])} rows)"
+        print(f"  {name:36s} blocks {t_blocks * 1e3:7.1f}ms   "
+              f"one elimination {t_whole * 1e3:7.1f}ms "
+              f"({t_whole / t_blocks:4.1f}x)")
 
 
 SIMPLICITY_REPS = 3
@@ -628,6 +664,7 @@ def main(argv=None):
     run_blocks(BLOCK_REPS)
     run_associativity(ASSOCIATIVITY_REPS)
     run_cotensor(COTENSOR_REPS)
+    run_left_kernel(KERNEL_REPS)
     run_simplicity(SIMPLICITY_REPS)
     run_startup(STARTUP_PROCESSES)
 

@@ -112,7 +112,9 @@ class _CodeLoader(SourceFileLoader):
                     data = f.read()
                     if data.startswith(key):
                         return marshal.loads(data[len(key):])
-        except (OSError, EOFError, ValueError, TypeError):
+        # marshal raises more than it documents on a damaged entry: a
+        # truncated code object with a garbage tail can give SystemError
+        except (OSError, EOFError, ValueError, TypeError, SystemError):
             pass
         code = self.source_to_code(source, path)
         _store(entry, key + marshal.dumps(code), 0o600)

@@ -11,12 +11,15 @@ output), so a number has exactly one pair.  ``mul`` relies on this: a
 factor whose pair is that of 1 or -1 returns the other factor or its
 negation as it stands, which is the pair the full product would
 normalize to.  Structure constants here are products of roots of unity,
-so most products in a table are by one of these two.
+so most products in a table are by one of these two.  A rational factor
+(every coordinate past the first zero) scales the other pair, with no
+convolution and no reduction.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import add as _add, neg as _neg, sub as _sub
 
 __all__ = [
     "BACKEND",
@@ -52,15 +55,12 @@ def norm_pair(nums, den):
 
 
 def is_zero(a):
-    for c in a[0]:
-        if c:
-            return False
-    return True
+    return not any(a[0])
 
 
 def neg(a):
     nums, den = a
-    return tuple(-c for c in nums), den
+    return tuple(map(_neg, nums)), den
 
 
 def add(a, b):
@@ -68,8 +68,8 @@ def add(a, b):
     bn, bd = b
     if ad == bd:
         if ad == 1:
-            return tuple(x + y for x, y in zip(an, bn)), 1
-        return norm_pair(tuple(x + y for x, y in zip(an, bn)), ad)
+            return tuple(map(_add, an, bn)), 1
+        return norm_pair(tuple(map(_add, an, bn)), ad)
     return norm_pair(tuple(x * bd + y * ad for x, y in zip(an, bn)), ad * bd)
 
 
@@ -78,8 +78,8 @@ def sub(a, b):
     bn, bd = b
     if ad == bd:
         if ad == 1:
-            return tuple(x - y for x, y in zip(an, bn)), 1
-        return norm_pair(tuple(x - y for x, y in zip(an, bn)), ad)
+            return tuple(map(_sub, an, bn)), 1
+        return norm_pair(tuple(map(_sub, an, bn)), ad)
     return norm_pair(tuple(x * bd - y * ad for x, y in zip(an, bn)), ad * bd)
 
 
@@ -122,6 +122,15 @@ def mul(a, b, red):
             return a
         if b == minus_one:
             return neg(a)
+    # a rational factor x/den scales the other pair: no convolution and
+    # no reduction, and the product of two integer pairs is canonical;
+    # the denominators enter only as ad * bd, so swapping nums is safe
+    if not any(bn[1:]):
+        an, bn = bn, an
+    if not any(an[1:]):
+        x = an[0]
+        nums = tuple([x * c for c in bn])
+        return (nums, 1) if ad == 1 and bd == 1 else norm_pair(nums, ad * bd)
     prod = [0] * (2 * d - 1)
     for i in range(d):
         x = an[i]

@@ -537,8 +537,9 @@ def _cotensor_core(B: BiGaloisRep, A: comodule.ComoduleAlgebra,
     """B cotensor A, for A coacted by B's right Hopf algebra; the result
     is coacted by B's left one.
 
-    The matching equation is solved as one kernel V, and rep_i is the
-    element of V that collapses to e_i of A.  T's cell (i, j) is
+    The matching equation's solutions form the kernel V, eliminated block
+    by block of rows that share columns (``linalg.left_kernel``), and
+    rep_i is the element of V that collapses to e_i of A.  T's cell (i, j) is
     collapse(rep_i rep_j), but only the products rep_s rep_j for the
     letters s of a generating set S of T are formed (``_cotensor_table``).
     That is still a proof that V is closed under every product, given

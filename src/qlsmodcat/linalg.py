@@ -36,11 +36,29 @@ def inv_pair(pair, L: int):
     return CycloNumber._make(L, pair).inv().raw()
 
 
+def _drop_zeros(out: dict, vec: dict) -> None:
+    """out += 0 * vec: drop the zero entries of out in vec's keys."""
+    for c in out.keys() & vec.keys():
+        if pis0(out[c]):
+            del out[c]
+
+
 def axpy_neg(out: dict, f, row: dict, red) -> None:
-    """In place: out -= f * row.  Zero entries are dropped."""
+    """In place: out -= f * row.  Zero entries are dropped.
+
+    f = 1 subtracts row's entries with no product, and f = 0 only drops
+    the zero entries of out in row's columns, as the sum would; every
+    path drops a zero or cancelled entry."""
+    if pis0(f):
+        _drop_zeros(out, row)
+        return
+    unit = f == units(len(f[0]))[0]
     for c, v in row.items():
         cur = out.get(c)
-        w = _K.neg(_K.mul(f, v, red)) if cur is None else _K.submul(cur, f, v, red)
+        if unit:
+            w = _K.neg(v) if cur is None else _K.sub(cur, v)
+        else:
+            w = _K.neg(_K.mul(f, v, red)) if cur is None else _K.submul(cur, f, v, red)
         if _K.is_zero(w):
             out.pop(c, None)
         else:
@@ -64,11 +82,17 @@ def accumulate(store: dict, key, pair) -> None:
 def vec_addmul(acc: dict, vec: dict, coef, red) -> None:
     """acc += coef * vec in place, dropping entries that cancel.
 
-    The body of ``accumulate`` is inlined: this loop runs inside every
-    product of the axiom sweeps.
+    coef = 1 adds vec's entries with no product, and coef = 0 only drops
+    the zero entries of acc in vec's keys, as the sum would; a zero entry
+    of vec is never stored.  The body of ``accumulate`` is inlined: this
+    loop runs inside every product of the axiom sweeps.
     """
+    if pis0(coef):
+        _drop_zeros(acc, vec)
+        return
+    unit = coef == units(len(coef[0]))[0]
     for k, v in vec.items():
-        term = pmul(coef, v, red)
+        term = v if unit else pmul(coef, v, red)
         cur = acc.get(k)
         cur = term if cur is None else padd(cur, term)
         if pis0(cur):
@@ -197,36 +221,75 @@ def rank(vectors, L: int) -> int:
 
 
 def _augmented(rows, ncols: int, L: int) -> Subspace:
-    """Echelon form of the rows, row i extended by 1 in column ncols + i."""
+    """Echelon form of the (i, row) pairs, row i extended by 1 in column
+    ncols + i."""
     one = pone(L)
     sp = Subspace(L)
-    for i, r in enumerate(rows):
+    for i, r in rows:
         aug = dict(r)
         aug[ncols + i] = one
         sp.insert(aug)
     return sp
 
 
+def _blocks(rows) -> list:
+    """The row indices grouped into connected blocks: two rows share a
+    block when a chain of rows, each sharing a column with the next, joins
+    them.  Blocks come in the order of their first rows, each ascending."""
+    parent = list(range(len(rows)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    owner: dict = {}
+    for i, r in enumerate(rows):
+        for c in r:
+            j = owner.setdefault(c, i)
+            if j != i:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    blocks: dict = {}
+    for i in range(len(rows)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
 def left_kernel(rows, ncols: int, L: int) -> Subspace:
     """The subspace {c : sum_i c_i rows_i = 0}, over the row indices.
 
-    The echelon rows of the augmented rows whose leading column is in the
-    augmented block are zero in every other pivot column, so shifted they
-    are already the kernel's reduced row echelon form, and each insert
-    below only appends a row.
+    Rows that share no column, even through other rows, cannot cancel each
+    other, so the kernel is the direct sum of the kernels of the row
+    blocks (``_blocks``): e_i for an empty row, nothing for a lone nonzero
+    row, and for a larger block the augmented elimination of its rows
+    alone.  The echelon rows of the augmented rows whose leading column is
+    in the augmented block are zero in every other pivot column, so
+    shifted they are already the block kernel's reduced row echelon form.
+    Kernel rows of different blocks have disjoint supports, so inserted in
+    pivot order they are the canonical form of the whole kernel, and each
+    insert below only appends a row.
     """
-    sp = _augmented(rows, ncols, L)
+    one = pone(L)
+    found = []
+    for block in _blocks(rows):
+        if len(block) > 1:
+            sp = _augmented(((i, rows[i]) for i in block), ncols, L)
+            found += [{c - ncols: v for c, v in row.items()}
+                      for piv, row in zip(sp.pivots, sp.rows) if piv >= ncols]
+        elif all(map(pis0, rows[block[0]].values())):
+            found.append({block[0]: one})
     kern = Subspace(L)
-    for piv, row in zip(sp.pivots, sp.rows):
-        if piv >= ncols:
-            kern.insert({c - ncols: v for c, v in row.items()})
+    for vec in sorted(found, key=min):
+        kern.insert(vec)
     return kern
 
 
 def solve(rows, targets, ncols: int, L: int) -> list:
     """For each target, the coefficients c with sum_i c_i rows_i == target,
     or None; every target is reduced against one elimination of the rows."""
-    sp = _augmented(rows, ncols, L)
+    sp = _augmented(enumerate(rows), ncols, L)
     out = []
     for target in targets:
         res = sp.reduce(target)

@@ -222,15 +222,27 @@ def berlekamp(f, p: int) -> list:
 
 
 def _split_p(f, basis, p: int) -> list:
-    """The monic irreducible factors of f mod p, from its Berlekamp basis:
-    each factor is the product of its gcds with v - c over c in Z/p."""
+    """The monic irreducible factors of f mod p, from its Berlekamp basis.
+
+    For v in the Berlekamp algebra of a factor u, u is the product of its
+    gcds with v - c over c in Z/p, so the scan of c stops once the gcds
+    found add up to the degree of u: the c left give only constants.
+    """
     factors = [f]
     for v in basis[1:]:
         if len(factors) == len(basis):
             break
-        factors = [g for u in factors
-                   for g in (_xgcd_p(u, _add_mod(v, [-c], p), p)[0] for c in range(p))
-                   if len(g) > 1]
+        split = []
+        for u in factors:
+            left = len(u) - 1
+            for c in range(p):
+                g = _xgcd_p(u, _add_mod(v, [-c], p), p)[0]
+                if len(g) > 1:
+                    split.append(g)
+                    left -= len(g) - 1
+                    if not left:
+                        break
+        factors = split
     return factors
 
 

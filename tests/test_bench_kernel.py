@@ -22,7 +22,7 @@ import bench_kernel  # noqa: E402
 @pytest.mark.parametrize("loop", ["run_sweeps", "run_connecting",
                                   "run_factoring", "run_blocks",
                                   "run_associativity", "run_cotensor",
-                                  "run_startup"])
+                                  "run_left_kernel", "run_startup"])
 def test_bench_kernel_loop_runs(loop, capsys):
     getattr(bench_kernel, loop)(1)
     assert capsys.readouterr().out

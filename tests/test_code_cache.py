@@ -240,6 +240,25 @@ def test_a_broken_entry_is_recompiled_and_replaced(tmp_path, compiles):
     assert compiles == []
 
 
+def test_an_entry_marshal_fails_on_is_recompiled(tmp_path, compiles,
+                                                 monkeypatch):
+    """A damaged entry can make marshal raise SystemError, which it does
+    not document (a truncated code object with a garbage tail of
+    ``_kernel.pure`` did): the loader compiles again, as on any miss."""
+    real = _get_code("qlsmodcat.errors")
+
+    class Damaged:
+        dumps = staticmethod(marshal.dumps)
+
+        @staticmethod
+        def loads(data):
+            raise SystemError("bad argument to internal function")
+
+    monkeypatch.setattr(qlsmodcat, "marshal", Damaged)
+    assert _get_code("qlsmodcat.errors") == real
+    assert compiles == ["errors.py"] * 2
+
+
 def test_an_unwritable_cache_directory_costs_only_the_compile(tmp_path):
     datum = tmp_path / "datum.json"
     datum.write_text(DATUM)

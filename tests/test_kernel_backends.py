@@ -102,19 +102,23 @@ def test_lanes_agree_on_random_operations(speedups):
 
 # Structure constants are products of roots of unity, so most operands the
 # CLI multiplies are 1 or -1; pure.mul returns the other factor for those
-# without running the product.  The pool below reaches that path on every
-# conductor, next to roots of unity, rationals and random pairs.
-POOL_CONDUCTORS = (1, 3, 4, 8, 12)
+# without running the product, and scales the other factor by a rational
+# one without the convolution.  The pool below reaches those paths on
+# every conductor (degree 1 included, where every operand is rational),
+# next to roots of unity and random pairs.
+POOL_CONDUCTORS = (1, 2, 3, 4, 6, 8, 12)
+RATIONALS = ((1, 1), (-1, 1), (0, 1), (2, 1), (-6, 1), (1, 2), (-3, 4),
+             (5, 3), (-1, 7))
 
 
 def _operand_pool(L, rng):
     ctx = context(L)
     d = ctx.degree
-    pool = [((0,) * d, 1)]
+    pool = []
     for nums in ctx.zeta_pows:
         pool.append((nums, 1))
         pool.append(pure.neg((nums, 1)))
-    for p, q in ((1, 2), (-3, 4), (5, 1), (-1, 7)):
+    for p, q in RATIONALS:
         pool.append(pure.norm_pair((p,) + (0,) * (d - 1), q))
     for _ in range(8):
         pool.append(pure.norm_pair(
@@ -123,7 +127,8 @@ def _operand_pool(L, rng):
 
 
 def _generic_mul(a, b, red):
-    """The product loop and normalization, with no shortcut for 1 or -1."""
+    """The product loop and normalization, with no shortcut for 1, -1 or
+    a rational factor."""
     an, ad = a
     bn, bd = b
     d = len(an)
@@ -137,17 +142,32 @@ def _generic_mul(a, b, red):
     return pure.norm_pair(tuple(prod[:d]), ad * bd)
 
 
+def _generic_add(a, b, sign=1):
+    """a + sign * b over the common denominator, then normalized."""
+    (an, ad), (bn, bd) = a, b
+    return pure.norm_pair(
+        tuple(x * bd + sign * y * ad for x, y in zip(an, bn)), ad * bd)
+
+
+def _generic_neg(a):
+    return pure.norm_pair(tuple(-c for c in a[0]), a[1])
+
+
 @pytest.mark.parametrize("L", POOL_CONDUCTORS)
 def test_pure_products_match_the_generic_product(L):
     red = context(L).reduction
     rng = random.Random(L)
     pool = _operand_pool(L, rng)
     for a in pool:
+        assert pure.neg(a) == _generic_neg(a)
+        assert pure.is_zero(a) == all(c == 0 for c in a[0])
         for b in pool:
             assert pure.mul(a, b, red) == _generic_mul(a, b, red)
+            assert pure.add(a, b) == _generic_add(a, b)
+            assert pure.sub(a, b) == _generic_add(a, b, -1)
             f = rng.choice(pool)
-            assert pure.submul(a, f, b, red) == pure.sub(
-                a, _generic_mul(f, b, red))
+            assert pure.submul(a, f, b, red) == _generic_add(
+                a, _generic_mul(f, b, red), -1)
 
 
 @pytest.mark.parametrize("L", POOL_CONDUCTORS)

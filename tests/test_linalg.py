@@ -29,6 +29,8 @@ from qlsmodcat.linalg import (
     vec_addmul,
 )
 
+from whole_kernel import whole_left_kernel
+
 L = 4
 D = context(L).degree
 
@@ -178,6 +180,46 @@ def test_vec_addmul_matches_dense_sum(acc_terms, vec_terms, coef):
     assert acc == _sparse(acc_terms + scaled)
 
 
+# The loops below skip the product for the coefficient 1, and vec_addmul
+# and axpy_neg do no arithmetic for 0.  A vector read from an artifact may
+# hold explicit zero entries, and so may a copy of one that is being
+# reduced; no path may store a zero, and a zero already held in a column
+# of the added vector goes, as the plain sum would drop it.
+ZERO, ONE = CycloNumber.zero(L), CycloNumber.one(L)
+fast_coefs = st.one_of(st.just(ONE), st.just(ZERO), scalars)
+with_zeros = st.dictionaries(st.integers(0, 3), st.one_of(st.just(ZERO), scalars),
+                             max_size=5)
+
+
+def _with_held_zeros(terms, vec: dict, keys) -> dict:
+    """The sum of terms, plus explicit zeros at the keys of vec it lacks."""
+    out = _sparse(terms)
+    for k in keys:
+        if k in vec and k not in out:
+            out[k] = ZERO.raw()
+    return out
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), scalars), max_size=6),
+       with_zeros, fast_coefs, st.sets(st.integers(0, 3)))
+def test_vec_addmul_fast_paths_match_dense_sum(acc_terms, vec, coef, zeros):
+    acc = _with_held_zeros(acc_terms, vec, zeros)
+    vec_addmul(acc, {k: c.raw() for k, c in vec.items()}, coef.raw(),
+               context(L).reduction)
+    assert _no_zero_entries(acc)
+    assert acc == _sparse(acc_terms + [(k, coef * c) for k, c in vec.items()])
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), scalars), max_size=6),
+       with_zeros, fast_coefs, st.sets(st.integers(0, 3)))
+def test_axpy_neg_fast_paths_match_dense_sum(out_terms, row, f, zeros):
+    out = _with_held_zeros(out_terms, row, zeros)
+    axpy_neg(out, f.raw(), {k: c.raw() for k, c in row.items()},
+             context(L).reduction)
+    assert _no_zero_entries(out)
+    assert out == _sparse(out_terms + [(k, -(f * c)) for k, c in row.items()])
+
+
 pair_keys = st.tuples(st.integers(0, 1), st.integers(0, 1))
 
 
@@ -203,9 +245,25 @@ def algebra_pairs(draw):
     return first, second, x, y
 
 
-@given(algebra_pairs())
-def test_pair_multiply_matches_dense_sum(case):
-    first, second, x, y = case
+@st.composite
+def unit_heavy_pairs(draw):
+    """As ``algebra_pairs``, but every coefficient and table entry is 1,
+    0 or a scalar, and zeros are kept as explicit entries."""
+    coefs = fast_coefs.map(lambda c: c.raw())
+    cells = st.dictionaries(st.integers(0, 1), coefs, min_size=1, max_size=2)
+    unit = {0: pone(L)}
+
+    def table():
+        return draw(st.dictionaries(pair_keys, cells, max_size=4))
+
+    first = FiniteAlgebra(["a", "b"], L, table(), unit)
+    second = FiniteAlgebra(["c", "d"], L, table(), unit)
+    x = draw(st.dictionaries(pair_keys, coefs, max_size=4))
+    y = draw(st.dictionaries(pair_keys, coefs, max_size=4))
+    return first, second, x, y
+
+
+def _check_pair_product(first, second, x, y) -> None:
     out = pair_multiply(first, second, x, y)
     assert _no_zero_entries(out)
 
@@ -220,6 +278,16 @@ def test_pair_multiply_matches_dense_sum(case):
                     terms.append(((m1, m2),
                                   cyc(c1) * cyc(c2) * cyc(d1) * cyc(d2)))
     assert out == _sparse(terms)
+
+
+@given(algebra_pairs())
+def test_pair_multiply_matches_dense_sum(case):
+    _check_pair_product(*case)
+
+
+@given(unit_heavy_pairs())
+def test_pair_multiply_fast_paths_match_dense_sum(case):
+    _check_pair_product(*case)
 
 
 def _leg_loop(vec: dict, leg: int, images, M: int) -> dict:
@@ -387,6 +455,67 @@ def test_left_kernel_is_the_kernel_in_canonical_form(case):
              for i, v in enumerate(permuted)]
     assert span(kern.rows, L).key() == kern.key()
     assert span(other, L).key() == kern.key()
+
+
+WIDTH = 3  # columns of each group in ``block_systems``
+
+
+@st.composite
+def block_systems(draw):
+    """Rows at conductor 1, 2, 4, 6 or 8 over up to four groups of WIDTH
+    columns, drawn in any order: empty rows, lone rows on columns of
+    their own, rows on one group's columns, scaled copies of earlier rows
+    and rows bridging two groups, so blocks interleave and share columns."""
+    M = draw(st.sampled_from([1, 2, 4, 6, 8]))
+    scal = st.builds(lambda n, d, k: (zeta(M, k) * Fraction(n, d)).raw(),
+                     st.integers(-2, 2).filter(bool), st.sampled_from([1, 2]),
+                     st.integers(0, M - 1))
+    groups = draw(st.integers(1, 4))
+
+    def on(cols):
+        return {c: draw(scal) for c in cols}
+
+    def group_row(g):
+        cols = draw(st.lists(st.integers(0, WIDTH - 1), min_size=1,
+                             max_size=WIDTH, unique=True))
+        return on(g * WIDTH + c for c in cols)
+
+    rows: list = []
+    fresh = groups * WIDTH
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["empty", "lone", "group", "group",
+                                     "copy", "bridge"]))
+        if kind == "empty":
+            rows.append({})
+        elif kind == "lone":
+            width = draw(st.integers(1, 2))
+            rows.append(on(range(fresh, fresh + width)))
+            fresh += width
+        elif kind == "copy" and rows:
+            f = draw(scal)
+            red = context(M).reduction
+            rows.append({c: _K.mul(f, v, red)
+                         for c, v in draw(st.sampled_from(rows)).items()})
+        elif kind == "bridge" and groups > 1:
+            g, h = draw(st.lists(st.integers(0, groups - 1), min_size=2,
+                                 max_size=2, unique=True))
+            rows.append({**group_row(g), **group_row(h)})
+        else:
+            rows.append(group_row(draw(st.integers(0, groups - 1))))
+    return M, rows, fresh
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_systems())
+def test_block_kernel_equals_the_whole_elimination(case):
+    """Block by block, the kernel has the rows, pivots and key of one
+    augmented elimination of all the rows."""
+    M, rows, ncols = case
+    got = left_kernel(rows, ncols, M)
+    want = whole_left_kernel(rows, ncols, M)
+    assert got.rows == want.rows
+    assert got.pivots == want.pivots
+    assert got.key() == want.key()
 
 
 class _UnwalkableRows(list):

@@ -20,7 +20,9 @@ normalizing every pair of label words, and the bosonization and the
 graded model come from that table instead of closed-form loops
 (``closed_forms``).  The cotensor's table comes from |S| n letter
 products in B tensor A instead of all n^2 (``all_pairs``), and a letter
-product with a stray term must fail its closure check.  The old routes
+product with a stray term must fail its closure check.  Its matching
+equation is solved block by block instead of as one elimination
+(``whole_kernel``).  The old routes
 stay here as
 oracles, three operation counts guard the cost on the dim-24 Z6 algebra
 of the pipeline benchmark, and a fourth guards the factoring of
@@ -103,6 +105,7 @@ from qls_fixtures import (
 from test_acceptance import full_mcd
 from test_classify import sampled_members
 from test_polyfactor import same_factors, squarefree
+from whole_kernel import whole_left_kernel
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "pipebench"))
 import workloads  # noqa: E402
@@ -1468,6 +1471,40 @@ def test_cotensor_multiplies_each_letter_column_once(name, products,
     monkeypatch.setattr(deformation, "pair_multiply", counted)
     T = cotensor(B, A, proofs)
     assert len(calls) == len(T.generators()) * T.dim == products
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_CASES))
+def test_the_block_kernel_gives_the_whole_kernels_algebra(name, monkeypatch):
+    """The matching equation solved block by block gives the same space,
+    and so the same T byte for byte, as one elimination of all its rows."""
+    B, A, proofs = TRANSPORT_CASES[name]()
+    T = cotensor(B, A, proofs)
+    monkeypatch.setattr(linalg, "left_kernel", whole_left_kernel)
+    assert dumps(T) == dumps(cotensor(B, A, proofs))
+
+
+def test_the_matching_equation_eliminates_only_its_blocks(monkeypatch):
+    """On the bench's dim-24 mixed Z6 transport the matching equation has
+    576 rows, of which 72 lie in blocks of two or more: 72 augmented
+    inserts and 24 kernel rows, against 576 + 24 for one elimination."""
+    B, A, proofs = TRANSPORT_CASES["mixed-z6t2-regular#0"]()
+    seen = []
+    kernel_of = linalg.left_kernel
+    monkeypatch.setattr(linalg, "left_kernel",
+                        lambda *args: seen.append(args) or kernel_of(*args))
+    cotensor(B, A, proofs)
+    rows, ncols, L = seen[0]
+    calls = []
+    insert = linalg.Subspace.insert
+
+    def counted(self, vec):
+        calls.append(1)
+        return insert(self, vec)
+
+    monkeypatch.setattr(linalg.Subspace, "insert", counted)
+    assert kernel_of(rows, ncols, L).dim == 24
+    assert len(rows) == 24 * 24
+    assert len(calls) <= 96
 
 
 def test_a_stray_term_in_a_letter_product_is_not_closed(tmp_path, monkeypatch,

@@ -7,6 +7,7 @@ factors are compared with the expected ones as sets."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -184,3 +185,59 @@ def test_conjugation_is_the_automorphism_zeta_to_zeta_a():
         sx, sy = conjugate(x, a), conjugate(y, a)
         assert conjugate(x * y, a) == sx * sy
         assert conjugate(x + y, a) == sx + sy
+
+
+def _full_scan_split(f, basis, p: int) -> list:
+    """Berlekamp's split with every c in Z/p tried for every factor u."""
+    factors = [f]
+    for v in basis[1:]:
+        if len(factors) == len(basis):
+            break
+        factors = [g for u in factors
+                   for g in (polyfactor._xgcd_p(u, polyfactor._add_mod(v, [-c], p), p)[0]
+                             for c in range(p))
+                   if len(g) > 1]
+    return factors
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_the_split_stops_early_with_the_full_scans_factors(p):
+    """On seeded random monic polynomials squarefree mod p, the early exit
+    returns the full scan's factors in the same order, and they multiply
+    back to f."""
+    rng = random.Random(p)
+    most = 0
+    for _ in range(60):
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 9))] + [1]
+        if len(polyfactor._xgcd_p(f, polyfactor.derivative(f), p)[0]) > 1:
+            continue
+        basis = polyfactor.berlekamp(f, p)
+        got = polyfactor._split_p(f, basis, p)
+        assert got == _full_scan_split(f, basis, p)
+        assert len(got) == len(basis)
+        back = [1]
+        for g in got:
+            back = polyfactor._mul_mod(back, g, p)
+        assert back == f
+        most = max(most, len(got))
+    assert most >= 3
+
+
+@pytest.mark.parametrize("coeffs, calls", [
+    ([-1, 0, 2, 0, -2, 0, 1], 72),   # 133 with every c scanned
+    ([1, 0, 0, 0, 0, 0, 1], 28),     # 34
+])
+def test_the_mixed_transports_polynomials_split_with_few_gcds(
+        coeffs, calls, monkeypatch):
+    """The two minimal polynomials the bench's dim-24 mixed Z6 transport
+    factors, at conductor 6: the ``_xgcd_p`` calls of one ``factor``."""
+    counted = []
+    xgcd = polyfactor._xgcd_p
+
+    def counting(*args):
+        counted.append(1)
+        return xgcd(*args)
+
+    monkeypatch.setattr(polyfactor, "_xgcd_p", counting)
+    polyfactor.factor(coeffs, 6)
+    assert len(counted) <= calls
