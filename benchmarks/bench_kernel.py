@@ -61,21 +61,26 @@ on the 198 algebras ``classify --sample 0,1`` builds over Z4 with three
 generators and q = -1; both must give the same verdicts and operator
 dims.
 
-Start-up is timed on fresh processes, as the CLI runs each command, with
-``PYTHONDONTWRITEBYTECODE=1``: ``qlsmodcat validate`` of a bare datum
-and the pipebench's set-up probe, each against empty cache directories
-(every module compiled) and then against a warm one (every module loaded
-from the code cache).
+Start-up is timed on fresh processes, as the CLI runs each command:
+``qlsmodcat transport`` of the dim-8 root lifting and the pipebench's
+set-up probe, on a copy of the package in three layouts (no __pycache__
+under ``PYTHONDONTWRITEBYTECODE=1``, as the pipebench runs; a compiled
+__pycache__ under it, as ``pip install`` leaves one; a compiled
+__pycache__ without it), each against empty cache directories and then
+against a warm one.  Under the flag a module with no valid bytecode is
+compiled into the code cache once and loaded from it after.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import compileall
 import importlib.util
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -614,34 +619,54 @@ def pipebench_probe() -> str:
     return ast.literal_eval(value)
 
 
+# ROADMAP item 20's layouts of the package: (name, a compiled __pycache__,
+# PYTHONDONTWRITEBYTECODE set)
+STARTUP_LAYOUTS = (("no __pycache__, no bytecode written", False, True),
+                   ("__pycache__, no bytecode written", True, True),
+                   ("__pycache__, bytecode written", True, False))
+# the dim-8 root lifting (Z4, q = -1, mu = 1) of the pipebench transports
+ROOT_Z4 = {"group": {"orders": [4]}, "g": [[1]], "chi": [[2]],
+           "lifting": {"mu": [1], "lambda": []}}
+
+
 def run_startup(reps):
     """Wall time of fresh processes, at most STARTUP_PROCESSES a case."""
     reps = min(reps, STARTUP_PROCESSES)
-    print(f"start-up, fresh processes writing no bytecode, x {reps} each")
+    print(f"start-up, fresh processes, x {reps} each")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         datum = tmp / "datum.json"
-        datum.write_text(json.dumps({"group": {"orders": [2]},
-                                     "g": [[1]], "chi": [[1]]}))
+        datum.write_text(json.dumps(ROOT_Z4))
+        commands = (("transport", ["-m", "qlsmodcat.cli", "transport",
+                                   str(datum), "--out", str(tmp / "out.json")]),
+                    ("set-up probe", ["-c", pipebench_probe()]))
+        for n, (layout, compiled, no_bytecode) in enumerate(STARTUP_LAYOUTS):
+            src = tmp / f"src-{n}"
+            shutil.copytree(ROOT / "src" / "qlsmodcat", src / "qlsmodcat",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            if compiled:
+                compileall.compile_dir(src / "qlsmodcat", quiet=1)
+            env = dict(os.environ, PYTHONPATH=str(src))
+            env.pop("PYTHONDONTWRITEBYTECODE", None)
+            if no_bytecode:
+                env["PYTHONDONTWRITEBYTECODE"] = "1"
 
-        def wall(argv, cache):
-            env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                       PYTHONPATH=str(ROOT / "src"),
-                       QLSMODCAT_CACHE_DIR=str(cache))
-            t0 = perf_counter()
-            subprocess.run([sys.executable, *argv], env=env, check=True,
-                           stdout=subprocess.DEVNULL)
-            return perf_counter() - t0
+            def wall(argv, cache):
+                t0 = perf_counter()
+                subprocess.run([sys.executable, *argv], check=True,
+                               env=dict(env, QLSMODCAT_CACHE_DIR=str(cache)),
+                               stdout=subprocess.DEVNULL,
+                               stderr=subprocess.DEVNULL)
+                return perf_counter() - t0
 
-        for label, argv in (
-                ("validate", ["-m", "qlsmodcat.cli", "validate", str(datum)]),
-                ("set-up probe", ["-c", pipebench_probe()])):
-            caches = [tmp / f"{label}-{i}" for i in range(reps)]
-            empty = [wall(argv, cache) for cache in caches]
-            # the last empty directory is warm now
-            warm = [wall(argv, caches[-1]) for _ in range(reps)]
-            print(f"  {label:14s} empty cache {median(empty) * 1e3:6.1f}ms   "
-                  f"warm cache {median(warm) * 1e3:6.1f}ms")
+            print(f"  {layout}")
+            for label, argv in commands:
+                caches = [tmp / f"cache-{n}-{label}-{i}" for i in range(reps)]
+                empty = [wall(argv, cache) for cache in caches]
+                # the last empty directory is warm now
+                warm = [wall(argv, caches[-1]) for _ in range(reps)]
+                print(f"    {label:14s} empty cache {median(empty) * 1e3:6.1f}ms"
+                      f"   warm cache {median(warm) * 1e3:6.1f}ms")
 
 
 def main(argv=None):

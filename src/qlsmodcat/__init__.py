@@ -4,6 +4,7 @@ import importlib.util
 import json
 import marshal
 import os
+import stat
 import sys
 from importlib.machinery import PathFinder, SourceFileLoader
 from pathlib import Path
@@ -51,15 +52,40 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "qlsmodcat"
 
 
-def _store(path: Path, data: bytes, mode: int = 0o666) -> None:
-    """Write a cache entry with permissions mode (less the umask) through
-    a temporary file, so a reader never sees half an entry.  An entry
-    that cannot be written is not stored."""
+def _private(st: os.stat_result) -> bool:
+    """Whether only this user, and root, can change what st describes."""
+    return st.st_uid == os.getuid() and not st.st_mode & 0o022
+
+
+def _read_private(path: Path) -> bytes | None:
+    """The bytes of the cache entry at path, or None unless it is a regular
+    file that only this user can change (``_private``).  The entry is
+    opened without blocking, so a FIFO in its place is a miss, not a
+    hang."""
+    try:
+        with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as f:
+            st = os.fstat(f.fileno())
+            if stat.S_ISREG(st.st_mode) and _private(st):
+                return f.read()
+    except OSError:
+        pass
+    return None
+
+
+def _store(path: Path, data: bytes) -> None:
+    """Write a cache entry, readable and writable by this user only,
+    through a temporary file, so a reader never sees half an entry.  The
+    temporary file is created afresh: anything already at its name, a
+    symlink included, is left alone and the entry is not stored, as is
+    an entry that cannot be written."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, mode),
-                  "wb") as f:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
     except OSError:
@@ -69,34 +95,31 @@ def _store(path: Path, data: bytes, mode: int = 0o666) -> None:
             pass
 
 
-def _private(st: os.stat_result) -> bool:
-    """Whether only this user, and root, can change what st describes."""
-    return st.st_uid == os.getuid() and not st.st_mode & 0o022
-
-
 class _CodeLoader(SourceFileLoader):
     """A package module's code, compiled only the first time its exact
     source is seen.
 
-    Every process is fresh and may write no __pycache__, so the compiled
-    code goes to the cache directory's code/ instead.  An entry is keyed
-    by the bytecode magic number, the optimize flag (-O code has no
+    Python's own ``get_code`` reads a valid __pycache__ first and calls
+    ``source_to_code`` only on a miss; a process that may write no
+    bytecode would then compile on every run, so this compile step goes
+    through the cache directory's code/ instead.  An entry is keyed by
+    the bytecode magic number, the optimize flag (-O code has no
     asserts), the resolved source path (a traceback names the file that
     ran) and the source's hash, and begins with that key.  Anything else
     in its place, unreadable, truncated or garbage, is a miss.
 
     The key is public, so an entry is code that runs only when no one
-    else could have written it: code/ (made 0700) and the entry must
-    belong to this user and be writable by neither group nor others.
-    Otherwise code/ is neither read nor written.
+    else could have written it: code/ (made 0700) and the entry
+    (``_read_private``) must belong to this user and be writable by
+    neither group nor others.  Otherwise code/ is neither read nor
+    written.
     """
 
-    def get_code(self, fullname):
-        path = os.path.realpath(self.get_filename(fullname))
-        source = self.get_data(path)
+    def source_to_code(self, data, path):
+        path = os.path.realpath(path)
         key = b"%b%d\0%b\0%b" % (
             importlib.util.MAGIC_NUMBER, sys.flags.optimize,
-            os.fsencode(path), importlib.util.source_hash(source))
+            os.fsencode(path), importlib.util.source_hash(data))
         try:
             code_dir = _cache_dir() / "code"
             code_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -104,27 +127,26 @@ class _CodeLoader(SourceFileLoader):
         except (RuntimeError, OSError):  # no home directory, or no code/
             private = False
         if not private:
-            return self.source_to_code(source, path)
-        entry = code_dir / f"{fullname}.{importlib.util.source_hash(key).hex()}"
-        try:
-            with open(entry, "rb") as f:
-                if _private(os.fstat(f.fileno())):
-                    data = f.read()
-                    if data.startswith(key):
-                        return marshal.loads(data[len(key):])
-        # marshal raises more than it documents on a damaged entry: a
-        # truncated code object with a garbage tail can give SystemError
-        except (OSError, EOFError, ValueError, TypeError, SystemError):
-            pass
-        code = self.source_to_code(source, path)
-        _store(entry, key + marshal.dumps(code), 0o600)
+            return super().source_to_code(data, path)
+        entry = code_dir / f"{self.name}.{importlib.util.source_hash(key).hex()}"
+        stored = _read_private(entry)
+        if stored is not None and stored.startswith(key):
+            try:
+                return marshal.loads(stored[len(key):])
+            # marshal raises more than it documents on a damaged entry: a
+            # truncated code object with a garbage tail can give SystemError
+            except (EOFError, ValueError, TypeError, SystemError):
+                pass
+        code = super().source_to_code(data, path)
+        _store(entry, key + marshal.dumps(code))
         return code
 
 
 class _CodeFinder:
     """Gives each qlsmodcat.* module that has a plain source loader a
     _CodeLoader while Python may write no bytecode (-B or
-    PYTHONDONTWRITEBYTECODE); otherwise __pycache__ is the cache.  Other
+    PYTHONDONTWRITEBYTECODE); otherwise, and for every module with valid
+    bytecode, __pycache__ is the cache.  Other
     packages, and a built kernel extension, are left to the finders
     after it."""
 

@@ -11,9 +11,9 @@ checksum still matches.
 A hit is answered before the input is parsed, so it loads no layer of
 the engine; every miss parses and validates the input in full.
 The cache directory (``qlsmodcat._cache_dir``) also holds the package's
-compiled code under code/, which the package root reads and writes for
-every process that may write no bytecode; --no-cache skips the build
-results only.
+compiled code under code/, which the package root reads and writes in a
+process that may write no bytecode, for each module that has no valid
+bytecode in __pycache__; --no-cache skips the build results only.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__, _cache_dir, _lazy, _store, dumps_canonical
+from . import (__version__, _cache_dir, _lazy, _read_private, _store,
+               dumps_canonical)
 from .errors import (
     CocycleInvalid,
     ConfluenceFailure,
@@ -165,12 +166,15 @@ def _cache_get(key: str):
 
     The text is cut out of the entry and served as it stands when the
     entry is exactly _entry(text), checksum included; it is decoded once,
-    for the summary line.  Any other entry is a miss.
+    for the summary line.  Any other entry is a miss, and so is one that
+    someone else could have written (``_read_private``).
     """
-    path = _cache_dir() / f"{key}.json"
+    data = _read_private(_cache_dir() / f"{key}.json")
+    if data is None:
+        return None
     try:
-        stored = path.read_text()
-    except (OSError, ValueError):
+        stored = data.decode()
+    except ValueError:
         return None
     text = stored[_TEXT_START:-1]
     if stored != _entry(text):

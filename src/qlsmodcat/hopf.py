@@ -13,11 +13,12 @@ against the two table classes defined here.
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import _lazy, linalg
 from ._kernel import add as padd, is_zero as pis0, mul as pmul
 from .cyclo import CycloNumber, context
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, SizeBound, ValidationError
 from .groups import AbelianGroup, Character, GroupElement
 from .linalg import through, vec_addmul
 
@@ -642,9 +643,21 @@ class QlsDatum:
         self.validate().require(ValidationError, "invalid datum")
 
 
+# Every table a command builds has a basis from monomial_labels, so this
+# bounds each build before it starts.  build-hopf of the Z32 bosonization
+# (dim 1,024) takes 15-16 s and 605 MB (pure lane, shared 2-vCPU VM); Z64's
+# (dim 4,096) ran out of 1 GiB of address space within 10 s.
+MAX_TABLE_DIM = 1024
+
+
 def monomial_labels(heights, elements) -> list:
     """Basis labels (r, g): exponent tuples r with r[a] < heights[a], by
-    total degree and then lexicographically, each with every element g."""
+    total degree and then lexicographically, each with every element g
+    of a group or subgroup.  A basis past MAX_TABLE_DIM is a SizeBound."""
+    dim = math.prod(heights) * elements.order
+    if dim > MAX_TABLE_DIM:
+        raise SizeBound(f"table dimension {dim} exceeds the ceiling "
+                        f"{MAX_TABLE_DIM}")
     rs = sorted(itertools.product(*[range(n) for n in heights]),
                 key=lambda r: (sum(r), r))
     gs = sorted(elements, key=lambda e: e.exps)

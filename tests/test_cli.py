@@ -7,6 +7,7 @@ import json
 import os
 import resource
 import shutil
+import stat
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.comodule import ModCatDatum
 from qlsmodcat.deformation import LiftingDatum, build_bigalois
 from qlsmodcat.groups import Subgroup
-from qlsmodcat.hopf import CheckReport, verify_coaction
+from qlsmodcat.hopf import MAX_TABLE_DIM, CheckReport, verify_coaction
 from qlsmodcat.serialize import (MAX_CONDUCTOR, MAX_GROUP_ORDER, bigalois_dump,
                                  bigalois_load, comodule_load, datum_to_json,
                                  dumps_canonical)
@@ -619,6 +620,102 @@ def test_cache_misses_when_the_code_changes(tmp_path, capsys, monkeypatch):
     assert sorted(p.suffix for p in cache.iterdir()) == [".json"] * 3
 
 
+def _z4_obj(chi: int) -> dict:
+    return {"group": {"orders": [4]}, "g": [[1]], "chi": [[chi]]}
+
+
+@pytest.mark.parametrize("change", ["foreign-owned", "group-writable"])
+def test_a_cache_entry_someone_else_could_write_is_a_miss(tmp_path, capsys,
+                                                          change):
+    """The checksummed entry of another build (chi = 3, dim 16), put at
+    this build's key (chi = 2, dim 8) where someone else could have put
+    it, is not served: the rebuild writes what --no-cache writes and
+    leaves an entry only its owner can write."""
+    cache = tmp_path / "cache"
+    other = write(tmp_path, _z4_obj(3), "other.json")
+    assert main(["build-hopf", other]) == 0
+    (planted,) = cache.iterdir()
+    path = write(tmp_path, _z4_obj(2))
+    assert main(["build-hopf", path]) == 0
+    (entry,) = set(cache.iterdir()) - {planted}
+    entry.write_bytes(planted.read_bytes())
+    if change == "foreign-owned":
+        if os.getuid() != 0:
+            pytest.skip("only root can give a file to another user")
+        os.chown(entry, os.getuid() + 1, -1)
+        entry.chmod(0o666)
+    else:
+        entry.chmod(0o620)
+    capsys.readouterr()
+    assert main(["build-hopf", path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("bosonization: dim 8,") and "cache hit" not in out
+    fresh = tmp_path / "fresh.json"
+    assert main(["build-hopf", path, "--no-cache", "--out", str(fresh)]) == 0
+    assert (tmp_path / "datum.hopf.json").read_bytes() == fresh.read_bytes()
+    st = entry.stat()
+    assert (st.st_uid, stat.S_IMODE(st.st_mode)) == (os.getuid(), 0o600)
+    capsys.readouterr()
+
+
+def test_a_fifo_at_a_cache_entry_is_a_miss_not_a_hang(tmp_path, capsys):
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    artifact = tmp_path / "datum.hopf.json"
+    assert main(["build-hopf", path]) == 0
+    blob = artifact.read_bytes()
+    (entry,) = (tmp_path / "cache").iterdir()
+    entry.unlink()
+    os.mkfifo(entry)
+    artifact.unlink()
+    proc = _limited(["build-hopf", path], 60)
+    assert proc.returncode == 0, proc.stderr
+    assert "cache hit" not in proc.stdout
+    assert artifact.read_bytes() == blob
+    assert stat.S_ISREG(entry.stat().st_mode)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("planted", ["symlink", "file"])
+def test_a_file_at_the_temporary_name_is_left_alone(tmp_path, capsys,
+                                                    monkeypatch, planted):
+    """Whatever is at the temporary name an entry is written through keeps
+    its bytes and the entry is not stored, but the command still writes
+    its artifact; a later process, with a temporary name of its own,
+    stores the entry."""
+    import qlsmodcat.cli as cli
+
+    cache = tmp_path / "cache"
+    target = tmp_path / "target"
+    target.write_bytes(b"not a cache entry")
+    put = cli._cache_put
+
+    def plant_then_put(key, text):
+        tmp = cache / f".{key}.json.{os.getpid()}.tmp"
+        cache.mkdir()
+        if planted == "symlink":
+            tmp.symlink_to(target)
+        else:
+            shutil.copyfile(target, tmp)
+        put(key, text)
+
+    monkeypatch.setattr(cli, "_cache_put", plant_then_put)
+    path = write(tmp_path, datum_to_json(sweedler_datum()))
+    fresh = tmp_path / "fresh.json"
+    assert main(["build-hopf", path, "--no-cache", "--out", str(fresh)]) == 0
+    assert main(["build-hopf", path]) == 0
+    assert (tmp_path / "datum.hopf.json").read_bytes() == fresh.read_bytes()
+    (tmp,) = cache.iterdir()
+    assert tmp.name.endswith(".tmp")
+    assert target.read_bytes() == tmp.read_bytes() == b"not a cache entry"
+    proc = _limited(["build-hopf", path], 60)
+    assert proc.returncode == 0, proc.stderr
+    assert "cache hit" not in proc.stdout
+    (entry,) = cache.glob("*.json")
+    assert stat.S_IMODE(entry.stat().st_mode) == 0o600
+    assert target.read_bytes() == b"not a cache entry"
+    capsys.readouterr()
+
+
 def test_source_digest_is_taken_only_by_cached_commands(tmp_path, capsys):
     import qlsmodcat.cli as cli
 
@@ -1107,6 +1204,39 @@ def test_the_conductor_ceiling_admits_itself(tmp_path):
                      "--no-cache"], 120)
     assert proc.returncode == 0, proc.stderr
     assert f"conductor {MAX_CONDUCTOR};" in proc.stdout
+
+
+# Z64 with g = chi = 1: the bosonization, the lifting and the comodule
+# algebra of the full group with one letter all have dim 64 * 64 = 4,096
+Z64_OBJ = {"group": {"orders": [64]}, "g": [[1]], "chi": [[1]],
+           "lifting": {"mu": [0], "lambda": []},
+           "modcat": {"F": {"gens": [[1]]},
+                      "w": [{"component": [1],
+                             "rows": [[{"L": 1, "c": ["1"]}]]}]}}
+
+
+@pytest.mark.parametrize("argv", [["build-hopf", "--no-cache"],
+                                  ["build-lifting"], ["build-algebra"],
+                                  ["transport"], ["classify"]],
+                         ids=lambda argv: argv[0])
+def test_a_table_past_the_dimension_ceiling_is_a_size_bound(tmp_path, argv):
+    """Each of these ran out of 1 GiB of address space, with a traceback
+    or a crash, before the ceiling."""
+    path = write(tmp_path, Z64_OBJ)
+    proc = _limited([*argv, path], 60)
+    assert (proc.returncode, proc.stderr) == (
+        1, f"error: table dimension 4096 exceeds the ceiling "
+           f"{MAX_TABLE_DIM}\n")
+    assert list(tmp_path.glob("datum.*.json")) == []
+    assert list(tmp_path.glob("cache/*.json")) == []
+
+
+def test_validate_accepts_a_datum_past_the_dimension_ceiling(tmp_path):
+    """The ceiling bounds what is built, not what is valid."""
+    path = write(tmp_path, Z64_OBJ)
+    proc = _limited(["validate", path], 60)
+    assert (proc.returncode, proc.stdout) == (
+        0, "valid, N=[64]; lifting ok; modcat ok (dim 4096)\n")
 
 
 @pytest.mark.parametrize("orders,g,chi", [

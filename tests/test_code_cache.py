@@ -10,7 +10,7 @@ cache directory is a path through a regular file.
 
 from __future__ import annotations
 
-import importlib
+import compileall
 import marshal
 import os
 import shutil
@@ -32,23 +32,26 @@ DATUM = '{"group":{"orders":[8]},"g":[[1]],"chi":[[1]]}\n'
 @pytest.fixture
 def compiles(tmp_path, monkeypatch):
     """The source files compiled in this process while the test runs,
-    against a cache directory of its own, with no bytecode written."""
+    against a cache directory of its own, with no bytecode written; the
+    package is copied to tmp_path/src, with no __pycache__ to read."""
+    _copy(tmp_path, "src")
     monkeypatch.setenv("QLSMODCAT_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     names = []
-    source_to_code = _CodeLoader.source_to_code
+    source_to_code = SourceFileLoader.source_to_code
 
     def counted(self, data, path, **kwargs):
         names.append(Path(path).name)
         return source_to_code(self, data, path, **kwargs)
 
-    monkeypatch.setattr(_CodeLoader, "source_to_code", counted)
+    monkeypatch.setattr(SourceFileLoader, "source_to_code", counted)
     return names
 
 
-def _get_code(fullname: str):
-    package = importlib.import_module(fullname.rpartition(".")[0])
-    spec = _CodeFinder.find_spec(fullname, package.__path__)
+def _get_code(tmp_path, fullname: str):
+    """The code of fullname in the package copy at tmp_path/src."""
+    package = tmp_path / "src" / Path(*fullname.split(".")[:-1])
+    spec = _CodeFinder.find_spec(fullname, [str(package)])
     assert type(spec.loader) is _CodeLoader
     return spec.loader.get_code(fullname)
 
@@ -78,9 +81,9 @@ def _copy(tmp_path, name: str) -> Path:
 
 
 def test_a_second_load_compiles_nothing(tmp_path, compiles):
-    first = _get_code("qlsmodcat.linalg")
+    first = _get_code(tmp_path, "qlsmodcat.linalg")
     assert compiles == ["linalg.py"]
-    assert _get_code("qlsmodcat.linalg") == first
+    assert _get_code(tmp_path, "qlsmodcat.linalg") == first
     assert compiles == ["linalg.py"]
     (entry,) = (tmp_path / "cache" / "code").iterdir()
     assert entry.name.startswith("qlsmodcat.linalg.")
@@ -106,6 +109,48 @@ def test_where_python_writes_bytecode_pycache_is_the_cache(tmp_path):
         assert (proc.returncode, proc.stdout) == (0, b"SourceFileLoader\n")
     assert not (cache / "code").exists()
     assert list((src / "qlsmodcat" / "__pycache__").glob("cli.*.pyc"))
+
+
+# a build-hopf run in this process, after source_to_code is counted
+COUNTED_BUILD = """
+import sys
+from importlib.machinery import SourceFileLoader
+from pathlib import Path
+
+compiled = []
+source_to_code = SourceFileLoader.source_to_code
+
+def counted(self, data, path, **kwargs):
+    compiled.append(Path(path).name)
+    return source_to_code(self, data, path, **kwargs)
+
+SourceFileLoader.source_to_code = counted
+from qlsmodcat.cli import main
+assert main(["build-hopf", sys.argv[1], "--no-cache"]) == 0
+print(sorted(compiled))
+"""
+
+
+def test_valid_bytecode_is_read_before_the_code_cache(tmp_path):
+    """A compiled __pycache__, run where Python may write no bytecode:
+    nothing is compiled and code/ stays empty, until one source changes;
+    then only that module is compiled, into code/."""
+    src = _copy(tmp_path, "src")
+    assert compileall.compile_dir(src / "qlsmodcat", quiet=1)
+    datum = tmp_path / "datum.json"
+    datum.write_text(DATUM)
+    cache = tmp_path / "cache"
+    argv = ["-c", COUNTED_BUILD, str(datum)]
+    proc = _run(tmp_path, argv, cache, src)
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, b"[]")
+    assert not list(cache.glob("code/*"))
+    with open(src / "qlsmodcat" / "linalg.py", "a") as f:
+        f.write("# edited\n")
+    proc = _run(tmp_path, argv, cache, src)
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (
+        0, b"['linalg.py']")
+    assert [p.name.rsplit(".", 1)[0] for p in cache.glob("code/*")] == [
+        "qlsmodcat.linalg"]
 
 
 @pytest.mark.parametrize("name", ["json", "qlsmodcat", "qlsmodcatx",
@@ -141,12 +186,12 @@ def _served(code) -> bool:
 def test_an_entry_only_its_owner_can_write_is_loaded(tmp_path, compiles):
     """The control for the cases below: their poisoned entry, left private
     to its owner, is served."""
-    real = _get_code("qlsmodcat.errors")
+    real = _get_code(tmp_path, "qlsmodcat.errors")
     (entry,) = (tmp_path / "cache" / "code").iterdir()
     assert stat.S_IMODE(entry.stat().st_mode) == 0o600
     assert stat.S_IMODE(entry.parent.stat().st_mode) == 0o700
     _poison(entry, real)
-    assert _served(_get_code("qlsmodcat.errors"))
+    assert _served(_get_code(tmp_path, "qlsmodcat.errors"))
     assert compiles == ["errors.py"]
 
 
@@ -154,7 +199,7 @@ def test_an_entry_only_its_owner_can_write_is_loaded(tmp_path, compiles):
                                     "foreign-owned"])
 def test_an_entry_others_could_write_is_recompiled_not_loaded(
         tmp_path, compiles, change):
-    real = _get_code("qlsmodcat.errors")
+    real = _get_code(tmp_path, "qlsmodcat.errors")
     (entry,) = (tmp_path / "cache" / "code").iterdir()
     _poison(entry, real)
     if change == "foreign-owned":
@@ -163,18 +208,18 @@ def test_an_entry_others_could_write_is_recompiled_not_loaded(
         os.chown(entry, os.getuid() + 1, -1)
     else:
         entry.chmod(0o620 if change == "group-writable" else 0o602)
-    assert _get_code("qlsmodcat.errors") == real
+    assert _get_code(tmp_path, "qlsmodcat.errors") == real
     assert compiles == ["errors.py"] * 2
     st = entry.stat()
     assert (st.st_uid, stat.S_IMODE(st.st_mode)) == (os.getuid(), 0o600)
-    assert not _served(_get_code("qlsmodcat.errors"))
+    assert not _served(_get_code(tmp_path, "qlsmodcat.errors"))
     assert compiles == ["errors.py"] * 2
 
 
 @pytest.mark.parametrize("change", ["group-writable", "foreign-owned"])
 def test_a_code_directory_others_could_write_is_neither_read_nor_written(
         tmp_path, compiles, change):
-    real = _get_code("qlsmodcat.errors")
+    real = _get_code(tmp_path, "qlsmodcat.errors")
     code_dir = tmp_path / "cache" / "code"
     (entry,) = code_dir.iterdir()
     _poison(entry, real)
@@ -185,8 +230,8 @@ def test_a_code_directory_others_could_write_is_neither_read_nor_written(
         os.chown(code_dir, os.getuid() + 1, -1)
     else:
         code_dir.chmod(0o770)
-    assert _get_code("qlsmodcat.errors") == real
-    assert _get_code("qlsmodcat.linalg")
+    assert _get_code(tmp_path, "qlsmodcat.errors") == real
+    assert _get_code(tmp_path, "qlsmodcat.linalg")
     assert compiles == ["errors.py", "errors.py", "linalg.py"]
     assert list(code_dir.iterdir()) == [entry]
     assert entry.read_bytes() == poisoned
@@ -217,9 +262,8 @@ def test_a_changed_source_is_never_served_from_an_old_entry(tmp_path):
 def test_a_broken_entry_is_recompiled_and_replaced(tmp_path, compiles):
     """Entries truncated, with a garbage tail and all garbage: the command
     writes the same bytes, and the entries it rewrote load again."""
-    assert Path(qlsmodcat.__file__).parent == ROOT / "src" / "qlsmodcat"
     cache = tmp_path / "cache"
-    want = _validate(tmp_path, cache)
+    want = _validate(tmp_path, cache, tmp_path / "src")
     assert want.returncode == 0
     entries = sorted((cache / "code").iterdir())
     assert len(entries) >= 3
@@ -230,13 +274,13 @@ def test_a_broken_entry_is_recompiled_and_replaced(tmp_path, compiles):
                          data[:len(data) // 2] + b"garbage" * 10,
                          b"garbage"][i % 3]
         entry.write_bytes(broken[entry])
-    got = _validate(tmp_path, cache)
+    got = _validate(tmp_path, cache, tmp_path / "src")
     assert (got.returncode, got.stdout, got.stderr) == (
         0, want.stdout, want.stderr)
     assert sorted((cache / "code").iterdir()) == entries
     for entry in entries:
         assert entry.read_bytes() != broken[entry]
-        _get_code(entry.name.rsplit(".", 1)[0])
+        _get_code(tmp_path, entry.name.rsplit(".", 1)[0])
     assert compiles == []
 
 
@@ -245,7 +289,7 @@ def test_an_entry_marshal_fails_on_is_recompiled(tmp_path, compiles,
     """A damaged entry can make marshal raise SystemError, which it does
     not document (a truncated code object with a garbage tail of
     ``_kernel.pure`` did): the loader compiles again, as on any miss."""
-    real = _get_code("qlsmodcat.errors")
+    real = _get_code(tmp_path, "qlsmodcat.errors")
 
     class Damaged:
         dumps = staticmethod(marshal.dumps)
@@ -255,7 +299,7 @@ def test_an_entry_marshal_fails_on_is_recompiled(tmp_path, compiles,
             raise SystemError("bad argument to internal function")
 
     monkeypatch.setattr(qlsmodcat, "marshal", Damaged)
-    assert _get_code("qlsmodcat.errors") == real
+    assert _get_code(tmp_path, "qlsmodcat.errors") == real
     assert compiles == ["errors.py"] * 2
 
 

@@ -3,13 +3,15 @@
 import pytest
 
 from qlsmodcat.cyclo import CycloNumber, zeta
-from qlsmodcat.errors import DimensionMismatch, ValidationError
-from qlsmodcat.groups import AbelianGroup, Character
+from qlsmodcat.errors import DimensionMismatch, SizeBound, ValidationError
+from qlsmodcat.groups import AbelianGroup, Character, Subgroup
 from qlsmodcat.hopf import (
+    MAX_TABLE_DIM,
     FiniteHopf,
     QlsDatum,
     build_bosonization,
     group_hopf,
+    monomial_labels,
     pair_multiply,
 )
 
@@ -86,6 +88,19 @@ def test_q_binomial_small_values():
     # makes x^4 compatible with the coproduct
     for k in (1, 2, 3):
         assert gaussian_binomial(4, k, q).is_zero()
+
+
+def test_the_table_dimension_ceiling_admits_itself():
+    """Z32 with one letter of height 32 (the largest table built in the
+    profile) is admitted; one more letter, or a subgroup twice as large,
+    is a SizeBound before any label is enumerated."""
+    G = AbelianGroup([32])
+    assert len(monomial_labels([32], G)) == MAX_TABLE_DIM == 1024
+    with pytest.raises(SizeBound, match="table dimension 2048 exceeds"):
+        monomial_labels([32, 2], G)
+    F = Subgroup.full(AbelianGroup([64]))
+    with pytest.raises(SizeBound, match="table dimension 2048 exceeds"):
+        monomial_labels([32], F)
 
 
 def test_datum_valid_fixtures():
