@@ -3,7 +3,9 @@
 Every case runs against its own temporary cache directory.  The cases in
 fresh processes run as a CLI command runs, with ``PYTHONDONTWRITEBYTECODE``
 set, from the checkout's ``src`` or from a temporary copy of the package;
-the cases in this process set ``sys.dont_write_bytecode`` as that does.
+the cases in this process set ``sys.dont_write_bytecode`` as that does,
+and load from a copy with no ``__pycache__``, since Python reads valid
+bytecode before it reaches the code cache.
 Root is denied no write by a directory's mode bits, so an unwritable
 cache directory is a path through a regular file.
 """
