@@ -44,8 +44,9 @@ from .errors import (
 # module puts every shared layer in sys.modules: pipebench/tracer.py
 # rebinds functions only across the modules present once it has imported
 # this one.
-for _core in ("_kernel", "cyclo", "groups", "linalg", "rewrite"):
+for _core in ("_kernel", "groups", "linalg", "rewrite"):
     _lazy(_core)
+cyclo = _lazy("cyclo")
 serialize = _lazy("serialize")
 hopf = _lazy("hopf")
 classify = _lazy("classify")
@@ -249,9 +250,9 @@ def _build_hopf_command(args, obj, command, suffix, kind, make) -> int:
     """build-hopf and build-lifting: parse and build (``make``), rebase,
     sweep, cache, write."""
     def build():
-        if args.conductor and args.conductor > serialize.MAX_CONDUCTOR:
+        if args.conductor and args.conductor > cyclo.MAX_CONDUCTOR:
             raise SizeBound(f"conductor {args.conductor} exceeds the ceiling "
-                            f"{serialize.MAX_CONDUCTOR}")
+                            f"{cyclo.MAX_CONDUCTOR}")
         H = make()
         if args.conductor:
             if args.conductor % H.L:
@@ -427,7 +428,7 @@ FLAGS = {
              "input ceiling serialize.MAX_GROUP_ORDER (4096)"),
     "--conductor": dict(type=_positive_int,
                         help="rebase built tables to this conductor, at most "
-                             "serialize.MAX_CONDUCTOR (4096)"),
+                             "cyclo.MAX_CONDUCTOR (4096)"),
     "--no-cache": dict(action="store_true", dest="no_cache"),
 }
 BUILD_FLAGS = ("--out", "--conductor", "--no-cache")

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import isqrt, lcm
+from math import isqrt
 
 from . import linalg
 from ._kernel import add as padd, is_zero as pis0, mul as pmul, neg as pneg
 from .cocycles import Cocycle2
-from .cyclo import CycloNumber, _poly_divmod, _poly_mul, _poly_xgcd
+from .cyclo import (CycloNumber, _poly_divmod, _poly_mul, _poly_xgcd,
+                    common_conductor)
 from .errors import (
     ConfluenceFailure,
     HypothesisViolated,
@@ -81,10 +82,6 @@ class ModCatDatum:
         self.psi = psi
         self.psi_norm = psi if psi.is_unital() else psi.normalize()
 
-        L = datum.conductor
-        for v in self.psi_norm.table.values():
-            L = lcm(L, v.L)
-
         parsed = w_rows(datum, w)
         carriers = [h for h, _, _ in parsed]
         m = len(carriers)
@@ -98,12 +95,9 @@ class ModCatDatum:
                 raise ValidationError(
                     f"link index {key} out of range: need 0 <= a < b < m "
                     f"= {m}, the number of subspace rows")
-        entries = [c for _, _, row in parsed for c in row]
-        for c in entries + xi + list(alpha.values()):
-            if isinstance(c, CycloNumber):
-                L = lcm(L, c.L)
-
-        self.L = L
+        self.L = L = common_conductor(datum.conductor, [
+            *self.psi_norm.table.values(), *xi, *alpha.values(),
+            *(c for _, _, row in parsed for c in row)])
         self.carriers = carriers
         self.positions = [idcs for _, idcs, _ in parsed]
         self.rows = [[CycloNumber.coerce(c, L) for c in row]
@@ -526,23 +520,19 @@ def check_degree_one_generation(datum: QlsDatum, components,
                     "coproduct-compatibility",
                     f"coproduct of a degree {n} vector leaves the allowed span")
 
+    def times_w(level):
+        """span(level . W)"""
+        return linalg.span((U.multiply(x, wvec) for x in level.rows
+                            for wvec in W), L)
+
     levels = []
-    prev = linalg.span([dict(U.unit)], L)
-    levels.append(prev.key() == linalg.span(
-        [dict(v) for v in components[0]], L).key())
-    for n in range(1, len(components)):
-        gen = linalg.Subspace(L)
-        for x in prev.rows:
-            for wvec in W:
-                gen.insert(U.multiply(x, wvec))
-        levels.append(gen.key() == linalg.span(
-            [dict(v) for v in components[n]], L).key())
-        prev = gen
-    nxt = linalg.Subspace(L)
-    for x in prev.rows:
-        for wvec in W:
-            nxt.insert(U.multiply(x, wvec))
-    return GenerationReport(levels, nxt.dim == 0)
+    level = linalg.span([dict(U.unit)], L)
+    for n, vecs in enumerate(components):
+        if n:
+            level = times_w(level)
+        levels.append(level.key() == linalg.span(
+            [dict(v) for v in vecs], L).key())
+    return GenerationReport(levels, times_w(level).dim == 0)
 
 
 class SimplicityReport:

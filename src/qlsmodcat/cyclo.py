@@ -16,6 +16,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from qlsmodcat import _kernel as _K
+from qlsmodcat.errors import SizeBound
 
 
 def _exquo_z(f, g):
@@ -88,9 +89,19 @@ def _shift_reduce(cur: tuple[int, ...], xd_row: tuple[int, ...]) -> tuple[int, .
     return tuple(nxt)
 
 
+# Every scalar, table and rebase at conductor L builds context(L) first:
+# context(4096) builds in 1.9 s, and build-hopf of the Sweedler datum at
+# 4096 takes 1.4 s and 157 MB; context(8192) takes 4.9 s (pure lane,
+# shared 2-vCPU VM).
+MAX_CONDUCTOR = 4096
+
+
 @lru_cache(maxsize=None)
 def context(L: int) -> FieldContext:
-    """Reduction rows and root-of-unity coordinate table for Q(zeta_L)."""
+    """Reduction rows and root-of-unity coordinate table for Q(zeta_L);
+    a conductor past MAX_CONDUCTOR is a SizeBound."""
+    if L > MAX_CONDUCTOR:
+        raise SizeBound(f"conductor {L} exceeds the ceiling {MAX_CONDUCTOR}")
     phi = cyclotomic_polynomial(L)
     d = len(phi) - 1
     xd_row = tuple(-c for c in phi[:d])
@@ -164,15 +175,9 @@ class CycloNumber:
             return self
         if M % self.L:
             raise ValueError(f"cannot rebase conductor {self.L} into {M}")
-        ctx = context(M)
-        step = M // self.L
-        acc = [0] * ctx.degree
-        for i, c in enumerate(self.nums):
-            if c:
-                row = ctx.zeta_pows[(step * i) % M]
-                for k in range(ctx.degree):
-                    acc[k] += c * row[k]
-        return CycloNumber._make(M, _K.norm_pair(tuple(acc), self.den))
+        # zeta_L = zeta_M ** (M // L): the substitution of a conjugation
+        return CycloNumber._make(
+            M, _conjugate_pair(self.raw(), M // self.L, context(M)))
 
     def _pair(self, other):
         if isinstance(other, (int, Fraction)):
@@ -357,9 +362,16 @@ def _galois_group(L: int) -> tuple[int, ...]:
     return tuple(a for a in range(1, L + 1) if gcd(a, L) == 1)
 
 
+def common_conductor(L: int, values) -> int:
+    """The lcm of L and the conductors of the CycloNumbers among values;
+    any other value is rational."""
+    return lcm(L, *(v.L for v in values if isinstance(v, CycloNumber)))
+
+
 def _conjugate_pair(pair, a: int, ctx: FieldContext):
-    """sigma_a of a pair at conductor ctx.L, read from the table of powers
-    of zeta."""
+    """zeta -> zeta_M ** a, M = ctx.L, on a pair at a conductor dividing M
+    (sigma_a when that conductor is M), read from the table of powers of
+    zeta_M."""
     nums, den = pair
     acc = [0] * ctx.degree
     for k, num in enumerate(nums):

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import lcm
 
 from . import _lazy, linalg
 from ._kernel import add as padd, is_zero as pis0, mul as pmul, neg as pneg
-from .cyclo import CycloNumber
+from .cyclo import CycloNumber, common_conductor
 from .errors import (
     CocycleInvalid,
     ConfluenceFailure,
@@ -61,11 +60,7 @@ class LiftingDatum:
                 raise ValidationError(
                     f"link scalar index {(i, j)} out of range: need "
                     f"0 <= i < j < theta = {theta}")
-        L = datum.conductor
-        for c in list(mu) + list(lam.values()):
-            if isinstance(c, CycloNumber):
-                L = lcm(L, c.L)
-        self.L = L
+        self.L = L = common_conductor(datum.conductor, [*mu, *lam.values()])
         self.mu = [CycloNumber.coerce(c, L) for c in mu]
         lam = {k: CycloNumber.coerce(c, L) for k, c in sorted(lam.items())}
         self.lam = {k: c for k, c in lam.items() if not c.is_zero()}
@@ -196,7 +191,7 @@ def group_sigma(H: FiniteHopf, psi: cocycles.Cocycle2) -> HopfCocycle:
     basis and copies psi on it.
     """
     by_exps = {f.exps: f for f in psi.carrier}
-    M = lcm(H.L, *(v.L for v in psi.table.values()))
+    M = common_conductor(H.L, psi.table.values())
     if M != H.L:
         raise ValidationError(
             f"cocycle values need conductor {M} but H has conductor {H.L}; "

@@ -323,16 +323,14 @@ def pair_multiply(first: FiniteAlgebra, second: FiniteAlgebra,
                   x: dict, y: dict) -> dict:
     """Componentwise product over first tensor second, keyed by index pairs.
 
-    A product by the canonical 1 is skipped, and a zero coefficient adds
-    nothing; entries that cancel, or are zero, are dropped."""
+    A product by the canonical 1 is skipped; entries that cancel, or are
+    zero, are dropped."""
     if first.L != second.L:
         raise DimensionMismatch("tensor factors live at different conductors")
     red = first.ctx.reduction
     one = linalg.pone(first.L)
     out: dict = {}
     for (j1, k1), c1 in x.items():
-        if pis0(c1):
-            continue
         for (j2, k2), c2 in y.items():
             left = first.mult.get((j1, j2))
             if not left:
@@ -341,12 +339,8 @@ def pair_multiply(first: FiniteAlgebra, second: FiniteAlgebra,
             if not right:
                 continue
             coef = c2 if c1 == one else pmul(c1, c2, red)
-            if pis0(coef):
-                continue
             for m1, d1 in left.items():
                 f = d1 if coef == one else pmul(coef, d1, red)
-                if pis0(f):
-                    continue
                 for m2, d2 in right.items():
                     term = d2 if f == one else pmul(f, d2, red)
                     key = (m1, m2)

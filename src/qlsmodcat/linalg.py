@@ -36,22 +36,11 @@ def inv_pair(pair, L: int):
     return CycloNumber._make(L, pair).inv().raw()
 
 
-def _drop_zeros(out: dict, vec: dict) -> None:
-    """out += 0 * vec: drop the zero entries of out in vec's keys."""
-    for c in out.keys() & vec.keys():
-        if pis0(out[c]):
-            del out[c]
-
-
 def axpy_neg(out: dict, f, row: dict, red) -> None:
     """In place: out -= f * row.  Zero entries are dropped.
 
-    f = 1 subtracts row's entries with no product, and f = 0 only drops
-    the zero entries of out in row's columns, as the sum would; every
-    path drops a zero or cancelled entry."""
-    if pis0(f):
-        _drop_zeros(out, row)
-        return
+    f = 1 subtracts row's entries with no product; either path drops a
+    zero or cancelled entry in row's columns."""
     unit = f == units(len(f[0]))[0]
     for c, v in row.items():
         cur = out.get(c)
@@ -82,14 +71,11 @@ def accumulate(store: dict, key, pair) -> None:
 def vec_addmul(acc: dict, vec: dict, coef, red) -> None:
     """acc += coef * vec in place, dropping entries that cancel.
 
-    coef = 1 adds vec's entries with no product, and coef = 0 only drops
-    the zero entries of acc in vec's keys, as the sum would; a zero entry
-    of vec is never stored.  The body of ``accumulate`` is inlined: this
-    loop runs inside every product of the axiom sweeps.
+    coef = 1 adds vec's entries with no product; a zero sum, from a
+    cancellation, a zero coef or a zero entry of vec, is never stored.
+    The body of ``accumulate`` is inlined: this loop runs inside every
+    product of the axiom sweeps.
     """
-    if pis0(coef):
-        _drop_zeros(acc, vec)
-        return
     unit = coef == units(len(coef[0]))[0]
     for k, v in vec.items():
         term = v if unit else pmul(coef, v, red)
@@ -124,8 +110,7 @@ def combine(coeffs: dict, rows, L: int) -> dict:
     red = context(L).reduction
     out: dict = {}
     for i, f in coeffs.items():
-        if not pis0(f):
-            vec_addmul(out, rows[i], f, red)
+        vec_addmul(out, rows[i], f, red)
     return out
 
 

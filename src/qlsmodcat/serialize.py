@@ -17,7 +17,7 @@ from importlib import resources
 from math import lcm
 
 from . import _lazy, dumps_canonical, linalg  # noqa: F401 (re-exported)
-from .cyclo import CycloNumber, totient
+from .cyclo import MAX_CONDUCTOR, CycloNumber, totient  # noqa: F401 (re-exported)
 from .errors import SizeBound, ValidationError
 from .groups import AbelianGroup, Character, GroupElement, Subgroup
 from .hopf import CheckReport, FiniteAlgebra, FiniteHopf, QlsDatum
@@ -88,10 +88,6 @@ def _check_degree(L: int, count: int) -> None:
 # context(2048) in 0.23 s (pure lane, shared 2-vCPU VM).
 MAX_GROUP_ORDER = 4096
 MAX_GROUP_EXPONENT = 1024
-# A build's --conductor rebases its tables there: cyclo.context(4096) builds
-# in 1.9 s, and build-hopf of the Sweedler datum at 4096 takes 1.4 s and
-# 157 MB; context(8192) takes 4.9 s (pure lane, shared 2-vCPU VM).
-MAX_CONDUCTOR = 4096
 
 
 def _check_group(G: AbelianGroup) -> None:

@@ -19,6 +19,7 @@ import pytest
 from qlsmodcat.cli import _parser, main
 from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.comodule import ModCatDatum
+from qlsmodcat.cyclo import totient
 from qlsmodcat.deformation import LiftingDatum, build_bigalois
 from qlsmodcat.groups import Subgroup
 from qlsmodcat.hopf import MAX_TABLE_DIM, CheckReport, verify_coaction
@@ -1204,6 +1205,62 @@ def test_the_conductor_ceiling_admits_itself(tmp_path):
                      "--no-cache"], 120)
     assert proc.returncode == 0, proc.stderr
     assert f"conductor {MAX_CONDUCTOR};" in proc.stdout
+
+
+def _scalar_at(L, first="0"):
+    """A scalar written out at conductor L: first, then phi(L) - 1 zeros."""
+    return {"L": L, "c": [first] + ["0"] * (totient(L) - 1)}
+
+
+# A scalar is parsed without a table at its conductor; the first table is
+# built at its lcm with the datum's, past the ceiling for each input here.
+# Before the ceiling, under this 1 GiB limit, the Z2 input (41 KB) ran
+# each command 15-20 s into a MemoryError traceback, the Z4 modcat input
+# validate and build-algebra 54-61 s into one, and the Z4 root lifting
+# was built at conductor 16380 in 23 s.
+RUNAWAY_SCALARS = {
+    "Z2-mu-8191": ({"group": {"orders": [2]}, "g": [[1]], "chi": [[1]],
+                    "lifting": {"mu": [_scalar_at(8191)], "lambda": []}},
+                   16382),
+    "Z4-xi-8191": ({"group": {"orders": [4]}, "g": [[1]], "chi": [[2]],
+                    "modcat": {"F": {"gens": [[1]]},
+                               "w": [{"component": [1], "rows": [[1]]}],
+                               "xi": [_scalar_at(8191)]}},
+                   32764),
+    # each scalar is under the ceiling, but lcm(4, 4095) is past it
+    "Z4-mu-4095": ({"group": {"orders": [4]}, "g": [[1]], "chi": [[2]],
+                    "lifting": {"mu": [_scalar_at(4095)], "lambda": []}},
+                   16380),
+}
+
+
+@pytest.mark.parametrize("case,command", [
+    ("Z2-mu-8191", "validate"), ("Z2-mu-8191", "build-lifting"),
+    ("Z2-mu-8191", "transport"), ("Z2-mu-8191", "classify"),
+    ("Z4-xi-8191", "validate"), ("Z4-xi-8191", "build-algebra"),
+    ("Z4-mu-4095", "validate"), ("Z4-mu-4095", "build-lifting"),
+])
+def test_a_scalar_past_the_conductor_ceiling_is_a_size_bound(tmp_path, case,
+                                                             command):
+    obj, conductor = RUNAWAY_SCALARS[case]
+    path = write(tmp_path, obj)
+    proc = _limited([command, path], 60)
+    assert (proc.returncode, proc.stderr) == (
+        1, f"error: conductor {conductor} exceeds the ceiling "
+           f"{MAX_CONDUCTOR}\n")
+    assert list(tmp_path.glob("datum.*.json")) == []
+
+
+def test_an_artifact_past_the_conductor_ceiling_is_a_size_bound(tmp_path):
+    """verify of a dim-1 algebra at conductor 4099 used to build the field
+    and pass."""
+    one = _scalar_at(4099, "1")
+    path = write(tmp_path, {"dim": 1, "L": 4099, "labels": [[[], []]],
+                            "unit": [[0, one]], "mult": [[0, 0, 0, one]]},
+                 "algebra.json")
+    proc = _limited(["verify", path], 60)
+    assert (proc.returncode, proc.stderr) == (
+        1, f"error: conductor 4099 exceeds the ceiling {MAX_CONDUCTOR}\n")
 
 
 # Z64 with g = chi = 1: the bosonization, the lifting and the comodule

@@ -5,14 +5,14 @@ from __future__ import annotations
 import cmath
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qlsmodcat.cyclo import (CycloNumber, _poly_trim, _poly_xgcd, context,
-                             cyclotomic_polynomial, totient, zeta)
+from qlsmodcat.cyclo import (CycloNumber, _poly_trim, _poly_xgcd, conjugate,
+                             context, cyclotomic_polynomial, totient, zeta)
 from qlsmodcat.errors import ValidationError
 from qlsmodcat.serialize import cyclo_from_json, cyclo_to_json
 
@@ -48,8 +48,6 @@ def test_phi_vanishes_exactly_on_primitive_roots(L):
     val = sum(c * w**i for i, c in enumerate(phi))
     assert abs(val) < 1e-9
     # and stays away from zero on non-primitive roots
-    from math import gcd
-
     for k in range(L):
         if gcd(k, L) != 1:
             wk = cmath.exp(2j * cmath.pi * k / L)
@@ -208,6 +206,26 @@ def test_rebase_round_trip():
     assert cmath.isclose(to_complex(a), to_complex(b), abs_tol=1e-12)
     with pytest.raises(ValueError):
         a.rebase(8)
+
+
+@pytest.mark.parametrize("L", [1, 3, 4, 8, 12])
+@given(st.data())
+def test_rebase_is_the_ring_map_zeta_L_to_a_power_of_zeta_M(L, data):
+    """rebase substitutes zeta_L -> zeta_M ** (M // L), as a conjugation
+    substitutes zeta_L -> zeta_L ** a: it is a ring map that commutes with
+    every conjugation of Q(zeta_M)."""
+    M = L * data.draw(st.integers(1, 6))
+    x, y = data.draw(_cyclos(L, 9)), data.draw(_cyclos(L, 9))
+    assert (x + y).rebase(M).raw() == (x.rebase(M) + y.rebase(M)).raw()
+    assert (x * y).rebase(M).raw() == (x.rebase(M) * y.rebase(M)).raw()
+    k = data.draw(st.integers(0, L - 1))
+    assert zeta(L, k).rebase(M).raw() == zeta(M, k * M // L).raw()
+    a = data.draw(st.integers(1, M).filter(lambda a: gcd(a, M) == 1))
+    assert (conjugate(x.rebase(M), a).raw()
+            == conjugate(x, a % L).rebase(M).raw())
+    if L > 1:
+        with pytest.raises(ValueError):
+            x.rebase(M + 1)
 
 
 def test_mixed_conductor_operations():

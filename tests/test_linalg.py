@@ -180,11 +180,12 @@ def test_vec_addmul_matches_dense_sum(acc_terms, vec_terms, coef):
     assert acc == _sparse(acc_terms + scaled)
 
 
-# The loops below skip the product for the coefficient 1, and vec_addmul
-# and axpy_neg do no arithmetic for 0.  A vector read from an artifact may
-# hold explicit zero entries, and so may a copy of one that is being
-# reduced; no path may store a zero, and a zero already held in a column
-# of the added vector goes, as the plain sum would drop it.
+# The loops below skip the product for the coefficient 1; a coefficient 0
+# takes the general loop, whose zero terms the cancellation test drops.  A
+# vector read from an artifact may hold explicit zero entries, and so may
+# a copy of one that is being reduced; no path may store a zero, and a
+# zero already held in a column of the added vector goes, as the plain
+# sum would drop it.
 ZERO, ONE = CycloNumber.zero(L), CycloNumber.one(L)
 fast_coefs = st.one_of(st.just(ONE), st.just(ZERO), scalars)
 with_zeros = st.dictionaries(st.integers(0, 3), st.one_of(st.just(ZERO), scalars),
@@ -218,6 +219,17 @@ def test_axpy_neg_fast_paths_match_dense_sum(out_terms, row, f, zeros):
              context(L).reduction)
     assert _no_zero_entries(out)
     assert out == _sparse(out_terms + [(k, -(f * c)) for k, c in row.items()])
+
+
+@given(st.dictionaries(st.integers(0, 3), fast_coefs, max_size=4),
+       st.lists(with_zeros, min_size=4, max_size=4))
+def test_combine_with_zeros_matches_dense_sum(coeffs, rows):
+    """Coefficients 0 and 1 and rows holding explicit zeros."""
+    out = combine({i: f.raw() for i, f in coeffs.items()},
+                  [{k: c.raw() for k, c in row.items()} for row in rows], L)
+    assert _no_zero_entries(out)
+    assert out == _sparse([(k, f * c) for i, f in coeffs.items()
+                           for k, c in rows[i].items()])
 
 
 pair_keys = st.tuples(st.integers(0, 1), st.integers(0, 1))
