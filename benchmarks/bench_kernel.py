@@ -33,13 +33,16 @@ builds over Z4 with two generators of degree 1 and q = -1, and on A and
 T of the dim-24 mixed Z6 transport of the pipebench; the block data
 printed are asserted.
 
-Light's associativity test, ``FiniteAlgebra.verify_algebra``, is timed
-as it runs, walking only the table's nonzero cells, against the same test
-over the grid loop it replaced, which accumulates both sides of every
-basis triple, on U, B, H and T of the pipebench's dim-32 link and dim-24
-mixed transports, the dim-64 Z8 bosonization of its ``hopf-z8`` build and
-the dim-32 Z8 lifting of its ``lifting-z8t2`` build; both must report the
-same failures.
+``FiniteAlgebra.verify_algebra`` is timed three ways: as it runs on a
+built table, proving it from its engine's presentation; as Light's
+associativity test, on the same tables without the engine, walking only
+the nonzero cells; and as that test over the grid loop it replaced,
+which accumulates both sides of every basis triple.  The tables are U, B,
+H and T of the pipebench's dim-32 link and dim-24 mixed transports (T has
+no engine, so only the two sweeps run on it), the dim-64 Z8 bosonization
+of its ``hopf-z8`` build and the dim-32 Z8 lifting of its
+``lifting-z8t2`` build; all three must agree, and both sweeps must report
+the same failures.
 
 The cotensor's table, ``deformation._cotensor_table``, is timed as it
 runs, from the |S| n products of a generating set's letters in
@@ -480,14 +483,22 @@ def associativity_cases():
 
 
 def run_associativity(reps):
-    print(f"associativity, verify_algebra against the grid loop, x {reps} reps")
+    print(f"associativity, the presentation proof against Light's walk and "
+          f"the grid loop, x {reps} reps")
     for label, alg in associativity_cases():
-        t_walk, walk = time_calls(alg.verify_algebra, reps)
-        t_grid, grid = time_calls(lambda: grid_verify_algebra(alg), reps)
+        bare = FiniteAlgebra(alg.labels, alg.L, alg.mult, alg.unit)
+        t_walk, walk = time_calls(bare.verify_algebra, reps)
+        t_grid, grid = time_calls(lambda: grid_verify_algebra(bare), reps)
         assert walk.failures == grid.failures, \
             f"{label}: the walk and the grid loop disagree"
+        proof = ""
+        if alg.engine is not None:
+            t_proof, rep = time_calls(alg.verify_algebra, reps)
+            assert rep.ok == walk.ok, \
+                f"{label}: the proof and Light's walk disagree"
+            proof = f"proof {t_proof * 1e3:7.2f}ms   "
         name = f"{label} (dim {alg.dim})"
-        print(f"  {name:32s} walk {t_walk * 1e3:7.2f}ms   "
+        print(f"  {name:32s} {proof:20s}walk {t_walk * 1e3:7.2f}ms   "
               f"grid {t_grid * 1e3:7.2f}ms ({t_grid / t_walk:4.1f}x)   "
               f"{'ok' if walk.ok else walk.checks_failed()}")
 

@@ -8,21 +8,13 @@ Over the coordinate subspaces and a sample without repeats, no two data
 share the canonical key (W, F, psi class, xi, alpha) that ``dedupe``
 compares.  The data are summarized in a table with one row per
 (F, psi class, W) cell.
-
-The exterior cross-check rebuilds the algebra of an all-order-two datum
-as a Clifford algebra smashed with the twisted subgroup algebra, using a
-direct letter-insertion product instead of the rewrite engine, and
-compares the structure tables cell by cell.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 
-from . import linalg
-from ._kernel import is_zero as pis0, mul as pmul, neg as pneg
 from .cocycles import enumerate_classes
 from .comodule import (
     ModCatDatum,
@@ -31,11 +23,10 @@ from .comodule import (
     simple_modules,
     w_rows,
 )
-from .cyclo import CycloNumber, context
-from .errors import NotExteriorDatum, ValidationError
+from .cyclo import CycloNumber
+from .errors import ValidationError
 from .groups import Subgroup, enumerate_subgroups
 from .hopf import CheckReport, QlsDatum, build_bosonization
-from .linalg import accumulate
 
 
 def coordinate_subspaces(datum: QlsDatum) -> list[dict]:
@@ -260,93 +251,3 @@ def classification_report(datum: QlsDatum, scalar_sample=(0, 1),
     totals = {"rows": len(rows), "data": len(data),
               "free_parameters": free_total}
     return ClassificationReport(rows, totals)
-
-
-def _mono_times_letter(S: tuple, a: int, contract, one) -> dict:
-    """Right-multiply an ascending letter monomial by one letter."""
-    if not S or S[-1] < a:
-        return {S + (a,): one}
-    last, body = S[-1], S[:-1]
-    out: dict = {}
-    if last == a:
-        k = contract(a, a)
-        if not pis0(k):
-            out[body] = k
-        return out
-    k = contract(a, last)
-    if not pis0(k):
-        out[body] = k
-    for T, c in _mono_times_letter(body, a, contract, one).items():
-        accumulate(out, T + (last,), pneg(c))
-    return out
-
-
-def _mono_mul(S: tuple, T: tuple, contract, red, one) -> dict:
-    terms = {S: one}
-    for a in T:
-        nxt: dict = {}
-        for U, c in terms.items():
-            for V, c2 in _mono_times_letter(U, a, contract, one).items():
-                accumulate(nxt, V, pmul(c, c2, red))
-        terms = nxt
-    return terms
-
-
-def exterior_clifford_check(datum: QlsDatum, mcd: ModCatDatum) -> CheckReport:
-    """Rebuild the algebra of an all-order-two datum independently.
-
-    The generators contract like a Clifford algebra whose symmetric form
-    has the link scalars off the diagonal and the root scalars on it; the
-    subgroup part multiplies through its cocycle, and conjugation picks
-    up the eigencharacter values.  The generator-indexed map between the
-    two builds is the identity on labels, so it is an isomorphism exactly
-    when all structure tables agree.
-    """
-    if _datum_fingerprint(datum) != _datum_fingerprint(mcd.datum):
-        raise ValidationError("the subspace datum belongs to a different base")
-    if datum.theta:
-        u = datum.g[0]
-        if u.order() != 2 or any(el != u for el in datum.g):
-            raise NotExteriorDatum(
-                "all generators must sit in one degree of order two")
-        minus_one = CycloNumber.from_rational(Fraction(-1), 1)
-        if any(ch(u) != minus_one for ch in datum.chi):
-            raise NotExteriorDatum(
-                "every character must negate the grading element")
-    mcd.require_valid()
-    A = build_A(mcd)
-    L = A.L
-    red = context(L).reduction
-    one = linalg.pone(L)
-
-    def contract(a: int, b: int):
-        if a == b:
-            return mcd.xi[a].raw()
-        return mcd.alpha[(a, b)].raw() if (a, b) in mcd.alpha \
-            else linalg.pzero(L)
-
-    felts = {f.exps: f for f in mcd.F}
-    rep = CheckReport("exterior-clifford")
-    mult: dict = {}
-    for i, (r, fe) in enumerate(A.labels):
-        S = tuple(a for a in range(mcd.n_letters) if r[a])
-        f = felts[fe]
-        for j, (s, ge) in enumerate(A.labels):
-            T = tuple(a for a in range(mcd.n_letters) if s[a])
-            g = felts[ge]
-            coef = mcd.psi_norm(f, g).rebase(L).raw()
-            for a in T:
-                coef = pmul(coef, mcd.chiF[a][f].raw(), red)
-            cell: dict = {}
-            out_e = (f * g).exps
-            for U, c in _mono_mul(S, T, contract, red, one).items():
-                rU = tuple(1 if a in U else 0 for a in range(mcd.n_letters))
-                accumulate(cell, A.index[(rU, out_e)], pmul(coef, c, red))
-            if cell:
-                mult[(i, j)] = cell
-            if cell != A.mult.get((i, j), {}):
-                rep.fail("table-mismatch", (A.labels[i], A.labels[j]))
-    if dict(A.unit) != {A.index[((0,) * mcd.n_letters,
-                                 datum.group.identity().exps)]: one}:
-        rep.fail("unit-mismatch", "1")
-    return rep

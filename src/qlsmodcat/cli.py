@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -212,11 +213,22 @@ def cmd_validate(args) -> int:
             {"valid": ok, "N": list(datum.N),
              "reports": [serialize.report_to_json(r) for r in reports]}))
     elif ok:
+        # U and every lifting H have dim |G| prod(N_i); a dim past the
+        # ceiling is valid, but no build command builds its table
+        ceiling = hopf.MAX_TABLE_DIM
+
+        def dim(n: int) -> str:
+            past = f", past the build ceiling {ceiling}" if n > ceiling else ""
+            return f"dim {n}{past}"
+
+        n_u = datum.group.order * math.prod(datum.N)
         parts = [f"valid, N={list(datum.N)}"]
+        if lifting is not None or mcd is not None or n_u > ceiling:
+            parts.append(f"U {dim(n_u)}")
         if lifting is not None:
-            parts.append("lifting ok")
+            parts.append(f"lifting ok (H {dim(n_u)})")
         if mcd is not None:
-            parts.append(f"modcat ok (dim {mcd.dim()})")
+            parts.append(f"modcat ok ({dim(mcd.dim())})")
         print("; ".join(parts))
     else:
         for r in reports:

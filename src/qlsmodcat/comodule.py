@@ -7,8 +7,7 @@ algebra generated by W and the twisted group basis {e_f} with its left
 coaction, as exact tables, from the rewrite engine under
 ``ComoduleRules``; the graded model is the same build with xi and alpha
 zero.  The rest of the module computes filtrations, coinvariants, the
-Galois map, simplicity and block reports, and the degree-one generation
-checker.
+Galois map, and simplicity and block reports.
 """
 
 from __future__ import annotations
@@ -22,12 +21,7 @@ from ._kernel import add as padd, is_zero as pis0, mul as pmul, neg as pneg
 from .cocycles import Cocycle2
 from .cyclo import (CycloNumber, _poly_divmod, _poly_mul, _poly_xgcd,
                     common_conductor)
-from .errors import (
-    ConfluenceFailure,
-    HypothesisViolated,
-    IsoCheckFailed,
-    ValidationError,
-)
+from .errors import ConfluenceFailure, ValidationError
 from .groups import Subgroup
 from .hopf import (
     CheckReport,
@@ -212,7 +206,8 @@ class ComoduleRules(NormalFormEngine):
     """Rewriting rules for the subspace generators over the twisted group basis."""
 
     def __init__(self, mcd: ModCatDatum):
-        super().__init__(mcd.n_letters, mcd.heights, mcd.datum.group, mcd.L)
+        super().__init__(mcd.n_letters, mcd.heights, mcd.datum.group, mcd.L,
+                         mcd.F)
         self.mcd = mcd
 
     def group_product(self, f, g):
@@ -245,8 +240,8 @@ class ComoduleAlgebra(FiniteAlgebra):
     """
 
     def __init__(self, labels, L, mult, unit, hopf: FiniteHopf, coaction,
-                 degree=None, mcd=None):
-        super().__init__(labels, L, mult, unit)
+                 degree=None, mcd=None, engine=None):
+        super().__init__(labels, L, mult, unit, engine)
         if hopf.L != L:
             raise ValidationError("coacting Hopf algebra at a different conductor")
         self.hopf = hopf
@@ -280,7 +275,8 @@ def build_A(mcd: ModCatDatum, U: FiniteHopf | None = None,
     """
     mcd.require_valid()
     labels = monomial_labels(mcd.heights, mcd.F)
-    mult = ComoduleRules(mcd).product_table(labels)
+    rules = ComoduleRules(mcd)
+    mult = rules.product_table(labels)
     ident = mcd.datum.group.identity()
     zero_w = (0,) * mcd.n_letters
     unit = {labels.index((zero_w, ident.exps)): linalg.pone(mcd.L)}
@@ -296,7 +292,8 @@ def build_A(mcd: ModCatDatum, U: FiniteHopf | None = None,
              zip(mcd.positions, mcd.rows, mcd.carriers))],
         mcd.heights)
     A = ComoduleAlgebra(labels, mcd.L, mult, unit, U, coaction,
-                        degree=[sum(r) for r, _ in labels], mcd=mcd)
+                        degree=[sum(r) for r, _ in labels], mcd=mcd,
+                        engine=rules)
     A.verify(proofs).require(ConfluenceFailure, "built tables fail verification")
     return A
 
@@ -312,7 +309,7 @@ def regular_coaction(H: FiniteHopf) -> ComoduleAlgebra:
     """H as a left comodule algebra over itself via its coproduct."""
     coaction = [dict(cell) for cell in H.comult]
     return ComoduleAlgebra(H.labels, H.L, H.mult, dict(H.unit), H, coaction,
-                           degree=H.degree)
+                           degree=H.degree, engine=H.engine)
 
 
 def trivial_coaction(U: FiniteHopf, alg: FiniteAlgebra = None) -> ComoduleAlgebra:
@@ -381,30 +378,6 @@ def verify_loewy(A: ComoduleAlgebra, spaces=None) -> CheckReport:
     return rep
 
 
-def associated_graded(A: ComoduleAlgebra) -> FiniteAlgebra:
-    """Layer-by-layer algebra of the filtration, checked against the model.
-
-    The identification sends the class of each monomial basis element to
-    the same label in the graded model, so the check is a direct table
-    comparison; a mismatch raises IsoCheckFailed.
-    """
-    verify_loewy(A).require(IsoCheckFailed,
-                            "filtration does not match the monomial layers")
-    mult = {}
-    for (i, j), cell in A.mult.items():
-        d = A.degree[i] + A.degree[j]
-        kept = {k: c for k, c in cell.items() if A.degree[k] == d}
-        if kept:
-            mult[(i, j)] = kept
-    gr = FiniteAlgebra(A.labels, A.L, mult, dict(A.unit))
-    if A.mcd is not None:
-        K = build_K(A.mcd, A.hopf)
-        if not (gr.labels == K.labels and gr.mult == K.mult
-                and gr.unit == K.unit):
-            raise IsoCheckFailed("graded tables differ from the graded model")
-    return gr
-
-
 def coinvariants(A: ComoduleAlgebra):
     """Subspace of a with coaction 1 tensor a, by an exact kernel solve."""
     U = A.hopf
@@ -444,95 +417,6 @@ def galois_map(A: ComoduleAlgebra) -> GaloisReport:
              for (u, k), c in linalg.through(lam, 1, col, red).items()}
             for lam in A.coaction for col in cols]
     return GaloisReport(linalg.rank(rows, A.L), nA * nA, A.hopf.dim * nA)
-
-
-class GenerationReport:
-    """Degree-by-degree comparison with the span of the degree-one part."""
-
-    def __init__(self, levels, closure_ok):
-        self.levels = levels
-        self.closure_ok = closure_ok
-
-    @property
-    def ok(self) -> bool:
-        return all(self.levels) and self.closure_ok
-
-    def __repr__(self):
-        return f"GenerationReport(levels={self.levels}, closure_ok={self.closure_ok})"
-
-
-def check_degree_one_generation(datum: QlsDatum, components,
-                                U: FiniteHopf = None) -> GenerationReport:
-    """Verify the degree-one generation hypotheses, then the conclusion.
-
-    ``components`` lists bases per degree, as sparse vectors over the
-    basis of the ambient graded Hopf algebra.  Hypothesis failures raise
-    HypothesisViolated; the returned report compares each degree with the
-    span generated by the degree-one part.
-    """
-    if U is None:
-        U = build_bosonization(datum)
-    L = U.L
-    ident = datum.group.identity().exps
-
-    for n, vecs in enumerate(components):
-        for v in vecs:
-            for i in v:
-                r, ge = U.labels[i]
-                if sum(r) != n or ge != ident:
-                    raise HypothesisViolated(
-                        "component-degree",
-                        f"degree {n} vector meets basis label {U.labels[i]}")
-    k0 = linalg.span([dict(v) for v in components[0]], L) if components else None
-    if k0 is None or k0.dim != 1 or not k0.contains(dict(U.unit)):
-        raise HypothesisViolated("component-degree",
-                                 "degree 0 part must be spanned by 1")
-
-    W = [dict(v) for v in components[1]] if len(components) > 1 else []
-    wspan = linalg.span(W, L)
-    for g in sorted(set(datum.g), key=lambda e: e.exps):
-        for v in W:
-            proj = {}
-            for i, c in v.items():
-                r, _ = U.labels[i]
-                if datum.g[r.index(1)] == g:
-                    proj[i] = c
-            if proj and not wspan.contains(proj):
-                raise HypothesisViolated(
-                    "degree-one-not-subcomodule",
-                    f"projection to the {g.exps} component leaves the span")
-
-    nU = U.dim
-    by_deg = {}
-    for u in range(nU):
-        by_deg.setdefault(U.degree[u], []).append(u)
-    for n, vecs in enumerate(components):
-        target = linalg.Subspace(L)
-        for i in range(n + 1):
-            for u in by_deg.get(i, []):
-                for wvec in components[n - i]:
-                    target.insert({u * nU + k: c for k, c in wvec.items()})
-        for v in vecs:
-            dv = U.comultiply(dict(v))
-            flat = {j * nU + k: c for (j, k), c in dv.items()}
-            if not target.contains(flat):
-                raise HypothesisViolated(
-                    "coproduct-compatibility",
-                    f"coproduct of a degree {n} vector leaves the allowed span")
-
-    def times_w(level):
-        """span(level . W)"""
-        return linalg.span((U.multiply(x, wvec) for x in level.rows
-                            for wvec in W), L)
-
-    levels = []
-    level = linalg.span([dict(U.unit)], L)
-    for n, vecs in enumerate(components):
-        if n:
-            level = times_w(level)
-        levels.append(level.key() == linalg.span(
-            [dict(v) for v in vecs], L).key())
-    return GenerationReport(levels, times_w(level).dim == 0)
 
 
 class SimplicityReport:

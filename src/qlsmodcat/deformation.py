@@ -33,7 +33,6 @@ from .hopf import (
     complete_hopf,
     extend_letters,
     left_closure,
-    monomial_labels,
     pair_multiply,
     verify_coaction,
 )
@@ -87,10 +86,8 @@ class LiftingDatum:
 def build_lifting(ld: LiftingDatum) -> FiniteHopf:
     """Hopf algebra tables for the lifting determined by (mu, lambda)."""
     ld.require_valid()
-    d = ld.datum
-    labels = monomial_labels(d.N, d.group)
-    mult = LiftingRules(d, ld.L, ld.mu, ld.lam).product_table(labels)
-    return complete_hopf(d, ld.L, labels, mult, graded=False)
+    return complete_hopf(LiftingRules(ld.datum, ld.L, ld.mu, ld.lam),
+                         graded=False)
 
 
 def _iterated_comult(H: FiniteHopf, i: int, legs: int) -> dict:
@@ -365,7 +362,8 @@ class BiGaloisRep:
         alg = self.algebra
         return comodule.ComoduleAlgebra(alg.labels, alg.L, alg.mult,
                                         dict(alg.unit), self.left_hopf,
-                                        self.left_coaction)
+                                        self.left_coaction,
+                                        engine=alg.engine)
 
     def verify(self) -> CheckReport:
         rep = self.left_comodule().verify()

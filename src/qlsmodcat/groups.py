@@ -8,7 +8,7 @@ data on them can be written in coordinates.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product
 from math import gcd, lcm
 
@@ -98,6 +98,13 @@ class AbelianGroup:
     @property
     def char_orders(self):
         return self.orders
+
+    @cached_property
+    def gens(self) -> tuple:
+        """The unit vectors, whose coordinates ``dlog`` reads."""
+        k = len(self.orders)
+        return tuple(GroupElement(self, tuple(int(i == j) for j in range(k)))
+                     for i in range(k))
 
     def dlog(self, el: GroupElement):
         return el.exps
@@ -272,11 +279,7 @@ class Subgroup:
 
     @classmethod
     def full(cls, group: AbelianGroup) -> "Subgroup":
-        gens = [
-            GroupElement(group, tuple(int(i == j) for j in range(len(group.orders))))
-            for i in range(len(group.orders))
-        ]
-        return cls.generated(group, gens)
+        return cls.generated(group, group.gens)
 
     @property
     def order(self) -> int:

@@ -123,10 +123,12 @@ class FiniteAlgebra:
     """Associative unital algebra with a fixed basis and sparse exact tables.
 
     ``mult`` maps index pairs to sparse vectors ``{index: pair}``; absent
-    cells are zero.  Instances are treated as immutable once built.
+    cells are zero.  Instances are treated as immutable once built.  A
+    table built by a ``rewrite.NormalFormEngine``, at its conductor or a
+    multiple, keeps that ``engine``, whose presentation proves it.
     """
 
-    def __init__(self, labels, L: int, mult: dict, unit: dict):
+    def __init__(self, labels, L: int, mult: dict, unit: dict, engine=None):
         self.labels = list(labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         if len(self.index) != len(self.labels):
@@ -135,6 +137,7 @@ class FiniteAlgebra:
         self.ctx = context(L)
         self.mult = mult
         self.unit = dict(unit)
+        self.engine = engine
 
     @property
     def dim(self) -> int:
@@ -181,11 +184,9 @@ class FiniteAlgebra:
         ``_columns`` can make either side nonzero, so only those are
         compared.  When e_i e_j = c e_m and e_j e_k = d e_m' are one term
         each, the sides are the scaled cells c mult[m, k] and
-        d mult[i, m']: equal when both are zero, or when the cells have
-        the same keys and c v = d w at each key, which holds outright
-        when (c, v) is (d, w) or (w, d).  Any other k, and a one-term
-        pair that this does not prove equal, is decided by accumulating
-        both sums, as ``multiply`` would.
+        d mult[i, m'], compared as such (``_same_multiples``).  Any other
+        k, and a one-term pair that this does not show equal, is decided
+        by accumulating both sums, as ``multiply`` would.
         """
         n = self.dim
         red = self.ctx.reduction
@@ -208,18 +209,9 @@ class FiniteAlgebra:
                     jk = row_j.get(k, empty)
                     if row_m is not None and len(jk) == 1:
                         (m, d), = jk.items()
-                        a = row_m.get(k)
-                        b = row_i.get(m)
-                        if a is None and b is None:
+                        if _same_multiples(row_m.get(k), c, row_i.get(m), d,
+                                           red):
                             continue
-                        if a and b and a.keys() == b.keys():
-                            for p, v in a.items():
-                                w = b[p]
-                                if not (c == d and v == w or c == w and v == d
-                                        or pmul(c, v, red) == pmul(d, w, red)):
-                                    break
-                            else:
-                                continue
                     left: dict = {}
                     for m, f in ij.items():
                         cell = rows.get(m, empty).get(k)
@@ -240,12 +232,22 @@ class FiniteAlgebra:
                             lambda s, v: self.multiply(self.basis(s), v))[0]
 
     def verify_algebra(self) -> CheckReport:
-        """The unit laws and associativity, proven from the generators.
+        """The unit laws and associativity: from the presentation of the
+        table's ``engine`` when it has one, else by Light's sweep.
 
-        This is Light's associativity test in its linear form (Clifford &
-        Preston, *The Algebraic Theory of Semigroups* I, 1961, §1.2).
-        Once the unit laws hold, T = {x : (x y) z = x (y z) for all y, z}
-        is a subspace containing 1, and it is closed under left
+        With an engine, a proof that the table is the algebra the engine
+        presents (``_presentation``) proves it associative, and the report
+        keeps the letters as S for the checks that rest on these laws.
+        When that proof fails, Light's sweep runs as below.  A table it
+        finds breaking a law is reported by those failures, as one without
+        an engine is; one that passes it is an algebra, but not the one
+        its datum presents, and is reported by the steps and relations
+        that fail.
+
+        Light's sweep is Light's associativity test in its linear form
+        (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961,
+        §1.2).  Once the unit laws hold, T = {x : (x y) z = x (y z) for
+        all y, z} is a subspace containing 1, and it is closed under left
         multiplication by every s with (s y) z = s (y z) for all basis
         y, z: ((s x) y) z = (s (x y)) z = s ((x y) z) = s (x (y z))
         = (s x) (y z).  So when every s in S = ``generators()`` passes, T
@@ -253,18 +255,141 @@ class FiniteAlgebra:
         The sweep compares only the triples (s, y, z) with a possibly
         nonzero side, at most |S| n^2 and not n^3, and compares one-term
         sides without accumulating them (``_associators``); the report
-        keeps S for the checks that rest on these laws.  When the unit
-        laws or a generator fail, every basis element and triple is
-        swept, and the sweep reports each failure.
+        keeps S.  When the unit laws or a generator fail, every basis
+        element and triple is swept, and the sweep reports each failure.
         """
         rep = CheckReport("algebra")
+        failures: list = []
+        if self.engine is not None:
+            letters, failures = self._presentation()
+            if not failures:
+                rep.proven.append((self, letters))
+                return rep
         for check, i in self._unit_failures():
             rep.fail(check, self.labels[i])
         gens = self.generators() if rep.ok else None
         if _generators_prove(rep, "associativity", self._associators, gens,
                              self.labels):
             rep.proven.append((self, gens))
+            for check, witness in failures:
+                rep.fail(check, witness)
         return rep
+
+    def _presentation(self) -> tuple:
+        """The letters S, as basis indices, and the failures of the proof
+        that this table T is the algebra its ``engine`` presents on the
+        PBW basis y^r g.
+
+        The letters are the y_a and the group letters, the independent
+        generators of the engine's carrier.  R_s is right multiplication
+        by s read from T, R_s(v) = sum_k v_k T(k, s), and NF(v s) is the
+        normal form of label v's word followed by the letter s.  The proof
+        checks that
+        1. the unit is e_1, the label of the empty word, and its row and
+           column are those of the identity;
+        2. each label u other than 1 and the letters has one parent step
+           (p, s), s the last letter of u's PBW word (its last group
+           letter, else its last y): the hooks give NF(p s) = c e_u (c = 1
+           for a y, ``group_product``'s scalar for a group letter), and
+           R_s(column p) = c column u on all n rows ("pbw-step"), which
+           on row 1 says that T(p, s) is exactly c e_u;
+        3. each defining relation x^m s of the hooks
+           (``NormalFormEngine.relations``), where x^m is the PBW word of
+           a label v, holds among the R_s on all n basis vectors:
+           R_s(column v) = sum_t NF(v s)_t column t.
+        This is the closure argument of Bergman's diamond lemma (Adv.
+        Math. 29, 1978) on the PBW basis of Andruskiewitsch & Schneider
+        (J. Algebra 209, 1998).  Let A be the algebra on the letters with
+        the relations of 3, and w_u the PBW word of u.  Column 1 is the
+        identity by 1, so by 2 column u is the operator of c_u^-1 w_u for
+        c_u the product of the scalars along u's parent steps, and by 3
+        V = k^n is a right A-module.  The relations move the group letters
+        right, sort the y's and cut their powers and the group orders, so
+        the n words w_u span A.  The map a -> e_1 R_a sends c_u^-1 w_u to
+        T(1, u) = e_u, so it is onto V and hence a bijection, and
+        T(x, u) = e_x R_(c_u^-1 w_u) is the product of A carried over by
+        it.  So T is A: unital, associative, of dim n, with e_u the PBW
+        basis element of u, and generated by S.  A wrong scalar gives
+        another algebra, which may pass Light's sweep, but fails 3.
+        Cost: the nonzero cells of T, each compared once in 2 or 3, and
+        one more column per relation, against Light's |S| n^2 triples.
+        """
+        eng = self.engine
+        red = self.ctx.reduction
+        one = linalg.pone(self.L)
+        idx = self.index
+        group, carrier = eng.group, eng.carrier
+        zero_r, ident = (0,) * eng.n_letters, group.identity().exps
+        if eng.L == self.L:
+            def lift(c):
+                return c
+        else:
+            def lift(c):
+                return linalg.to_cyclo(c, eng.L).rebase(self.L).raw()
+
+        def run(x, m: int) -> int:
+            """The label of x^m for a letter x."""
+            if isinstance(x, int):
+                return idx[(zero_r[:x] + (m,) + zero_r[x + 1:], ident)]
+            return idx[(zero_r, (x ** m).exps)]
+
+        cols: list = [{} for _ in range(self.dim)]  # cols[b][a] = T(a, b) != 0
+        for (a, b), cell in self.mult.items():
+            if cell:
+                cols[b][a] = cell
+        unit = idx[(zero_r, ident)]
+        letter = {x: run(x, 1) for x in [*range(eng.n_letters), *(
+            g for g, _ in eng.group_letters())]}
+        ones = {i: {i: one} for i in range(self.dim)}
+        if self.unit != {unit: one} or cols[unit] != ones or any(
+                col.get(unit) != ones[j] for j, col in enumerate(cols)):
+            return sorted(letter.values()), [("unit", self.labels[unit])]
+        failures = []
+
+        # the last letter s of each group element g = h s, with the
+        # scalar c of h s = c g
+        last = {}
+        for g in carrier:
+            k = carrier.dlog(g)
+            if any(k):
+                s = carrier.gens[max(t for t, e in enumerate(k) if e)]
+                h = g * s.inv()
+                c, hs = eng.group_product(h, s)
+                last[g.exps] = h.exps, s, lift(c.raw()) if hs == g else None
+        skip = {unit, *letter.values()}
+        for u, (r, ge) in enumerate(self.labels):
+            if u in skip:
+                continue
+            if ge != ident:
+                he, s, c = last[ge]
+                p = idx[(r, he)]
+            else:
+                s = max(a for a, e in enumerate(r) if e)
+                p, c = idx[(r[:s] + (r[s] - 1,) + r[s + 1:], ge)], one
+            if c is None or not _column_step(cols[u], c, cols[p],
+                                             cols[letter[s]], one, red):
+                failures.append(("pbw-step", self.labels[u]))
+
+        for name, word in eng.relations():
+            v, s = run(word[0], len(word) - 1), word[-1]
+            r, ge = self.labels[v]
+            nf = {idx[(t, g.exps)]: lift(c) for (t, g), c in eng.normalize(
+                eng.word_of(r, group.element(ge)) + (s,)).items()}
+            if len(nf) == 1:
+                (t, c), = nf.items()
+                target = cols[t]
+            else:
+                c, target = one, {}
+                for t, d in nf.items():
+                    for y, cell in cols[t].items():
+                        vec_addmul(target.setdefault(y, {}), cell, d, red)
+                target = {y: cell for y, cell in target.items() if cell}
+            if not _column_step(target, c, cols[v], cols[letter[s]], one,
+                                red):
+                failures.append((name, tuple(self.labels[letter[x]]
+                                             for x in word)))
+        eng.clear_memo()
+        return sorted(letter.values()), failures
 
     def same_tables(self, other) -> bool:
         return other is self or (
@@ -279,7 +404,46 @@ class FiniteAlgebra:
         if M == self.L:
             return self
         mult = {k: rebase_vec(v, self.L, M) for k, v in self.mult.items()}
-        return FiniteAlgebra(self.labels, M, mult, rebase_vec(self.unit, self.L, M))
+        return FiniteAlgebra(self.labels, M, mult,
+                             rebase_vec(self.unit, self.L, M), self.engine)
+
+
+def _same_multiples(a, c, b, d, red) -> bool:
+    """Whether c a = d b, for sparse vectors a and b (None or empty for
+    zero) and nonzero pairs c and d.  A product of two pairs is formed
+    only where c = d, or swapping the factors, does not show it."""
+    if not a or not b:
+        return not a and not b
+    if c == d:
+        return a == b
+    if a.keys() != b.keys():
+        return False
+    for key, v in a.items():
+        w = b[key]
+        if not (c == w and v == d or pmul(c, v, red) == pmul(d, w, red)):
+            return False
+    return True
+
+
+def _column_step(col_u: dict, c, col_p: dict, col_s: dict, one, red) -> bool:
+    """Whether c T(i, u) = R_s(T(i, p)) on every row i, for columns given
+    as {row: nonzero cell}, a nonzero pair c and the pair ``one``.  Only
+    the rows of column p can be nonzero on the right, so column u must
+    lie within them."""
+    if not col_u.keys() <= col_p.keys():
+        return False
+    for i, prev in col_p.items():
+        if len(prev) == 1:
+            (k, d), = prev.items()
+            want = col_s.get(k)
+        else:
+            want, d = {}, one
+            for k, e in prev.items():
+                if k in col_s:
+                    vec_addmul(want, col_s[k], e, red)
+        if not _same_multiples(col_u.get(i), c, want, d, red):
+            return False
+    return True
 
 
 def left_closure(n: int, L: int, unit: dict, times) -> tuple:
@@ -475,8 +639,8 @@ class FiniteHopf(FiniteAlgebra):
     """
 
     def __init__(self, labels, L, mult, unit, comult, counit, antipode,
-                 degree=None, graded=False):
-        super().__init__(labels, L, mult, unit)
+                 degree=None, graded=False, engine=None):
+        super().__init__(labels, L, mult, unit, engine)
         self.comult = comult
         self.counit = counit
         self.antipode = antipode
@@ -519,8 +683,8 @@ class FiniteHopf(FiniteAlgebra):
         counit = [linalg.to_cyclo(p, self.L).rebase(M).raw() for p in self.counit]
         antipode = [rebase_vec(v, self.L, M) for v in self.antipode]
         return FiniteHopf(self.labels, M, alg.mult, alg.unit,
-                          comult, counit, antipode,
-                          degree=self.degree, graded=self.graded)
+                          comult, counit, antipode, degree=self.degree,
+                          graded=self.graded, engine=self.engine)
 
     def verify(self) -> CheckReport:
         rep = CheckReport("hopf").prove(self)
@@ -658,15 +822,18 @@ def monomial_labels(heights, elements) -> list:
     return [(r, g.exps) for r in rs for g in gs]
 
 
-def complete_hopf(d: QlsDatum, L: int, labels, mult: dict,
-                  graded: bool) -> FiniteHopf:
-    """Unit, coalgebra and antipode around a product on the monomial basis.
+def complete_hopf(rules, graded: bool) -> FiniteHopf:
+    """The product table of the lifting rules ``rules`` on the monomial
+    basis, with unit, coalgebra and antipode around it.
 
     The bosonization and its liftings share them: the letter x_i is
     (g_i, 1)-skew primitive, the group elements are group-like and
     S(x_i) = -g_i^-1 x_i.
     """
+    d, L = rules.d, rules.L
     group, theta = d.group, d.theta
+    labels = monomial_labels(d.N, group)
+    mult = rules.product_table(labels)
     one = linalg.pone(L)
     idx = {lab: i for i, lab in enumerate(labels)}
     zero_r = (0,) * theta
@@ -694,17 +861,16 @@ def complete_hopf(d: QlsDatum, L: int, labels, mult: dict,
         antipode.append(vec)
 
     return FiniteHopf(labels, L, mult, unit, comult, counit, antipode,
-                      degree=[sum(r) for r, _ in labels], graded=graded)
+                      degree=[sum(r) for r, _ in labels], graded=graded,
+                      engine=rules)
 
 
 def build_bosonization(d: QlsDatum) -> FiniteHopf:
     """The graded Hopf algebra on monomials x^r times a group element: the
     lifting whose root and link scalars are all zero."""
     d.require_valid()
-    L = d.group.exponent
-    labels = monomial_labels(d.N, d.group)
-    mult = rewrite.LiftingRules(d, L).product_table(labels)
-    return complete_hopf(d, L, labels, mult, graded=True)
+    return complete_hopf(rewrite.LiftingRules(d, d.group.exponent),
+                         graded=True)
 
 
 def group_hopf(group: AbelianGroup) -> FiniteHopf:

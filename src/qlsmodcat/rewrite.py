@@ -15,7 +15,10 @@ normal form e_(t,k) to a multiple of e_(t,kg).  For a confluent
 presentation every word has one normal form (Bergman's diamond lemma),
 so this composition gives the normal form of the concatenated label
 words, cell for cell.  For a presentation that is not confluent the two
-may differ; the axiom sweeps run on the table either way.
+may differ.  Either way the table is then proven to be the algebra the
+hooks present (``FiniteAlgebra.verify_algebra``): its columns follow the
+PBW words letter by letter, and every relation of ``relations`` holds
+among its right multiplications by the letters.
 
 ``LiftingRules`` presents the liftings of a bosonized quantum linear
 space, and with every scalar zero the bosonization itself, so every Hopf
@@ -34,12 +37,14 @@ from .linalg import vec_addmul
 class NormalFormEngine:
     """Skeleton rewriter; subclasses encode one presentation each."""
 
-    def __init__(self, n_letters, heights, group, conductor):
+    def __init__(self, n_letters, heights, group, conductor, carrier=None):
         if any(h < 2 for h in heights):
             raise ValueError("every generator height must be at least 2")
         self.n_letters = n_letters
         self.heights = tuple(heights)
         self.group = group
+        # the group or subgroup of the basis; its generators are letters
+        self.carrier = group if carrier is None else carrier
         self.L = conductor
         self.one = CycloNumber.one(conductor)
         self._red = context(conductor).reduction
@@ -65,6 +70,40 @@ class NormalFormEngine:
         """Fragments replacing a full height-long run of the letter a."""
         raise NotImplementedError
 
+    def group_letters(self) -> list:
+        """The independent generators of the carrier, with their orders;
+        a generator of order 1 is the identity and is left out."""
+        return [(g, m) for g, m in zip(self.carrier.gens,
+                                       self.carrier.char_orders) if m > 1]
+
+    def relations(self) -> list:
+        """The defining relations, as (check name, word): the left side of
+        one hook on the letters (the ints a for y_a and the group letters),
+        whose normal form is the hook's right side.
+
+        They are each group letter's order and the commutation of each
+        pair of group letters (``group_product``), g y_a = chi_a(g) y_a g
+        (``move_group_past``), y_b y_a for b > a with its link scalar
+        (``swap_descending``) and y_a^N_a with its root scalar
+        (``cut_power``).  By them every word in the letters reduces to
+        the PBW words: y's in ascending runs shorter than their heights,
+        then the group letters in ascending order, each run shorter than
+        its order.  Each word is such a run of one letter followed by one
+        letter, which ``FiniteAlgebra._presentation`` relies on.
+        """
+        letters = self.group_letters()
+        out = []
+        for k, (g, m) in enumerate(letters):
+            out.append(("relation-group-order", (g,) * m))
+            out += [("relation-group-commutation", (g, h))
+                    for h, _ in letters[:k]]
+            out += [("relation-group-letter", (g, a))
+                    for a in range(self.n_letters)]
+        for b, h in enumerate(self.heights):
+            out += [("relation-q-commutation", (b, a)) for a in range(b)]
+            out.append(("relation-power", (b,) * h))
+        return out
+
     def normalize(self, word):
         """Reduce a word to {(exponents, group element): coefficient},
         each coefficient a kernel pair.
@@ -78,6 +117,11 @@ class NormalFormEngine:
             done = self._reduce(word)
             self._memo[word] = done
         return done
+
+    def clear_memo(self) -> None:
+        """Drop the finished words.  A built table keeps its engine, and
+        the table's proof is the memo's last reader."""
+        self._memo.clear()
 
     def _reduce(self, word):
         hit = self._leftmost(word)

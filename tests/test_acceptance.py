@@ -18,14 +18,11 @@ from qlsmodcat.classify import (
     classification_report,
     dedupe,
     enumerate_modcat_data,
-    exterior_clifford_check,
 )
 from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.comodule import (
     ModCatDatum,
-    associated_graded,
     build_A,
-    check_degree_one_generation,
     check_simplicity,
     coinvariants,
     galois_map,
@@ -50,6 +47,8 @@ from qlsmodcat.groups import AbelianGroup, Subgroup
 from qlsmodcat.hopf import QlsDatum, build_bosonization, group_hopf
 from qlsmodcat.serialize import datum_to_json, dumps_canonical
 
+from criterion_checks import (associated_graded, check_degree_one_generation,
+                              exterior_clifford_check)
 from qls_fixtures import (
     clifford_z2_datum,
     clifford_z22_datum,

@@ -11,7 +11,6 @@ from qlsmodcat.classify import (
     datum_key,
     dedupe,
     enumerate_modcat_data,
-    exterior_clifford_check,
     free_scalar_positions,
 )
 from qlsmodcat.cocycles import Cocycle2
@@ -21,6 +20,7 @@ from qlsmodcat.errors import NotExteriorDatum, SizeBound, ValidationError
 from qlsmodcat.groups import AbelianGroup, Character, Subgroup
 from qlsmodcat.hopf import (CheckReport, FiniteHopf, QlsDatum,
                             build_bosonization)
+from criterion_checks import exterior_clifford_check
 from qls_fixtures import (
     clifford_z2_datum,
     clifford_z22_datum,

@@ -67,6 +67,15 @@ def test_validate_accepts_good_datum(tmp_path, capsys):
     assert "valid, N=[2]" in capsys.readouterr().out
 
 
+def test_validate_prints_the_dim_of_each_table(tmp_path, capsys):
+    """U, the lifting H and the modcat algebra, each within the ceiling."""
+    obj = dict(z4_mu_obj(), modcat={
+        "F": {"gens": [[2]]}, "w": [{"component": [1], "rows": [[1]]}]})
+    assert main(["validate", write(tmp_path, obj)]) == 0
+    assert capsys.readouterr().out == (
+        "valid, N=[2]; U dim 8; lifting ok (H dim 8); modcat ok (dim 4)\n")
+
+
 def test_validate_flags_forced_zero_lifting_scalar(tmp_path, capsys):
     obj = datum_to_json(sweedler_datum())
     obj["lifting"] = {"mu": [1], "lambda": []}
@@ -1293,7 +1302,9 @@ def test_validate_accepts_a_datum_past_the_dimension_ceiling(tmp_path):
     path = write(tmp_path, Z64_OBJ)
     proc = _limited(["validate", path], 60)
     assert (proc.returncode, proc.stdout) == (
-        0, "valid, N=[64]; lifting ok; modcat ok (dim 4096)\n")
+        0, "valid, N=[64]; U dim 4096, past the build ceiling 1024; "
+           "lifting ok (H dim 4096, past the build ceiling 1024); "
+           "modcat ok (dim 4096, past the build ceiling 1024)\n")
 
 
 @pytest.mark.parametrize("orders,g,chi", [

@@ -10,10 +10,8 @@ from qlsmodcat.cocycles import Cocycle2
 from qlsmodcat.comodule import (
     ComoduleAlgebra,
     ModCatDatum,
-    associated_graded,
     build_A,
     build_K,
-    check_degree_one_generation,
     check_simplicity,
     coinvariants,
     galois_map,
@@ -32,6 +30,7 @@ from qlsmodcat.errors import (
 from qlsmodcat.groups import AbelianGroup, Character, Subgroup
 from qlsmodcat.hopf import FiniteAlgebra, QlsDatum, build_bosonization, group_hopf
 from closed_forms import graded_model_mult
+from criterion_checks import associated_graded, check_degree_one_generation
 from qls_fixtures import (
     clifford_z2_datum,
     sweedler_datum,

@@ -89,7 +89,7 @@ from qlsmodcat.hopf import (
     group_hopf,
 )
 from qlsmodcat.linalg import accumulate, pone, vec_addmul
-from qlsmodcat.rewrite import NormalFormEngine
+from qlsmodcat.rewrite import LiftingRules, NormalFormEngine
 
 from all_pairs import all_pairs_cotensor
 from closed_forms import bosonization_mult, graded_model_mult
@@ -100,6 +100,7 @@ from qls_fixtures import (
     trivial_sigma,
     z4_datum,
     z4_mu_datum,
+    z6_modcat,
     z22_lambda_datum,
 )
 from test_acceptance import full_mcd
@@ -1322,15 +1323,17 @@ def test_fixture_tables_equal_the_normal_forms(name):
                                               ("lifting-z8t2", 32, 2),
                                               ("algebra-z6", 36, 1)])
 def test_a_table_normalizes_n_theta_words(name, dim, theta, monkeypatch):
-    """Only the outermost normalize calls count, per table: a reduction
-    recurses, and an algebra build also makes the table of its U."""
+    """Only the outermost normalize calls inside a product table count,
+    per table: a reduction recurses, an algebra build also makes the table
+    of its U, and each table's proof normalizes its relation words
+    besides (``FiniteAlgebra._presentation``)."""
     slot = BENCH_SLOTS[name]
-    tables, depth = [], []
+    tables, depth, building = [], [], []
     normalize, product_table = (NormalFormEngine.normalize,
                                 NormalFormEngine.product_table)
 
     def counted(engine, word):
-        if not depth:
+        if building and not depth:
             tables[-1][2].append(word)
         depth.append(1)
         try:
@@ -1340,7 +1343,11 @@ def test_a_table_normalizes_n_theta_words(name, dim, theta, monkeypatch):
 
     def per_table(engine, labels):
         tables.append((len(labels), engine.n_letters, []))
-        return product_table(engine, labels)
+        building.append(1)
+        try:
+            return product_table(engine, labels)
+        finally:
+            building.pop()
 
     monkeypatch.setattr(NormalFormEngine, "normalize", counted)
     monkeypatch.setattr(NormalFormEngine, "product_table", per_table)
@@ -1564,3 +1571,146 @@ def test_a_negated_group_move_fails_verification(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "built tables fail verification: ['unit-left', 'associativity', " \
            "'coaction-multiplicative']" in err
+
+
+# ------------------------------------------------- wrong relation scalars
+
+def _on_a_twin(kind, change):
+    """``product_table`` run, for an engine of class ``kind``, on a copy
+    that ``change`` gives one wrong scalar; the table keeps the datum's
+    own engine, which its proof reads."""
+    plain = NormalFormEngine.product_table
+
+    def product_table(engine, labels):
+        if isinstance(engine, kind):
+            engine = copy.copy(engine)
+            engine._memo = {}
+            change(engine)
+        return plain(engine, labels)
+    return product_table
+
+
+def _doubled(field):
+    def change(holder):
+        value = getattr(holder, field)
+        setattr(holder, field, {k: v + v for k, v in value.items()}
+                if isinstance(value, dict) else [v + v for v in value])
+    return change
+
+
+def _doubled_modcat(field):
+    def change(engine):
+        engine.mcd = copy.copy(engine.mcd)
+        _doubled(field)(engine.mcd)
+    return change
+
+
+def _inverted_character(engine):
+    move = engine.move_group_past
+    engine.move_group_past = lambda f, a: move(f, a).inv()
+
+
+# name: (bench slot, engine class, the change, the checks that fail)
+WRONG_SCALARS = {
+    "mu": ("lifting-z4t2", LiftingRules, _doubled("mu"), ["relation-power"]),
+    "lambda": ("lifting-z4t2", LiftingRules, _doubled("lam"),
+               ["relation-q-commutation"]),
+    "xi": ("algebra-z4t2", ComoduleRules, _doubled_modcat("xi"),
+           ["relation-power"]),
+    "alpha": ("algebra-z4t2", ComoduleRules, _doubled_modcat("alpha"),
+              ["relation-q-commutation"]),
+    "chi": ("algebra-z6", ComoduleRules, _inverted_character,
+            ["relation-group-letter", "coaction-multiplicative"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SCALARS))
+def test_a_table_with_a_wrong_scalar_fails_its_presentation(
+        name, tmp_path, monkeypatch, capsys):
+    """A table built with doubled root or link scalars, or with the
+    inverse character moving the group past the letters, is the table of
+    another datum.  The doubled ones are liftings and algebras too, so
+    Light's sweep and the coalgebra and coaction sweeps all pass them;
+    the proof from the datum's own presentation names the relation that
+    fails, and the command exits 2."""
+    slot, kind, change, checks = WRONG_SCALARS[name]
+    monkeypatch.setattr(NormalFormEngine, "product_table",
+                        _on_a_twin(kind, change))
+    code, err = _run_broken(tmp_path, monkeypatch, capsys, slot)
+    assert code == 2
+    assert err.endswith(f": {checks}\n")
+
+
+# ------------------------------------ the presentation proof against Light
+
+def _verdicts(alg) -> tuple:
+    """(the presentation proof passes, Light's sweep passes) on one table
+    with an engine, each with its unit laws."""
+    unital = next(alg._unit_failures(), None) is None
+    return (unital and not alg._presentation()[1],
+            unital and next(alg._associators(alg.generators()), None) is None)
+
+
+def _fixture_tables():
+    """The tables with an engine among the built fixtures of this module."""
+    out = []
+    for obj in SMALL.values():
+        out += [obj, getattr(obj, "hopf", obj)]
+    for _, _, B in CONNECTING:
+        out += [B.algebra, B.left_hopf, B.right_hopf]
+    for mcd in [z6_modcat(), *graded_model_data().values()]:
+        A = build_A(mcd)
+        out += [A, A.hopf, build_K(mcd)]
+    return [t for t in out if t.engine is not None]
+
+
+def _bench_tables(monkeypatch, tmp_path, workload):
+    """The tables with an engine that every input variant of a bench
+    workload proves, each command run as the bench runs it."""
+    seen = []
+    plain = FiniteAlgebra.verify_algebra
+
+    def recorded(self):
+        if self.engine is not None:
+            seen.append(self)
+        return plain(self)
+
+    monkeypatch.setattr(FiniteAlgebra, "verify_algebra", recorded)
+    monkeypatch.setenv("QLSMODCAT_CACHE_DIR", str(tmp_path / "cache"))
+    src, out = tmp_path / "input.json", tmp_path / "out.json"
+    for slot in workloads.WORKLOADS[workload]():
+        for obj in slot.variants:
+            src.write_text(serialize.dumps_canonical(obj))
+            options = ["--no-cache"] if slot.command.startswith("build") else []
+            assert main([slot.command, str(src), *slot.options, *options,
+                         "--out", str(out)]) == 0
+    return seen
+
+
+@pytest.mark.parametrize("inputs", ["fixtures", "tables", "transport",
+                                    "classify"])
+def test_the_presentation_proof_agrees_with_lights_sweep(
+        inputs, monkeypatch, tmp_path, capsys):
+    """Light's sweep, the oracle, passes every table with an engine that
+    the fixtures build and that every bench input's command proves, and
+    so does the proof from the table's presentation."""
+    if inputs == "fixtures":
+        tables = _fixture_tables()
+    else:
+        tables = _bench_tables(monkeypatch, tmp_path, inputs)
+        capsys.readouterr()
+    assert len(tables) >= 10
+    assert [_verdicts(t) for t in tables] == [(True, True)] * len(tables)
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTED))
+def test_the_presentation_proof_rejects_every_broken_product_cell(name):
+    """One product cell negated, doubled, filled with the unit or moved
+    to the next basis element never leaves the table the algebra its
+    datum presents; Light's sweep fails each table that breaks a law,
+    and the proof fails each of those and every other."""
+    obj, _ = CORRUPTED[name]
+    verdicts = [_verdicts(broken)
+                for _, _, broken in _broken_tables(obj, ("mult",))]
+    assert len(verdicts) > obj.dim
+    assert not any(proof for proof, _ in verdicts)
